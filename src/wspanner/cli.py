@@ -253,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"wspanner: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

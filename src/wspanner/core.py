@@ -4,7 +4,8 @@ All distances are exact integers; ``UNREACHABLE`` is the reserved value for
 disconnected pairs and never takes part in arithmetic.  Shortest-path ties
 are broken toward the smallest-id predecessor, per source, so every derived
 artifact (paths, per-pair maximum edge weights, shortest-path trees) is a
-pure function of the graph.
+pure function of the graph.  ``PathTable`` computes these artifacts on
+demand, one source row at a time, and caches each row it computes.
 """
 
 from __future__ import annotations
@@ -200,12 +201,6 @@ def _min_id_parents(adj, dist, source: int) -> list[int]:
     return parent
 
 
-def single_source(g: WeightedGraph, source: int) -> tuple[list, list[int]]:
-    """(distances, canonical tree parents) from one source."""
-    dist = dijkstra_distances(g.adj, g.n, source)
-    return dist, _min_id_parents(g.adj, dist, source)
-
-
 def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge]):
     """Adjacency lists of the subgraph induced by the given edges of g."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
@@ -219,33 +214,54 @@ def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge]):
 
 
 class PathTable:
-    """All-pairs distances, canonical paths, and per-pair maximum edge weight.
+    """Distances, canonical paths, and per-pair maximum edge weight, computed
+    on demand one source row at a time.
 
-    The canonical path of an unordered pair {u, v} comes from the
-    shortest-path tree rooted at min(u, v); path(v, u) is its reverse.
-    Instances are immutable after construction.
+    A row for source s holds the distances from s, the smallest-id parents of
+    the shortest-path tree rooted at s, and the largest edge weight on each
+    tree path.  It is computed the first time any method asks for s and then
+    cached.  The canonical path of an unordered pair {u, v} comes from the
+    tree rooted at min(u, v); path(v, u) is its reverse.  dist, reachable,
+    max_weight and path read the row of min(u, v); tree_parent(root, v) reads
+    the row of root.  Answers do not depend on the order of queries, but the
+    cache is mutable state: a table belongs to one thread or process.
     """
 
-    def __init__(self, graph: WeightedGraph, dist, parent, pair_wmax):
+    def __init__(self, graph: WeightedGraph):
         self.graph = graph
-        self._dist = dist
-        self._parent = parent
-        self._wmax = pair_wmax
+        self._rows: dict[int, tuple[list, list[int], list[int]]] = {}
         self._edge_cache: dict[Edge, tuple[Edge, ...]] = {}
 
+    def _row(self, s: int) -> tuple[list, list[int], list[int]]:
+        row = self._rows.get(s)
+        if row is None:
+            g = self.graph
+            dist = dijkstra_distances(g.adj, g.n, s)
+            parent = _min_id_parents(g.adj, dist, s)
+            wmax = [0] * g.n
+            wt = g.weight_map
+            # Tree parents are strictly closer to s, so they come first.
+            for v in sorted((v for v in range(g.n) if v != s and dist[v] != UNREACHABLE),
+                            key=dist.__getitem__):
+                p = parent[v]
+                w = wt[edge_key(p, v)]
+                wmax[v] = wmax[p] if wmax[p] > w else w
+            row = self._rows[s] = (dist, parent, wmax)
+        return row
+
     def dist(self, u: int, v: int):
-        return self._dist[u][v]
+        return self._row(u)[0][v] if u < v else self._row(v)[0][u]
 
     def reachable(self, u: int, v: int) -> bool:
-        return self._dist[u][v] != UNREACHABLE
+        return self.dist(u, v) != UNREACHABLE
 
     def max_weight(self, u: int, v: int) -> int:
         """Largest edge weight on the canonical u-v path (0 when u == v)."""
-        return self._wmax[u][v]
+        return self._row(u)[2][v] if u < v else self._row(v)[2][u]
 
     def tree_parent(self, root: int, v: int) -> int:
         """Predecessor of v in the canonical shortest-path tree from root."""
-        return self._parent[root][v]
+        return self._row(root)[1][v]
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
         if u == v:
@@ -253,7 +269,7 @@ class PathTable:
         if not self.reachable(u, v):
             raise ValueError(f"no path between {u} and {v}")
         s, t = (u, v) if u < v else (v, u)
-        par = self._parent[s]
+        par = self._row(s)[1]
         rev = [t]
         while rev[-1] != s:
             rev.append(par[rev[-1]])
@@ -273,32 +289,9 @@ class PathTable:
 
 
 def build_path_table(g: WeightedGraph) -> PathTable:
-    """Deterministic all-pairs table (see PathTable for the tie-break rule)."""
-    n = g.n
-    adj = g.adj
-    wt = g.weight_map
-    dists = []
-    parents = []
-    for s in range(n):
-        d = dijkstra_distances(adj, n, s)
-        dists.append(d)
-        parents.append(_min_id_parents(adj, d, s))
-    wmax = [[0] * n for _ in range(n)]
-    for s in range(n):
-        d = dists[s]
-        par = parents[s]
-        row = [0] * n
-        order = sorted((v for v in range(n) if v != s and d[v] != UNREACHABLE),
-                       key=lambda v: (d[v], v))
-        for v in order:
-            p = par[v]
-            w = wt[edge_key(p, v)]
-            row[v] = row[p] if row[p] > w else w
-        for v in range(s + 1, n):
-            if d[v] != UNREACHABLE:
-                wmax[s][v] = row[v]
-                wmax[v][s] = row[v]
-    return PathTable(g, dists, parents, wmax)
+    """Deterministic path table (see PathTable for the tie-break rule); no row
+    is computed until it is first read."""
+    return PathTable(g)
 
 
 def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs, budget: ErrorBudget,

@@ -31,7 +31,6 @@ from .core import (
     WeightedGraph,
     build_path_table,
     edge_key,
-    single_source,
     verify_spanner,
 )
 from .seeding import ROLE_PAIRWISE, stream
@@ -129,12 +128,9 @@ def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
 
 def shortest_path_tree(g: WeightedGraph, root: int, pt: PathTable | None = None) -> set[Edge]:
     """Edge set of the canonical shortest-path tree from root (n-1 edges)."""
-    if pt is not None:
-        parents = [pt.tree_parent(root, v) for v in range(g.n)]
-    else:
-        dist, parents = single_source(g, root)
-        if any(d == UNREACHABLE for d in dist):
-            raise ValueError("shortest-path tree needs a connected graph")
+    if pt is None:
+        pt = build_path_table(g)
+    parents = [pt.tree_parent(root, v) for v in range(g.n)]
     tree = {edge_key(parents[v], v) for v in range(g.n) if v != root and parents[v] >= 0}
     if len(tree) != g.n - 1:
         raise ValueError("shortest-path tree needs a connected graph")

@@ -111,3 +111,23 @@ def test_run_and_summarize(tmp_path, capsys):
     lines = summary_path.read_text().splitlines()
     assert lines[0].startswith("group,")
     assert len(lines) == 3  # header + (n=10) x {p2w, sub2w}
+
+
+@pytest.mark.parametrize("algo", ["sub2w", "p2w"])
+def test_spanner_on_a_one_terminal_level_is_a_clean_error(algo, instance_files, tmp_path, capsys):
+    graph_path, _ = instance_files
+    terms_path = tmp_path / "one.terminals"
+    terms_path.write_text("0 1 2\n3\n")
+    code = main(["spanner", "--algo", algo, "--graph", str(graph_path),
+                 "--terminals", str(terms_path), "--level", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wspanner: error: ") and err.count("\n") == 1
+
+
+def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):
+    code = main(["spanner", "--algo", "p2w", "--graph", str(tmp_path / "absent.graph"),
+                 "--terminals", str(tmp_path / "absent.terminals")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wspanner: error: ") and "absent.graph" in err

@@ -2,7 +2,9 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wspanner import core
 from wspanner.core import (
     UNREACHABLE,
     BudgetMode,
@@ -17,7 +19,7 @@ from wspanner.core import (
     write_graph_text,
 )
 
-from helpers import brute_force_distance
+from helpers import bellman_ford, brute_force_distance
 from strategies import connected_graphs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -164,14 +166,47 @@ def test_tree_paths_are_prefix_consistent_per_source(g):
                 assert path[:i] == tree_path(u, path[i - 1])
 
 
+def _answers(pt, sources, n):
+    """Every per-pair answer of the table, asked source by source in the given order."""
+    return {(s, v): (pt.dist(s, v), pt.path(s, v), pt.max_weight(s, v), pt.tree_parent(s, v))
+            for s in sources for v in range(n)}
+
+
 @given(connected_graphs())
 @settings(max_examples=30)
 def test_path_table_determinism(g):
     a = build_path_table(g)
     b = build_path_table(g)
-    assert a._dist == b._dist
-    assert a._parent == b._parent
-    assert a._wmax == b._wmax
+    assert _answers(a, range(g.n), g.n) == _answers(b, range(g.n), g.n)
+
+
+@given(connected_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=40)
+def test_path_table_answers_do_not_depend_on_query_order(g, rnd):
+    shuffled = list(range(g.n))
+    rnd.shuffle(shuffled)
+    ascending = _answers(build_path_table(g), range(g.n), g.n)
+    assert _answers(build_path_table(g), shuffled, g.n) == ascending
+    for s in range(g.n):
+        expected = bellman_ford(g.n, g.edges, s)
+        assert [ascending[s, v][0] for v in range(g.n)] == expected
+
+
+def test_path_table_computes_only_the_rows_it_is_asked_for(monkeypatch):
+    g = WeightedGraph(5, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)))
+    sources = []
+    real = core.dijkstra_distances
+
+    def counting(adj, n, source):
+        sources.append(source)
+        return real(adj, n, source)
+
+    monkeypatch.setattr(core, "dijkstra_distances", counting)
+    pt = build_path_table(g)
+    assert sources == []
+    assert pt.dist(4, 1) == 3 and pt.path(4, 1) == (4, 3, 2, 1) and pt.max_weight(1, 4) == 1
+    assert pt.tree_parent(3, 0) == 1
+    assert sources == [1, 3]
 
 
 class TestVerifySpanner:

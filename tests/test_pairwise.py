@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from wspanner import core
 from wspanner.core import (
     BudgetMode,
     WeightedGraph,
@@ -114,6 +115,26 @@ class TestShortestPathTree:
     def test_disconnected_raises(self):
         with pytest.raises(ValueError):
             shortest_path_tree(WeightedGraph(3, ((0, 1, 1),)), 0)
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_few_terminals_compute_few_path_table_rows(algo, monkeypatch):
+    g = generate(GeneratorSpec(Model.ER, 60, 3))
+    rows = []
+    real = core.dijkstra_distances
+
+    def counting(adj, n, source):
+        if adj is g.adj:  # searches of the table, not of the spanner under test
+            rows.append(source)
+        return real(adj, n, source)
+
+    monkeypatch.setattr(core, "dijkstra_distances", counting)
+    pairs = terminal_pairs([0, 12, 24, 36, 48])
+    h = pairwise_spanner(g, pairs, PairwiseParams(algo, seed=1))
+    monkeypatch.undo()
+    assert verify_spanner(g, h, pairs, advertised_budget(PairwiseParams(algo)),
+                          build_path_table(g)) == []
+    assert len(rows) == len(set(rows)) < g.n
 
 
 class TestLimitedMissingPath:
