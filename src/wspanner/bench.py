@@ -16,7 +16,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from statistics import mean
 
@@ -33,15 +33,13 @@ from .core import (
 from .exact import SizeCapExceeded, SizeCaps, exact_optimum
 from .generate import GeneratorSpec, Model, TerminalScheme, TerminalSelection, generate, generate_terminals
 from .multilevel import MultiLevelInstance, MultiLevelSpanner, SingleLevelSolver, multilevel_naive, multilevel_roundup
-from .pairwise import PairwiseAlgo, PairwiseParams, default_d, pairwise_spanner
+from .pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, default_d, pairwise_spanner
 from .seeding import ROLE_LEVEL, ROLE_PLAN, derive_seed
 from .subsetwise import subsetwise_2w
 
 ALGO_BUDGETS: dict[str, ErrorBudget] = {
     "sub2w": ErrorBudget(BudgetMode.GLOBAL, 2),
-    "p2w": ErrorBudget(BudgetMode.LOCAL, 2),
-    "p4w": ErrorBudget(BudgetMode.LOCAL, 4),
-    "p8w": ErrorBudget(BudgetMode.GLOBAL, 6),
+    **{algo.value: budget for algo, budget in BUDGETS.items()},
 }
 
 CSV_COLUMNS = (
@@ -106,6 +104,20 @@ def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, pt: PathTable | None = 
     return best, ladder
 
 
+def _check_keys(cls, data, what: str) -> None:
+    """Raise ValueError unless data is a dict whose keys are fields of the
+    dataclass cls, including every field without a default."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    absent = [name for name, f in known.items() if f.default is MISSING and name not in data]
+    if absent:
+        raise ValueError(f"{what} needs key(s): {', '.join(absent)}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     models: tuple[str, ...]
@@ -145,34 +157,18 @@ class ExperimentPlan:
         return tuple(a for a in self.algorithms if ALGO_BUDGETS[a].mode in modes)
 
     def to_dict(self) -> dict:
-        return {
-            "models": list(self.models), "sizes": list(self.sizes),
-            "levels": list(self.levels), "tsms": list(self.tsms),
-            "algorithms": list(self.algorithms), "seeds_per_cell": self.seeds_per_cell,
-            "base_seed": self.base_seed, "strategy": self.strategy,
-            "budget_modes": list(self.budget_modes), "exact": self.exact,
-            "caps": {"max_edges_single": self.caps.max_edges_single,
-                     "max_edges_multi": self.caps.max_edges_multi,
-                     "max_work": self.caps.max_work},
-            "d_sweep": self.d_sweep,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentPlan":
-        caps = data.get("caps", {})
-        return cls(
-            models=tuple(data["models"]), sizes=tuple(data["sizes"]),
-            levels=tuple(data["levels"]), tsms=tuple(data["tsms"]),
-            algorithms=tuple(data["algorithms"]),
-            seeds_per_cell=data.get("seeds_per_cell", 5),
-            base_seed=data.get("base_seed", 0),
-            strategy=data.get("strategy", "roundup"),
-            budget_modes=tuple(data.get("budget_modes", ("global", "local"))),
-            exact=data.get("exact", False),
-            caps=SizeCaps(caps.get("max_edges_single", 20), caps.get("max_edges_multi", 14),
-                          caps.get("max_work", 5_000_000)),
-            d_sweep=data.get("d_sweep", False),
-        )
+        """Plan from its JSON object; absent keys take the field defaults and
+        unknown keys are rejected."""
+        _check_keys(cls, data, "plan")
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+        if "caps" in data:
+            _check_keys(SizeCaps, data["caps"], "caps")
+            kwargs["caps"] = SizeCaps(**data["caps"])
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentPlan":

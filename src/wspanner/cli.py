@@ -40,7 +40,7 @@ from .generate import (
     write_terminals_text,
 )
 from .multilevel import MultiLevelInstance, multilevel_naive, multilevel_roundup
-from .pairwise import PairwiseAlgo, PairwiseParams, advertised_budget, pairwise_spanner_run
+from .pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner_run
 from .subsetwise import subsetwise_2w_run
 
 
@@ -78,13 +78,13 @@ def _cmd_spanner(args) -> int:
     g = _load_graph(args.graph)
     sets = _load_terminals(args.terminals)
     if not 1 <= args.level <= len(sets):
-        raise SystemExit(f"level {args.level} out of range 1..{len(sets)}")
+        raise ValueError(f"level {args.level} out of range 1..{len(sets)}")
     terminals = sets[args.level - 1]
     pt = build_path_table(g)
+    budget = ALGO_BUDGETS[args.algo]
     if args.algo == "sub2w":
         state = subsetwise_2w_run(g, terminals, pt)
         edges = state.current_edges
-        budget = ALGO_BUDGETS["sub2w"]
         report = {
             "algorithm": "sub2w",
             "buy_audit": [{"pair": list(r.pair), "cost": r.cost, "value": r.value,
@@ -94,7 +94,6 @@ def _cmd_spanner(args) -> int:
         params = PairwiseParams(PairwiseAlgo(args.algo), d_override=args.d,
                                 max_retries=args.retries, seed=args.seed)
         edges, run = pairwise_spanner_run(g, terminal_pairs(terminals), params, pt)
-        budget = advertised_budget(params)
         report = {"algorithm": args.algo} | dataclasses.asdict(run)
     violated = verify_spanner(g, edges, terminal_pairs(terminals), budget, pt)
     report["valid"] = not violated

@@ -55,19 +55,15 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
     if spec.model is Model.BA and not (1 <= spec.ba_m < spec.n):
         raise ValueError(f"BA needs 1 <= m < n, got m={spec.ba_m}, n={spec.n}")
 
-    pairs: set[tuple[int, int]] = set()
     for attempt in range(MAX_CONNECTIVITY_ATTEMPTS):
-        rng = stream(spec.seed, ROLE_TOPOLOGY, attempt)
-        pairs = _topology(spec, rng)
-        if _connected(spec.n, pairs):
-            break
-    else:
-        raise RuntimeError(f"no connected topology in {MAX_CONNECTIVITY_ATTEMPTS} attempts for {spec}")
-
-    ordered = sorted(pairs)
-    wrng = stream(spec.seed, ROLE_WEIGHTS)
-    weights = wrng.integers(lo, hi, size=len(ordered), endpoint=True)
-    return WeightedGraph(spec.n, tuple((u, v, int(w)) for (u, v), w in zip(ordered, weights)))
+        ordered = sorted(_topology(spec, stream(spec.seed, ROLE_TOPOLOGY, attempt)))
+        # The weight stream does not depend on the attempt, so every draw
+        # weighs its edges with the same sequence.
+        weights = stream(spec.seed, ROLE_WEIGHTS).integers(lo, hi, size=len(ordered), endpoint=True)
+        g = WeightedGraph(spec.n, tuple((u, v, int(w)) for (u, v), w in zip(ordered, weights)))
+        if g.is_connected():
+            return g
+    raise RuntimeError(f"no connected topology in {MAX_CONNECTIVITY_ATTEMPTS} attempts for {spec}")
 
 
 def _topology(spec: GeneratorSpec, rng: np.random.Generator) -> set[tuple[int, int]]:
@@ -148,27 +144,6 @@ def _ge(n: int, eps: float, rng) -> set[tuple[int, int]]:
     d2 = np.sum((points[rows] - points[cols]) ** 2, axis=1)
     mask = d2 <= rc * rc
     return {(int(u), int(v)) for u, v in zip(rows[mask], cols[mask])}
-
-
-def _connected(n: int, pairs: set[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == n
 
 
 class TerminalScheme(Enum):

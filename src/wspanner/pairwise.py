@@ -4,15 +4,15 @@ Three variants share the same skeleton: start from the d lightest edges per
 vertex, then sweep the input pairs, adding a pair's canonical shortest path
 outright when few of its edges are missing and otherwise falling back to
 randomized repairs (shortest-path trees from sampled roots, bounded-miss
-paths between sampled pairs, or a subsetwise spanner over a sample).  After
-each full pass the pairs still over budget are collected; if the union of
-their missing canonical-path edges is small enough (at most n*d) it is
-patched in directly, otherwise the pass is retried on a fresh sub-seed.
+paths between sampled pairs, or a subsetwise spanner over a sample).  One
+sweep serves all three; only the repair differs.  After each full pass the
+pairs still over budget are collected; if the union of their missing
+canonical-path edges is small enough (at most n*d) it is patched in
+directly, otherwise the pass is retried on a fresh sub-seed.
 When retries run out the patch is applied unconditionally, so the result
 always meets its advertised budget:
 
     p2w -> +2*W(u,v)    p4w -> +4*W(u,v)    p8w -> +6*W_max
-    (p8w with the relabel flag advertises the looser +8*W_max instead)
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     UNREACHABLE,
@@ -36,8 +36,6 @@ from .core import (
 from .seeding import ROLE_PAIRWISE, stream
 from .subsetwise import subsetwise_2w
 
-SubsetSubroutine = Callable[[WeightedGraph, frozenset, PathTable], set]
-
 
 class PairwiseAlgo(Enum):
     P2W = "p2w"
@@ -50,6 +48,13 @@ _EXPONENTS = {
     PairwiseAlgo.P2W: ((1, 3), (2, 3)),
     PairwiseAlgo.P4W: ((2, 7), (5, 7)),
     PairwiseAlgo.P8W: ((1, 4), (3, 4)),
+}
+
+# The error budget each construction enforces on its output.
+BUDGETS = {
+    PairwiseAlgo.P2W: ErrorBudget(BudgetMode.LOCAL, 2),
+    PairwiseAlgo.P4W: ErrorBudget(BudgetMode.LOCAL, 4),
+    PairwiseAlgo.P8W: ErrorBudget(BudgetMode.GLOBAL, 6),
 }
 
 
@@ -94,7 +99,6 @@ class PairwiseParams:
     ell_override: int | None = None
     max_retries: int = 10
     seed: int = 0
-    relabel_plus8: bool = False
 
     def __post_init__(self) -> None:
         if self.d_override is not None and self.d_override < 1:
@@ -107,11 +111,7 @@ class PairwiseParams:
 
 def advertised_budget(params: PairwiseParams) -> ErrorBudget:
     """The error budget the construction enforces on its output."""
-    if params.algo is PairwiseAlgo.P2W:
-        return ErrorBudget(BudgetMode.LOCAL, 2)
-    if params.algo is PairwiseAlgo.P4W:
-        return ErrorBudget(BudgetMode.LOCAL, 4)
-    return ErrorBudget(BudgetMode.GLOBAL, 8 if params.relabel_plus8 else 6)
+    return BUDGETS[params.algo]
 
 
 def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
@@ -126,12 +126,16 @@ def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
     return h
 
 
+def _tree_edges(pt: PathTable, root: int) -> set[Edge]:
+    """Edges of the canonical shortest-path tree from root over the vertices
+    it reaches."""
+    parents = [pt.tree_parent(root, v) for v in range(pt.graph.n)]
+    return {edge_key(p, v) for v, p in enumerate(parents) if v != root and p >= 0}
+
+
 def shortest_path_tree(g: WeightedGraph, root: int, pt: PathTable | None = None) -> set[Edge]:
     """Edge set of the canonical shortest-path tree from root (n-1 edges)."""
-    if pt is None:
-        pt = build_path_table(g)
-    parents = [pt.tree_parent(root, v) for v in range(g.n)]
-    tree = {edge_key(parents[v], v) for v in range(g.n) if v != root and parents[v] >= 0}
+    tree = _tree_edges(pt if pt is not None else build_path_table(g), root)
     if len(tree) != g.n - 1:
         raise ValueError("shortest-path tree needs a connected graph")
     return tree
@@ -206,10 +210,13 @@ class PairwiseReport:
     fallback: bool = False
 
 
-def _sample_vertices(rng, n: int, prob: float) -> list[int]:
-    prob = min(1.0, prob)
-    hits = rng.random(n) < prob
-    return [v for v in range(n) if hits[v]]
+def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
+    """Each vertex independently with probability min(1, prob); the sample
+    size is appended to the report."""
+    hits = rng.random(n) < min(1.0, prob)
+    sample = [v for v in range(n) if hits[v]]
+    report.sample_counts.append(len(sample))
+    return sample
 
 
 def _missing_for(pairs, h: set[Edge], pt: PathTable) -> set[Edge]:
@@ -219,68 +226,45 @@ def _missing_for(pairs, h: set[Edge], pt: PathTable) -> set[Edge]:
     return missing
 
 
-def _spt_edges(pt: PathTable, root: int, n: int) -> set[Edge]:
-    return {edge_key(pt.tree_parent(root, v), v)
-            for v in range(n) if v != root and pt.tree_parent(root, v) >= 0}
-
-
-def _pass_p2w(g, pairs, h, d, ell, rng, pt, report) -> None:
-    for u, v in pairs:
-        pe = pt.path_edges(u, v)
-        if sum(1 for e in pe if e not in h) <= ell:
-            h.update(pe)
-    roots = _sample_vertices(rng, g.n, 1.0 / (ell * d))
-    report.sample_counts.append(len(roots))
-    for r in roots:
-        h.update(_spt_edges(pt, r, g.n))
-
-
-def _pass_p4w(g, pairs, h, d, ell, rng, pt, report) -> None:
+def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell: int, rng,
+          pt: PathTable, report: PairwiseReport) -> None:
+    """One sweep over the pairs: buy a pair's canonical path when at most ell
+    of its edges are missing from h, otherwise run the algorithm's repair
+    (p4w: trees or bounded-miss paths, p8w: a subsetwise spanner on a sample).
+    p2w repairs once, after the sweep, with the trees of one sample."""
     n = g.n
-    miss_cap = n // (d * d)
-    for u, v in pairs:
-        pe = pt.path_edges(u, v)
-        missing = [e for e in pe if e not in h]
-        x = len(missing)
-        if x <= ell:
-            h.update(pe)
-        elif x * d * d >= n:
-            roots = _sample_vertices(rng, n, d * d / n)
-            report.sample_counts.append(len(roots))
-            for r in roots:
-                h.update(_spt_edges(pt, r, n))
-        else:
-            h.update(missing[:ell])
-            h.update(missing[-ell:])
-            sample = _sample_vertices(rng, n, 1.0 / (ell * d))
-            report.sample_counts.append(len(sample))
-            for i, r in enumerate(sample):
-                for r_prime in sample[i + 1:]:
-                    path = limited_missing_path(g, r, r_prime, h, miss_cap)
-                    if path is not None:
-                        h.update(edge_key(a, b) for a, b in zip(path, path[1:]))
-
-
-def _pass_p8w(g, pairs, h, d, ell, rng, pt, report, subroutine) -> None:
     for u, v in pairs:
         pe = pt.path_edges(u, v)
         missing = [e for e in pe if e not in h]
         if len(missing) <= ell:
             h.update(pe)
-        else:
+        elif algo is PairwiseAlgo.P4W and len(missing) * d * d >= n:
+            for r in _sample(rng, n, d * d / n, report):
+                h.update(_tree_edges(pt, r))
+        elif algo is PairwiseAlgo.P4W:
             h.update(missing[:ell])
             h.update(missing[-ell:])
-            sample = _sample_vertices(rng, g.n, 1.0 / (ell * d))
-            report.sample_counts.append(len(sample))
+            sample = _sample(rng, n, 1.0 / (ell * d), report)
+            for i, r in enumerate(sample):
+                for r_prime in sample[i + 1:]:
+                    path = limited_missing_path(g, r, r_prime, h, n // (d * d))
+                    if path is not None:
+                        h.update(edge_key(a, b) for a, b in zip(path, path[1:]))
+        elif algo is PairwiseAlgo.P8W:
+            h.update(missing[:ell])
+            h.update(missing[-ell:])
+            sample = _sample(rng, n, 1.0 / (ell * d), report)
             # the subsetwise subroutine needs a connected graph; without it the
             # final patch still guarantees the advertised budget
             if len(sample) >= 2 and g.is_connected():
-                h.update(subroutine(g, frozenset(sample), pt))
+                h.update(subsetwise_2w(g, frozenset(sample), pt))
+    if algo is PairwiseAlgo.P2W:
+        for r in _sample(rng, n, 1.0 / (ell * d), report):
+            h.update(_tree_edges(pt, r))
 
 
 def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
                          params: PairwiseParams, pt: PathTable | None = None,
-                         subset_subroutine: SubsetSubroutine | None = None,
                          ) -> tuple[set[Edge], PairwiseReport]:
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -294,36 +278,26 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     d = params.d_override if params.d_override is not None else default_d(params.algo, count)
     ell = params.ell_override if params.ell_override is not None else default_ell(params.algo, g.n, count)
     budget = advertised_budget(params)
-    subroutine = subset_subroutine if subset_subroutine is not None else subsetwise_2w
     h = d_light_init(g, d)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
-    for attempt in range(params.max_retries):
-        rng = stream(params.seed, ROLE_PAIRWISE, attempt)
-        if params.algo is PairwiseAlgo.P2W:
-            _pass_p2w(g, norm, h, d, ell, rng, pt, report)
-        elif params.algo is PairwiseAlgo.P4W:
-            _pass_p4w(g, norm, h, d, ell, rng, pt, report)
-        else:
-            _pass_p8w(g, norm, h, d, ell, rng, pt, report, subroutine)
-        report.passes += 1
+    # After max_retries passes, one last check patches whatever is missing.
+    for attempt in range(params.max_retries + 1):
+        last = attempt == params.max_retries
+        if not last:
+            rng = stream(params.seed, ROLE_PAIRWISE, attempt)
+            _pass(params.algo, g, norm, h, d, ell, rng, pt, report)
+            report.passes += 1
         violated = verify_spanner(g, h, norm, budget, pt)
         missing = _missing_for(violated, h, pt)
         report.missing_trace.append(len(missing))
-        if len(missing) <= g.n * d:
+        if last or len(missing) <= g.n * d:
             h.update(missing)
             report.patched = len(missing)
+            report.fallback = last
             return h, report
-    violated = verify_spanner(g, h, norm, budget, pt)
-    missing = _missing_for(violated, h, pt)
-    report.missing_trace.append(len(missing))
-    h.update(missing)
-    report.patched = len(missing)
-    report.fallback = True
-    return h, report
 
 
 def pairwise_spanner(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
-                     params: PairwiseParams, pt: PathTable | None = None,
-                     subset_subroutine: SubsetSubroutine | None = None) -> set[Edge]:
+                     params: PairwiseParams, pt: PathTable | None = None) -> set[Edge]:
     """Edge set meeting the advertised budget for every input pair."""
-    return pairwise_spanner_run(g, pairs, params, pt, subset_subroutine)[0]
+    return pairwise_spanner_run(g, pairs, params, pt)[0]

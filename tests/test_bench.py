@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from wspanner import bench
@@ -13,6 +15,7 @@ from wspanner.bench import (
     write_rows_csv,
 )
 from wspanner.core import build_path_table, terminal_pairs, verify_spanner
+from wspanner.exact import SizeCaps
 from wspanner.generate import GeneratorSpec, Model, generate
 from wspanner.pairwise import PairwiseAlgo, PairwiseParams, advertised_budget, default_d, pairwise_spanner
 
@@ -137,6 +140,63 @@ class TestCsv:
         assert text.splitlines()[0] == (
             "instance_id,generator,n,m,levels,tsm,algorithm,budget_mode,sparsity,"
             "exact_sparsity,experimental_ratio,relative_sparsity,wall_time_ms,seed,valid")
+
+
+MINIMAL_PLAN = {"models": ["er"], "sizes": [10], "levels": [1], "tsms": ["linear"],
+                "algorithms": ["p2w"]}
+
+
+class TestPlanDict:
+    def test_defaults_fill_plan_json(self):
+        plan = ExperimentPlan.from_dict(MINIMAL_PLAN)
+        assert json.dumps(plan.to_dict(), indent=2, sort_keys=True) == """{
+  "algorithms": [
+    "p2w"
+  ],
+  "base_seed": 0,
+  "budget_modes": [
+    "global",
+    "local"
+  ],
+  "caps": {
+    "max_edges_multi": 14,
+    "max_edges_single": 20,
+    "max_work": 5000000
+  },
+  "d_sweep": false,
+  "exact": false,
+  "levels": [
+    1
+  ],
+  "models": [
+    "er"
+  ],
+  "seeds_per_cell": 5,
+  "sizes": [
+    10
+  ],
+  "strategy": "roundup",
+  "tsms": [
+    "linear"
+  ]
+}"""
+
+    def test_round_trip(self):
+        plan = small_plan(caps=SizeCaps(3, 4, 5), d_sweep=True, budget_modes=("local",))
+        assert ExperimentPlan.from_dict(plan.to_dict()) == plan
+        assert ExperimentPlan.from_json(json.dumps(plan.to_dict())) == plan
+
+    @pytest.mark.parametrize("extra,name", [({"d_sweeps": True}, "d_sweeps"),
+                                            ({"caps": {"max_edge": 3}}, "max_edge")])
+    def test_unknown_key_rejected(self, extra, name):
+        with pytest.raises(ValueError, match=name):
+            ExperimentPlan.from_dict(MINIMAL_PLAN | extra)
+
+    def test_absent_required_key_rejected(self):
+        data = dict(MINIMAL_PLAN)
+        del data["sizes"]
+        with pytest.raises(ValueError, match="sizes"):
+            ExperimentPlan.from_dict(data)
 
 
 class TestSummarize:

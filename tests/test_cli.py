@@ -113,6 +113,28 @@ def test_run_and_summarize(tmp_path, capsys):
     assert len(lines) == 3  # header + (n=10) x {p2w, sub2w}
 
 
+def test_run_rejects_a_misspelled_plan_key(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"models": ["er"], "sizes": [10], "levels": [1],
+                                     "tsms": ["linear"], "algorithms": ["p2w"],
+                                     "d_sweeps": True}))
+    code = main(["run", "--plan", str(plan_path), "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wspanner: error: ") and "d_sweeps" in err and err.count("\n") == 1
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_spanner_level_out_of_range_is_a_clean_error(level, instance_files, capsys):
+    graph_path, terms_path = instance_files
+    code = main(["spanner", "--algo", "p2w", "--graph", str(graph_path),
+                 "--terminals", str(terms_path), "--level", str(level)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"wspanner: error: level {level} out of range 1..2\n"
+
+
 @pytest.mark.parametrize("algo", ["sub2w", "p2w"])
 def test_spanner_on_a_one_terminal_level_is_a_clean_error(algo, instance_files, tmp_path, capsys):
     graph_path, _ = instance_files

@@ -52,8 +52,6 @@ class TestDefaults:
         assert advertised_budget(PairwiseParams(PairwiseAlgo.P4W)).c == 4
         p8 = advertised_budget(PairwiseParams(PairwiseAlgo.P8W))
         assert p8.mode is BudgetMode.GLOBAL and p8.c == 6
-        relabeled = advertised_budget(PairwiseParams(PairwiseAlgo.P8W, relabel_plus8=True))
-        assert relabeled.c == 8
 
     def test_rejects_nonpositive_overrides(self):
         with pytest.raises(ValueError):
