@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -181,7 +182,10 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args returns a fresh
+    namespace each call, so no value carries over between calls."""
     parser = argparse.ArgumentParser(prog="wspanner",
                                      description="Weighted additive spanner toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

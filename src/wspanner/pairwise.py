@@ -148,7 +148,10 @@ def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, current_edges: 
 
     Runs a shortest-path search over (vertex, missing-count) states; among
     equal-weight answers the smaller missing count wins, and reconstruction
-    prefers the smaller predecessor id.
+    prefers the smaller predecessor id.  The search stops at the first settled
+    (r_prime, k) state: weights are >= 1, so every state lighter than that
+    answer is already settled, and the (weight, vertex, k) heap order makes its
+    k the smallest among equal-weight answers, exactly as a full search would.
     """
     if miss_cap < 0:
         raise ValueError("miss_cap must be >= 0")
@@ -164,6 +167,8 @@ def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, current_edges: 
         d, x, k = heapq.heappop(heap)
         if d > dist[x][k]:
             continue
+        if x == r_prime:
+            break
         for y, w in g.adj[x]:
             k2 = k + (0 if edge_key(x, y) in present else 1)
             if k2 > cap:
@@ -172,14 +177,9 @@ def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, current_edges: 
             if nd < dist[y][k2]:
                 dist[y][k2] = nd
                 heapq.heappush(heap, (nd, y, k2))
-    best = None
-    for k in range(cap + 1):
-        d = dist[r_prime][k]
-        if d != UNREACHABLE and (best is None or d < best[0]):
-            best = (d, k)
-    if best is None:
+    else:
         return None
-    weight, k = best
+    weight = d
     path = [r_prime]
     x = r_prime
     while x != r or k != 0:

@@ -17,29 +17,32 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 INF = float("inf")
 
 
+def simple_paths(g, u: int, v: int):
+    """Every simple u-v path as a vertex tuple, by depth-first enumeration
+    over an adjacency built from the edge list ((u,) when u == v)."""
+    adj = {x: [] for x in range(g.n)}
+    for a, b, _ in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def walk(path):
+        if path[-1] == v:
+            yield tuple(path)
+            return
+        for y in adj[path[-1]]:
+            if y not in path:
+                yield from walk(path + [y])
+
+    yield from walk([u])
+
+
+def path_weight(g, path) -> int:
+    return sum(g.weight(a, b) for a, b in zip(path, path[1:]))
+
+
 def brute_force_distance(g, u: int, v: int) -> float:
     """Minimum weight over all simple u-v paths, by exhaustive enumeration."""
-    if u == v:
-        return 0
-    best = INF
-    adj = {x: [] for x in range(g.n)}
-    for a, b, w in g.edges:
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-
-    def walk(x, visited, weight):
-        nonlocal best
-        if weight >= best:
-            return
-        if x == v:
-            best = weight
-            return
-        for y, w in adj[x]:
-            if y not in visited:
-                walk(y, visited | {y}, weight + w)
-
-    walk(u, {u}, 0)
-    return best
+    return min((path_weight(g, p) for p in simple_paths(g, u, v)), default=INF)
 
 
 def bellman_ford(n: int, weighted_edges, source: int) -> list[float]:

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 
@@ -272,3 +274,17 @@ class TestDSweep:
             h = pairwise_spanner(g, pairs, PairwiseParams(PairwiseAlgo.P4W, d_override=d, seed=8), pt)
             assert len(h) == size
             assert verify_spanner(g, h, pairs, params_budget, pt) == []
+
+    def test_p4w_sweep_with_small_d_finishes_in_bounded_time(self):
+        # d <= 2 sends every heavy pair into the bounded-miss repair; this sweep
+        # took about a minute while limited_missing_path searched every state
+        # instead of stopping at its target.
+        g = generate(GeneratorSpec(Model.ER, 100, 0))
+        pairs = terminal_pairs(sorted(random.Random(0).sample(range(100), 25)))
+        start = time.perf_counter()
+        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P4W, seed=1)
+        elapsed = time.perf_counter() - start
+        budget = advertised_budget(PairwiseParams(PairwiseAlgo.P4W))
+        assert verify_spanner(g, best, pairs, budget, build_path_table(g)) == []
+        assert ladder == [(6, 359), (3, 225), (2, 191), (1, 231)]
+        assert elapsed < 15

@@ -153,3 +153,18 @@ def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("wspanner: error: ") and "absent.graph" in err
+
+
+def test_repeated_calls_do_not_carry_flags_over(instance_files, tmp_path):
+    graph_path, terms_path = instance_files
+    base = ["spanner", "--algo", "p4w", "--graph", str(graph_path), "--terminals", str(terms_path)]
+    runs = [[], ["--d", "2", "--retries", "0", "--seed", "7", "--level", "2"], []]
+    reports, graphs = [], []
+    for k, flags in enumerate(runs):
+        out = tmp_path / f"run{k}"
+        assert main(base + flags + ["--out", str(out)]) == 0
+        reports.append(json.loads(out.with_suffix(".json").read_text()))
+        graphs.append(out.with_suffix(".graph").read_text())
+    assert reports[1]["d"] == 2 and reports[1]["passes"] == 0
+    assert reports[0]["d"] != 2 and reports[0]["passes"] >= 1
+    assert reports[2] == reports[0] and graphs[2] == graphs[0]

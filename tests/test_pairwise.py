@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspanner import core
 from wspanner.core import (
@@ -23,6 +24,7 @@ from wspanner.pairwise import (
     shortest_path_tree,
 )
 
+from helpers import path_weight, simple_paths
 from strategies import graphs_with_pairs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -160,6 +162,41 @@ class TestLimitedMissingPath:
         g = WeightedGraph(4, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
         path = limited_missing_path(g, 0, 3, {(0, 2), (2, 3)}, 2)
         assert path == (0, 2, 3)
+
+
+@st.composite
+def bounded_miss_cases(draw):
+    """(graph, r, r_prime, present, cap) on up to 7 vertices; the graph may be
+    disconnected and present lists a random subset of its edges, some reversed."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = [p for p in pairs if draw(st.booleans())]
+    g = WeightedGraph(n, tuple((u, v, draw(st.integers(1, 4))) for u, v in chosen))
+    present = [(v, u) if draw(st.booleans()) else (u, v)
+               for u, v in chosen if draw(st.booleans())]
+    r = draw(st.integers(0, n - 1))
+    r_prime = draw(st.integers(0, n - 1))
+    return g, r, r_prime, present, draw(st.integers(0, n))
+
+
+@given(bounded_miss_cases())
+@settings(max_examples=300, deadline=None)
+def test_limited_missing_path_matches_brute_force(case):
+    g, r, r_prime, present, cap = case
+    keys = {frozenset(e) for e in present}
+
+    def misses(path):
+        return sum(frozenset(e) not in keys for e in zip(path, path[1:]))
+
+    admissible = [(path_weight(g, p), misses(p)) for p in simple_paths(g, r, r_prime)]
+    admissible = [(w, k) for w, k in admissible if k <= cap]
+    path = limited_missing_path(g, r, r_prime, present, cap)
+    if not admissible:
+        assert path is None
+        return
+    assert path is not None and path[0] == r and path[-1] == r_prime
+    assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+    assert (path_weight(g, path), misses(path)) == min(admissible)
 
 
 class TestPairwiseSpanner:
