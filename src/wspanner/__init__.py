@@ -9,7 +9,6 @@ from .core import (
     WeightedGraph,
     build_path_table,
     edge_key,
-    hop_radius,
     parse_graph_text,
     terminal_pairs,
     verify_spanner,

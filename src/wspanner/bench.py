@@ -24,9 +24,7 @@ from .core import (
     BudgetMode,
     Edge,
     ErrorBudget,
-    PathTable,
     WeightedGraph,
-    build_path_table,
     terminal_pairs,
     verify_spanner,
 )
@@ -53,38 +51,30 @@ class ValidityError(RuntimeError):
     """An algorithm output failed verification; the run is aborted."""
 
 
-def make_solver(algo: str, seed: int, max_retries: int = 10,
-                d_override: int | None = None, sweep: bool = False) -> SingleLevelSolver:
+def make_solver(algo: str, seed: int, sweep: bool = False) -> SingleLevelSolver:
     """Single-level solver handle; pairwise solvers mix the level into the seed."""
     if algo == "sub2w":
-        def solve(g: WeightedGraph, terminals: frozenset, pt: PathTable, level: int) -> set:
-            return subsetwise_2w(g, terminals, pt)
+        def solve(g: WeightedGraph, terminals: frozenset, level: int) -> set:
+            return subsetwise_2w(g, terminals)
         return solve
     palgo = PairwiseAlgo(algo)
 
-    def solve(g: WeightedGraph, terminals: frozenset, pt: PathTable, level: int) -> set:
+    def solve(g: WeightedGraph, terminals: frozenset, level: int) -> set:
         pairs = terminal_pairs(terminals)
         if not pairs:
             return set()
         level_seed = derive_seed(seed, ROLE_LEVEL, level)
         if sweep:
-            best, _ = d_sweep(g, pairs, palgo, pt=pt, base_d=d_override,
-                              seed=level_seed, max_retries=max_retries)
-            return best
-        params = PairwiseParams(palgo, d_override=d_override, max_retries=max_retries,
-                                seed=level_seed)
-        return pairwise_spanner(g, pairs, params, pt)
+            return d_sweep(g, pairs, palgo, seed=level_seed)[0]
+        return pairwise_spanner(g, pairs, PairwiseParams(palgo, seed=level_seed))
 
     return solve
 
 
-def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, pt: PathTable | None = None,
-            base_d: int | None = None, seed: int = 0, max_retries: int = 10,
-            ) -> tuple[set[Edge], list[tuple[int, int]]]:
+def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, base_d: int | None = None,
+            seed: int = 0) -> tuple[set[Edge], list[tuple[int, int]]]:
     """Rerun the construction for d, ceil(d/2), ..., 1 (same seed) and keep the
     sparsest output.  Returns (best edge set, [(d, size), ...] ladder)."""
-    if pt is None:
-        pt = build_path_table(g)
     if base_d is None:
         base_d = default_d(algo, len(pairs))
     if base_d < 1:
@@ -93,8 +83,7 @@ def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, pt: PathTable | None = 
     best: set[Edge] | None = None
     d = base_d
     while True:
-        params = PairwiseParams(algo, d_override=d, max_retries=max_retries, seed=seed)
-        h = pairwise_spanner(g, pairs, params, pt)
+        h = pairwise_spanner(g, pairs, PairwiseParams(algo, d_override=d, seed=seed))
         ladder.append((d, len(h)))
         if best is None or len(h) < len(best):
             best = h
@@ -244,21 +233,21 @@ def _instance_tasks(plan: ExperimentPlan):
                         yield (mi, model, n, ell, ti, tsm, rep)
 
 
-def _verify_levels(g: WeightedGraph, pt: PathTable, sets, spanner: MultiLevelSpanner,
+def _verify_levels(g: WeightedGraph, sets, spanner: MultiLevelSpanner,
                    budget: ErrorBudget) -> list:
     problems = []
     for k, terminals in enumerate(sets, start=1):
         violated = verify_spanner(g, spanner.level_edges[k - 1], terminal_pairs(terminals),
-                                  budget, pt)
+                                  budget)
         if violated:
             problems.append((k, violated))
     return problems
 
 
-def _exact_sparsity(g, pt, sets, budget, caps) -> int | None:
+def _exact_sparsity(g, sets, budget, caps) -> int | None:
     inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
     try:
-        return exact_optimum(inst, pt, caps).sparsity
+        return exact_optimum(inst, caps).sparsity
     except SizeCapExceeded:
         return None
 
@@ -270,7 +259,6 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
     instance_id = f"{model}-n{n}-l{ell}-{tsm}-r{rep}"
     g = generate(GeneratorSpec(Model(model), n, seed))
     sets = generate_terminals(n, TerminalSelection(TerminalScheme(tsm), ell, seed))
-    pt = build_path_table(g)
     strategy = multilevel_roundup if plan.strategy == "roundup" else multilevel_naive
     exact_cache: dict[tuple[str, int], int | None] = {}
     rows: list[ResultRow] = []
@@ -280,9 +268,9 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
         inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
         solver = make_solver(algo, seed, sweep=plan.d_sweep)
         start = time.perf_counter()
-        spanner = strategy(inst, solver, pt)
+        spanner = strategy(inst, solver)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        problems = _verify_levels(g, pt, sets, spanner, budget)
+        problems = _verify_levels(g, sets, spanner, budget)
         if problems:
             raise ValidityError(
                 f"instance {instance_id}, algorithm {algo}: budget violations {problems}")
@@ -294,7 +282,7 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
         if plan.exact:
             key = (budget.mode.value, budget.c)
             if key not in exact_cache:
-                exact_cache[key] = _exact_sparsity(g, pt, sets, budget, plan.caps)
+                exact_cache[key] = _exact_sparsity(g, sets, budget, plan.caps)
             exact_sp = exact_cache[key]
         ratio = None if (exact_sp in (None, 0)) else spanner.sparsity / exact_sp
         rel = spanner.sparsity / min_sparsity if min_sparsity > 0 else None

@@ -22,7 +22,6 @@ from .bench import (
 from .core import (
     BudgetMode,
     ErrorBudget,
-    build_path_table,
     parse_graph_text,
     terminal_pairs,
     verify_spanner,
@@ -81,10 +80,9 @@ def _cmd_spanner(args) -> int:
     if not 1 <= args.level <= len(sets):
         raise ValueError(f"level {args.level} out of range 1..{len(sets)}")
     terminals = sets[args.level - 1]
-    pt = build_path_table(g)
     budget = ALGO_BUDGETS[args.algo]
     if args.algo == "sub2w":
-        state = subsetwise_2w_run(g, terminals, pt)
+        state = subsetwise_2w_run(g, terminals)
         edges = state.current_edges
         report = {
             "algorithm": "sub2w",
@@ -94,9 +92,9 @@ def _cmd_spanner(args) -> int:
     else:
         params = PairwiseParams(PairwiseAlgo(args.algo), d_override=args.d,
                                 max_retries=args.retries, seed=args.seed)
-        edges, run = pairwise_spanner_run(g, terminal_pairs(terminals), params, pt)
+        edges, run = pairwise_spanner_run(g, terminal_pairs(terminals), params)
         report = {"algorithm": args.algo} | dataclasses.asdict(run)
-    violated = verify_spanner(g, edges, terminal_pairs(terminals), budget, pt)
+    violated = verify_spanner(g, edges, terminal_pairs(terminals), budget)
     report["valid"] = not violated
     report["edges"] = len(edges)
     text = write_graph_text(_edges_graph(g, edges))
@@ -113,12 +111,11 @@ def _cmd_spanner(args) -> int:
 def _cmd_multilevel(args) -> int:
     g = _load_graph(args.graph)
     sets = _load_terminals(args.terminals)
-    pt = build_path_table(g)
     budget = ALGO_BUDGETS[args.algo]
     inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
     solver = make_solver(args.algo, args.seed)
     strategy = multilevel_roundup if args.strategy == "roundup" else multilevel_naive
-    spanner = strategy(inst, solver, pt)
+    spanner = strategy(inst, solver)
     summary = {
         "algorithm": args.algo,
         "strategy": args.strategy,
@@ -142,12 +139,7 @@ def _cmd_exact(args) -> int:
     sets = _load_terminals(args.terminals)
     budget = ErrorBudget(BudgetMode(args.mode), args.c)
     inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
-    caps = SizeCaps(args.cap_single, args.cap_multi)
-    try:
-        spanner = exact_optimum(inst, build_path_table(g), caps)
-    except SizeCapExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
+    spanner = exact_optimum(inst, SizeCaps(args.cap_single, args.cap_multi))
     print(json.dumps({"sparsity": spanner.sparsity,
                       "level_sizes": [len(e) for e in spanner.level_edges]}, indent=2))
     return 0
@@ -158,7 +150,7 @@ def _cmd_emit_ilp(args) -> int:
     sets = _load_terminals(args.terminals)
     budget = ErrorBudget(BudgetMode(args.mode), args.c)
     inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
-    text = emit_lp(build_ilp(inst, build_path_table(g)))
+    text = emit_lp(build_ilp(inst))
     Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
@@ -258,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SizeCapExceeded) as exc:
         print(f"wspanner: error: {exc}", file=sys.stderr)
         return 2
 

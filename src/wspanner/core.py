@@ -5,7 +5,9 @@ disconnected pairs and never takes part in arithmetic.  Shortest-path ties
 are broken toward the smallest-id predecessor, per source, so every derived
 artifact (paths, per-pair maximum edge weights, shortest-path trees) is a
 pure function of the graph.  ``PathTable`` computes these artifacts on
-demand, one source row at a time, and caches each row it computes.
+demand, one source row at a time, and caches each row it computes; every
+graph owns one, ``WeightedGraph.paths``, which the constructions, the
+validity check and the exact solver all read.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ class WeightedGraph:
 
     Edges are normalized to (u, v, w) with u < v and stored sorted, so equal
     graphs compare equal and serialize identically.  Instances are immutable
-    and safe to share across concurrent workers.
+    and safe to share across concurrent workers.  Derived facts (adjacency,
+    weight map, the path table ``paths``) are computed on first use and
+    cached on the instance.
     """
 
     n: int
@@ -93,6 +97,11 @@ class WeightedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.weight_map
+
+    @cached_property
+    def paths(self) -> PathTable:
+        """The graph's path table; its rows are computed as they are read."""
+        return build_path_table(self)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -162,10 +171,10 @@ class ErrorBudget:
         if not isinstance(self.c, int) or self.c < 0:
             raise ValueError(f"budget coefficient must be a nonnegative integer, got {self.c!r}")
 
-    def allowance(self, g: WeightedGraph, pt: "PathTable", u: int, v: int) -> int:
+    def allowance(self, g: WeightedGraph, u: int, v: int) -> int:
         if self.mode is BudgetMode.GLOBAL:
             return self.c * g.weight_max
-        return self.c * pt.max_weight(u, v)
+        return self.c * g.paths.max_weight(u, v)
 
 
 def dijkstra_distances(adj, n: int, source: int) -> list:
@@ -223,25 +232,32 @@ class PathTable:
     cached.  The canonical path of an unordered pair {u, v} comes from the
     tree rooted at min(u, v); path(v, u) is its reverse.  dist, reachable,
     max_weight and path read the row of min(u, v); tree_parent(root, v) reads
-    the row of root.  Answers do not depend on the order of queries, but the
-    cache is mutable state: a table belongs to one thread or process.
+    the row of root.  Answers do not depend on the order of queries.  Each
+    row is a pure function of the graph, so concurrent first reads of one
+    source can at worst compute its row twice.
+
+    The table keeps the graph's adjacency, vertex count and weight map, not
+    the graph itself, so a graph that caches its table forms no reference
+    cycle and both are freed as soon as the graph is.
     """
 
     def __init__(self, graph: WeightedGraph):
-        self.graph = graph
+        self._adj = graph.adj
+        self._n = graph.n
+        self._weight_map = graph.weight_map
         self._rows: dict[int, tuple[list, list[int], list[int]]] = {}
         self._edge_cache: dict[Edge, tuple[Edge, ...]] = {}
 
     def _row(self, s: int) -> tuple[list, list[int], list[int]]:
         row = self._rows.get(s)
         if row is None:
-            g = self.graph
-            dist = dijkstra_distances(g.adj, g.n, s)
-            parent = _min_id_parents(g.adj, dist, s)
-            wmax = [0] * g.n
-            wt = g.weight_map
+            n = self._n
+            dist = dijkstra_distances(self._adj, n, s)
+            parent = _min_id_parents(self._adj, dist, s)
+            wmax = [0] * n
+            wt = self._weight_map
             # Tree parents are strictly closer to s, so they come first.
-            for v in sorted((v for v in range(g.n) if v != s and dist[v] != UNREACHABLE),
+            for v in sorted((v for v in range(n) if v != s and dist[v] != UNREACHABLE),
                             key=dist.__getitem__):
                 p = parent[v]
                 w = wt[edge_key(p, v)]
@@ -289,13 +305,14 @@ class PathTable:
 
 
 def build_path_table(g: WeightedGraph) -> PathTable:
-    """Deterministic path table (see PathTable for the tie-break rule); no row
-    is computed until it is first read."""
+    """A new deterministic path table of g (see PathTable for the tie-break
+    rule); no row is computed until it is first read.  Library code reads the
+    graph's own table, ``g.paths``, instead."""
     return PathTable(g)
 
 
-def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs, budget: ErrorBudget,
-                   pt: PathTable) -> list[tuple[int, int]]:
+def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
+                   budget: ErrorBudget) -> list[tuple[int, int]]:
     """Pairs whose distance in the subgraph exceeds dist_G + allowance.
 
     An empty result means h_edges is a valid spanner for the given pairs.
@@ -306,6 +323,7 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs, budget: Err
     if extra:
         raise ValueError(f"subgraph edges not present in the graph: {sorted(extra)[:3]}")
     h_adj = subgraph_adjacency(g, hset)
+    pt = g.paths
     rows: dict[int, list] = {}
     violated = []
     for u, v in pairs:
@@ -321,32 +339,6 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs, budget: Err
         else:
             rows[u] = dijkstra_distances(h_adj, g.n, u)
             dh = rows[u][v]
-        if dh == UNREACHABLE or dh > dg + budget.allowance(g, pt, u, v):
+        if dh == UNREACHABLE or dh > dg + budget.allowance(g, u, v):
             violated.append((u, v))
     return violated
-
-
-def hop_radius(g: WeightedGraph) -> int:
-    """Smallest hop eccentricity over all vertices (edge counts, not weights)."""
-    n = g.n
-    adj = g.adj
-    best = None
-    for s in range(n):
-        level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        reached = 1
-        ecc = 0
-        while queue:
-            x = queue.popleft()
-            for y, _ in adj[x]:
-                if level[y] < 0:
-                    level[y] = level[x] + 1
-                    ecc = level[y] if level[y] > ecc else ecc
-                    reached += 1
-                    queue.append(y)
-        if reached != n:
-            raise ValueError("hop radius is undefined for a disconnected graph")
-        if best is None or ecc < best:
-            best = ecc
-    return best

@@ -15,14 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Edge,
-    PathTable,
-    WeightedGraph,
-    build_path_table,
-    edge_key,
-    terminal_pairs,
-)
+from .core import Edge, WeightedGraph, edge_key, terminal_pairs
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
 
 
@@ -68,12 +61,13 @@ def _arc(i: int, j: int, u: int, v: int, level: int, multi: bool) -> str:
     return f"{base}_l{level}" if multi else base
 
 
-def build_ilp(inst: MultiLevelInstance, pt: PathTable) -> IlpModel:
+def build_ilp(inst: MultiLevelInstance) -> IlpModel:
     """Path-based flow model, one flow system per unordered terminal pair per
     level: path length bounded by dist + allowance, flow conservation,
     out-degree at most one, arcs coupled to edge variables, and (multi-level)
     each level's edges contained in the level below."""
     g = inst.graph
+    pt = g.paths
     ell = inst.levels
     multi = ell > 1
     objective = [_xe(u, v, k, multi) for k in range(1, ell + 1) for u, v, _ in g.edges]
@@ -92,7 +86,7 @@ def build_ilp(inst: MultiLevelInstance, pt: PathTable) -> IlpModel:
             for i, j, _ in g.edges:
                 binaries.append(_arc(i, j, u, v, k, multi))
                 binaries.append(_arc(j, i, u, v, k, multi))
-            limit = pt.dist(u, v) + inst.budget.allowance(g, pt, u, v)
+            limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
             constraints.append(LinearConstraint(
                 f"len_{pair}",
                 tuple((w, _arc(i, j, u, v, k, multi)) for i, j, w in arcs),
@@ -178,8 +172,7 @@ def _minimal_path_masks(g: WeightedGraph, u: int, v: int, limit: int,
     return kept
 
 
-def exact_optimum(inst: MultiLevelInstance, pt: PathTable | None = None,
-                  caps: SizeCaps | None = None) -> MultiLevelSpanner:
+def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> MultiLevelSpanner:
     """Globally minimum-sparsity multi-level spanner for the instance.
 
     Ties are broken toward the lexicographically smallest per-edge rate
@@ -195,14 +188,13 @@ def exact_optimum(inst: MultiLevelInstance, pt: PathTable | None = None,
         raise SizeCapExceeded(f"{m} edges exceeds the cap of {cap} for {ell} level(s)", m, ell)
     if (ell + 1) ** m > caps.max_work:
         raise SizeCapExceeded(f"search space ({ell + 1}**{m}) exceeds the work budget", m, ell)
-    if pt is None:
-        pt = build_path_table(g)
+    pt = g.paths
     eindex = {edge_key(u, v): i for i, (u, v, _) in enumerate(g.edges)}
     masks: dict[Edge, list[int]] = {}
     for u, v in terminal_pairs(inst.terminal_sets[0]):
         if not pt.reachable(u, v):
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
-        limit = pt.dist(u, v) + inst.budget.allowance(g, pt, u, v)
+        limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
         masks[(u, v)] = _minimal_path_masks(g, u, v, limit, eindex)
     flat = [(k, pair)
             for k in range(ell, 0, -1)
@@ -256,10 +248,10 @@ def exact_optimum(inst: MultiLevelInstance, pt: PathTable | None = None,
     return MultiLevelSpanner(level_edges, rate_of)
 
 
-def exact_single_level(g: WeightedGraph, terminals, budget, pt: PathTable | None = None,
+def exact_single_level(g: WeightedGraph, terminals, budget,
                        caps: SizeCaps | None = None) -> set[Edge]:
     """Minimum edge set spanning one terminal set within the budget."""
     if len(set(terminals)) < 2:
         return set()
     inst = MultiLevelInstance(g, (frozenset(terminals),), budget)
-    return set(exact_optimum(inst, pt, caps).level_edges[0])
+    return set(exact_optimum(inst, caps).level_edges[0])

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import Edge, ErrorBudget, PathTable, WeightedGraph, build_path_table
+from .core import Edge, ErrorBudget, WeightedGraph
 
-# (graph, terminals, table, level_tag) -> spanner edge set; the level tag lets
+# (graph, terminals, level_tag) -> spanner edge set; the level tag lets
 # randomized solvers split their seed per level.
-SingleLevelSolver = Callable[[WeightedGraph, frozenset, PathTable, int], set]
+SingleLevelSolver = Callable[[WeightedGraph, frozenset, int], set]
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ def round_up_levels(p: Mapping[int, int], ell: int) -> dict[int, int]:
     return out
 
 
-def _solve_level(inst, solver, pt, terminals: frozenset, tag: int) -> set:
+def _solve_level(inst, solver, terminals: frozenset, tag: int) -> set:
     if len(terminals) < 2:
         return set()
-    return solver(inst.graph, terminals, pt, tag)
+    return solver(inst.graph, terminals, tag)
 
 
 def _materialize(rate_of: dict[Edge, int], required) -> MultiLevelSpanner:
@@ -100,11 +100,8 @@ def _materialize(rate_of: dict[Edge, int], required) -> MultiLevelSpanner:
     return MultiLevelSpanner(tuple(level_edges), edge_rate)
 
 
-def multilevel_roundup(inst: MultiLevelInstance, subroutine: SingleLevelSolver,
-                       pt: PathTable | None = None) -> MultiLevelSpanner:
+def multilevel_roundup(inst: MultiLevelInstance, subroutine: SingleLevelSolver) -> MultiLevelSpanner:
     """Solve power-of-two levels over rounded-up priorities, then project back."""
-    if pt is None:
-        pt = build_path_table(inst.graph)
     ell = inst.levels
     rounded = round_up_levels(priorities(inst), ell)
     top = _next_pow2(ell)
@@ -116,18 +113,15 @@ def multilevel_roundup(inst: MultiLevelInstance, subroutine: SingleLevelSolver,
     rate_of: dict[Edge, int] = {}
     for i in pow_levels:
         terminals = frozenset(v for v, r in rounded.items() if r >= i)
-        for e in _solve_level(inst, subroutine, pt, terminals, i):
+        for e in _solve_level(inst, subroutine, terminals, i):
             rate_of[e] = i
     return _materialize(rate_of, [_next_pow2(k) for k in range(1, ell + 1)])
 
 
-def multilevel_naive(inst: MultiLevelInstance, subroutine: SingleLevelSolver,
-                     pt: PathTable | None = None) -> MultiLevelSpanner:
+def multilevel_naive(inst: MultiLevelInstance, subroutine: SingleLevelSolver) -> MultiLevelSpanner:
     """Solve every level over its exact terminal set and merge."""
-    if pt is None:
-        pt = build_path_table(inst.graph)
     rate_of: dict[Edge, int] = {}
     for k in range(1, inst.levels + 1):
-        for e in _solve_level(inst, subroutine, pt, inst.terminal_sets[k - 1], k):
+        for e in _solve_level(inst, subroutine, inst.terminal_sets[k - 1], k):
             rate_of[e] = k
     return _materialize(rate_of, list(range(1, inst.levels + 1)))

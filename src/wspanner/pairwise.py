@@ -9,8 +9,8 @@ sweep serves all three; only the repair differs.  After each full pass the
 pairs still over budget are collected; if the union of their missing
 canonical-path edges is small enough (at most n*d) it is patched in
 directly, otherwise the pass is retried on a fresh sub-seed.
-When retries run out the patch is applied unconditionally, so the result
-always meets its advertised budget:
+When retries run out the patch is applied unconditionally (the report's
+fallback flag), so the result always meets its advertised budget:
 
     p2w -> +2*W(u,v)    p4w -> +4*W(u,v)    p8w -> +6*W_max
 """
@@ -27,9 +27,7 @@ from .core import (
     BudgetMode,
     Edge,
     ErrorBudget,
-    PathTable,
     WeightedGraph,
-    build_path_table,
     edge_key,
     verify_spanner,
 )
@@ -58,38 +56,30 @@ BUDGETS = {
 }
 
 
-def _ceil_root(x: int, num: int, den: int) -> int:
-    """Smallest k >= 1 with k**den >= x**num, i.e. ceil(x**(num/den))."""
-    if x <= 1:
-        return 1
-    k = max(1, round(x ** (num / den)))
-    while k ** den < x ** num:
-        k += 1
-    while k > 1 and (k - 1) ** den >= x ** num:
-        k -= 1
-    return k
-
-
-def _ceil_div_pow(n: int, p: int, num: int, den: int) -> int:
-    """Smallest k >= 1 with k**den * p**num >= n**den, i.e. ceil(n / p**(num/den))."""
-    if p <= 1:
-        return n
-    k = max(1, round(n / p ** (num / den)))
-    while k ** den * p ** num < n ** den:
-        k += 1
-    while k > 1 and (k - 1) ** den * p ** num >= n ** den:
-        k -= 1
-    return k
+def _least_root(a: int, b: int, den: int) -> int:
+    """Smallest k >= 1 with k**den * a >= b (a >= 1), by integer bisection."""
+    lo = hi = 1
+    while hi ** den * a < b:
+        lo, hi = hi + 1, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** den * a >= b:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def default_d(algo: PairwiseAlgo, pair_count: int) -> int:
+    """ceil(|P|**(num/den)), at least 1."""
     num, den = _EXPONENTS[algo][0]
-    return _ceil_root(pair_count, num, den)
+    return _least_root(1, pair_count ** num, den)
 
 
 def default_ell(algo: PairwiseAlgo, n: int, pair_count: int) -> int:
+    """ceil(n / |P|**(num/den)), at least 1; |P| <= 1 gives n."""
     num, den = _EXPONENTS[algo][1]
-    return max(1, _ceil_div_pow(n, pair_count, num, den))
+    return _least_root(max(1, pair_count) ** num, n ** den, den)
 
 
 @dataclass(frozen=True)
@@ -126,16 +116,16 @@ def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
     return h
 
 
-def _tree_edges(pt: PathTable, root: int) -> set[Edge]:
+def _tree_edges(g: WeightedGraph, root: int) -> set[Edge]:
     """Edges of the canonical shortest-path tree from root over the vertices
     it reaches."""
-    parents = [pt.tree_parent(root, v) for v in range(pt.graph.n)]
+    parents = [g.paths.tree_parent(root, v) for v in range(g.n)]
     return {edge_key(p, v) for v, p in enumerate(parents) if v != root and p >= 0}
 
 
-def shortest_path_tree(g: WeightedGraph, root: int, pt: PathTable | None = None) -> set[Edge]:
+def shortest_path_tree(g: WeightedGraph, root: int) -> set[Edge]:
     """Edge set of the canonical shortest-path tree from root (n-1 edges)."""
-    tree = _tree_edges(pt if pt is not None else build_path_table(g), root)
+    tree = _tree_edges(g, root)
     if len(tree) != g.n - 1:
         raise ValueError("shortest-path tree needs a connected graph")
     return tree
@@ -219,28 +209,28 @@ def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
     return sample
 
 
-def _missing_for(pairs, h: set[Edge], pt: PathTable) -> set[Edge]:
+def _missing_for(g: WeightedGraph, pairs, h: set[Edge]) -> set[Edge]:
     missing: set[Edge] = set()
     for u, v in pairs:
-        missing.update(e for e in pt.path_edges(u, v) if e not in h)
+        missing.update(e for e in g.paths.path_edges(u, v) if e not in h)
     return missing
 
 
 def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell: int, rng,
-          pt: PathTable, report: PairwiseReport) -> None:
+          report: PairwiseReport) -> None:
     """One sweep over the pairs: buy a pair's canonical path when at most ell
     of its edges are missing from h, otherwise run the algorithm's repair
     (p4w: trees or bounded-miss paths, p8w: a subsetwise spanner on a sample).
     p2w repairs once, after the sweep, with the trees of one sample."""
     n = g.n
     for u, v in pairs:
-        pe = pt.path_edges(u, v)
+        pe = g.paths.path_edges(u, v)
         missing = [e for e in pe if e not in h]
         if len(missing) <= ell:
             h.update(pe)
         elif algo is PairwiseAlgo.P4W and len(missing) * d * d >= n:
             for r in _sample(rng, n, d * d / n, report):
-                h.update(_tree_edges(pt, r))
+                h.update(_tree_edges(g, r))
         elif algo is PairwiseAlgo.P4W:
             h.update(missing[:ell])
             h.update(missing[-ell:])
@@ -257,22 +247,19 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell
             # the subsetwise subroutine needs a connected graph; without it the
             # final patch still guarantees the advertised budget
             if len(sample) >= 2 and g.is_connected():
-                h.update(subsetwise_2w(g, frozenset(sample), pt))
+                h.update(subsetwise_2w(g, frozenset(sample)))
     if algo is PairwiseAlgo.P2W:
         for r in _sample(rng, n, 1.0 / (ell * d), report):
-            h.update(_tree_edges(pt, r))
+            h.update(_tree_edges(g, r))
 
 
 def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
-                         params: PairwiseParams, pt: PathTable | None = None,
-                         ) -> tuple[set[Edge], PairwiseReport]:
+                         params: PairwiseParams) -> tuple[set[Edge], PairwiseReport]:
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    if pt is None:
-        pt = build_path_table(g)
     norm = [edge_key(u, v) if u != v else (u, v) for u, v in pairs]
     for u, v in norm:
-        if not pt.reachable(u, v):
+        if not g.paths.reachable(u, v):
             raise ValueError(f"pair ({u},{v}) is disconnected")
     count = len(norm)
     d = params.d_override if params.d_override is not None else default_d(params.algo, count)
@@ -280,24 +267,25 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     budget = advertised_budget(params)
     h = d_light_init(g, d)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
-    # After max_retries passes, one last check patches whatever is missing.
-    for attempt in range(params.max_retries + 1):
-        last = attempt == params.max_retries
-        if not last:
+    # Each pass is checked once (max_retries=0 checks d-light init alone).  The
+    # first check with at most n*d missing edges ends the loop; when none does,
+    # the last check's edges are patched in anyway and the run is a fallback.
+    for attempt in range(max(1, params.max_retries)):
+        if params.max_retries:
             rng = stream(params.seed, ROLE_PAIRWISE, attempt)
-            _pass(params.algo, g, norm, h, d, ell, rng, pt, report)
+            _pass(params.algo, g, norm, h, d, ell, rng, report)
             report.passes += 1
-        violated = verify_spanner(g, h, norm, budget, pt)
-        missing = _missing_for(violated, h, pt)
+        missing = _missing_for(g, verify_spanner(g, h, norm, budget), h)
         report.missing_trace.append(len(missing))
-        if last or len(missing) <= g.n * d:
-            h.update(missing)
-            report.patched = len(missing)
-            report.fallback = last
-            return h, report
+        if len(missing) <= g.n * d:
+            break
+    h.update(missing)
+    report.patched = len(missing)
+    report.fallback = len(missing) > g.n * d
+    return h, report
 
 
 def pairwise_spanner(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
-                     params: PairwiseParams, pt: PathTable | None = None) -> set[Edge]:
+                     params: PairwiseParams) -> set[Edge]:
     """Edge set meeting the advertised budget for every input pair."""
-    return pairwise_spanner_run(g, pairs, params, pt)[0]
+    return pairwise_spanner_run(g, pairs, params)[0]

@@ -18,9 +18,7 @@ from typing import Iterable, Sequence
 
 from .core import (
     Edge,
-    PathTable,
     WeightedGraph,
-    build_path_table,
     dijkstra_distances,
     edge_key,
     subgraph_adjacency,
@@ -134,15 +132,13 @@ class PathBuyState:
     records: list[BuyRecord]
 
 
-def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int],
-                      pt: PathTable | None = None) -> PathBuyState:
+def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyState:
     if not g.is_connected():
         raise ValueError("subsetwise construction needs a connected graph")
     s = sorted(set(terminals))
     if len(s) < 2:
         raise ValueError("need at least two terminals")
-    if pt is None:
-        pt = build_path_table(g)
+    pt = g.paths
     clustering = build_clustering(g, len(s))
     w_max = g.weight_max
     h: set[Edge] = set(clustering.cluster_subgraph)
@@ -166,7 +162,6 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int],
     return PathBuyState(h, records)
 
 
-def subsetwise_2w(g: WeightedGraph, terminals: Iterable[int],
-                  pt: PathTable | None = None) -> set[Edge]:
+def subsetwise_2w(g: WeightedGraph, terminals: Iterable[int]) -> set[Edge]:
     """Edge set guaranteeing dist_H(u, v) <= dist_G(u, v) + 2*W_max on S x S."""
-    return subsetwise_2w_run(g, terminals, pt).current_edges
+    return subsetwise_2w_run(g, terminals).current_edges

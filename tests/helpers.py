@@ -9,6 +9,7 @@ enumeration, and LP files are solved through scipy's MILP backend.
 from __future__ import annotations
 
 import re
+from collections import deque
 from itertools import combinations, product
 
 import numpy as np
@@ -61,6 +62,30 @@ def bellman_ford(n: int, weighted_edges, source: int) -> list[float]:
         if not changed:
             break
     return dist
+
+
+def hop_radius(g) -> int:
+    """Smallest hop eccentricity over all vertices (edge counts, not weights),
+    by breadth-first search over an adjacency built from the edge list."""
+    adj = {x: [] for x in range(g.n)}
+    for a, b, _ in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    best = None
+    for s in range(g.n):
+        level = {s: 0}
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in level:
+                    level[y] = level[x] + 1
+                    queue.append(y)
+        if len(level) != g.n:
+            raise ValueError("hop radius is undefined for a disconnected graph")
+        ecc = max(level.values())
+        best = ecc if best is None else min(best, ecc)
+    return best
 
 
 def subset_meets_limits(g, subset, pair_limits) -> bool:

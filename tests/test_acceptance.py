@@ -17,7 +17,6 @@ from wspanner.core import (
     BudgetMode,
     ErrorBudget,
     WeightedGraph,
-    build_path_table,
     terminal_pairs,
     verify_spanner,
 )
@@ -78,14 +77,13 @@ def test_criterion_2_oracle_dominance():
         if len(g.edges) > 20:
             continue
         terminals = generate_terminals(10, TerminalSelection(TerminalScheme.EXPONENTIAL, 1, seed))[0]
-        pt = build_path_table(g)
         pairs = terminal_pairs(terminals)
-        outputs = {"sub2w": subsetwise_2w(g, terminals, pt)}
+        outputs = {"sub2w": subsetwise_2w(g, terminals)}
         for algo in PairwiseAlgo:
-            outputs[algo.value] = pairwise_spanner(g, pairs, PairwiseParams(algo, seed=seed), pt)
+            outputs[algo.value] = pairwise_spanner(g, pairs, PairwiseParams(algo, seed=seed))
         for name, h in outputs.items():
             budget = ALGO_BUDGETS[name]
-            opt = len(exact_single_level(g, terminals, budget, pt))
+            opt = len(exact_single_level(g, terminals, budget))
             assert opt <= len(h)
             if opt > 0:
                 ratios.append(len(h) / opt)
@@ -101,11 +99,10 @@ def test_criterion_2_oracle_dominance():
         if len(g.edges) > 14:
             continue
         sets = generate_terminals(8, TerminalSelection(TerminalScheme.EXPONENTIAL, 2, seed))
-        pt = build_path_table(g)
         for algo, budget in ALGO_BUDGETS.items():
             inst = make_instance(g, sets, budget)
-            ml = multilevel_roundup(inst, make_solver(algo, seed), pt)
-            opt = exact_optimum(inst, pt).sparsity
+            ml = multilevel_roundup(inst, make_solver(algo, seed))
+            opt = exact_optimum(inst).sparsity
             assert opt <= ml.sparsity
             if opt > 0:
                 ratios.append(ml.sparsity / opt)
@@ -123,8 +120,8 @@ def test_criterion_3_roundup_within_4x_of_optimum():
     """Rounding-up with an exact subroutine stays within 4x the optimum."""
     start = time.perf_counter()
 
-    def exact_subroutine(g, terminals, pt, level):
-        return exact_single_level(g, terminals, GLOBAL2, pt)
+    def exact_subroutine(g, terminals, level):
+        return exact_single_level(g, terminals, GLOBAL2)
 
     checked = 0
     seed = 0
@@ -137,9 +134,8 @@ def test_criterion_3_roundup_within_4x_of_optimum():
             continue
         sets = generate_terminals(n, TerminalSelection(TerminalScheme.EXPONENTIAL, 2, seed))
         inst = make_instance(g, sets, GLOBAL2)
-        pt = build_path_table(g)
-        ml = multilevel_roundup(inst, exact_subroutine, pt)
-        opt = exact_optimum(inst, pt).sparsity
+        ml = multilevel_roundup(inst, exact_subroutine)
+        opt = exact_optimum(inst).sparsity
         assert opt <= ml.sparsity <= 4 * opt
         if opt:
             worst = max(worst, ml.sparsity / opt)
@@ -151,13 +147,12 @@ def test_criterion_3_roundup_within_4x_of_optimum():
 def test_criterion_4_triangle_golden_case():
     """Fixed triangle: exact sparsity 1 both modes; LP file golden and solvable."""
     triangle = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
-    pt = build_path_table(triangle)
     for budget in (GLOBAL2, LOCAL2):
-        opt = exact_optimum(make_instance(triangle, [{0, 2}], budget), pt)
+        opt = exact_optimum(make_instance(triangle, [{0, 2}], budget))
         assert opt.sparsity == 1
     from wspanner.exact import build_ilp, emit_lp
 
-    text = emit_lp(build_ilp(make_instance(triangle, [{0, 2}], GLOBAL2), pt))
+    text = emit_lp(build_ilp(make_instance(triangle, [{0, 2}], GLOBAL2)))
     golden = (GOLDEN / "triangle_global_c2.lp").read_text()
     assert text == golden
     objective = solve_lp_text(text)
@@ -174,12 +169,11 @@ def test_criterion_5_relative_sparsity_ordering():
     for seed in range(20):
         g = generate(GeneratorSpec(Model.ER, 100, seed))
         sets = generate_terminals(100, TerminalSelection(TerminalScheme.EXPONENTIAL, 3, seed))
-        pt = build_path_table(g)
         sizes = {}
         for algo, budget in ALGO_BUDGETS.items():
             inst = make_instance(g, sets, budget)
-            ml = multilevel_roundup(inst, make_solver(algo, seed), pt)
-            problems = [verify_spanner(g, ml.level_edges[k], terminal_pairs(sets[k]), budget, pt)
+            ml = multilevel_roundup(inst, make_solver(algo, seed))
+            problems = [verify_spanner(g, ml.level_edges[k], terminal_pairs(sets[k]), budget)
                         for k in range(len(sets))]
             assert all(not p for p in problems)
             sizes[algo] = ml.sparsity
@@ -208,8 +202,7 @@ def test_criterion_6_d_sweep():
         rng = stream(seed, 1234)
         terminals = sorted(int(v) for v in rng.choice(200, size=50, replace=False))
         pairs = terminal_pairs(terminals)
-        pt = build_path_table(g)
-        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, pt, seed=seed)
+        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, seed=seed)
         base_size = ladder[0][1]
         assert len(best) == min(size for _, size in ladder)
         assert len(best) <= base_size
@@ -247,12 +240,11 @@ def test_criterion_7_determinism():
     spec = GeneratorSpec(Model.GE, 30, 7)
     assert generate(spec) == generate(spec)
     g = generate(spec)
-    pt = build_path_table(g)
     pairs = terminal_pairs(range(0, 30, 4))
     for algo in PairwiseAlgo:
         params = PairwiseParams(algo, seed=7)
-        assert pairwise_spanner(g, pairs, params, pt) == pairwise_spanner(g, pairs, params, pt)
-    assert subsetwise_2w(g, range(0, 30, 4), pt) == subsetwise_2w(g, range(0, 30, 4), pt)
+        assert pairwise_spanner(g, pairs, params) == pairwise_spanner(g, pairs, params)
+    assert subsetwise_2w(g, range(0, 30, 4)) == subsetwise_2w(g, range(0, 30, 4))
     print("\n[criterion 7] PASS: plan rerun byte-identical (modulo wall time); "
           "graphs and spanners reproduce exactly")
 
@@ -260,7 +252,6 @@ def test_criterion_7_determinism():
 def test_criterion_8_scale_smoke():
     """p2w, p4w, p8w each finish an ER n=500 instance within 60 seconds."""
     g = generate(GeneratorSpec(Model.ER, 500, 3))
-    pt = build_path_table(g)
     rng = stream(3, 99)
     terminals = sorted(int(v) for v in rng.choice(500, size=50, replace=False))
     pairs = terminal_pairs(terminals)
@@ -268,9 +259,9 @@ def test_criterion_8_scale_smoke():
     for algo in PairwiseAlgo:
         params = PairwiseParams(algo, seed=3)
         start = time.perf_counter()
-        h = pairwise_spanner(g, pairs, params, pt)
+        h = pairwise_spanner(g, pairs, params)
         took = time.perf_counter() - start
-        assert verify_spanner(g, h, pairs, advertised_budget(params), pt) == []
+        assert verify_spanner(g, h, pairs, advertised_budget(params)) == []
         assert took < 60.0
         timings[algo.value] = took
     detail = ", ".join(f"{k}={v:.2f}s" for k, v in timings.items())

@@ -16,7 +16,7 @@ from wspanner.bench import (
     summary_to_csv,
     write_rows_csv,
 )
-from wspanner.core import build_path_table, terminal_pairs, verify_spanner
+from wspanner.core import terminal_pairs, verify_spanner
 from wspanner.exact import SizeCaps
 from wspanner.generate import GeneratorSpec, Model, generate
 from wspanner.pairwise import PairwiseAlgo, PairwiseParams, advertised_budget, default_d, pairwise_spanner
@@ -110,7 +110,7 @@ class TestRunPlan:
 
     def test_validity_failure_aborts(self, monkeypatch):
         def broken_solver(algo, seed, **kwargs):
-            return lambda g, terminals, pt, level: set()
+            return lambda g, terminals, level: set()
 
         monkeypatch.setattr(bench, "make_solver", broken_solver)
         with pytest.raises(ValidityError):
@@ -242,38 +242,34 @@ class TestSummarize:
 class TestDSweep:
     def test_base_one_is_a_single_run(self):
         g = generate(GeneratorSpec(Model.ER, 15, 3))
-        pt = build_path_table(g)
         pairs = terminal_pairs(range(0, g.n, 2))
-        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, pt, base_d=1, seed=5)
+        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, base_d=1, seed=5)
         assert ladder == [(1, len(best))]
 
     def test_best_never_worse_than_base(self):
         g = generate(GeneratorSpec(Model.ER, 30, 9))
-        pt = build_path_table(g)
         pairs = terminal_pairs(range(0, g.n, 3))
-        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, pt, seed=5)
+        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, seed=5)
         assert ladder[0][0] == default_d(PairwiseAlgo.P2W, len(pairs))
         assert len(best) == min(size for _, size in ladder)
         assert len(best) <= ladder[0][1]
 
     def test_ladder_halves_down_to_one(self):
         g = generate(GeneratorSpec(Model.ER, 20, 2))
-        pt = build_path_table(g)
         pairs = terminal_pairs(range(8))
-        _, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, pt, base_d=11, seed=0)
+        _, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, base_d=11, seed=0)
         assert [d for d, _ in ladder] == [11, 6, 3, 2, 1]
 
     def test_every_swept_output_is_valid(self):
         g = generate(GeneratorSpec(Model.GE, 25, 4))
-        pt = build_path_table(g)
         pairs = terminal_pairs(range(0, g.n, 4))
         params_budget = advertised_budget(PairwiseParams(PairwiseAlgo.P4W))
-        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P4W, pt, seed=8)
-        assert verify_spanner(g, best, pairs, params_budget, pt) == []
+        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P4W, seed=8)
+        assert verify_spanner(g, best, pairs, params_budget) == []
         for d, size in ladder:
-            h = pairwise_spanner(g, pairs, PairwiseParams(PairwiseAlgo.P4W, d_override=d, seed=8), pt)
+            h = pairwise_spanner(g, pairs, PairwiseParams(PairwiseAlgo.P4W, d_override=d, seed=8))
             assert len(h) == size
-            assert verify_spanner(g, h, pairs, params_budget, pt) == []
+            assert verify_spanner(g, h, pairs, params_budget) == []
 
     def test_p4w_sweep_with_small_d_finishes_in_bounded_time(self):
         # d <= 2 sends every heavy pair into the bounded-miss repair; this sweep
@@ -285,6 +281,6 @@ class TestDSweep:
         best, ladder = d_sweep(g, pairs, PairwiseAlgo.P4W, seed=1)
         elapsed = time.perf_counter() - start
         budget = advertised_budget(PairwiseParams(PairwiseAlgo.P4W))
-        assert verify_spanner(g, best, pairs, budget, build_path_table(g)) == []
+        assert verify_spanner(g, best, pairs, budget) == []
         assert ladder == [(6, 359), (3, 225), (2, 191), (1, 231)]
         assert elapsed < 15

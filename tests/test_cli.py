@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -90,8 +91,9 @@ def test_exact_and_emit_ilp(tmp_path, capsys):
 def test_exact_refuses_oversized(instance_files, capsys):
     graph_path, terms_path = instance_files  # 12 vertices, > 14 edges, 2 levels
     code = main(["exact", "--graph", str(graph_path), "--terminals", str(terms_path)])
-    assert code == 2
-    assert "refused" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"wspanner: error: \d+ edges exceeds the cap of 14 for 2 level\(s\)\n", err)
 
 
 def test_run_and_summarize(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,17 @@ from wspanner.core import (
     WeightedGraph,
     build_path_table,
     edge_key,
-    hop_radius,
     parse_graph_text,
     terminal_pairs,
     verify_spanner,
     write_graph_text,
 )
 
-from helpers import bellman_ford, brute_force_distance
+from wspanner.generate import GeneratorSpec, Model, generate
+from wspanner.pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner
+from wspanner.subsetwise import subsetwise_2w
+
+from helpers import bellman_ford, brute_force_distance, hop_radius
 from strategies import connected_graphs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -74,7 +79,7 @@ class TestGraphText:
 class TestPathTable:
     def test_path_graph(self):
         g = WeightedGraph(3, ((0, 1, 2), (1, 2, 3)))
-        pt = build_path_table(g)
+        pt = g.paths
         assert pt.dist(0, 2) == 5
         assert pt.path(0, 2) == (0, 1, 2)
         assert pt.max_weight(0, 2) == 3
@@ -82,7 +87,7 @@ class TestPathTable:
     def test_triangle_prefers_lighter_route(self):
         # Independent check: enumerate both 0-2 routes by brute force.
         assert brute_force_distance(TRIANGLE, 0, 2) == 2
-        pt = build_path_table(TRIANGLE)
+        pt = TRIANGLE.paths
         assert pt.dist(0, 2) == 2
         assert pt.path(0, 2) == (0, 1, 2)
         assert pt.max_weight(0, 2) == 1
@@ -95,7 +100,7 @@ class TestPathTable:
 
     def test_disconnected_pair_gets_sentinel(self):
         g = WeightedGraph(3, ((0, 1, 1),))
-        pt = build_path_table(g)
+        pt = g.paths
         assert pt.dist(0, 2) == UNREACHABLE
         assert not pt.reachable(0, 2)
         with pytest.raises(ValueError):
@@ -104,7 +109,7 @@ class TestPathTable:
     def test_equal_weight_ties_take_smaller_predecessor(self):
         # Two weight-2 routes 0->3: via 1 and via 2; the tie goes to vertex 1.
         g = WeightedGraph(4, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
-        pt = build_path_table(g)
+        pt = g.paths
         assert pt.path(0, 3) == (0, 1, 3)
         assert pt.path(3, 0) == (3, 1, 0)
 
@@ -112,7 +117,7 @@ class TestPathTable:
 @given(connected_graphs(max_n=7))
 @settings(max_examples=60)
 def test_distances_match_brute_force(g):
-    pt = build_path_table(g)
+    pt = g.paths
     for u in range(g.n):
         for v in range(g.n):
             assert pt.dist(u, v) == brute_force_distance(g, u, v)
@@ -121,7 +126,7 @@ def test_distances_match_brute_force(g):
 @given(connected_graphs())
 @settings(max_examples=60)
 def test_triangle_inequality(g):
-    pt = build_path_table(g)
+    pt = g.paths
     for u in range(g.n):
         for v in range(g.n):
             assert pt.dist(u, v) == pt.dist(v, u)
@@ -132,7 +137,7 @@ def test_triangle_inequality(g):
 @given(connected_graphs())
 @settings(max_examples=60)
 def test_canonical_paths_consistent(g):
-    pt = build_path_table(g)
+    pt = g.paths
     for u in range(g.n):
         for v in range(g.n):
             path = pt.path(u, v)
@@ -150,7 +155,7 @@ def test_tree_paths_are_prefix_consistent_per_source(g):
     # The tie-break guarantees prefix consistency within each source's tree:
     # the canonical path of {u, v} comes from the source-min(u, v) tree, and
     # each of its prefixes is that same tree's path to the prefix endpoint.
-    pt = build_path_table(g)
+    pt = g.paths
 
     def tree_path(s, v):
         rev = [v]
@@ -202,47 +207,73 @@ def test_path_table_computes_only_the_rows_it_is_asked_for(monkeypatch):
         return real(adj, n, source)
 
     monkeypatch.setattr(core, "dijkstra_distances", counting)
-    pt = build_path_table(g)
+    pt = g.paths
     assert sources == []
     assert pt.dist(4, 1) == 3 and pt.path(4, 1) == (4, 3, 2, 1) and pt.max_weight(1, 4) == 1
     assert pt.tree_parent(3, 0) == 1
     assert sources == [1, 3]
 
 
+def test_constructions_and_check_share_the_graphs_table(monkeypatch):
+    g = generate(GeneratorSpec(Model.ER, 40, 2))
+    sources = []
+    real = core.dijkstra_distances
+
+    def counting(adj, n, source):
+        if adj is g.adj:  # rows of the table, not searches of a subgraph
+            sources.append(source)
+        return real(adj, n, source)
+
+    monkeypatch.setattr(core, "dijkstra_distances", counting)
+    terminals = range(0, g.n, 5)
+    pairs = terminal_pairs(terminals)
+    h = subsetwise_2w(g, terminals) | pairwise_spanner(g, pairs, PairwiseParams(PairwiseAlgo.P2W))
+    assert verify_spanner(g, h, pairs, budget("GLOBAL", 2)) == []
+    assert sources and len(sources) == len(set(sources))
+
+
+def test_graph_and_its_table_form_no_reference_cycle():
+    g = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
+    assert g.paths is g.paths and g.paths.dist(0, 2) == 2
+    ref = weakref.ref(g)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del g
+        assert ref() is None  # freed by reference counting alone
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class TestVerifySpanner:
     def test_heavy_edge_within_global_budget(self):
-        pt = build_path_table(TRIANGLE)
-        assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("GLOBAL", 2), pt) == []
+        assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("GLOBAL", 2)) == []
 
     def test_empty_subgraph_violates(self):
-        pt = build_path_table(TRIANGLE)
-        assert verify_spanner(TRIANGLE, set(), [(0, 2)], budget("GLOBAL", 99), pt) == [(0, 2)]
+        assert verify_spanner(TRIANGLE, set(), [(0, 2)], budget("GLOBAL", 99)) == [(0, 2)]
 
     def test_full_graph_never_violates(self):
-        pt = build_path_table(TRIANGLE)
         pairs = terminal_pairs(range(3))
-        assert verify_spanner(TRIANGLE, TRIANGLE.edge_set, pairs, budget("GLOBAL", 0), pt) == []
-        assert verify_spanner(TRIANGLE, TRIANGLE.edge_set, pairs, budget("LOCAL", 0), pt) == []
+        assert verify_spanner(TRIANGLE, TRIANGLE.edge_set, pairs, budget("GLOBAL", 0)) == []
+        assert verify_spanner(TRIANGLE, TRIANGLE.edge_set, pairs, budget("LOCAL", 0)) == []
 
     def test_rejects_foreign_edges(self):
-        pt = build_path_table(TRIANGLE)
         with pytest.raises(ValueError):
-            verify_spanner(TRIANGLE, {(0, 5)}, [(0, 2)], budget("GLOBAL", 2), pt)
+            verify_spanner(TRIANGLE, {(0, 5)}, [(0, 2)], budget("GLOBAL", 2))
 
     def test_local_budget_uses_pair_max_weight(self):
         # dist(0,2)=2, W(0,2)=1: edge (0,2) of weight 3 passes c=1 but not c=0.
-        pt = build_path_table(TRIANGLE)
-        assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("LOCAL", 1), pt) == []
-        assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("LOCAL", 0), pt) == [(0, 2)]
+        assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("LOCAL", 1)) == []
+        assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("LOCAL", 0)) == [(0, 2)]
 
 
 @given(connected_graphs())
 @settings(max_examples=40)
 def test_whole_graph_is_always_a_valid_spanner(g):
-    pt = build_path_table(g)
     pairs = terminal_pairs(range(g.n))
     for mode in ("GLOBAL", "LOCAL"):
-        assert verify_spanner(g, g.edge_set, pairs, budget(mode, 0), pt) == []
+        assert verify_spanner(g, g.edge_set, pairs, budget(mode, 0)) == []
 
 
 class TestHopRadius:

@@ -7,7 +7,6 @@ from wspanner.core import (
     BudgetMode,
     ErrorBudget,
     WeightedGraph,
-    build_path_table,
     terminal_pairs,
     verify_spanner,
 )
@@ -38,42 +37,40 @@ def inst(g, *sets, budget=GLOBAL2):
     return MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
 
 
-def pair_limits(g, pt, terminals, budget):
-    return {(u, v): pt.dist(u, v) + budget.allowance(g, pt, u, v)
+def pair_limits(g, terminals, budget):
+    return {(u, v): g.paths.dist(u, v) + budget.allowance(g, u, v)
             for u, v in terminal_pairs(terminals)}
 
 
 class TestBuildIlp:
     def test_k2_variable_counts(self):
-        model = build_ilp(inst(K2, {0, 1}), build_path_table(K2))
+        model = build_ilp(inst(K2, {0, 1}))
         assert model.objective == ("xe_0_1",)
         arc_vars = [v for v in model.binaries if v.startswith("f_")]
         assert len(arc_vars) == 2
 
     def test_k2_golden_byte_exact(self):
-        text = emit_lp(build_ilp(inst(K2, {0, 1}), build_path_table(K2)))
+        text = emit_lp(build_ilp(inst(K2, {0, 1})))
         assert text == (GOLDEN / "k2_global_c2.lp").read_text()
 
     def test_triangle_golden_byte_exact(self):
-        text = emit_lp(build_ilp(inst(TRIANGLE, {0, 2}), build_path_table(TRIANGLE)))
+        text = emit_lp(build_ilp(inst(TRIANGLE, {0, 2})))
         assert text == (GOLDEN / "triangle_global_c2.lp").read_text()
 
     def test_emit_is_deterministic(self):
-        pt = build_path_table(TRIANGLE)
-        a = emit_lp(build_ilp(inst(TRIANGLE, {0, 1, 2}, {0, 2}), pt))
-        b = emit_lp(build_ilp(inst(TRIANGLE, {0, 1, 2}, {0, 2}), pt))
+        a = emit_lp(build_ilp(inst(TRIANGLE, {0, 1, 2}, {0, 2})))
+        b = emit_lp(build_ilp(inst(TRIANGLE, {0, 1, 2}, {0, 2})))
         assert a == b
 
     def test_multilevel_adds_nesting_rows(self):
-        model = build_ilp(inst(TRIANGLE, {0, 1, 2}, {0, 2}), build_path_table(TRIANGLE))
+        model = build_ilp(inst(TRIANGLE, {0, 1, 2}, {0, 2}))
         nest = [c for c in model.constraints if c.name.startswith("nest_")]
         assert len(nest) == len(TRIANGLE.edges)
         assert all(c.sense == "<=" and c.rhs == 0 for c in nest)
 
     def test_local_mode_tightens_rhs(self):
-        pt = build_path_table(TRIANGLE)
-        glob = build_ilp(inst(TRIANGLE, {0, 2}), pt)
-        loc = build_ilp(inst(TRIANGLE, {0, 2}, budget=LOCAL2), pt)
+        glob = build_ilp(inst(TRIANGLE, {0, 2}))
+        loc = build_ilp(inst(TRIANGLE, {0, 2}, budget=LOCAL2))
         rhs_glob = next(c.rhs for c in glob.constraints if c.name.startswith("len_"))
         rhs_loc = next(c.rhs for c in loc.constraints if c.name.startswith("len_"))
         assert rhs_glob == 2 + 2 * 3  # c * W_max
@@ -82,7 +79,7 @@ class TestBuildIlp:
     def test_disconnected_pair_raises(self):
         g = WeightedGraph(4, ((0, 1, 1), (2, 3, 1)))
         with pytest.raises(ValueError):
-            build_ilp(inst(g, {0, 3}), build_path_table(g))
+            build_ilp(inst(g, {0, 3}))
 
 
 class TestMilpAgreement:
@@ -102,9 +99,8 @@ class TestMilpAgreement:
                 continue
             terminals = generate_terminals(8, TerminalSelection(TerminalScheme.EXPONENTIAL, 1, seed))[0]
             instance = inst(g, terminals, budget=budget)
-            pt = build_path_table(g)
-            lp_value = solve_lp_text(emit_lp(build_ilp(instance, pt)))
-            assert lp_value == pytest.approx(exact_optimum(instance, pt).sparsity)
+            lp_value = solve_lp_text(emit_lp(build_ilp(instance)))
+            assert lp_value == pytest.approx(exact_optimum(instance).sparsity)
 
     def test_milp_matches_brute_force_two_levels(self):
         for seed in (2, 6):
@@ -113,9 +109,8 @@ class TestMilpAgreement:
                 continue
             sets = generate_terminals(7, TerminalSelection(TerminalScheme.EXPONENTIAL, 2, seed))
             instance = inst(g, *sets)
-            pt = build_path_table(g)
-            lp_value = solve_lp_text(emit_lp(build_ilp(instance, pt)))
-            assert lp_value == pytest.approx(exact_optimum(instance, pt).sparsity)
+            lp_value = solve_lp_text(emit_lp(build_ilp(instance)))
+            assert lp_value == pytest.approx(exact_optimum(instance).sparsity)
 
 
 class TestExactOptimum:
@@ -145,12 +140,11 @@ class TestExactOptimum:
         g = generate(GeneratorSpec(Model.ER, 7, 4))
         sets = generate_terminals(7, TerminalSelection(TerminalScheme.EXPONENTIAL, 2, 4))
         instance = inst(g, *sets)
-        pt = build_path_table(g)
-        opt = exact_optimum(instance, pt)
+        opt = exact_optimum(instance)
         assert opt.level_edges[1] <= opt.level_edges[0]
         for k, terminals in enumerate(sets, start=1):
             assert verify_spanner(g, opt.level_edges[k - 1], terminal_pairs(terminals),
-                                  GLOBAL2, pt) == []
+                                  GLOBAL2) == []
         assert len(opt.level_edges[0]) >= len(sets[0]) - 1
 
     def test_cap_refusal_reports_size(self):
@@ -178,9 +172,8 @@ def test_matches_plain_enumeration_single_level(gt):
     g, terminals = gt
     if len(g.edges) > 10:
         return
-    pt = build_path_table(g)
-    opt = exact_optimum(inst(g, terminals), pt)
-    assert opt.sparsity == brute_min_spanner_size(g, pair_limits(g, pt, terminals, GLOBAL2))
+    opt = exact_optimum(inst(g, terminals))
+    assert opt.sparsity == brute_min_spanner_size(g, pair_limits(g, terminals, GLOBAL2))
 
 
 @given(graphs_with_terminals(max_n=5, max_w=3))
@@ -190,9 +183,8 @@ def test_matches_plain_enumeration_two_levels(gt):
     if len(g.edges) > 8:
         return
     inner = tuple(sorted(terminals)[: max(1, len(terminals) // 2)])
-    pt = build_path_table(g)
-    opt = exact_optimum(inst(g, terminals, inner), pt)
-    limits = [pair_limits(g, pt, terminals, GLOBAL2), pair_limits(g, pt, inner, GLOBAL2)]
+    opt = exact_optimum(inst(g, terminals, inner))
+    limits = [pair_limits(g, terminals, GLOBAL2), pair_limits(g, inner, GLOBAL2)]
     assert opt.sparsity == brute_multilevel_opt(g, limits)
 
 
@@ -202,14 +194,13 @@ def test_oracle_dominates_heuristics(gt):
     g, terminals = gt
     if len(g.edges) > 12:
         return
-    pt = build_path_table(g)
     pairs = terminal_pairs(terminals)
-    sub = subsetwise_2w(g, terminals, pt)
-    assert exact_single_level(g, terminals, GLOBAL2, pt) <= g.edge_set
-    assert len(exact_single_level(g, terminals, GLOBAL2, pt)) <= len(sub)
+    sub = subsetwise_2w(g, terminals)
+    assert exact_single_level(g, terminals, GLOBAL2) <= g.edge_set
+    assert len(exact_single_level(g, terminals, GLOBAL2)) <= len(sub)
     for algo in PairwiseAlgo:
         params = PairwiseParams(algo, seed=11)
-        h = pairwise_spanner(g, pairs, params, pt)
+        h = pairwise_spanner(g, pairs, params)
         budget = advertised_budget(params)
-        opt = exact_single_level(g, terminals, budget, pt)
+        opt = exact_single_level(g, terminals, budget)
         assert len(opt) <= len(h)

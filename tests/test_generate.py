@@ -2,7 +2,6 @@ from collections import Counter
 
 import pytest
 
-from wspanner.core import hop_radius
 from wspanner.generate import (
     GeneratorSpec,
     Model,
@@ -14,6 +13,7 @@ from wspanner.generate import (
     write_terminals_text,
 )
 
+from helpers import hop_radius
 
 def spec(model, n, seed, **kw):
     return GeneratorSpec(Model(model), n, seed, **kw)

@@ -15,7 +15,7 @@ from dataclasses import asdict
 import pytest
 
 from wspanner import pairwise
-from wspanner.core import WeightedGraph, build_path_table, terminal_pairs, write_graph_text
+from wspanner.core import PathTable, WeightedGraph, terminal_pairs, write_graph_text
 from wspanner.generate import (
     GeneratorSpec,
     Model,
@@ -63,49 +63,49 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def _run(case, pt=None):
+def _run(case):
     inst, algo, d, retries = case
     g, pairs = INSTANCES[inst]()
     params = PairwiseParams(algo, d_override=d, max_retries=retries, seed=7)
-    return pairwise_spanner_run(g, pairs, params, pt)
+    return pairwise_spanner_run(g, pairs, params)
 
 
 PAIRWISE_DIGESTS = {
-    "ge22-p2w-dNone-r0": "7906d02913829d74ff75bd3ca7044122388078d41c526ea4033948bdcf9bf47b",
+    "ge22-p2w-dNone-r0": "28e6c293a36e35749ab3d8b469291086c25cad9846e6e3449557d8429026558d",
     "ge22-p2w-dNone-r10": "deb133e1938cc2fe19708f6dca89c9cc4623dc812d7eb590e82d62809cf450ea",
-    "ge22-p2w-d1-r0": "5da294cb11f23ed07c3642d56a9fadf4f53583c0722e9b531ef759c0ef50f52e",
+    "ge22-p2w-d1-r0": "4fc5f6cef7052cbc0a5292d167d26a82bea62255140a351c194dc510ac84f1ec",
     "ge22-p2w-d1-r10": "d39f156b1b43d04c16401ac527aa04d2bcc31ff2cbd9e49596650a2d4943b234",
-    "ge22-p2w-d2-r0": "d287a8497ef3a19f2c8b0ad7b4e410399cfd33c281f9e39a685cb42acdaa58cf",
+    "ge22-p2w-d2-r0": "490b0a21126e221fd9fb0208d08098f246415aa152bab052ca0aa466fab7c081",
     "ge22-p2w-d2-r10": "fb1793134bfdc07d36172af784958d1071fad64b101ccf3652b6e5274e977841",
-    "ge22-p4w-dNone-r0": "c263a3b50742535aba47ec3fc6be35993bb0f9add80c3a908e834cac327fe3ec",
+    "ge22-p4w-dNone-r0": "d9650806d2c7d42ffc865ae974aebf21f6c86f5323ac9d25aab44f622b19a849",
     "ge22-p4w-dNone-r10": "65d7e30f09340f01f91b67913166d191eae462a71a3487b6c03709c975136887",
-    "ge22-p4w-d1-r0": "da918d2dc00855ae96082273c159fabe6902f5abf2b1063b56a2b76bb176baf0",
+    "ge22-p4w-d1-r0": "61ecdfcb8c30a3a5133c70fd51cd1954ac19dd9f167114f3d42b5646bc3756df",
     "ge22-p4w-d1-r10": "d44b0171b5595130829c005de68726dc556bb9d8d050ca103ddc0ad1e140cd37",
-    "ge22-p4w-d2-r0": "eefbdce09da9ab9ba9e6ef904c9b5bc84f0a6a1b52d88413641002ad1a730b7d",
+    "ge22-p4w-d2-r0": "d2fb1258d43ddf986c5304331fb0859dc132d0513cfadd3bf41c5f75dcd7d5cb",
     "ge22-p4w-d2-r10": "c0226db75cf620b5f95a81cac7cc51b29703520d9c80dea27d22d66cc9c92274",
-    "ge22-p8w-dNone-r0": "9538fc901ef7cd73b1a5c8cc6ad218801b4df2790a7ccfd76be42a1786ec95e8",
+    "ge22-p8w-dNone-r0": "38cacff042433bc6fbc014601485d8e36a203d8a0c875b4cdec77fa76cfd3a3c",
     "ge22-p8w-dNone-r10": "606452e14a561ed6a12c7479bf1a7d4616b79d439319abd47d99f402968b3bdb",
-    "ge22-p8w-d1-r0": "4c2a65e8be8be92148d4af8f21d92916d5cd41f50c9e8e02fa6d04dd64ea1db1",
+    "ge22-p8w-d1-r0": "c06486b2ff331116f5fe6593692978c9ce983089d9ea5ae0335f9c8a3e914b77",
     "ge22-p8w-d1-r10": "dd424493ca44257e61dad2d8a5b449392ea99eeb0541ab763325b87500d385b4",
-    "ge22-p8w-d2-r0": "839da01fea3b0d19fc288c2ab3f968541a1f818fc12b852f4bb0b2ee88524a72",
+    "ge22-p8w-d2-r0": "f1ac8a1c0462ccdba24b93af6f25efbc5cf0b053061f2017d02beb9cfa1d4d2a",
     "ge22-p8w-d2-r10": "4349111177bc91e40440b923b34fd1335569d8492991ce78470ca572fbdde185",
-    "spine-p2w-dNone-r0": "0da2cf4051ac732f3f3bba61ef53d5191b226a91afed2df86490f13536887a89",
+    "spine-p2w-dNone-r0": "688ce2d911eea23a00f1daf5f4d415360a4d05d694e70658e94bf596081e7d18",
     "spine-p2w-dNone-r10": "6da5e57ed7b164a0ac51bb2f61808ea1f93b5c18b4599f42f89d747fc2d3d661",
-    "spine-p2w-d1-r0": "53fc6211d4371e8ea68f16e645e6111f7589e2bf06a5e24aac7965dd48c61a12",
+    "spine-p2w-d1-r0": "783181daf4ee091dde3fcab2acdad02e1c54b1a158348471c74b1f4926b0972c",
     "spine-p2w-d1-r10": "22c3b985ae2319fb1d876d83336d457f880a8a05d6a5b8d97d9c1ccb6ed4984a",
-    "spine-p2w-d2-r0": "4d3da3e209b0ea56fa440f829656e00b6a219855dd5cd0a728ad2ea705737de7",
+    "spine-p2w-d2-r0": "b0ea92752f139394c7c7e36418929ce2cb0fccefd35ba407735c26be85cf0e02",
     "spine-p2w-d2-r10": "fead447bd0a4e911c3423278a327e2925bba0c429bbec6384010e9d03cc753f7",
-    "spine-p4w-dNone-r0": "220cc5d294976caa2941646445ca0c0f121881c2c4312aac22ba54063050d059",
+    "spine-p4w-dNone-r0": "9075fa24577ec16fb05d45924b5986238669b6bba4d847ee0e53f9fc58a5a97d",
     "spine-p4w-dNone-r10": "84dc63856f07ef5c9c148cf900f0a4a271ac39cc65cd9d493a93070a48fb2d6a",
-    "spine-p4w-d1-r0": "2f1049b7b038609d1294057c6a811f6b601660f71a9bb5ac9188070f38d56eca",
+    "spine-p4w-d1-r0": "8cffcf0f76641834d4a5edf0f4dae7a3aa01b7e48c143a55cb8056653433f582",
     "spine-p4w-d1-r10": "84c84936c2d1064607144b28bc9ad41806b9c5b403753f8a9273684b4288c872",
-    "spine-p4w-d2-r0": "669384be2519ec26bd81ce95b1a5ace5f4dd0f4b95e5aa53ab9adbf3c284eb77",
+    "spine-p4w-d2-r0": "e80c2588f7df5257d3c8ea06a395c8ada5faec2714aa5c6bfff4adbe7289b29f",
     "spine-p4w-d2-r10": "6dfdca1068c41cae594c9f24b2c39e1c54c6ed30a48f34115a4283b37022b858",
-    "spine-p8w-dNone-r0": "c297c76bf38cd10f033524a43e62aff1fc31713f064dcc5dd1fd75f1dcd4f450",
+    "spine-p8w-dNone-r0": "a16effe73a9bf53ad70000532aebd1bb9de0e4a4615b3600c71028c02ae854de",
     "spine-p8w-dNone-r10": "5a7a5e307b278d08243437acd987091c6cf7ba16d372af270d0f55180015a143",
-    "spine-p8w-d1-r0": "4f068dcaaacd6831279974df5944f2fbe42de7715d457a8f483409c1b79eb831",
+    "spine-p8w-d1-r0": "33b99e3a8962cece5680c36bb069163bbcd623259fae309ca76d826d55f66e5a",
     "spine-p8w-d1-r10": "c77e16961ff66d363fbeb8cac21120eeca5cff9fb43f84a6daeb1d2a091c774f",
-    "spine-p8w-d2-r0": "4a3df1ef6c8758b9385abc5e446b2c7a914edbb68e3d68e2ac42a328ebe8c11c",
+    "spine-p8w-d2-r0": "3651522af973dfeacbd5abfb0e041774e974c13ec464dfe2918c34449c463d4b",
     "spine-p8w-d2-r10": "48564706d4bd34869647251fc54c2451c8f94ac412e6cd6ec24649163410f58b",
 }
 
@@ -156,12 +156,11 @@ def test_golden_cases_reach_every_repair(monkeypatch):
     monkeypatch.setattr(pairwise, "limited_missing_path",
                         counted("lmp", pairwise.limited_missing_path))
     monkeypatch.setattr(pairwise, "subsetwise_2w", counted("subsetwise", pairwise.subsetwise_2w))
+    monkeypatch.setattr(PathTable, "tree_parent", counted("tree", PathTable.tree_parent))
     hits = {"p2w_tree_roots": 0, "p4w_tree_rows": 0, "p4w_lmp": 0, "p8w_subsetwise": 0}
     for case in CASES:
         calls.update(lmp=0, subsetwise=0, tree=0)
-        pt = build_path_table(INSTANCES[case[0]]()[0])
-        pt.tree_parent = counted("tree", pt.tree_parent)
-        _, report = _run(case, pt)
+        _, report = _run(case)
         algo = case[1]
         if algo is PairwiseAlgo.P2W:
             hits["p2w_tree_roots"] += sum(report.sample_counts)

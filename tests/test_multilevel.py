@@ -6,7 +6,6 @@ from wspanner.core import (
     BudgetMode,
     ErrorBudget,
     WeightedGraph,
-    build_path_table,
     terminal_pairs,
     verify_spanner,
 )
@@ -26,13 +25,13 @@ from strategies import connected_graphs
 GLOBAL2 = ErrorBudget(BudgetMode.GLOBAL, 2)
 
 
-def sub2w_solver(g, terminals, pt, level):
-    return subsetwise_2w(g, terminals, pt)
+def sub2w_solver(g, terminals, level):
+    return subsetwise_2w(g, terminals)
 
 
 def exact_solver(budget, caps=None):
-    def solve(g, terminals, pt, level):
-        return exact_single_level(g, terminals, budget, pt, caps)
+    def solve(g, terminals, level):
+        return exact_single_level(g, terminals, budget, caps)
     return solve
 
 
@@ -83,42 +82,39 @@ class TestPriorities:
 
 class TestRoundup:
     def test_single_level_reduces_to_one_call(self):
-        pt = build_path_table(TRIANGLE)
         inst = instance(TRIANGLE, {0, 2})
-        ml = multilevel_roundup(inst, sub2w_solver, pt)
-        assert ml.level_edges == (frozenset(subsetwise_2w(TRIANGLE, {0, 2}, pt)),)
+        ml = multilevel_roundup(inst, sub2w_solver)
+        assert ml.level_edges == (frozenset(subsetwise_2w(TRIANGLE, {0, 2})),)
         assert ml.sparsity == len(ml.level_edges[0])
 
     def test_equal_sets_double_the_single_level(self):
         g = generate(GeneratorSpec(Model.ER, 14, 3))
-        pt = build_path_table(g)
         s = frozenset(range(0, g.n, 2))
         inst = instance(g, s, s)
-        ml = multilevel_roundup(inst, sub2w_solver, pt)
-        single = frozenset(subsetwise_2w(g, s, pt))
+        ml = multilevel_roundup(inst, sub2w_solver)
+        single = frozenset(subsetwise_2w(g, s))
         assert ml.level_edges == (single, single)
         assert ml.sparsity == 2 * len(single)
 
     def test_naive_matches_roundup_for_one_level(self):
         g = generate(GeneratorSpec(Model.WS, 12, 6))
-        pt = build_path_table(g)
         inst = instance(g, frozenset(range(6)))
-        a = multilevel_roundup(inst, sub2w_solver, pt)
-        b = multilevel_naive(inst, sub2w_solver, pt)
+        a = multilevel_roundup(inst, sub2w_solver)
+        b = multilevel_naive(inst, sub2w_solver)
         assert a.level_edges == b.level_edges
         assert a.edge_rate == b.edge_rate
 
     def test_three_levels_use_powers_one_two_four(self):
         calls = []
 
-        def recording_solver(g, terminals, pt, level):
+        def recording_solver(g, terminals, level):
             calls.append((level, terminals))
-            return sub2w_solver(g, terminals, pt, level)
+            return sub2w_solver(g, terminals, level)
 
         g = generate(GeneratorSpec(Model.ER, 12, 1))
         sets = generate_terminals(g.n, TerminalSelection(TerminalScheme.LINEAR, 3, 5))
         inst = instance(g, *sets)
-        multilevel_roundup(inst, recording_solver, build_path_table(g))
+        multilevel_roundup(inst, recording_solver)
         levels = [lvl for lvl, _ in calls]
         assert levels == [1, 2, 4]
         # rounded priority >= 4 means original priority 3
@@ -128,17 +124,16 @@ class TestRoundup:
 class TestNaive:
     def test_identical_sets_repeat_the_spanner(self):
         g = generate(GeneratorSpec(Model.ER, 12, 2))
-        pt = build_path_table(g)
         s = frozenset(range(0, g.n, 3))
         inst = instance(g, s, s, s)
-        ml = multilevel_naive(inst, sub2w_solver, pt)
-        single = frozenset(subsetwise_2w(g, s, pt))
+        ml = multilevel_naive(inst, sub2w_solver)
+        single = frozenset(subsetwise_2w(g, s))
         assert ml.level_edges == (single, single, single)
         assert ml.sparsity == 3 * len(single)
 
     def test_singleton_levels_contribute_nothing(self):
         inst = instance(TRIANGLE, {0, 2}, {0})
-        ml = multilevel_naive(inst, sub2w_solver, build_path_table(TRIANGLE))
+        ml = multilevel_naive(inst, sub2w_solver)
         assert ml.level_edges[1] == frozenset()
 
 
@@ -154,15 +149,14 @@ def test_outputs_nested_and_valid_per_level(g, data):
         if len(current) > 1:
             current = set(list(sorted(current))[: max(1, len(current) // 2)])
     inst = MultiLevelInstance(g, tuple(sets), GLOBAL2)
-    pt = build_path_table(g)
     for strategy in (multilevel_roundup, multilevel_naive):
-        ml = strategy(inst, sub2w_solver, pt)
+        ml = strategy(inst, sub2w_solver)
         assert len(ml.level_edges) == ell
         for k in range(1, ell):
             assert ml.level_edges[k] <= ml.level_edges[k - 1]
         for k, terminals in enumerate(sets, start=1):
             assert verify_spanner(g, ml.level_edges[k - 1], terminal_pairs(terminals),
-                                  GLOBAL2, pt) == []
+                                  GLOBAL2) == []
         for edge, rate in ml.edge_rate.items():
             assert edge in ml.level_edges[rate - 1]
             if rate < ell:
@@ -181,9 +175,8 @@ def test_roundup_with_exact_subroutine_within_4x_of_optimum():
             continue
         sets = generate_terminals(g.n, TerminalSelection(TerminalScheme.EXPONENTIAL, 2, seed))
         inst = instance(g, *sets)
-        pt = build_path_table(g)
-        ml = multilevel_roundup(inst, exact_solver(GLOBAL2), pt)
-        opt = exact_optimum(inst, pt).sparsity
+        ml = multilevel_roundup(inst, exact_solver(GLOBAL2))
+        opt = exact_optimum(inst).sparsity
         assert opt <= ml.sparsity <= 4 * opt
         checked += 1
     assert checked >= 3
@@ -199,10 +192,9 @@ def test_heuristics_dominate_optimum_three_levels():
             continue
         sets = generate_terminals(g.n, TerminalSelection(TerminalScheme.EXPONENTIAL, 3, seed))
         inst = instance(g, *sets)
-        pt = build_path_table(g)
-        opt = exact_optimum(inst, pt, caps).sparsity
+        opt = exact_optimum(inst, caps).sparsity
         for strategy in (multilevel_roundup, multilevel_naive):
-            ml = strategy(inst, sub2w_solver, pt)
+            ml = strategy(inst, sub2w_solver)
             assert ml.sparsity >= opt
         checked += 1
     assert checked >= 3

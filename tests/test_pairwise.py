@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wspanner import core
+from wspanner import core, pairwise
 from wspanner.core import (
     BudgetMode,
     WeightedGraph,
     build_path_table,
+    edge_key,
     terminal_pairs,
     verify_spanner,
 )
@@ -28,6 +29,14 @@ from helpers import path_weight, simple_paths
 from strategies import graphs_with_pairs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
+
+# (d exponent, ell exponent) of each construction, as (numerator, denominator):
+# d = |P|**(1/3), ell = n / |P|**(2/3) for p2w, and likewise below.
+DEFAULT_EXPONENTS = {
+    PairwiseAlgo.P2W: ((1, 3), (2, 3)),
+    PairwiseAlgo.P4W: ((2, 7), (5, 7)),
+    PairwiseAlgo.P8W: ((1, 4), (3, 4)),
+}
 TRIANGLE_123 = WeightedGraph(3, ((0, 1, 1), (1, 2, 2), (0, 2, 3)))
 ALL_ALGOS = list(PairwiseAlgo)
 
@@ -47,6 +56,26 @@ class TestDefaults:
         assert default_ell(PairwiseAlgo.P2W, 100, 8) == 25       # 100 / 8^(2/3)
         assert default_ell(PairwiseAlgo.P2W, 100, 1000) == 1     # 100/100
         assert default_ell(PairwiseAlgo.P8W, 10, 10000) == 1     # clamped to 1
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS)
+    def test_defaults_match_integer_search(self, algo):
+        # d = ceil(|P|**a) and ell = max(1, ceil(n / |P|**b)), by counting up
+        # from 1 over exact integer powers.
+        (a_num, a_den), (b_num, b_den) = DEFAULT_EXPONENTS[algo]
+
+        def least(ok):
+            k = 1
+            while not ok(k):
+                k += 1
+            return k
+
+        for p in [*range(0, 130), 343, 1000, 1225, 4950, 20000]:
+            assert default_d(algo, p) == least(lambda k: k ** a_den >= p ** a_num), p
+            if p == 0:
+                continue
+            for n in (1, 2, 3, 7, 10, 40, 100, 500):
+                assert default_ell(algo, n, p) == least(
+                    lambda k: k ** b_den * p ** b_num >= n ** b_den), (n, p)
 
     def test_budgets(self):
         assert advertised_budget(PairwiseParams(PairwiseAlgo.P2W)).mode is BudgetMode.LOCAL
@@ -107,10 +136,12 @@ class TestShortestPathTree:
         assert shortest_path_tree(WeightedGraph(2, ((0, 1, 7),)), 1) == {(0, 1)}
 
     def test_matches_path_table_variant(self):
+        # The graph's own table and an independent one give the same trees.
         g = generate(GeneratorSpec(Model.ER, 12, 5))
-        pt = build_path_table(g)
+        fresh = build_path_table(g)
         for root in range(g.n):
-            assert shortest_path_tree(g, root) == shortest_path_tree(g, root, pt)
+            expected = {edge_key(fresh.tree_parent(root, v), v) for v in range(g.n) if v != root}
+            assert shortest_path_tree(g, root) == expected
 
     def test_disconnected_raises(self):
         with pytest.raises(ValueError):
@@ -132,14 +163,13 @@ def test_few_terminals_compute_few_path_table_rows(algo, monkeypatch):
     pairs = terminal_pairs([0, 12, 24, 36, 48])
     h = pairwise_spanner(g, pairs, PairwiseParams(algo, seed=1))
     monkeypatch.undo()
-    assert verify_spanner(g, h, pairs, advertised_budget(PairwiseParams(algo)),
-                          build_path_table(g)) == []
+    assert verify_spanner(g, h, pairs, advertised_budget(PairwiseParams(algo))) == []
     assert len(rows) == len(set(rows)) < g.n
 
 
 class TestLimitedMissingPath:
     def test_large_cap_gives_shortest_path_weight(self):
-        pt = build_path_table(TRIANGLE)
+        pt = TRIANGLE.paths
         path = limited_missing_path(TRIANGLE, 0, 2, set(), TRIANGLE.n - 1)
         weight = sum(TRIANGLE.weight(a, b) for a, b in zip(path, path[1:]))
         assert weight == pt.dist(0, 2)
@@ -201,19 +231,17 @@ def test_limited_missing_path_matches_brute_force(case):
 
 class TestPairwiseSpanner:
     def test_triangle_p2w_defaults(self):
-        pt = build_path_table(TRIANGLE)
         params = PairwiseParams(PairwiseAlgo.P2W, seed=0)
-        h, report = pairwise_spanner_run(TRIANGLE, [(0, 2)], params, pt)
+        h, report = pairwise_spanner_run(TRIANGLE, [(0, 2)], params)
         assert report.d == 1 and report.ell == 3
         assert h == {(0, 1), (1, 2)}
         assert report.passes == 1 and not report.fallback
 
     def test_canonical_path_inside_init_needs_no_retries(self):
         g = generate(GeneratorSpec(Model.ER, 20, 8))
-        pt = build_path_table(g)
         pair = terminal_pairs(range(g.n))[0]
         params = PairwiseParams(PairwiseAlgo.P2W, d_override=g.n, seed=0)
-        h, report = pairwise_spanner_run(g, [pair], params, pt)
+        h, report = pairwise_spanner_run(g, [pair], params)
         assert report.passes == 1
         assert report.missing_trace[-1] == 0
         assert h == d_light_init(g, g.n)
@@ -221,26 +249,47 @@ class TestPairwiseSpanner:
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_zero_retries_patches_init_directly(self, algo):
         g = generate(GeneratorSpec(Model.ER, 18, 4))
-        pt = build_path_table(g)
+        pt = g.paths
         pairs = terminal_pairs(range(0, g.n, 3))
         params = PairwiseParams(algo, max_retries=0, seed=1)
-        h, report = pairwise_spanner_run(g, pairs, params, pt)
-        assert report.fallback and report.passes == 0
+        h, report = pairwise_spanner_run(g, pairs, params)
+        # one check of the init; its patch is within n*d, so no fallback
+        assert report.passes == 0 and report.missing_trace == [report.patched]
+        assert not report.fallback and report.patched <= g.n * report.d
         init = d_light_init(g, report.d)
         budget = advertised_budget(params)
         expected = set(init)
-        for pair in verify_spanner(g, init, pairs, budget, pt):
+        for pair in verify_spanner(g, init, pairs, budget):
             expected.update(e for e in pt.path_edges(*pair) if e not in init)
         assert h == expected
-        assert verify_spanner(g, h, pairs, budget, pt) == []
+        assert verify_spanner(g, h, pairs, budget) == []
+
+    def test_exhausted_retries_patch_after_one_check_per_pass(self, monkeypatch):
+        # Every check reports all of g's edges missing, more than n*d, so no
+        # pass is accepted and the last check's edges are patched in anyway.
+        g = generate(GeneratorSpec(Model.ER, 20, 8))
+        real_missing, real_verify = pairwise._missing_for, pairwise.verify_spanner
+        checks = []
+
+        def verify(*args):
+            checks.append(args)
+            return real_verify(*args)
+
+        monkeypatch.setattr(pairwise, "_missing_for", lambda *args: real_missing(*args) | g.edge_set)
+        monkeypatch.setattr(pairwise, "verify_spanner", verify)
+        params = PairwiseParams(PairwiseAlgo.P2W, d_override=1, max_retries=3, seed=0)
+        h, report = pairwise_spanner_run(g, terminal_pairs(range(0, g.n, 4)), params)
+        assert len(g.edges) > g.n * report.d
+        assert report.fallback and report.passes == 3 and len(checks) == 3
+        assert report.missing_trace == [len(g.edges)] * 3
+        assert h == g.edge_set and report.patched == len(g.edges)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_deterministic_given_seed(self, algo):
         g = generate(GeneratorSpec(Model.ER, 16, 9))
-        pt = build_path_table(g)
         pairs = terminal_pairs(range(0, g.n, 2))
         params = PairwiseParams(algo, seed=77)
-        assert pairwise_spanner(g, pairs, params, pt) == pairwise_spanner(g, pairs, params, pt)
+        assert pairwise_spanner(g, pairs, params) == pairwise_spanner(g, pairs, params)
 
     def test_rejects_empty_pairs(self):
         with pytest.raises(ValueError):
@@ -257,11 +306,10 @@ class TestPairwiseSpanner:
         left = generate(GeneratorSpec(Model.ER, 8, 6))
         edges = left.edges + ((8, 9, 1),)
         g = WeightedGraph(10, edges)
-        pt = build_path_table(g)
         pairs = terminal_pairs(range(5))
         params = PairwiseParams(algo, ell_override=1, seed=2)
-        h = pairwise_spanner(g, pairs, params, pt)
-        assert verify_spanner(g, h, pairs, advertised_budget(params), pt) == []
+        h = pairwise_spanner(g, pairs, params)
+        assert verify_spanner(g, h, pairs, advertised_budget(params)) == []
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
@@ -269,24 +317,22 @@ class TestPairwiseSpanner:
 @settings(max_examples=25, deadline=None)
 def test_output_meets_advertised_budget(algo, gp):
     g, pairs = gp
-    pt = build_path_table(g)
     params = PairwiseParams(algo, seed=5)
-    h = pairwise_spanner(g, pairs, params, pt)
+    h = pairwise_spanner(g, pairs, params)
     assert h <= g.edge_set
-    assert verify_spanner(g, h, pairs, advertised_budget(params), pt) == []
+    assert verify_spanner(g, h, pairs, advertised_budget(params)) == []
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
 def test_d_override_sweep_outputs_stay_valid(algo):
     g = generate(GeneratorSpec(Model.ER, 25, 13))
-    pt = build_path_table(g)
     pairs = terminal_pairs(range(0, g.n, 2))
     base = default_d(algo, len(pairs))
     d = base
     while True:
         params = PairwiseParams(algo, d_override=d, seed=3)
-        h = pairwise_spanner(g, pairs, params, pt)
-        assert verify_spanner(g, h, pairs, advertised_budget(params), pt) == []
+        h = pairwise_spanner(g, pairs, params)
+        assert verify_spanner(g, h, pairs, advertised_budget(params)) == []
         if d == 1:
             break
         d = (d + 1) // 2

@@ -5,7 +5,6 @@ from wspanner.core import (
     BudgetMode,
     ErrorBudget,
     WeightedGraph,
-    build_path_table,
     terminal_pairs,
     verify_spanner,
 )
@@ -71,7 +70,7 @@ class TestBuildClustering:
 
 class TestPathValue:
     def test_zero_when_current_edges_are_whole_graph(self):
-        pt = build_path_table(TRIANGLE)
+        pt = TRIANGLE.paths
         clustering = build_clustering(TRIANGLE, 2)
         path = pt.path(0, 2)
         for x in (0, 2):
@@ -98,15 +97,13 @@ class TestPathValue:
 
 class TestSubsetwise2W:
     def test_triangle_output_valid_and_optimum_is_one_edge(self):
-        pt = build_path_table(TRIANGLE)
-        h = subsetwise_2w(TRIANGLE, [0, 2], pt)
-        assert verify_spanner(TRIANGLE, h, [(0, 2)], GLOBAL2, pt) == []
+        h = subsetwise_2w(TRIANGLE, [0, 2])
+        assert verify_spanner(TRIANGLE, h, [(0, 2)], GLOBAL2) == []
         # independent exhaustive search: budget dist+2W = 2+6 = 8
         assert brute_min_spanner_size(TRIANGLE, {(0, 2): 8}) == 1
 
     def test_cost_zero_paths_always_bought(self):
-        pt = build_path_table(TRIANGLE)
-        state = subsetwise_2w_run(TRIANGLE, [0, 1], pt)
+        state = subsetwise_2w_run(TRIANGLE, [0, 1])
         record = state.records[0]
         assert record.cost == 0 and record.bought
 
@@ -115,11 +112,10 @@ class TestSubsetwise2W:
         star = WeightedGraph(7, tuple((0, i, 2) for i in range(1, 7)))
         c = build_clustering(star, 2)  # threshold ceil(sqrt(4)) = 2
         assert {1, 2} <= set().union(*c.clusters[:1])
-        pt = build_path_table(star)
-        h = subsetwise_2w(star, [1, 2], pt)
+        h = subsetwise_2w(star, [1, 2])
         star_path_weight = star.weight(0, 1) + star.weight(0, 2)
         assert star_path_weight <= 2 * star.weight_max
-        assert verify_spanner(star, h, [(1, 2)], GLOBAL2, pt) == []
+        assert verify_spanner(star, h, [(1, 2)], GLOBAL2) == []
 
     def test_rejects_disconnected_graph(self):
         g = WeightedGraph(4, ((0, 1, 1), (2, 3, 1)))
@@ -135,10 +131,9 @@ class TestSubsetwise2W:
 @settings(max_examples=50, deadline=None)
 def test_output_always_meets_plus_2w(gt):
     g, terminals = gt
-    pt = build_path_table(g)
-    h = subsetwise_2w(g, terminals, pt)
+    h = subsetwise_2w(g, terminals)
     assert h <= g.edge_set
-    assert verify_spanner(g, h, terminal_pairs(terminals), GLOBAL2, pt) == []
+    assert verify_spanner(g, h, terminal_pairs(terminals), GLOBAL2) == []
 
 
 @given(graphs_with_terminals(max_n=6))
@@ -147,8 +142,8 @@ def test_audit_replay_matches_run(gt):
     """Replaying the audit records against independently recomputed cost/value
     reproduces the run, including the monotone growth of the edge set."""
     g, terminals = gt
-    pt = build_path_table(g)
-    state = subsetwise_2w_run(g, terminals, pt)
+    pt = g.paths
+    state = subsetwise_2w_run(g, terminals)
     clustering = build_clustering(g, len(set(terminals)))
     w = g.weight_max
     h = set(clustering.cluster_subgraph)
@@ -177,8 +172,7 @@ def test_mean_output_below_full_graph_on_er():
         g = generate(GeneratorSpec(Model.ER, 40, seed))
         terminals = generate_terminals(40, TerminalSelection(TerminalScheme.EXPONENTIAL, 2, seed))[1]
         terminals = tuple(terminals)[:10]
-        pt = build_path_table(g)
-        h = subsetwise_2w(g, terminals, pt)
+        h = subsetwise_2w(g, terminals)
         assert len(h) <= len(g.edges)
         ratios.append(len(h) / len(g.edges))
     assert sum(ratios) / len(ratios) < 1.0
