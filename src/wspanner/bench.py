@@ -209,7 +209,11 @@ def write_rows_csv(rows, path) -> None:
 def read_rows_csv(path) -> list[ResultRow]:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} is not a rows.csv: missing columns {', '.join(missing)}")
+        for rec in reader:
             rows.append(ResultRow(
                 instance_id=rec["instance_id"], generator=rec["generator"],
                 n=int(rec["n"]), m=int(rec["m"]), levels=int(rec["levels"]),

@@ -2,19 +2,18 @@
 
 All distances are exact integers; ``UNREACHABLE`` is the reserved value for
 disconnected pairs and never takes part in arithmetic.  Shortest-path ties
-are broken toward the smallest-id predecessor, per source, so every derived
-artifact (paths, per-pair maximum edge weights, shortest-path trees) is a
-pure function of the graph.  ``PathTable`` computes these artifacts on
-demand, one source row at a time, and caches each row it computes; every
-graph owns one, ``WeightedGraph.paths``, which the constructions, the
-validity check and the exact solver all read.
+are broken toward the smallest-id predecessor, per source, as edges are
+relaxed, so every derived artifact (paths, per-pair maximum edge weights,
+shortest-path trees) is a pure function of the graph.  ``PathTable``
+computes these artifacts on demand, one search per source row, and caches
+each row it computes; every graph owns one, ``WeightedGraph.paths``, which
+the constructions, the validity check and the exact solver all read.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -108,18 +107,7 @@ class WeightedGraph:
 
     @cached_property
     def _connected(self) -> bool:
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            x = queue.popleft()
-            for y, _ in self.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    queue.append(y)
-        return count == self.n
+        return all(self.paths.reachable(0, v) for v in range(1, self.n))
 
     def is_connected(self) -> bool:
         return self._connected
@@ -195,19 +183,36 @@ def dijkstra_distances(adj, n: int, source: int) -> list:
     return dist
 
 
-def _min_id_parents(adj, dist, source: int) -> list[int]:
-    # Smallest-id predecessor among tight relaxations; order-independent, so
-    # the resulting tree does not depend on heap internals.
-    n = len(dist)
+def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int], list[int]]:
+    """One path-table row from one search: distances from source, each
+    vertex's smallest-id parent in the shortest-path tree (-1 at the source
+    and where unreachable), and the largest edge weight on its tree path.
+
+    A relaxation that ties a vertex's distance keeps the smaller parent id.
+    Each parent change also takes the parent's path maximum, which is final
+    because the parent is settled.
+    """
+    dist = [UNREACHABLE] * n
     parent = [-1] * n
-    for v in range(n):
-        if v == source or dist[v] == UNREACHABLE:
+    wmax = [0] * n
+    dist[source] = 0
+    heap = [(0, source)]
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d, x = pop(heap)
+        if d > dist[x]:
             continue
-        for u, w in adj[v]:
-            if dist[u] != UNREACHABLE and dist[u] + w == dist[v]:
-                parent[v] = u
-                break
-    return parent
+        top = wmax[x]
+        for y, w in adj[x]:
+            nd = d + w
+            if nd < dist[y]:
+                dist[y] = nd
+                push(heap, (nd, y))
+            elif nd > dist[y] or x > parent[y]:
+                continue
+            parent[y] = x
+            wmax[y] = top if top > w else w
+    return dist, parent, wmax
 
 
 def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge]):
@@ -227,42 +232,31 @@ class PathTable:
     on demand one source row at a time.
 
     A row for source s holds the distances from s, the smallest-id parents of
-    the shortest-path tree rooted at s, and the largest edge weight on each
-    tree path.  It is computed the first time any method asks for s and then
-    cached.  The canonical path of an unordered pair {u, v} comes from the
-    tree rooted at min(u, v); path(v, u) is its reverse.  dist, reachable,
-    max_weight and path read the row of min(u, v); tree_parent(root, v) reads
-    the row of root.  Answers do not depend on the order of queries.  Each
-    row is a pure function of the graph, so concurrent first reads of one
-    source can at worst compute its row twice.
+    the shortest-path tree rooted at s (the tie-break is applied as edges are
+    relaxed), and the largest edge weight on each tree path, all from one
+    search (``shortest_path_row``).  It is computed the first time any
+    method asks for s and then cached.  The canonical path of an unordered
+    pair {u, v} comes from the tree rooted at min(u, v); path(v, u) is its
+    reverse.  dist, reachable, max_weight and path read the row of min(u, v);
+    tree_parent(root, v) reads the row of root.  Answers do not depend on the
+    order of queries.  Each row is a pure function of the graph, so
+    concurrent first reads of one source can at worst compute its row twice.
 
-    The table keeps the graph's adjacency, vertex count and weight map, not
-    the graph itself, so a graph that caches its table forms no reference
-    cycle and both are freed as soon as the graph is.
+    The table keeps the graph's adjacency and vertex count, not the graph
+    itself, so a graph that caches its table forms no reference cycle and
+    both are freed as soon as the graph is.
     """
 
     def __init__(self, graph: WeightedGraph):
         self._adj = graph.adj
         self._n = graph.n
-        self._weight_map = graph.weight_map
         self._rows: dict[int, tuple[list, list[int], list[int]]] = {}
         self._edge_cache: dict[Edge, tuple[Edge, ...]] = {}
 
     def _row(self, s: int) -> tuple[list, list[int], list[int]]:
         row = self._rows.get(s)
         if row is None:
-            n = self._n
-            dist = dijkstra_distances(self._adj, n, s)
-            parent = _min_id_parents(self._adj, dist, s)
-            wmax = [0] * n
-            wt = self._weight_map
-            # Tree parents are strictly closer to s, so they come first.
-            for v in sorted((v for v in range(n) if v != s and dist[v] != UNREACHABLE),
-                            key=dist.__getitem__):
-                p = parent[v]
-                w = wt[edge_key(p, v)]
-                wmax[v] = wmax[p] if wmax[p] > w else w
-            row = self._rows[s] = (dist, parent, wmax)
+            row = self._rows[s] = shortest_path_row(self._adj, self._n, s)
         return row
 
     def dist(self, u: int, v: int):
@@ -323,13 +317,12 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     if extra:
         raise ValueError(f"subgraph edges not present in the graph: {sorted(extra)[:3]}")
     h_adj = subgraph_adjacency(g, hset)
-    pt = g.paths
     rows: dict[int, list] = {}
     violated = []
     for u, v in pairs:
         if u == v:
             continue
-        dg = pt.dist(u, v)
+        dg = g.paths.dist(u, v)
         if dg == UNREACHABLE:
             continue
         if u in rows:

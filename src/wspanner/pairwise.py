@@ -99,11 +99,6 @@ class PairwiseParams:
             raise ValueError("max_retries must be >= 0")
 
 
-def advertised_budget(params: PairwiseParams) -> ErrorBudget:
-    """The error budget the construction enforces on its output."""
-    return BUDGETS[params.algo]
-
-
 def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
     """Union over vertices of each vertex's d lightest incident edges
     (ties toward the smaller neighbor id; all edges when degree <= d)."""
@@ -259,12 +254,13 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
         raise ValueError("pairs must be nonempty")
     norm = [edge_key(u, v) if u != v else (u, v) for u, v in pairs]
     for u, v in norm:
+        if u < 0 or v >= g.n:
+            raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{g.n - 1}")
         if not g.paths.reachable(u, v):
             raise ValueError(f"pair ({u},{v}) is disconnected")
     count = len(norm)
     d = params.d_override if params.d_override is not None else default_d(params.algo, count)
     ell = params.ell_override if params.ell_override is not None else default_ell(params.algo, g.n, count)
-    budget = advertised_budget(params)
     h = d_light_init(g, d)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
     # Each pass is checked once (max_retries=0 checks d-light init alone).  The
@@ -275,7 +271,7 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
             rng = stream(params.seed, ROLE_PAIRWISE, attempt)
             _pass(params.algo, g, norm, h, d, ell, rng, report)
             report.passes += 1
-        missing = _missing_for(g, verify_spanner(g, h, norm, budget), h)
+        missing = _missing_for(g, verify_spanner(g, h, norm, BUDGETS[params.algo]), h)
         report.missing_trace.append(len(missing))
         if len(missing) <= g.n * d:
             break

@@ -136,6 +136,9 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     if not g.is_connected():
         raise ValueError("subsetwise construction needs a connected graph")
     s = sorted(set(terminals))
+    outside = [t for t in s if not 0 <= t < g.n]
+    if outside:
+        raise ValueError(f"terminals {outside} are outside 0..{g.n - 1}")
     if len(s) < 2:
         raise ValueError("need at least two terminals")
     pt = g.paths

@@ -30,7 +30,7 @@ from wspanner.generate import (
     generate_terminals,
 )
 from wspanner.multilevel import MultiLevelInstance, multilevel_roundup
-from wspanner.pairwise import PairwiseAlgo, PairwiseParams, advertised_budget, pairwise_spanner
+from wspanner.pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, pairwise_spanner
 from wspanner.seeding import stream
 from wspanner.subsetwise import subsetwise_2w
 
@@ -261,7 +261,7 @@ def test_criterion_8_scale_smoke():
         start = time.perf_counter()
         h = pairwise_spanner(g, pairs, params)
         took = time.perf_counter() - start
-        assert verify_spanner(g, h, pairs, advertised_budget(params)) == []
+        assert verify_spanner(g, h, pairs, BUDGETS[params.algo]) == []
         assert took < 60.0
         timings[algo.value] = took
     detail = ", ".join(f"{k}={v:.2f}s" for k, v in timings.items())

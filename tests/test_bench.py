@@ -19,7 +19,7 @@ from wspanner.bench import (
 from wspanner.core import terminal_pairs, verify_spanner
 from wspanner.exact import SizeCaps
 from wspanner.generate import GeneratorSpec, Model, generate
-from wspanner.pairwise import PairwiseAlgo, PairwiseParams, advertised_budget, default_d, pairwise_spanner
+from wspanner.pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, default_d, pairwise_spanner
 
 
 def small_plan(**overrides):
@@ -263,7 +263,7 @@ class TestDSweep:
     def test_every_swept_output_is_valid(self):
         g = generate(GeneratorSpec(Model.GE, 25, 4))
         pairs = terminal_pairs(range(0, g.n, 4))
-        params_budget = advertised_budget(PairwiseParams(PairwiseAlgo.P4W))
+        params_budget = BUDGETS[PairwiseAlgo.P4W]
         best, ladder = d_sweep(g, pairs, PairwiseAlgo.P4W, seed=8)
         assert verify_spanner(g, best, pairs, params_budget) == []
         for d, size in ladder:
@@ -280,7 +280,7 @@ class TestDSweep:
         start = time.perf_counter()
         best, ladder = d_sweep(g, pairs, PairwiseAlgo.P4W, seed=1)
         elapsed = time.perf_counter() - start
-        budget = advertised_budget(PairwiseParams(PairwiseAlgo.P4W))
+        budget = BUDGETS[PairwiseAlgo.P4W]
         assert verify_spanner(g, best, pairs, budget) == []
         assert ladder == [(6, 359), (3, 225), (2, 191), (1, 231)]
         assert elapsed < 15

@@ -170,3 +170,30 @@ def test_repeated_calls_do_not_carry_flags_over(instance_files, tmp_path):
     assert reports[1]["d"] == 2 and reports[1]["passes"] == 0
     assert reports[0]["d"] != 2 and reports[0]["passes"] >= 1
     assert reports[2] == reports[0] and graphs[2] == graphs[0]
+
+
+@pytest.mark.parametrize("algo", ["p2w", "sub2w"])
+@pytest.mark.parametrize("vertex", [99, -1])
+def test_spanner_terminal_outside_the_graph_is_a_clean_error(algo, vertex, instance_files,
+                                                             tmp_path, capsys):
+    graph_path, _ = instance_files
+    terms_path = tmp_path / "outside.terminals"
+    terms_path.write_text(f"{vertex} 3 5\n")
+    code = main(["spanner", "--algo", algo, "--graph", str(graph_path),
+                 "--terminals", str(terms_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wspanner: error: ") and err.count("\n") == 1
+
+
+def test_summarize_rejects_a_file_that_is_not_rows_csv(instance_files, tmp_path, capsys):
+    graph_path, _ = instance_files
+    other = tmp_path / "other.csv"
+    other.write_text("instance_id,n\nx,3\n")
+    for path in (graph_path, other):
+        code = main(["summarize", "--in", str(path), "--out", str(tmp_path / "summary.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("wspanner: error: ") and err.count("\n") == 1
+        assert "missing columns" in err and "sparsity" in err
+    assert not (tmp_path / "summary.csv").exists()

@@ -114,6 +114,26 @@ class TestPathTable:
         assert pt.path(3, 0) == (3, 1, 0)
 
 
+@given(connected_graphs(max_w=2))
+@settings(max_examples=150)
+def test_tree_parents_and_path_max_follow_the_smallest_id_rule(g):
+    # Weights 1..2 make many equal-length routes.  The expected parent of v is
+    # the smallest u with an edge that is tight under Bellman-Ford distances.
+    pt = g.paths
+    for s in range(g.n):
+        bf = bellman_ford(g.n, g.edges, s)
+        parent = [min((u for u, w in g.adj[v] if bf[u] + w == bf[v]), default=-1)
+                  if v != s else -1 for v in range(g.n)]
+        for v in range(g.n):
+            assert pt.tree_parent(s, v) == parent[v]
+        for v in range(s + 1, g.n):
+            heaviest, x = 0, v
+            while x != s:
+                heaviest = max(heaviest, g.weight(x, parent[x]))
+                x = parent[x]
+            assert pt.max_weight(s, v) == heaviest
+
+
 @given(connected_graphs(max_n=7))
 @settings(max_examples=60)
 def test_distances_match_brute_force(g):
@@ -200,13 +220,13 @@ def test_path_table_answers_do_not_depend_on_query_order(g, rnd):
 def test_path_table_computes_only_the_rows_it_is_asked_for(monkeypatch):
     g = WeightedGraph(5, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)))
     sources = []
-    real = core.dijkstra_distances
+    real = core.shortest_path_row
 
     def counting(adj, n, source):
         sources.append(source)
         return real(adj, n, source)
 
-    monkeypatch.setattr(core, "dijkstra_distances", counting)
+    monkeypatch.setattr(core, "shortest_path_row", counting)
     pt = g.paths
     assert sources == []
     assert pt.dist(4, 1) == 3 and pt.path(4, 1) == (4, 3, 2, 1) and pt.max_weight(1, 4) == 1
@@ -217,14 +237,13 @@ def test_path_table_computes_only_the_rows_it_is_asked_for(monkeypatch):
 def test_constructions_and_check_share_the_graphs_table(monkeypatch):
     g = generate(GeneratorSpec(Model.ER, 40, 2))
     sources = []
-    real = core.dijkstra_distances
+    real = core.shortest_path_row
 
     def counting(adj, n, source):
-        if adj is g.adj:  # rows of the table, not searches of a subgraph
-            sources.append(source)
+        sources.append(source)
         return real(adj, n, source)
 
-    monkeypatch.setattr(core, "dijkstra_distances", counting)
+    monkeypatch.setattr(core, "shortest_path_row", counting)
     terminals = range(0, g.n, 5)
     pairs = terminal_pairs(terminals)
     h = subsetwise_2w(g, terminals) | pairwise_spanner(g, pairs, PairwiseParams(PairwiseAlgo.P2W))

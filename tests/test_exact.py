@@ -20,7 +20,7 @@ from wspanner.exact import (
 )
 from wspanner.generate import GeneratorSpec, Model, TerminalScheme, TerminalSelection, generate, generate_terminals
 from wspanner.multilevel import MultiLevelInstance
-from wspanner.pairwise import PairwiseAlgo, PairwiseParams, advertised_budget, pairwise_spanner
+from wspanner.pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, pairwise_spanner
 from wspanner.subsetwise import subsetwise_2w
 
 from helpers import brute_min_spanner_size, brute_multilevel_opt, solve_lp_text
@@ -201,6 +201,6 @@ def test_oracle_dominates_heuristics(gt):
     for algo in PairwiseAlgo:
         params = PairwiseParams(algo, seed=11)
         h = pairwise_spanner(g, pairs, params)
-        budget = advertised_budget(params)
+        budget = BUDGETS[params.algo]
         opt = exact_single_level(g, terminals, budget)
         assert len(opt) <= len(h)

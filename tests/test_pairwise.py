@@ -13,9 +13,9 @@ from wspanner.core import (
 )
 from wspanner.generate import GeneratorSpec, Model, generate
 from wspanner.pairwise import (
+    BUDGETS,
     PairwiseAlgo,
     PairwiseParams,
-    advertised_budget,
     d_light_init,
     default_d,
     default_ell,
@@ -78,10 +78,10 @@ class TestDefaults:
                     lambda k: k ** b_den * p ** b_num >= n ** b_den), (n, p)
 
     def test_budgets(self):
-        assert advertised_budget(PairwiseParams(PairwiseAlgo.P2W)).mode is BudgetMode.LOCAL
-        assert advertised_budget(PairwiseParams(PairwiseAlgo.P2W)).c == 2
-        assert advertised_budget(PairwiseParams(PairwiseAlgo.P4W)).c == 4
-        p8 = advertised_budget(PairwiseParams(PairwiseAlgo.P8W))
+        assert BUDGETS[PairwiseAlgo.P2W].mode is BudgetMode.LOCAL
+        assert BUDGETS[PairwiseAlgo.P2W].c == 2
+        assert BUDGETS[PairwiseAlgo.P4W].c == 4
+        p8 = BUDGETS[PairwiseAlgo.P8W]
         assert p8.mode is BudgetMode.GLOBAL and p8.c == 6
 
     def test_rejects_nonpositive_overrides(self):
@@ -152,18 +152,17 @@ class TestShortestPathTree:
 def test_few_terminals_compute_few_path_table_rows(algo, monkeypatch):
     g = generate(GeneratorSpec(Model.ER, 60, 3))
     rows = []
-    real = core.dijkstra_distances
+    real = core.shortest_path_row
 
     def counting(adj, n, source):
-        if adj is g.adj:  # searches of the table, not of the spanner under test
-            rows.append(source)
+        rows.append(source)
         return real(adj, n, source)
 
-    monkeypatch.setattr(core, "dijkstra_distances", counting)
+    monkeypatch.setattr(core, "shortest_path_row", counting)
     pairs = terminal_pairs([0, 12, 24, 36, 48])
     h = pairwise_spanner(g, pairs, PairwiseParams(algo, seed=1))
     monkeypatch.undo()
-    assert verify_spanner(g, h, pairs, advertised_budget(PairwiseParams(algo))) == []
+    assert verify_spanner(g, h, pairs, BUDGETS[algo]) == []
     assert len(rows) == len(set(rows)) < g.n
 
 
@@ -257,7 +256,7 @@ class TestPairwiseSpanner:
         assert report.passes == 0 and report.missing_trace == [report.patched]
         assert not report.fallback and report.patched <= g.n * report.d
         init = d_light_init(g, report.d)
-        budget = advertised_budget(params)
+        budget = BUDGETS[params.algo]
         expected = set(init)
         for pair in verify_spanner(g, init, pairs, budget):
             expected.update(e for e in pt.path_edges(*pair) if e not in init)
@@ -309,7 +308,7 @@ class TestPairwiseSpanner:
         pairs = terminal_pairs(range(5))
         params = PairwiseParams(algo, ell_override=1, seed=2)
         h = pairwise_spanner(g, pairs, params)
-        assert verify_spanner(g, h, pairs, advertised_budget(params)) == []
+        assert verify_spanner(g, h, pairs, BUDGETS[params.algo]) == []
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
@@ -320,7 +319,7 @@ def test_output_meets_advertised_budget(algo, gp):
     params = PairwiseParams(algo, seed=5)
     h = pairwise_spanner(g, pairs, params)
     assert h <= g.edge_set
-    assert verify_spanner(g, h, pairs, advertised_budget(params)) == []
+    assert verify_spanner(g, h, pairs, BUDGETS[params.algo]) == []
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
@@ -332,7 +331,7 @@ def test_d_override_sweep_outputs_stay_valid(algo):
     while True:
         params = PairwiseParams(algo, d_override=d, seed=3)
         h = pairwise_spanner(g, pairs, params)
-        assert verify_spanner(g, h, pairs, advertised_budget(params)) == []
+        assert verify_spanner(g, h, pairs, BUDGETS[params.algo]) == []
         if d == 1:
             break
         d = (d + 1) // 2
