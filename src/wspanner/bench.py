@@ -93,9 +93,15 @@ def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, base_d: int | None = No
     return best, ladder
 
 
-def _check_keys(cls, data, what: str) -> None:
+_JSON_TYPES = {"int": int, "bool": bool, "str": str}
+
+
+def _check_fields(cls, data, what: str) -> None:
     """Raise ValueError unless data is a dict whose keys are fields of the
-    dataclass cls, including every field without a default."""
+    dataclass cls, including every field without a default, and whose values
+    have their field's JSON type: a list for a tuple field, and an exact int,
+    bool or str (a JSON bool is not an int).  Other fields are left to the
+    caller."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
@@ -105,6 +111,18 @@ def _check_keys(cls, data, what: str) -> None:
     absent = [name for name, f in known.items() if f.default is MISSING and name not in data]
     if absent:
         raise ValueError(f"{what} needs key(s): {', '.join(absent)}")
+    for key, value in data.items():
+        hint = known[key].type
+        if hint.startswith("tuple["):
+            item = hint.removeprefix("tuple[").removesuffix(", ...]")
+            ok = type(value) is list and all(type(v) is _JSON_TYPES[item] for v in value)
+            hint = f"a list of {item}"
+        elif hint in _JSON_TYPES:
+            ok = type(value) is _JSON_TYPES[hint]
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{what} key {key!r} must be {hint}, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +145,11 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one model, size, level count, and tsm")
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
-        for algo in self.algorithms:
+        for i, algo in enumerate(self.algorithms):
             if algo not in ALGO_BUDGETS:
                 raise ValueError(f"unknown algorithm {algo!r}")
+            if algo in self.algorithms[:i]:
+                raise ValueError(f"algorithm {algo!r} is listed twice")
         for model in self.models:
             Model(model)
         for tsm in self.tsms:
@@ -150,12 +170,12 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentPlan":
-        """Plan from its JSON object; absent keys take the field defaults and
-        unknown keys are rejected."""
-        _check_keys(cls, data, "plan")
+        """Plan from its JSON object; absent keys take the field defaults, and
+        unknown keys and values of the wrong type are rejected."""
+        _check_fields(cls, data, "plan")
         kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
         if "caps" in data:
-            _check_keys(SizeCaps, data["caps"], "caps")
+            _check_fields(SizeCaps, data["caps"], "caps")
             kwargs["caps"] = SizeCaps(**data["caps"])
         return cls(**kwargs)
 
@@ -248,14 +268,6 @@ def _verify_levels(g: WeightedGraph, sets, spanner: MultiLevelSpanner,
     return problems
 
 
-def _exact_sparsity(g, sets, budget, caps) -> int | None:
-    inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
-    try:
-        return exact_optimum(inst, caps).sparsity
-    except SizeCapExceeded:
-        return None
-
-
 def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
     """All result rows for one seeded instance of a plan cell."""
     mi, model, n, ell, ti, tsm, rep = task
@@ -264,12 +276,11 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
     g = generate(GeneratorSpec(Model(model), n, seed))
     sets = generate_terminals(n, TerminalSelection(TerminalScheme(tsm), ell, seed))
     strategy = multilevel_roundup if plan.strategy == "roundup" else multilevel_naive
-    exact_cache: dict[tuple[str, int], int | None] = {}
     rows: list[ResultRow] = []
-    produced: list[tuple[str, MultiLevelSpanner, float]] = []
+    produced: list[tuple[str, MultiLevelInstance, MultiLevelSpanner, float]] = []
     for algo in plan.active_algorithms():
         budget = ALGO_BUDGETS[algo]
-        inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
+        inst = MultiLevelInstance(g, sets, budget)
         solver = make_solver(algo, seed, sweep=plan.d_sweep)
         start = time.perf_counter()
         spanner = strategy(inst, solver)
@@ -278,21 +289,20 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
         if problems:
             raise ValidityError(
                 f"instance {instance_id}, algorithm {algo}: budget violations {problems}")
-        produced.append((algo, spanner, wall_ms))
-    min_sparsity = min(sp.sparsity for _, sp, _ in produced)
-    for algo, spanner, wall_ms in produced:
-        budget = ALGO_BUDGETS[algo]
+        produced.append((algo, inst, spanner, wall_ms))
+    min_sparsity = min(sp.sparsity for _, _, sp, _ in produced)
+    for algo, inst, spanner, wall_ms in produced:
         exact_sp: int | None = None
         if plan.exact:
-            key = (budget.mode.value, budget.c)
-            if key not in exact_cache:
-                exact_cache[key] = _exact_sparsity(g, sets, budget, plan.caps)
-            exact_sp = exact_cache[key]
+            try:
+                exact_sp = exact_optimum(inst, plan.caps).sparsity
+            except SizeCapExceeded:
+                pass
         ratio = None if (exact_sp in (None, 0)) else spanner.sparsity / exact_sp
         rel = spanner.sparsity / min_sparsity if min_sparsity > 0 else None
         rows.append(ResultRow(
             instance_id=instance_id, generator=model, n=n, m=len(g.edges), levels=ell,
-            tsm=tsm, algorithm=algo, budget_mode=budget.mode.value,
+            tsm=tsm, algorithm=algo, budget_mode=inst.budget.mode.value,
             sparsity=spanner.sparsity, exact_sparsity=exact_sp, experimental_ratio=ratio,
             relative_sparsity=rel, wall_time_ms=wall_ms, seed=seed, valid=True,
         ))

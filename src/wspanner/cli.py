@@ -90,8 +90,7 @@ def _cmd_spanner(args) -> int:
                            "bought": r.bought} for r in state.records],
         }
     else:
-        params = PairwiseParams(PairwiseAlgo(args.algo), d_override=args.d,
-                                max_retries=args.retries, seed=args.seed)
+        params = PairwiseParams(PairwiseAlgo(args.algo), d_override=args.d, seed=args.seed)
         edges, run = pairwise_spanner_run(g, terminal_pairs(terminals), params)
         report = {"algorithm": args.algo} | dataclasses.asdict(run)
     violated = verify_spanner(g, edges, terminal_pairs(terminals), budget)
@@ -112,7 +111,7 @@ def _cmd_multilevel(args) -> int:
     g = _load_graph(args.graph)
     sets = _load_terminals(args.terminals)
     budget = ALGO_BUDGETS[args.algo]
-    inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
+    inst = MultiLevelInstance(g, sets, budget)
     solver = make_solver(args.algo, args.seed)
     strategy = multilevel_roundup if args.strategy == "roundup" else multilevel_naive
     spanner = strategy(inst, solver)
@@ -138,7 +137,7 @@ def _cmd_exact(args) -> int:
     g = _load_graph(args.graph)
     sets = _load_terminals(args.terminals)
     budget = ErrorBudget(BudgetMode(args.mode), args.c)
-    inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
+    inst = MultiLevelInstance(g, sets, budget)
     spanner = exact_optimum(inst, SizeCaps(args.cap_single, args.cap_multi))
     print(json.dumps({"sparsity": spanner.sparsity,
                       "level_sizes": [len(e) for e in spanner.level_edges]}, indent=2))
@@ -149,7 +148,7 @@ def _cmd_emit_ilp(args) -> int:
     g = _load_graph(args.graph)
     sets = _load_terminals(args.terminals)
     budget = ErrorBudget(BudgetMode(args.mode), args.c)
-    inst = MultiLevelInstance(g, tuple(frozenset(s) for s in sets), budget)
+    inst = MultiLevelInstance(g, sets, budget)
     text = emit_lp(build_ilp(inst))
     Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {args.out}")
@@ -200,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d", type=int, default=None, help="override the d-light parameter")
-    p.add_argument("--retries", type=int, default=10)
     p.add_argument("--out", help="output prefix (writes PREFIX.graph and PREFIX.json)")
     p.set_defaults(func=_cmd_spanner)
 

@@ -5,14 +5,14 @@ vertex, then sweep the input pairs, adding a pair's canonical shortest path
 outright when few of its edges are missing and otherwise falling back to
 randomized repairs (shortest-path trees from sampled roots, bounded-miss
 paths between sampled pairs, or a subsetwise spanner over a sample).  One
-sweep serves all three; only the repair differs.  After each full pass the
-pairs still over budget are collected; if the union of their missing
-canonical-path edges is small enough (at most n*d) it is patched in
-directly, otherwise the pass is retried on a fresh sub-seed.
-When retries run out the patch is applied unconditionally (the report's
-fallback flag), so the result always meets its advertised budget:
+sweep serves all three; only the repair differs.  A run is one sweep, one
+check and one patch: the pairs still over budget after the sweep get the
+missing edges of their canonical paths, so the result always meets its
+advertised budget:
 
     p2w -> +2*W(u,v)    p4w -> +4*W(u,v)    p8w -> +6*W_max
+
+The report's fallback flag says the patch added more than n*d edges.
 """
 
 from __future__ import annotations
@@ -86,17 +86,11 @@ def default_ell(algo: PairwiseAlgo, n: int, pair_count: int) -> int:
 class PairwiseParams:
     algo: PairwiseAlgo
     d_override: int | None = None
-    ell_override: int | None = None
-    max_retries: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.d_override is not None and self.d_override < 1:
             raise ValueError(f"d override must be positive, got {self.d_override}")
-        if self.ell_override is not None and self.ell_override < 1:
-            raise ValueError(f"ell override must be positive, got {self.ell_override}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
@@ -183,13 +177,13 @@ def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, current_edges: 
 
 @dataclass
 class PairwiseReport:
-    """Run trace: parameters, per-pass repair sizes, sampling counts."""
+    """Run trace: parameters, sampling counts, patch size.  passes is always
+    1 (one sweep per run); the field stays for readers of the report."""
 
     algo: str
     d: int
     ell: int
-    passes: int = 0
-    missing_trace: list[int] = field(default_factory=list)
+    passes: int = 1
     sample_counts: list[int] = field(default_factory=list)
     patched: int = 0
     fallback: bool = False
@@ -250,6 +244,8 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell
 
 def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
                          params: PairwiseParams) -> tuple[set[Edge], PairwiseReport]:
+    """The d-light init, one sweep, one check, and a patch of the missing
+    canonical-path edges of the pairs the check flags."""
     if not pairs:
         raise ValueError("pairs must be nonempty")
     norm = [edge_key(u, v) if u != v else (u, v) for u, v in pairs]
@@ -260,21 +256,11 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
             raise ValueError(f"pair ({u},{v}) is disconnected")
     count = len(norm)
     d = params.d_override if params.d_override is not None else default_d(params.algo, count)
-    ell = params.ell_override if params.ell_override is not None else default_ell(params.algo, g.n, count)
+    ell = default_ell(params.algo, g.n, count)
     h = d_light_init(g, d)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
-    # Each pass is checked once (max_retries=0 checks d-light init alone).  The
-    # first check with at most n*d missing edges ends the loop; when none does,
-    # the last check's edges are patched in anyway and the run is a fallback.
-    for attempt in range(max(1, params.max_retries)):
-        if params.max_retries:
-            rng = stream(params.seed, ROLE_PAIRWISE, attempt)
-            _pass(params.algo, g, norm, h, d, ell, rng, report)
-            report.passes += 1
-        missing = _missing_for(g, verify_spanner(g, h, norm, BUDGETS[params.algo]), h)
-        report.missing_trace.append(len(missing))
-        if len(missing) <= g.n * d:
-            break
+    _pass(params.algo, g, norm, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
+    missing = _missing_for(g, verify_spanner(g, h, norm, BUDGETS[params.algo]), h)
     h.update(missing)
     report.patched = len(missing)
     report.fallback = len(missing) > g.n * d

@@ -4,6 +4,8 @@ Everything here is deliberately written without reusing the library's
 shortest-path or search machinery: distances come from exhaustive simple-path
 enumeration or Bellman-Ford relaxation, optima from plain subset / rate-vector
 enumeration, and LP files are solved through scipy's MILP backend.
+``caterpillar_edges`` is the one test instance shared by the pairwise and
+golden tests.
 """
 
 from __future__ import annotations
@@ -35,6 +37,16 @@ def simple_paths(g, u: int, v: int):
                 yield from walk(path + [y])
 
     yield from walk([u])
+
+
+def caterpillar_edges(k: int) -> tuple:
+    """Weighted edges on 3k vertices: a spine 0..k-1 of weight-2..4 edges,
+    each spine vertex with two weight-1 leaves, so a 2-light init misses
+    every spine edge."""
+    edges = [(i, i + 1, 2 + i % 3) for i in range(k - 1)]
+    for i in range(k):
+        edges += [(i, k + 2 * i, 1), (i, k + 2 * i + 1, 1)]
+    return tuple(edges)
 
 
 def path_weight(g, path) -> int:

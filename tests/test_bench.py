@@ -80,6 +80,10 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             small_plan(algorithms=("qspanner",)).validate()
 
+    def test_repeated_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="'p2w' is listed twice"):
+            run_plan(small_plan(algorithms=("p2w", "sub2w", "p2w")))
+
     def test_budget_mode_filter(self):
         plan = small_plan(algorithms=("sub2w", "p2w", "p4w", "p8w"),
                           budget_modes=("global",), sizes=(10,), seeds_per_cell=1,

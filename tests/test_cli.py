@@ -46,7 +46,7 @@ def test_spanner_subcommand(algo, instance_files, tmp_path):
     if algo == "sub2w":
         assert "buy_audit" in report
     else:
-        assert report["passes"] >= 1 and "missing_trace" in report
+        assert report["passes"] == 1 and "missing_trace" not in report
 
 
 def test_spanner_d_override(instance_files, tmp_path):
@@ -127,6 +127,23 @@ def test_run_rejects_a_misspelled_plan_key(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("extra,name", [
+    ({"seeds_per_cell": "3"}, "seeds_per_cell"), ({"seeds_per_cell": True}, "seeds_per_cell"),
+    ({"sizes": [20.5]}, "sizes"), ({"base_seed": "x"}, "base_seed"), ({"exact": "yes"}, "exact"),
+    ({"models": "er"}, "models"), ({"caps": {"max_work": 1.5}}, "max_work"),
+], ids=["str-for-int", "bool-for-int", "float-in-list", "str-seed", "str-for-bool",
+        "str-for-list", "float-cap"])
+def test_run_rejects_a_plan_value_of_the_wrong_type(extra, name, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"models": ["er"], "sizes": [10], "levels": [1],
+                                     "tsms": ["linear"], "algorithms": ["p2w"]} | extra))
+    code = main(["run", "--plan", str(plan_path), "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wspanner: error: ") and name in err and err.count("\n") == 1
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("level", [0, 3])
 def test_spanner_level_out_of_range_is_a_clean_error(level, instance_files, capsys):
     graph_path, terms_path = instance_files
@@ -160,15 +177,15 @@ def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):
 def test_repeated_calls_do_not_carry_flags_over(instance_files, tmp_path):
     graph_path, terms_path = instance_files
     base = ["spanner", "--algo", "p4w", "--graph", str(graph_path), "--terminals", str(terms_path)]
-    runs = [[], ["--d", "2", "--retries", "0", "--seed", "7", "--level", "2"], []]
+    runs = [[], ["--d", "2", "--seed", "7", "--level", "2"], []]
     reports, graphs = [], []
     for k, flags in enumerate(runs):
         out = tmp_path / f"run{k}"
         assert main(base + flags + ["--out", str(out)]) == 0
         reports.append(json.loads(out.with_suffix(".json").read_text()))
         graphs.append(out.with_suffix(".graph").read_text())
-    assert reports[1]["d"] == 2 and reports[1]["passes"] == 0
-    assert reports[0]["d"] != 2 and reports[0]["passes"] >= 1
+    assert reports[1]["d"] == 2 and reports[0]["d"] != 2
+    assert reports[1] != reports[0] and graphs[1] != graphs[0]
     assert reports[2] == reports[0] and graphs[2] == graphs[0]
 
 

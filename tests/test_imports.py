@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the CLI
+imports none of the test-only dependencies.
 
 The package ``__init__`` is skipped: its imports are the re-exports.
 """
@@ -6,6 +7,9 @@ The package ``__init__`` is skipped: its imports are the re-exports.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,13 @@ def test_checker_finds_an_unused_import():
     source = ("from collections import deque\nimport heapq\nfrom typing import Iterable\n"
               "def f(xs: Iterable[int]):\n    return heapq.nsmallest(1, xs)\n")
     assert unused_imports(source) == ["deque (line 1)"]
+
+
+def test_cli_import_leaves_out_test_only_dependencies():
+    # scipy alone would add about 0.3 s and 30 MB to every CLI start-up
+    code = "import sys, wspanner.cli; print(sorted({'scipy', 'hypothesis'} & set(sys.modules)))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

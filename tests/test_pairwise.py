@@ -11,7 +11,14 @@ from wspanner.core import (
     terminal_pairs,
     verify_spanner,
 )
-from wspanner.generate import GeneratorSpec, Model, generate
+from wspanner.generate import (
+    GeneratorSpec,
+    Model,
+    TerminalScheme,
+    TerminalSelection,
+    generate,
+    generate_terminals,
+)
 from wspanner.pairwise import (
     BUDGETS,
     PairwiseAlgo,
@@ -25,7 +32,7 @@ from wspanner.pairwise import (
     shortest_path_tree,
 )
 
-from helpers import path_weight, simple_paths
+from helpers import caterpillar_edges, path_weight, simple_paths
 from strategies import graphs_with_pairs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -87,8 +94,6 @@ class TestDefaults:
     def test_rejects_nonpositive_overrides(self):
         with pytest.raises(ValueError):
             PairwiseParams(PairwiseAlgo.P2W, d_override=0)
-        with pytest.raises(ValueError):
-            PairwiseParams(PairwiseAlgo.P2W, ell_override=0)
 
 
 class TestDLightInit:
@@ -241,46 +246,46 @@ class TestPairwiseSpanner:
         pair = terminal_pairs(range(g.n))[0]
         params = PairwiseParams(PairwiseAlgo.P2W, d_override=g.n, seed=0)
         h, report = pairwise_spanner_run(g, [pair], params)
-        assert report.passes == 1
-        assert report.missing_trace[-1] == 0
+        assert report.passes == 1 and report.patched == 0
         assert h == d_light_init(g, g.n)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
-    def test_zero_retries_patches_init_directly(self, algo):
-        g = generate(GeneratorSpec(Model.ER, 18, 4))
-        pt = g.paths
-        pairs = terminal_pairs(range(0, g.n, 3))
-        params = PairwiseParams(algo, max_retries=0, seed=1)
+    def test_patch_completes_a_sweepless_init(self, algo, monkeypatch):
+        # With the sweep stubbed out, the check runs on the 1-light init, and
+        # the patch adds the missing canonical edges of the pairs it flags.
+        g = generate(GeneratorSpec(Model.GE, 22, 0))
+        sets = generate_terminals(22, TerminalSelection(TerminalScheme.LINEAR, 2, 0))
+        pairs = terminal_pairs(sets[0])
+        monkeypatch.setattr(pairwise, "_pass", lambda *args: None)
+        params = PairwiseParams(algo, d_override=1, seed=1)
         h, report = pairwise_spanner_run(g, pairs, params)
-        # one check of the init; its patch is within n*d, so no fallback
-        assert report.passes == 0 and report.missing_trace == [report.patched]
-        assert not report.fallback and report.patched <= g.n * report.d
-        init = d_light_init(g, report.d)
+        init = d_light_init(g, 1)
         budget = BUDGETS[params.algo]
         expected = set(init)
         for pair in verify_spanner(g, init, pairs, budget):
-            expected.update(e for e in pt.path_edges(*pair) if e not in init)
+            expected.update(e for e in g.paths.path_edges(*pair) if e not in init)
         assert h == expected
+        assert report.patched == len(expected - init) > 0
+        assert report.passes == 1 and not report.fallback
         assert verify_spanner(g, h, pairs, budget) == []
 
-    def test_exhausted_retries_patch_after_one_check_per_pass(self, monkeypatch):
-        # Every check reports all of g's edges missing, more than n*d, so no
-        # pass is accepted and the last check's edges are patched in anyway.
+    def test_patch_larger_than_n_times_d_is_a_fallback(self, monkeypatch):
+        # _missing_for reports all of g's edges missing, more than n*d: they are
+        # patched in after the one check, and the run is a fallback.
         g = generate(GeneratorSpec(Model.ER, 20, 8))
-        real_missing, real_verify = pairwise._missing_for, pairwise.verify_spanner
+        real_verify = pairwise.verify_spanner
         checks = []
 
         def verify(*args):
             checks.append(args)
             return real_verify(*args)
 
-        monkeypatch.setattr(pairwise, "_missing_for", lambda *args: real_missing(*args) | g.edge_set)
+        monkeypatch.setattr(pairwise, "_missing_for", lambda *args: set(g.edge_set))
         monkeypatch.setattr(pairwise, "verify_spanner", verify)
-        params = PairwiseParams(PairwiseAlgo.P2W, d_override=1, max_retries=3, seed=0)
+        params = PairwiseParams(PairwiseAlgo.P2W, d_override=1, seed=0)
         h, report = pairwise_spanner_run(g, terminal_pairs(range(0, g.n, 4)), params)
         assert len(g.edges) > g.n * report.d
-        assert report.fallback and report.passes == 3 and len(checks) == 3
-        assert report.missing_trace == [len(g.edges)] * 3
+        assert report.fallback and report.passes == 1 and len(checks) == 1
         assert h == g.edge_set and report.patched == len(g.edges)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
@@ -301,13 +306,14 @@ class TestPairwiseSpanner:
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_disconnected_graph_with_connected_pairs(self, algo):
-        # two components; all requested pairs stay inside the first
-        left = generate(GeneratorSpec(Model.ER, 8, 6))
-        edges = left.edges + ((8, 9, 1),)
-        g = WeightedGraph(10, edges)
-        pairs = terminal_pairs(range(5))
-        params = PairwiseParams(algo, ell_override=1, seed=2)
-        h = pairwise_spanner(g, pairs, params)
+        # a caterpillar plus a detached edge; every pair stays on the
+        # caterpillar, the sweep draws a repair sample, and p8w skips its
+        # subsetwise repair because the graph is disconnected
+        g = WeightedGraph(32, caterpillar_edges(10) + ((30, 31, 1),))
+        pairs = terminal_pairs([0, 9, *range(10, 30)])
+        params = PairwiseParams(algo, d_override=2, seed=2)
+        h, report = pairwise_spanner_run(g, pairs, params)
+        assert report.sample_counts
         assert verify_spanner(g, h, pairs, BUDGETS[params.algo]) == []
 
 
