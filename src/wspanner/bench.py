@@ -156,6 +156,9 @@ class ExperimentPlan:
             TerminalScheme(tsm)
         for mode in self.budget_modes:
             BudgetMode(mode)
+        if not self.active_algorithms():
+            raise ValueError(f"no algorithm in algorithms {list(self.algorithms)} has its "
+                             f"budget mode in budget_modes {list(self.budget_modes)}")
         if self.strategy not in ("roundup", "naive"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.seeds_per_cell < 1:

@@ -7,7 +7,10 @@ relaxed, so every derived artifact (paths, per-pair maximum edge weights,
 shortest-path trees) is a pure function of the graph.  ``PathTable``
 computes these artifacts on demand, one search per source row, and caches
 each row it computes; every graph owns one, ``WeightedGraph.paths``, which
-the constructions, the validity check and the exact solver all read.
+the constructions, the validity check and the exact solver all read.  The
+validity check passes a pair whose canonical path lies in the subgraph
+without searching it, so it trusts the table's paths as well as its
+distances; only the pairs left over cost a search of the subgraph.
 """
 
 from __future__ import annotations
@@ -307,30 +310,42 @@ def build_path_table(g: WeightedGraph) -> PathTable:
 
 def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
                    budget: ErrorBudget) -> list[tuple[int, int]]:
-    """Pairs whose distance in the subgraph exceeds dist_G + allowance.
+    """Pairs whose distance in the subgraph exceeds dist_G + allowance, in
+    the order they are given.
 
     An empty result means h_edges is a valid spanner for the given pairs.
-    Pairs disconnected in g itself are never reported.
+    Pairs disconnected in g itself are never reported.  A pair whose
+    canonical path lies in the subgraph has dist_H = dist_G and passes
+    without a search; this trusts ``path_edges`` to be a real path of
+    weight ``dist``.  The subgraph is searched, one Dijkstra per source,
+    only for the pairs left over.
     """
     hset = {edge_key(u, v) for u, v in h_edges}
     extra = hset - g.edge_set
     if extra:
         raise ValueError(f"subgraph edges not present in the graph: {sorted(extra)[:3]}")
+    n, pt = g.n, g.paths
+    left = []
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{n - 1}")
+        if u == v:
+            continue
+        dg = pt.dist(u, v)
+        if dg != UNREACHABLE and not hset.issuperset(pt.path_edges(u, v)):
+            left.append((u, v, dg))
+    if not left:
+        return []
     h_adj = subgraph_adjacency(g, hset)
     rows: dict[int, list] = {}
     violated = []
-    for u, v in pairs:
-        if u == v:
-            continue
-        dg = g.paths.dist(u, v)
-        if dg == UNREACHABLE:
-            continue
+    for u, v, dg in left:
         if u in rows:
             dh = rows[u][v]
         elif v in rows:
             dh = rows[v][u]
         else:
-            rows[u] = dijkstra_distances(h_adj, g.n, u)
+            rows[u] = dijkstra_distances(h_adj, n, u)
             dh = rows[u][v]
         if dh == UNREACHABLE or dh > dg + budget.allowance(g, u, v):
             violated.append((u, v))

@@ -76,6 +76,23 @@ def bellman_ford(n: int, weighted_edges, source: int) -> list[float]:
     return dist
 
 
+def bellman_ford_violations(g, h_edges, pairs, budget) -> list:
+    """Pairs, in the given order, whose Bellman-Ford distance over the
+    subgraph's weighted edges exceeds the one over g's edges plus
+    ``budget.allowance``; pairs with u == v or disconnected in g are skipped."""
+    keep = {(min(u, v), max(u, v)) for u, v in h_edges}
+    h_weighted = [(u, v, w) for u, v, w in g.edges if (u, v) in keep]
+    dist_g, dist_h, out = {}, {}, []
+    for u, v in pairs:
+        if u not in dist_g:
+            dist_g[u] = bellman_ford(g.n, g.edges, u)
+            dist_h[u] = bellman_ford(g.n, h_weighted, u)
+        dg, dh = dist_g[u][v], dist_h[u][v]
+        if u != v and dg != INF and dh > dg + budget.allowance(g, u, v):
+            out.append((u, v))
+    return out
+
+
 def hop_radius(g) -> int:
     """Smallest hop eccentricity over all vertices (edge counts, not weights),
     by breadth-first search over an adjacency built from the edge list."""

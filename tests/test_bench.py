@@ -91,6 +91,16 @@ class TestRunPlan:
         rows = run_plan(plan)
         assert {r.algorithm for r in rows} == {"sub2w", "p8w"}
 
+    @pytest.mark.parametrize("overrides", [
+        dict(algorithms=("p2w",), budget_modes=("global",)),
+        dict(budget_modes=()),
+    ], ids=["no-algorithm-in-mode", "no-mode"])
+    def test_plan_with_no_active_algorithm_rejected(self, overrides):
+        plan = small_plan(**overrides)
+        assert plan.active_algorithms() == ()
+        with pytest.raises(ValueError, match=r"algorithms .*budget_modes"):
+            plan.validate()
+
     def test_determinism_modulo_wall_time(self):
         plan = small_plan(seeds_per_cell=2)
         first = strip_wall_time(rows_to_csv(run_plan(plan)))

@@ -144,6 +144,21 @@ def test_run_rejects_a_plan_value_of_the_wrong_type(extra, name, tmp_path, capsy
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    {"algorithms": ["p2w"], "budget_modes": ["global"]}, {"budget_modes": []},
+], ids=["no-algorithm-in-mode", "no-mode"])
+def test_run_rejects_a_plan_with_no_active_algorithm(extra, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"models": ["er"], "sizes": [10], "levels": [1],
+                                     "tsms": ["linear"], "algorithms": ["sub2w", "p2w"]} | extra))
+    code = main(["run", "--plan", str(plan_path), "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wspanner: error: ") and err.count("\n") == 1
+    assert "algorithms" in err and "budget_modes" in err
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("level", [0, 3])
 def test_spanner_level_out_of_range_is_a_clean_error(level, instance_files, capsys):
     graph_path, terms_path = instance_files

@@ -24,7 +24,7 @@ from wspanner.generate import GeneratorSpec, Model, generate
 from wspanner.pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner
 from wspanner.subsetwise import subsetwise_2w
 
-from helpers import bellman_ford, brute_force_distance, hop_radius
+from helpers import bellman_ford, bellman_ford_violations, brute_force_distance, hop_radius
 from strategies import connected_graphs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -285,6 +285,82 @@ class TestVerifySpanner:
         # dist(0,2)=2, W(0,2)=1: edge (0,2) of weight 3 passes c=1 but not c=0.
         assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("LOCAL", 1)) == []
         assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("LOCAL", 0)) == [(0, 2)]
+
+    def test_tied_path_off_the_canonical_one_passes(self):
+        # Canonical 0-3 path runs via 1; the tied route via 2 is as short.
+        g = WeightedGraph(4, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
+        assert verify_spanner(g, {(0, 2), (2, 3)}, [(3, 0)], budget("LOCAL", 0)) == []
+        assert verify_spanner(g, {(0, 2), (1, 3)}, [(3, 0)], budget("LOCAL", 0)) == [(3, 0)]
+
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 2)])
+    def test_pair_outside_the_graph_is_a_value_error(self, pair):
+        u, v = pair
+        with pytest.raises(ValueError, match=rf"pair \({u},{v}\) references a vertex outside 0\.\.2"):
+            verify_spanner(TRIANGLE, TRIANGLE.edge_set, [pair], budget("GLOBAL", 2))
+
+
+@st.composite
+def subgraph_checks(draw):
+    """(graph, subgraph, pairs): per pair, the subgraph keeps its canonical
+    path, a drawn shortest path (often a tied one on weights 1..2), or its
+    canonical path with one or more edges cut; a few other graph edges ride
+    along.  Pairs come in either orientation."""
+    max_w = draw(st.sampled_from((1, 2, 5)))
+    g = draw(connected_graphs(min_n=2, max_w=max_w))
+    all_pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    pairs = draw(st.permutations(all_pairs))[:draw(st.integers(1, len(all_pairs)))]
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in pairs]
+    h = set()
+    for u, v in pairs:
+        kind = draw(st.sampled_from(("canonical", "shortest", "cut")))
+        if kind == "shortest":
+            dist = bellman_ford(g.n, g.edges, u)
+            walk = [v]
+            while walk[-1] != u:
+                x = walk[-1]
+                walk.append(draw(st.sampled_from(
+                    [y for y, w in g.adj[x] if dist[y] + w == dist[x]])))
+            h.update(edge_key(a, b) for a, b in zip(walk, walk[1:]))
+        else:
+            edges = g.paths.path_edges(u, v)
+            if kind == "cut":
+                cut = draw(st.sets(st.sampled_from(edges), min_size=1))
+                edges = [e for e in edges if e not in cut]
+            h.update(edges)
+    h |= draw(st.sets(st.sampled_from(sorted(g.edge_set)), max_size=2))
+    return g, h, pairs
+
+
+@given(subgraph_checks())
+@settings(max_examples=200)
+def test_verify_spanner_matches_a_bellman_ford_verifier(case):
+    g, h, pairs = case
+    for mode in ("GLOBAL", "LOCAL"):
+        for c in (0, 1, 2):
+            b = budget(mode, c)
+            assert verify_spanner(g, h, pairs, b) == bellman_ford_violations(g, h, pairs, b)
+
+
+def test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path(monkeypatch):
+    g = generate(GeneratorSpec(Model.ER, 40, 3))
+    pairs = terminal_pairs(range(0, g.n, 5))
+    h = {e for u, v in pairs for e in g.paths.path_edges(u, v)}
+    calls = dict.fromkeys(("dijkstra_distances", "subgraph_adjacency"), 0)
+    for name in calls:
+        def counting(*args, name=name, real=getattr(core, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(core, name, counting)
+    for mode in ("GLOBAL", "LOCAL"):
+        assert verify_spanner(g, h, pairs, budget(mode, 0)) == []
+    assert calls == {"dijkstra_distances": 0, "subgraph_adjacency": 0}
+    cut = h - {g.paths.path_edges(*pairs[0])[0]}
+    for mode in ("GLOBAL", "LOCAL"):
+        calls.update(dijkstra_distances=0, subgraph_adjacency=0)
+        b = budget(mode, 0)
+        assert verify_spanner(g, cut, pairs, b) == bellman_ford_violations(g, cut, pairs, b)
+        assert calls["subgraph_adjacency"] == 1 and calls["dijkstra_distances"] >= 1
 
 
 @given(connected_graphs())
