@@ -62,7 +62,7 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) references a vertex outside 0..{self.n - 1}")
-            if not isinstance(w, int) or w < 1:
+            if isinstance(w, bool) or not isinstance(w, int) or w < 1:
                 raise ValueError(f"edge ({u},{v}) weight {w!r} is not an integer >= 1")
             key = edge_key(u, v)
             if key in seen:
@@ -159,7 +159,7 @@ class ErrorBudget:
     c: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or self.c < 0:
+        if isinstance(self.c, bool) or not isinstance(self.c, int) or self.c < 0:
             raise ValueError(f"budget coefficient must be a nonnegative integer, got {self.c!r}")
 
     def allowance(self, g: WeightedGraph, u: int, v: int) -> int:

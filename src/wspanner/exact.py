@@ -241,11 +241,9 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
 
     search(0, 0, 0)
     assert best_rates is not None
-    rate_of = {edge_key(u, v): best_rates[i]
-               for i, (u, v, _) in enumerate(g.edges) if best_rates[i] > 0}
-    level_edges = tuple(frozenset(e for e, r in rate_of.items() if r >= k)
-                        for k in range(1, ell + 1))
-    return MultiLevelSpanner(level_edges, rate_of)
+    return MultiLevelSpanner(tuple(
+        frozenset((u, v) for i, (u, v, _) in enumerate(g.edges) if best_rates[i] >= k)
+        for k in range(1, ell + 1)))
 
 
 def exact_single_level(g: WeightedGraph, terminals, budget,

@@ -1,10 +1,11 @@
 """Seeded random instances: four graph models, integer weights, nested terminals.
 
-Model defaults follow the usual experimental setup: ER edge probability
-(1+eps)ln(n)/n, WS ring lattice K=6 rewired with p=0.2, BA attachment m=5,
-GE connection radius sqrt((1+eps)ln(n)/(pi n)); weights i.i.d. uniform on
-[1, 10].  Disconnected topology samples are redrawn on an incremented
-sub-seed (the parameter choices make connectivity the likely case).
+Model parameters are fixed to the usual experimental setup: ER edge
+probability (1+eps)ln(n)/n with eps=1, WS ring lattice K=6 rewired with
+p=0.2, BA attachment m=5, GE connection radius sqrt((1+eps)ln(n)/(pi n));
+weights i.i.d. uniform on [1, 10] unless the spec sets another range.
+Disconnected topology samples are redrawn on an incremented sub-seed (the
+parameter choices make connectivity the likely case).
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .core import WeightedGraph, edge_key
 from .seeding import ROLE_TERMINALS, ROLE_TOPOLOGY, ROLE_WEIGHTS, stream
 
 MAX_CONNECTIVITY_ATTEMPTS = 100
+EPSILON = 1.0
+WS_K = 6
+WS_P = 0.2
+BA_M = 5
 
 
 class Model(Enum):
@@ -33,10 +38,6 @@ class GeneratorSpec:
     model: Model
     n: int
     seed: int
-    epsilon: float = 1.0
-    ws_k: int = 6
-    ws_p: float = 0.2
-    ba_m: int = 5
     weight_range: tuple[int, int] = (1, 10)
 
 
@@ -47,13 +48,10 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
     lo, hi = spec.weight_range
     if not (1 <= lo <= hi):
         raise ValueError(f"bad weight range {spec.weight_range}")
-    if spec.model is Model.WS:
-        if spec.ws_k % 2 != 0 or not (0 < spec.ws_k < spec.n):
-            raise ValueError(f"WS needs an even K with 0 < K < n, got K={spec.ws_k}, n={spec.n}")
-        if not (0.0 <= spec.ws_p <= 1.0):
-            raise ValueError(f"WS rewiring probability out of range: {spec.ws_p}")
-    if spec.model is Model.BA and not (1 <= spec.ba_m < spec.n):
-        raise ValueError(f"BA needs 1 <= m < n, got m={spec.ba_m}, n={spec.n}")
+    if spec.model is Model.WS and spec.n <= WS_K:
+        raise ValueError(f"WS needs n > K={WS_K}, got n={spec.n}")
+    if spec.model is Model.BA and spec.n <= BA_M:
+        raise ValueError(f"BA needs n > m={BA_M}, got n={spec.n}")
 
     for attempt in range(MAX_CONNECTIVITY_ATTEMPTS):
         ordered = sorted(_topology(spec, stream(spec.seed, ROLE_TOPOLOGY, attempt)))
@@ -68,12 +66,12 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
 
 def _topology(spec: GeneratorSpec, rng: np.random.Generator) -> set[tuple[int, int]]:
     if spec.model is Model.ER:
-        return _er(spec.n, spec.epsilon, rng)
+        return _er(spec.n, EPSILON, rng)
     if spec.model is Model.WS:
-        return _ws(spec.n, spec.ws_k, spec.ws_p, rng)
+        return _ws(spec.n, WS_K, WS_P, rng)
     if spec.model is Model.BA:
-        return _ba(spec.n, spec.ba_m, rng)
-    return _ge(spec.n, spec.epsilon, rng)
+        return _ba(spec.n, BA_M, rng)
+    return _ge(spec.n, EPSILON, rng)
 
 
 def _er(n: int, eps: float, rng) -> set[tuple[int, int]]:

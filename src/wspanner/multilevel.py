@@ -1,17 +1,25 @@
-"""Multi-level spanners: priorities, power-of-two rounding, per-level assembly.
+"""Multi-level spanners: the naive and the rounding-up strategies.
 
-Both strategies run a single-level subsetwise solver per level and merge the
-results by keeping each edge at the highest level that used it; lower levels
-inherit it, which preserves nesting and per-level validity.  The rounding-up
-strategy only solves power-of-two levels over the rounded-up priorities and
-projects back, trading sparsity (at most a factor 4 over the optimum with an
-exact solver) for fewer subroutine calls.
+Both strategies run a single-level subsetwise solver on some terminal sets
+and merge the results by keeping each edge at the highest level tag that
+used it; level k receives every edge whose tag is at least k, which
+preserves nesting and per-level validity.  The naive strategy solves every
+level k over S_k with tag k.
+
+The rounding-up strategy rounds each vertex's priority (the highest level
+holding it) up to a power of two and solves only the power-of-two levels,
+trading sparsity (at most a factor 4 over the optimum with an exact solver)
+for fewer subroutine calls.  For a power of two i, next_pow2(p) >= i holds
+exactly when p > i // 2, so the vertices whose rounded priority is at least
+i are S_(i//2 + 1), a set the instance already holds.  Level k needs tag
+next_pow2(k), which for power-of-two tags is the same as tag >= k, so both
+strategies share one assembler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable
 
 from .core import Edge, ErrorBudget, WeightedGraph
 
@@ -48,80 +56,42 @@ class MultiLevelInstance:
 
 @dataclass(frozen=True, eq=False)
 class MultiLevelSpanner:
-    """Nested edge sets per level plus each edge's rate (highest level holding it)."""
+    """Nested edge sets, one per level."""
 
     level_edges: tuple[frozenset[Edge], ...]
-    edge_rate: dict[Edge, int]
 
     @property
     def sparsity(self) -> int:
         return sum(len(edges) for edges in self.level_edges)
 
-
-def priorities(inst: MultiLevelInstance) -> dict[int, int]:
-    """Highest level whose terminal set contains each vertex; 0 outside S_1."""
-    out = {v: 0 for v in range(inst.graph.n)}
-    for level, terminals in enumerate(inst.terminal_sets, start=1):
-        for v in terminals:
-            out[v] = level
-    return out
+    @property
+    def edge_rate(self) -> dict[Edge, int]:
+        """Each edge's rate: the highest level holding it."""
+        return {e: k for k, edges in enumerate(self.level_edges, start=1) for e in edges}
 
 
-def _next_pow2(k: int) -> int:
-    return 1 << (k - 1).bit_length()
-
-
-def round_up_levels(p: Mapping[int, int], ell: int) -> dict[int, int]:
-    """Round positive priorities up to the nearest power of two; 0 stays 0."""
-    out = {}
-    for v, level in p.items():
-        if not 0 <= level <= ell:
-            raise ValueError(f"priority {level} out of range 0..{ell}")
-        out[v] = 0 if level == 0 else _next_pow2(level)
-    return out
-
-
-def _solve_level(inst, solver, terminals: frozenset, tag: int) -> set:
-    if len(terminals) < 2:
-        return set()
-    return solver(inst.graph, terminals, tag)
-
-
-def _materialize(rate_of: dict[Edge, int], required) -> MultiLevelSpanner:
-    """Fill per-level edge sets from raw rates; required maps an original
-    level to the minimum raw rate an edge needs to appear there."""
-    level_edges = []
-    for need in required:
-        level_edges.append(frozenset(e for e, r in rate_of.items() if r >= need))
-    edge_rate: dict[Edge, int] = {}
-    for k, edges in enumerate(level_edges, start=1):
-        for e in edges:
-            edge_rate[e] = k
-    return MultiLevelSpanner(tuple(level_edges), edge_rate)
+def _assemble(inst: MultiLevelInstance, subroutine: SingleLevelSolver,
+              tagged_sets: Iterable[tuple[int, frozenset]]) -> MultiLevelSpanner:
+    """Solve each (tag, terminals) with at least 2 terminals, in ascending
+    tag order so that each edge keeps its highest tag, and give level k the
+    edges whose tag is at least k."""
+    tag_of: dict[Edge, int] = {}
+    for tag, terminals in tagged_sets:
+        if len(terminals) >= 2:
+            for e in subroutine(inst.graph, terminals, tag):
+                tag_of[e] = tag
+    return MultiLevelSpanner(tuple(
+        frozenset(e for e, t in tag_of.items() if t >= k)
+        for k in range(1, inst.levels + 1)))
 
 
 def multilevel_roundup(inst: MultiLevelInstance, subroutine: SingleLevelSolver) -> MultiLevelSpanner:
-    """Solve power-of-two levels over rounded-up priorities, then project back."""
-    ell = inst.levels
-    rounded = round_up_levels(priorities(inst), ell)
-    top = _next_pow2(ell)
-    pow_levels = []
-    i = 1
-    while i <= top:
-        pow_levels.append(i)
-        i *= 2
-    rate_of: dict[Edge, int] = {}
-    for i in pow_levels:
-        terminals = frozenset(v for v, r in rounded.items() if r >= i)
-        for e in _solve_level(inst, subroutine, terminals, i):
-            rate_of[e] = i
-    return _materialize(rate_of, [_next_pow2(k) for k in range(1, ell + 1)])
+    """Solve the power-of-two levels i over S_(i//2 + 1), then project back."""
+    # i = 1, 2, 4, ..., next_pow2(levels)
+    tags = [1 << j for j in range((inst.levels - 1).bit_length() + 1)]
+    return _assemble(inst, subroutine, ((i, inst.terminal_sets[i // 2]) for i in tags))
 
 
 def multilevel_naive(inst: MultiLevelInstance, subroutine: SingleLevelSolver) -> MultiLevelSpanner:
     """Solve every level over its exact terminal set and merge."""
-    rate_of: dict[Edge, int] = {}
-    for k in range(1, inst.levels + 1):
-        for e in _solve_level(inst, subroutine, inst.terminal_sets[k - 1], k):
-            rate_of[e] = k
-    return _materialize(rate_of, list(range(1, inst.levels + 1)))
+    return _assemble(inst, subroutine, enumerate(inst.terminal_sets, start=1))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     UNREACHABLE,
@@ -120,10 +120,11 @@ def shortest_path_tree(g: WeightedGraph, root: int) -> set[Edge]:
     return tree
 
 
-def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, current_edges: Iterable[Edge],
+def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, present: set[Edge],
                          miss_cap: int) -> tuple[int, ...] | None:
     """Minimum-weight r -> r_prime path using at most miss_cap edges outside
-    current_edges, or None when no such path exists.
+    present (a set of canonical (min, max) edge keys), or None when no such
+    path exists.
 
     Runs a shortest-path search over (vertex, missing-count) states; among
     equal-weight answers the smaller missing count wins, and reconstruction
@@ -136,7 +137,6 @@ def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, current_edges: 
         raise ValueError("miss_cap must be >= 0")
     if r == r_prime:
         return (r,)
-    present = {edge_key(u, v) for u, v in current_edges}
     n = g.n
     cap = miss_cap
     dist = [[UNREACHABLE] * (cap + 1) for _ in range(n)]

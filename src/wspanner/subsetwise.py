@@ -63,22 +63,20 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
     clusters: list[frozenset[int]] = []
     centers: list[int] = []
     gc: set[Edge] = set()
-    while True:
-        center = -1
-        for v in range(g.n):
-            if sum(1 for u, _ in adj[v] if unclustered[u]) >= threshold:
-                center = v
-                break
-        if center < 0:
-            break
-        members = [u for u, _ in adj[center] if unclustered[u]][:threshold]
-        for u in members:
-            unclustered[u] = False
-        member_set = set(members)
-        clusters.append(frozenset(members))
-        centers.append(center)
-        gc.update(edge_key(center, u) for u in members)
-        gc.update(edge_key(a, b) for a in members for b, _ in adj[a] if b in member_set and a < b)
+    # Unclustered-neighbor counts only fall, so a vertex passed over never
+    # qualifies later: one pass in id order picks the centers that a rescan
+    # from vertex 0 after each cluster would.
+    for center in range(g.n):
+        free = [u for u, _ in adj[center] if unclustered[u]]
+        while len(free) >= threshold:
+            members, free = free[:threshold], free[threshold:]
+            for u in members:
+                unclustered[u] = False
+            member_set = set(members)
+            clusters.append(frozenset(members))
+            centers.append(center)
+            gc.update(edge_key(center, u) for u in members)
+            gc.update(edge_key(a, b) for a in members for b, _ in adj[a] if b in member_set and a < b)
     for v in range(g.n):
         if unclustered[v]:
             gc.update(edge_key(v, u) for u, _ in adj[v])

@@ -3,9 +3,10 @@
 Everything here is deliberately written without reusing the library's
 shortest-path or search machinery: distances come from exhaustive simple-path
 enumeration or Bellman-Ford relaxation, optima from plain subset / rate-vector
-enumeration, and LP files are solved through scipy's MILP backend.
-``caterpillar_edges`` is the one test instance shared by the pairwise and
-golden tests.
+enumeration, LP files are solved through scipy's MILP backend, and the
+clustering and the multi-level rounding-up sets follow their definitions
+literally.  ``caterpillar_edges`` is the one test instance shared by the
+pairwise and golden tests.
 """
 
 from __future__ import annotations
@@ -115,6 +116,60 @@ def hop_radius(g) -> int:
         ecc = max(level.values())
         best = ecc if best is None else min(best, ecc)
     return best
+
+
+def rescan_clustering(g, threshold: int):
+    """(clusters, centers, cluster subgraph) by the clustering rule read
+    literally: after each cluster, rescan from vertex 0 for the smallest-id
+    vertex with at least threshold unclustered neighbors, and cluster that
+    many of its smallest-id unclustered neighbors with it as center."""
+    nbrs = {x: [] for x in range(g.n)}
+    for a, b, _ in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    for x in nbrs:
+        nbrs[x].sort()
+    unclustered = set(range(g.n))
+    clusters, centers, sub = [], [], set()
+    while True:
+        center = next((x for x in range(g.n)
+                       if len([y for y in nbrs[x] if y in unclustered]) >= threshold), None)
+        if center is None:
+            break
+        members = [y for y in nbrs[center] if y in unclustered][:threshold]
+        unclustered -= set(members)
+        clusters.append(frozenset(members))
+        centers.append(center)
+        sub |= {(min(center, y), max(center, y)) for y in members}
+        sub |= {(a, b) for a, b, _ in g.edges if a in members and b in members}
+    sub |= {(a, b) for a, b, _ in g.edges if a in unclustered or b in unclustered}
+    return tuple(clusters), tuple(centers), frozenset(sub)
+
+
+def round_up_pow2(p: int) -> int:
+    """Smallest power of two >= p, for p >= 1."""
+    r = 1
+    while r < p:
+        r *= 2
+    return r
+
+
+def roundup_solves(terminal_sets) -> list:
+    """The (tag, terminals) solves of the rounding-up strategy, from the
+    paper's definition: a vertex's priority is the highest level holding it,
+    rounded up to a power of two, and each power of two i up to the rounded
+    top level solves the vertices whose rounded priority is at least i."""
+    priority = {}
+    for level, terminals in enumerate(terminal_sets, start=1):
+        for v in terminals:
+            priority[v] = level
+    rounded = {v: round_up_pow2(p) for v, p in priority.items()}
+    out = []
+    i = 1
+    while i <= round_up_pow2(len(terminal_sets)):
+        out.append((i, frozenset(v for v, r in rounded.items() if r >= i)))
+        i *= 2
+    return out
 
 
 def subset_meets_limits(g, subset, pair_limits) -> bool:

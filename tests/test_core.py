@@ -51,6 +51,11 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="weight"):
             WeightedGraph(2, ((0, 1, 0),))
 
+    def test_rejects_bool_weight(self):
+        # True == 1, but write_graph_text would emit "True", which the parser rejects
+        with pytest.raises(ValueError, match="weight True"):
+            WeightedGraph(2, ((0, 1, True),))
+
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError, match="outside"):
             WeightedGraph(2, ((0, 2, 1),))
@@ -396,6 +401,11 @@ class TestHopRadius:
 def test_error_budget_validation():
     with pytest.raises(ValueError):
         ErrorBudget(BudgetMode.GLOBAL, -1)
+
+
+def test_error_budget_rejects_bool_coefficient():
+    with pytest.raises(ValueError, match="got True"):
+        ErrorBudget(BudgetMode.GLOBAL, True)
 
 
 def test_edge_key_and_terminal_pairs():

@@ -28,7 +28,7 @@ class TestGenerate:
         assert (u, v) == (0, 1) and 1 <= w <= 10
 
     def test_ba_m_equals_n_minus_1_gives_complete_graph(self):
-        g = generate(spec("ba", 6, 0, ba_m=5))
+        g = generate(spec("ba", 6, 0))  # m = 5
         assert len(g.edges) == 15  # K6
 
     def test_ws_keeps_lattice_edge_count(self):
@@ -72,12 +72,10 @@ class TestGenerate:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             generate(spec("er", 1, 0))
-        with pytest.raises(ValueError):
-            generate(spec("ws", 10, 0, ws_k=5))  # odd K
-        with pytest.raises(ValueError):
-            generate(spec("ws", 4, 0, ws_k=6))  # K >= n
-        with pytest.raises(ValueError):
-            generate(spec("ba", 4, 0, ba_m=4))  # m >= n
+        with pytest.raises(ValueError, match="WS needs n > K=6"):
+            generate(spec("ws", 6, 0))
+        with pytest.raises(ValueError, match="BA needs n > m=5"):
+            generate(spec("ba", 5, 0))
         with pytest.raises(ValueError):
             generate(spec("er", 5, 0, weight_range=(0, 10)))
 

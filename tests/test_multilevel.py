@@ -15,11 +15,10 @@ from wspanner.multilevel import (
     MultiLevelInstance,
     multilevel_naive,
     multilevel_roundup,
-    priorities,
-    round_up_levels,
 )
 from wspanner.subsetwise import subsetwise_2w
 
+from helpers import round_up_pow2, roundup_solves
 from strategies import connected_graphs
 
 GLOBAL2 = ErrorBudget(BudgetMode.GLOBAL, 2)
@@ -54,30 +53,6 @@ class TestInstanceValidation:
     def test_rejects_foreign_vertex(self):
         with pytest.raises(ValueError, match="outside"):
             instance(TRIANGLE, {0, 5})
-
-
-class TestPriorities:
-    def test_highest_containing_level(self):
-        g = WeightedGraph(6, tuple((i, i + 1, 1) for i in range(5)))
-        inst = instance(g, {0, 1, 2, 3, 4}, {0, 1, 2, 3}, {0, 3}, {3}, {3})
-        p = priorities(inst)
-        assert p[0] == 3  # in S_3 but not S_4
-        assert p[3] == 5
-        assert p[5] == 0  # outside S_1
-
-    def test_duplicate_levels(self):
-        inst = instance(TRIANGLE, {0}, {0})
-        assert priorities(inst)[0] == 2
-
-    def test_round_up(self):
-        assert round_up_levels({0: 3}, 5)[0] == 4
-        assert round_up_levels({0: 1}, 5)[0] == 1
-        assert round_up_levels({0: 5}, 5)[0] == 8  # 2^ceil(log2 5)
-        assert round_up_levels({0: 0}, 5)[0] == 0
-
-    def test_round_up_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            round_up_levels({0: 4}, 3)
 
 
 class TestRoundup:
@@ -119,6 +94,32 @@ class TestRoundup:
         assert levels == [1, 2, 4]
         # rounded priority >= 4 means original priority 3
         assert calls[2][1] == frozenset(sets[2])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_roundup_solves_match_paper_definition(data):
+    """The (tag, terminals) calls and the level sets of multilevel_roundup
+    against the priority / round-up definition, on random nested sets."""
+    n = data.draw(st.integers(1, 9))
+    ell = data.draw(st.integers(1, 5))
+    order = data.draw(st.permutations(range(n)))
+    sizes = sorted(data.draw(st.lists(st.integers(1, n), min_size=ell, max_size=ell)),
+                   reverse=True)
+    sets = [frozenset(order[:size]) for size in sizes]
+    calls = []
+
+    def recording_solver(g, terminals, tag):
+        calls.append((tag, terminals))
+        # stand-in edges shared across tags, so each must keep its highest tag
+        return {(0, v) for v in terminals}
+
+    path = WeightedGraph(n, tuple((v, v + 1, 1) for v in range(n - 1)))
+    ml = multilevel_roundup(instance(path, *sets), recording_solver)
+    expected = [(tag, s) for tag, s in roundup_solves(sets) if len(s) >= 2]
+    assert calls == expected
+    for k, edges in enumerate(ml.level_edges, start=1):
+        assert edges == {(0, v) for tag, s in expected if tag >= round_up_pow2(k) for v in s}
 
 
 class TestNaive:

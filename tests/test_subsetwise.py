@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspanner.core import (
     BudgetMode,
@@ -18,8 +19,8 @@ from wspanner.subsetwise import (
     subsetwise_2w_run,
 )
 
-from helpers import brute_min_spanner_size
-from strategies import graphs_with_terminals
+from helpers import brute_min_spanner_size, rescan_clustering
+from strategies import connected_graphs, graphs_with_terminals
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
 GLOBAL2 = ErrorBudget(BudgetMode.GLOBAL, 2)
@@ -66,6 +67,13 @@ class TestBuildClustering:
             assert all(g.has_edge(center, v) for v in members)
             seen |= members
         assert c.cluster_subgraph <= g.edge_set
+
+
+@given(connected_graphs(max_n=12, max_w=2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_clustering_matches_rescan_oracle(g, data):
+    c = build_clustering(g, data.draw(st.integers(1, g.n)))
+    assert (c.clusters, c.centers, c.cluster_subgraph) == rescan_clustering(g, c.threshold)
 
 
 class TestPathValue:
