@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -40,11 +39,7 @@ ALGO_BUDGETS: dict[str, ErrorBudget] = {
     **{algo.value: budget for algo, budget in BUDGETS.items()},
 }
 
-CSV_COLUMNS = (
-    "instance_id", "generator", "n", "m", "levels", "tsm", "algorithm",
-    "budget_mode", "sparsity", "exact_sparsity", "experimental_ratio",
-    "relative_sparsity", "wall_time_ms", "seed", "valid",
-)
+STRATEGIES = ("roundup", "naive")
 
 
 class ValidityError(RuntimeError):
@@ -71,6 +66,13 @@ def make_solver(algo: str, seed: int, sweep: bool = False) -> SingleLevelSolver:
     return solve
 
 
+def run_strategy(strategy: str, inst: MultiLevelInstance,
+                 solver: SingleLevelSolver) -> MultiLevelSpanner:
+    """Run the named multi-level strategy.  The strategy function is read from
+    this module's namespace at call time, so a wrapper set on it applies."""
+    return (multilevel_roundup if strategy == "roundup" else multilevel_naive)(inst, solver)
+
+
 def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, base_d: int | None = None,
             seed: int = 0) -> tuple[set[Edge], list[tuple[int, int]]]:
     """Rerun the construction for d, ceil(d/2), ..., 1 (same seed) and keep the
@@ -93,7 +95,7 @@ def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, base_d: int | None = No
     return best, ladder
 
 
-_JSON_TYPES = {"int": int, "bool": bool, "str": str}
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
 def _check_fields(cls, data, what: str) -> None:
@@ -115,10 +117,10 @@ def _check_fields(cls, data, what: str) -> None:
         hint = known[key].type
         if hint.startswith("tuple["):
             item = hint.removeprefix("tuple[").removesuffix(", ...]")
-            ok = type(value) is list and all(type(v) is _JSON_TYPES[item] for v in value)
+            ok = type(value) is list and all(type(v) is _TYPES[item] for v in value)
             hint = f"a list of {item}"
-        elif hint in _JSON_TYPES:
-            ok = type(value) is _JSON_TYPES[hint]
+        elif hint in _TYPES:
+            ok = type(value) is _TYPES[hint]
         else:
             continue
         if not ok:
@@ -135,7 +137,6 @@ class ExperimentPlan:
     seeds_per_cell: int = 5
     base_seed: int = 0
     strategy: str = "roundup"
-    budget_modes: tuple[str, ...] = ("global", "local")
     exact: bool = False
     caps: SizeCaps = SizeCaps()
     d_sweep: bool = False
@@ -154,19 +155,10 @@ class ExperimentPlan:
             Model(model)
         for tsm in self.tsms:
             TerminalScheme(tsm)
-        for mode in self.budget_modes:
-            BudgetMode(mode)
-        if not self.active_algorithms():
-            raise ValueError(f"no algorithm in algorithms {list(self.algorithms)} has its "
-                             f"budget mode in budget_modes {list(self.budget_modes)}")
-        if self.strategy not in ("roundup", "naive"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
-
-    def active_algorithms(self) -> tuple[str, ...]:
-        modes = {BudgetMode(m) for m in self.budget_modes}
-        return tuple(a for a in self.algorithms if ALGO_BUDGETS[a].mode in modes)
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -206,23 +198,41 @@ class ResultRow:
     valid: bool
 
 
-def _fmt_ratio(x: float | None) -> str:
-    return "" if x is None else f"{x:.6f}"
+_CSV_HINTS = {f.name: f.type for f in fields(ResultRow)}
+CSV_COLUMNS = tuple(_CSV_HINTS)
+
+
+def _cell(name: str, value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.3f}" if name == "wall_time_ms" else f"{value:.6f}"
+    return value
+
+
+def _parse_cell(hint: str, text: str):
+    """Inverse of _cell for a column annotated hint ("int", "float | None", ...)."""
+    if text == "" and hint.endswith(" | None"):
+        return None
+    if hint == "bool":
+        if text not in ("true", "false"):
+            raise ValueError(f"{text!r} is not true or false")
+        return text == "true"
+    return _TYPES[hint.removesuffix(" | None")](text)
+
+
+def _csv_text(columns, records) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(name, rec[name]) for name in columns] for rec in records)
+    return buf.getvalue()
 
 
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([
-            r.instance_id, r.generator, r.n, r.m, r.levels, r.tsm, r.algorithm,
-            r.budget_mode, r.sparsity,
-            "" if r.exact_sparsity is None else r.exact_sparsity,
-            _fmt_ratio(r.experimental_ratio), _fmt_ratio(r.relative_sparsity),
-            f"{r.wall_time_ms:.3f}", r.seed, "true" if r.valid else "false",
-        ])
-    return buf.getvalue()
+    return _csv_text(CSV_COLUMNS, map(vars, rows))
 
 
 def write_rows_csv(rows, path) -> None:
@@ -230,6 +240,8 @@ def write_rows_csv(rows, path) -> None:
 
 
 def read_rows_csv(path) -> list[ResultRow]:
+    """Rows from a file written by rows_to_csv; a cell that file could not
+    hold raises ValueError naming its line and column."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -237,17 +249,13 @@ def read_rows_csv(path) -> list[ResultRow]:
         if missing:
             raise ValueError(f"{path} is not a rows.csv: missing columns {', '.join(missing)}")
         for rec in reader:
-            rows.append(ResultRow(
-                instance_id=rec["instance_id"], generator=rec["generator"],
-                n=int(rec["n"]), m=int(rec["m"]), levels=int(rec["levels"]),
-                tsm=rec["tsm"], algorithm=rec["algorithm"], budget_mode=rec["budget_mode"],
-                sparsity=int(rec["sparsity"]),
-                exact_sparsity=int(rec["exact_sparsity"]) if rec["exact_sparsity"] else None,
-                experimental_ratio=float(rec["experimental_ratio"]) if rec["experimental_ratio"] else None,
-                relative_sparsity=float(rec["relative_sparsity"]) if rec["relative_sparsity"] else None,
-                wall_time_ms=float(rec["wall_time_ms"]), seed=int(rec["seed"]),
-                valid=rec["valid"] == "true",
-            ))
+            values = {}
+            for name, hint in _CSV_HINTS.items():
+                try:
+                    values[name] = _parse_cell(hint, rec[name] or "")
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}, column {name}: {exc}")
+            rows.append(ResultRow(**values))
     return rows
 
 
@@ -278,15 +286,14 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
     instance_id = f"{model}-n{n}-l{ell}-{tsm}-r{rep}"
     g = generate(GeneratorSpec(Model(model), n, seed))
     sets = generate_terminals(n, TerminalSelection(TerminalScheme(tsm), ell, seed))
-    strategy = multilevel_roundup if plan.strategy == "roundup" else multilevel_naive
     rows: list[ResultRow] = []
     produced: list[tuple[str, MultiLevelInstance, MultiLevelSpanner, float]] = []
-    for algo in plan.active_algorithms():
+    for algo in plan.algorithms:
         budget = ALGO_BUDGETS[algo]
         inst = MultiLevelInstance(g, sets, budget)
         solver = make_solver(algo, seed, sweep=plan.d_sweep)
         start = time.perf_counter()
-        spanner = strategy(inst, solver)
+        spanner = run_strategy(plan.strategy, inst, solver)
         wall_ms = (time.perf_counter() - start) * 1000.0
         problems = _verify_levels(g, sets, spanner, budget)
         if problems:
@@ -312,12 +319,10 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
     return rows
 
 
-def run_plan(plan: ExperimentPlan, out_dir=None, workers: int | None = None) -> list[ResultRow]:
+def run_plan(plan: ExperimentPlan, out_dir=None, workers: int = 1) -> list[ResultRow]:
     """Execute a plan; returns rows sorted by (instance id, algorithm)."""
     plan.validate()
     tasks = list(_instance_tasks(plan))
-    if workers is None:
-        workers = int(os.environ.get("WSPANNER_WORKERS", "1"))
     rows: list[ResultRow] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -336,7 +341,7 @@ def run_plan(plan: ExperimentPlan, out_dir=None, workers: int | None = None) -> 
     return rows
 
 
-_GROUP_FIELDS = {"n": "n", "l": "levels", "tsm": "tsm"}
+GROUP_FIELDS = {"n": "n", "l": "levels", "tsm": "tsm"}
 
 
 def summarize(rows, group: str = "n") -> list[dict]:
@@ -344,9 +349,9 @@ def summarize(rows, group: str = "n") -> list[dict]:
     exact values are present), grouped by a plan parameter and algorithm."""
     if not rows:
         raise ValueError("no rows to summarize")
-    if group not in _GROUP_FIELDS:
-        raise ValueError(f"group must be one of {sorted(_GROUP_FIELDS)}")
-    attr = _GROUP_FIELDS[group]
+    if group not in GROUP_FIELDS:
+        raise ValueError(f"group must be one of {sorted(GROUP_FIELDS)}")
+    attr = GROUP_FIELDS[group]
     use_ratio = all(r.experimental_ratio is not None for r in rows)
     metric = "experimental_ratio" if use_ratio else "relative_sparsity"
     groups: dict[tuple, list[float]] = {}
@@ -365,10 +370,5 @@ def summarize(rows, group: str = "n") -> list[dict]:
 
 
 def summary_to_csv(summary) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group", "value", "algorithm", "metric", "count", "min", "mean", "max"])
-    for s in summary:
-        writer.writerow([s["group"], s["value"], s["algorithm"], s["metric"], s["count"],
-                         f"{s['min']:.6f}", f"{s['mean']:.6f}", f"{s['max']:.6f}"])
-    return buf.getvalue()
+    return _csv_text(("group", "value", "algorithm", "metric", "count", "min", "mean", "max"),
+                     summary)

@@ -12,10 +12,13 @@ from pathlib import Path
 
 from .bench import (
     ALGO_BUDGETS,
+    GROUP_FIELDS,
+    STRATEGIES,
     ExperimentPlan,
     make_solver,
     read_rows_csv,
     run_plan,
+    run_strategy,
     summarize,
     summary_to_csv,
 )
@@ -39,17 +42,18 @@ from .generate import (
     parse_terminals_text,
     write_terminals_text,
 )
-from .multilevel import MultiLevelInstance, multilevel_naive, multilevel_roundup
+from .multilevel import MultiLevelInstance
 from .pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner_run
 from .subsetwise import subsetwise_2w_run
 
 
-def _load_graph(path: str) -> WeightedGraph:
-    return parse_graph_text(Path(path).read_text(encoding="utf-8"))
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
 
 
-def _load_terminals(path: str):
-    return parse_terminals_text(Path(path).read_text(encoding="utf-8"))
+def _load_instance(args, budget: ErrorBudget) -> MultiLevelInstance:
+    return MultiLevelInstance(parse_graph_text(_read(args.graph)),
+                              parse_terminals_text(_read(args.terminals)), budget)
 
 
 def _edges_graph(g: WeightedGraph, edges) -> WeightedGraph:
@@ -75,8 +79,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spanner(args) -> int:
-    g = _load_graph(args.graph)
-    sets = _load_terminals(args.terminals)
+    g = parse_graph_text(_read(args.graph))
+    sets = parse_terminals_text(_read(args.terminals))
     if not 1 <= args.level <= len(sets):
         raise ValueError(f"level {args.level} out of range 1..{len(sets)}")
     terminals = sets[args.level - 1]
@@ -108,13 +112,8 @@ def _cmd_spanner(args) -> int:
 
 
 def _cmd_multilevel(args) -> int:
-    g = _load_graph(args.graph)
-    sets = _load_terminals(args.terminals)
-    budget = ALGO_BUDGETS[args.algo]
-    inst = MultiLevelInstance(g, sets, budget)
-    solver = make_solver(args.algo, args.seed)
-    strategy = multilevel_roundup if args.strategy == "roundup" else multilevel_naive
-    spanner = strategy(inst, solver)
+    inst = _load_instance(args, ALGO_BUDGETS[args.algo])
+    spanner = run_strategy(args.strategy, inst, make_solver(args.algo, args.seed))
     summary = {
         "algorithm": args.algo,
         "strategy": args.strategy,
@@ -125,7 +124,7 @@ def _cmd_multilevel(args) -> int:
     if args.out:
         for k, edges in enumerate(spanner.level_edges, start=1):
             Path(f"{args.out}.level{k}.graph").write_text(
-                write_graph_text(_edges_graph(g, edges)), encoding="utf-8")
+                write_graph_text(_edges_graph(inst.graph, edges)), encoding="utf-8")
         Path(f"{args.out}.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {inst.levels} level files and {args.out}.json (sparsity {spanner.sparsity})")
     else:
@@ -134,10 +133,7 @@ def _cmd_multilevel(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    g = _load_graph(args.graph)
-    sets = _load_terminals(args.terminals)
-    budget = ErrorBudget(BudgetMode(args.mode), args.c)
-    inst = MultiLevelInstance(g, sets, budget)
+    inst = _load_instance(args, ErrorBudget(BudgetMode(args.mode), args.c))
     spanner = exact_optimum(inst, SizeCaps(args.cap_single, args.cap_multi))
     print(json.dumps({"sparsity": spanner.sparsity,
                       "level_sizes": [len(e) for e in spanner.level_edges]}, indent=2))
@@ -145,18 +141,14 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_emit_ilp(args) -> int:
-    g = _load_graph(args.graph)
-    sets = _load_terminals(args.terminals)
-    budget = ErrorBudget(BudgetMode(args.mode), args.c)
-    inst = MultiLevelInstance(g, sets, budget)
-    text = emit_lp(build_ilp(inst))
-    Path(args.out).write_text(text, encoding="utf-8")
+    inst = _load_instance(args, ErrorBudget(BudgetMode(args.mode), args.c))
+    Path(args.out).write_text(emit_lp(build_ilp(inst)), encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    plan = ExperimentPlan.from_json(Path(args.plan).read_text(encoding="utf-8"))
+    plan = ExperimentPlan.from_json(_read(args.plan))
     rows = run_plan(plan, out_dir=args.out, workers=args.workers)
     print(f"{len(rows)} rows -> {args.out}/rows.csv")
     return 0
@@ -180,6 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wspanner",
                                      description="Weighted additive spanner toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--graph", required=True)
+    files.add_argument("--terminals", required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--mode", choices=[m.value for m in BudgetMode], default="global")
+    budget.add_argument("--c", type=int, default=2)
 
     p = sub.add_parser("gen", help="generate a seeded instance (graph + terminal levels)")
     p.add_argument("--model", choices=[m.value for m in Model], required=True)
@@ -192,52 +190,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output prefix (writes PREFIX.graph and PREFIX.terminals)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("spanner", help="run one construction on one terminal level")
+    p = sub.add_parser("spanner", parents=[files],
+                       help="run one construction on one terminal level")
     p.add_argument("--algo", choices=sorted(ALGO_BUDGETS), required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d", type=int, default=None, help="override the d-light parameter")
     p.add_argument("--out", help="output prefix (writes PREFIX.graph and PREFIX.json)")
     p.set_defaults(func=_cmd_spanner)
 
-    p = sub.add_parser("multilevel", help="run a multi-level construction")
+    p = sub.add_parser("multilevel", parents=[files], help="run a multi-level construction")
     p.add_argument("--algo", choices=sorted(ALGO_BUDGETS), required=True)
-    p.add_argument("--strategy", choices=["roundup", "naive"], default="roundup")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, default=ExperimentPlan.strategy)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output prefix (per-level graphs plus PREFIX.json)")
     p.set_defaults(func=_cmd_multilevel)
 
-    p = sub.add_parser("exact", help="exact minimum sparsity (size-capped brute force)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
-    p.add_argument("--mode", choices=[m.value for m in BudgetMode], default="global")
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--cap-single", type=int, default=20)
-    p.add_argument("--cap-multi", type=int, default=14)
+    p = sub.add_parser("exact", parents=[files, budget],
+                       help="exact minimum sparsity (size-capped brute force)")
+    p.add_argument("--cap-single", type=int, default=SizeCaps.max_edges_single)
+    p.add_argument("--cap-multi", type=int, default=SizeCaps.max_edges_multi)
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("emit-ilp", help="write the ILP in LP text format")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
-    p.add_argument("--mode", choices=[m.value for m in BudgetMode], default="global")
-    p.add_argument("--c", type=int, default=2)
+    p = sub.add_parser("emit-ilp", parents=[files, budget], help="write the ILP in LP text format")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_emit_ilp)
 
     p = sub.add_parser("run", help="execute an experiment plan")
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel instances (default: WSPANNER_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="parallel instances")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("summarize", help="aggregate a rows.csv for plotting")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--group", choices=["n", "l", "tsm"], default="n")
+    p.add_argument("--group", choices=list(GROUP_FIELDS), default="n")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_summarize)
 

@@ -38,6 +38,11 @@ def terminal_pairs(terminals: Iterable[int]) -> list[Edge]:
     return list(combinations(sorted(set(terminals)), 2))
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: the only number graph text can hold."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected simple graph on vertices 0..n-1 with integer edge weights >= 1.
@@ -53,16 +58,18 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"vertex count {self.n!r} is not an integer >= 1")
         seen: set[Edge] = set()
         norm = []
         for u, v, w in self.edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"edge ({u!r},{v!r}) has a vertex id that is not an integer")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) references a vertex outside 0..{self.n - 1}")
-            if isinstance(w, bool) or not isinstance(w, int) or w < 1:
+            if not _is_int(w) or w < 1:
                 raise ValueError(f"edge ({u},{v}) weight {w!r} is not an integer >= 1")
             key = edge_key(u, v)
             if key in seen:
@@ -159,7 +166,7 @@ class ErrorBudget:
     c: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.c, bool) or not isinstance(self.c, int) or self.c < 0:
+        if not _is_int(self.c) or self.c < 0:
             raise ValueError(f"budget coefficient must be a nonnegative integer, got {self.c!r}")
 
     def allowance(self, g: WeightedGraph, u: int, v: int) -> int:
@@ -219,14 +226,13 @@ def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int], list[i
 
 
 def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge]):
-    """Adjacency lists of the subgraph induced by the given edges of g."""
+    """Adjacency lists of the subgraph induced by the given edges of g, in no
+    particular order (its readers take distances, which do not depend on it)."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for u, v in edges:
         w = g.weight_map[edge_key(u, v)]
         adj[u].append((v, w))
         adj[v].append((u, w))
-    for entry in adj:
-        entry.sort()
     return adj
 
 

@@ -52,68 +52,45 @@ class IlpModel:
     binaries: tuple[str, ...]
 
 
-def _xe(u: int, v: int, level: int, multi: bool) -> str:
-    return f"xe_{u}_{v}_l{level}" if multi else f"xe_{u}_{v}"
-
-
-def _arc(i: int, j: int, u: int, v: int, level: int, multi: bool) -> str:
-    base = f"f_{i}_{j}_p{u}_{v}"
-    return f"{base}_l{level}" if multi else base
-
-
 def build_ilp(inst: MultiLevelInstance) -> IlpModel:
     """Path-based flow model, one flow system per unordered terminal pair per
     level: path length bounded by dist + allowance, flow conservation,
     out-degree at most one, arcs coupled to edge variables, and (multi-level)
-    each level's edges contained in the level below."""
+    each level's edges contained in the level below.  Variable names carry a
+    level suffix _l{k} only when there is more than one level."""
     g = inst.graph
     pt = g.paths
-    ell = inst.levels
-    multi = ell > 1
-    objective = [_xe(u, v, k, multi) for k in range(1, ell + 1) for u, v, _ in g.edges]
+    suffixes = [f"_l{k}" if inst.levels > 1 else "" for k in range(1, inst.levels + 1)]
+    xe = [[f"xe_{u}_{v}{sfx}" for u, v, _ in g.edges] for sfx in suffixes]
+    arcs = [(a, b, w) for i, j, w in g.edges for a, b in ((i, j), (j, i))]
+    objective = [name for level in xe for name in level]
     binaries = list(objective)
     constraints: list[LinearConstraint] = []
-    for k in range(1, ell + 1):
-        for u, v in terminal_pairs(inst.terminal_sets[k - 1]):
+    for k, sfx in enumerate(suffixes):
+        for u, v in terminal_pairs(inst.terminal_sets[k]):
             if not pt.reachable(u, v):
                 raise ValueError(f"terminal pair ({u},{v}) is disconnected")
-            suffix = f"_l{k}" if multi else ""
-            pair = f"p{u}_{v}{suffix}"
-            arcs = []
-            for i, j, w in g.edges:
-                arcs.append((i, j, w))
-                arcs.append((j, i, w))
-            for i, j, _ in g.edges:
-                binaries.append(_arc(i, j, u, v, k, multi))
-                binaries.append(_arc(j, i, u, v, k, multi))
+            pair = f"p{u}_{v}{sfx}"
+            f = {(i, j): f"f_{i}_{j}_{pair}" for i, j, _ in arcs}
+            binaries.extend(f.values())
             limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
             constraints.append(LinearConstraint(
-                f"len_{pair}",
-                tuple((w, _arc(i, j, u, v, k, multi)) for i, j, w in arcs),
-                "<=", limit))
+                f"len_{pair}", tuple((w, f[i, j]) for i, j, w in arcs), "<=", limit))
             for i in range(g.n):
-                terms = []
-                for j, _ in g.adj[i]:
-                    terms.append((1, _arc(i, j, u, v, k, multi)))
-                    terms.append((-1, _arc(j, i, u, v, k, multi)))
+                terms = tuple(t for j, _ in g.adj[i] for t in ((1, f[i, j]), (-1, f[j, i])))
                 rhs = 1 if i == u else (-1 if i == v else 0)
-                constraints.append(LinearConstraint(f"flow_{pair}_v{i}", tuple(terms), "=", rhs))
+                constraints.append(LinearConstraint(f"flow_{pair}_v{i}", terms, "=", rhs))
             for i in range(g.n):
-                terms = tuple((1, _arc(i, j, u, v, k, multi)) for j, _ in g.adj[i])
+                terms = tuple((1, f[i, j]) for j, _ in g.adj[i])
                 if terms:
                     constraints.append(LinearConstraint(f"deg_{pair}_v{i}", terms, "<=", 1))
-            for i, j, _ in g.edges:
+            for e, (i, j, _) in enumerate(g.edges):
                 constraints.append(LinearConstraint(
-                    f"cpl_{pair}_e{i}_{j}",
-                    ((1, _arc(i, j, u, v, k, multi)), (1, _arc(j, i, u, v, k, multi)),
-                     (-1, _xe(i, j, k, multi))),
-                    "<=", 0))
-    for k in range(2, ell + 1):
-        for i, j, _ in g.edges:
+                    f"cpl_{pair}_e{i}_{j}", ((1, f[i, j]), (1, f[j, i]), (-1, xe[k][e])), "<=", 0))
+    for k in range(1, inst.levels):
+        for e, (i, j, _) in enumerate(g.edges):
             constraints.append(LinearConstraint(
-                f"nest_e{i}_{j}_l{k}",
-                ((1, _xe(i, j, k, multi)), (-1, _xe(i, j, k - 1, multi))),
-                "<=", 0))
+                f"nest_e{i}_{j}{suffixes[k]}", ((1, xe[k][e]), (-1, xe[k - 1][e])), "<=", 0))
     return IlpModel(tuple(objective), tuple(constraints), tuple(binaries))
 
 

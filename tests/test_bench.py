@@ -84,23 +84,6 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="'p2w' is listed twice"):
             run_plan(small_plan(algorithms=("p2w", "sub2w", "p2w")))
 
-    def test_budget_mode_filter(self):
-        plan = small_plan(algorithms=("sub2w", "p2w", "p4w", "p8w"),
-                          budget_modes=("global",), sizes=(10,), seeds_per_cell=1,
-                          exact=False)
-        rows = run_plan(plan)
-        assert {r.algorithm for r in rows} == {"sub2w", "p8w"}
-
-    @pytest.mark.parametrize("overrides", [
-        dict(algorithms=("p2w",), budget_modes=("global",)),
-        dict(budget_modes=()),
-    ], ids=["no-algorithm-in-mode", "no-mode"])
-    def test_plan_with_no_active_algorithm_rejected(self, overrides):
-        plan = small_plan(**overrides)
-        assert plan.active_algorithms() == ()
-        with pytest.raises(ValueError, match=r"algorithms .*budget_modes"):
-            plan.validate()
-
     def test_determinism_modulo_wall_time(self):
         plan = small_plan(seeds_per_cell=2)
         first = strip_wall_time(rows_to_csv(run_plan(plan)))
@@ -170,10 +153,6 @@ class TestPlanDict:
     "p2w"
   ],
   "base_seed": 0,
-  "budget_modes": [
-    "global",
-    "local"
-  ],
   "caps": {
     "max_edges_multi": 14,
     "max_edges_single": 20,
@@ -198,12 +177,13 @@ class TestPlanDict:
 }"""
 
     def test_round_trip(self):
-        plan = small_plan(caps=SizeCaps(3, 4, 5), d_sweep=True, budget_modes=("local",))
+        plan = small_plan(caps=SizeCaps(3, 4, 5), d_sweep=True, strategy="naive")
         assert ExperimentPlan.from_dict(plan.to_dict()) == plan
         assert ExperimentPlan.from_json(json.dumps(plan.to_dict())) == plan
 
     @pytest.mark.parametrize("extra,name", [({"d_sweeps": True}, "d_sweeps"),
-                                            ({"caps": {"max_edge": 3}}, "max_edge")])
+                                            ({"caps": {"max_edge": 3}}, "max_edge"),
+                                            ({"budget_modes": ["global"]}, "budget_modes")])
     def test_unknown_key_rejected(self, extra, name):
         with pytest.raises(ValueError, match=name):
             ExperimentPlan.from_dict(MINIMAL_PLAN | extra)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from wspanner.bench import ResultRow, rows_to_csv
 from wspanner.cli import main
 from wspanner.core import parse_graph_text
 from wspanner.generate import parse_terminals_text
@@ -144,18 +145,16 @@ def test_run_rejects_a_plan_value_of_the_wrong_type(extra, name, tmp_path, capsy
     assert not (tmp_path / "results").exists()
 
 
-@pytest.mark.parametrize("extra", [
-    {"algorithms": ["p2w"], "budget_modes": ["global"]}, {"budget_modes": []},
-], ids=["no-algorithm-in-mode", "no-mode"])
-def test_run_rejects_a_plan_with_no_active_algorithm(extra, tmp_path, capsys):
+def test_run_rejects_the_removed_budget_modes_key(tmp_path, capsys):
+    # Every algorithm has one budget, so "algorithms" alone picks what a plan runs.
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({"models": ["er"], "sizes": [10], "levels": [1],
-                                     "tsms": ["linear"], "algorithms": ["sub2w", "p2w"]} | extra))
+                                     "tsms": ["linear"], "algorithms": ["sub2w", "p2w"],
+                                     "budget_modes": ["global"]}))
     code = main(["run", "--plan", str(plan_path), "--out", str(tmp_path / "results")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("wspanner: error: ") and err.count("\n") == 1
-    assert "algorithms" in err and "budget_modes" in err
+    assert err == "wspanner: error: unknown plan key(s): budget_modes\n"
     assert not (tmp_path / "results").exists()
 
 
@@ -229,3 +228,26 @@ def test_summarize_rejects_a_file_that_is_not_rows_csv(instance_files, tmp_path,
         assert err.startswith("wspanner: error: ") and err.count("\n") == 1
         assert "missing columns" in err and "sparsity" in err
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("column,cell,message", [
+    ("valid", "yes", "'yes' is not true or false"),
+    ("valid", "", "'' is not true or false"),
+    ("sparsity", "12.5", "invalid literal for int"),
+    ("experimental_ratio", "x", "could not convert string to float"),
+], ids=["valid-yes", "valid-empty", "float-for-int", "text-for-float"])
+def test_summarize_rejects_a_cell_rows_csv_never_writes(column, cell, message, tmp_path, capsys):
+    row = ResultRow("er-n10-l1-linear-r0", "er", 10, 14, 1, "linear", "p2w", "local", 20, 18,
+                    20 / 18, 1.0, 3.5, 7, True)
+    lines = rows_to_csv([row, row]).splitlines()
+    idx = lines[0].split(",").index(column)
+    cells = lines[2].split(",")
+    cells[idx] = cell
+    lines[2] = ",".join(cells)
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text("\n".join(lines) + "\n")
+    code = main(["summarize", "--in", str(rows_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"wspanner: error: {rows_path} line 3, column {column}: ")
+    assert message in err and err.count("\n") == 1

@@ -56,6 +56,14 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="weight True"):
             WeightedGraph(2, ((0, 1, True),))
 
+    @pytest.mark.parametrize("n,edges", [
+        (3, ((False, True, 2), (True, 2, 1))), (3, ((0, 1.0, 1),)), (True, ()), (2.0, ()),
+    ], ids=["bool-ids", "float-id", "bool-n", "float-n"])
+    def test_rejects_a_vertex_id_or_count_graph_text_cannot_hold(self, n, edges):
+        # False == 0 and True == 1, but write_graph_text would emit "False True 2"
+        with pytest.raises(ValueError, match="is not an integer"):
+            WeightedGraph(n, edges)
+
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError, match="outside"):
             WeightedGraph(2, ((0, 2, 1),))
