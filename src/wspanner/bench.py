@@ -279,6 +279,11 @@ def _verify_levels(g: WeightedGraph, sets, spanner: MultiLevelSpanner,
     return problems
 
 
+def _ratio(sparsity: int, base: int | None) -> float | None:
+    """sparsity / base, or None when base is None or 0."""
+    return sparsity / base if base else None
+
+
 def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
     """All result rows for one seeded instance of a plan cell."""
     mi, model, n, ell, ti, tsm, rep = task
@@ -308,21 +313,25 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
                 exact_sp = exact_optimum(inst, plan.caps).sparsity
             except SizeCapExceeded:
                 pass
-        ratio = None if (exact_sp in (None, 0)) else spanner.sparsity / exact_sp
-        rel = spanner.sparsity / min_sparsity if min_sparsity > 0 else None
         rows.append(ResultRow(
             instance_id=instance_id, generator=model, n=n, m=len(g.edges), levels=ell,
             tsm=tsm, algorithm=algo, budget_mode=inst.budget.mode.value,
-            sparsity=spanner.sparsity, exact_sparsity=exact_sp, experimental_ratio=ratio,
-            relative_sparsity=rel, wall_time_ms=wall_ms, seed=seed, valid=True,
+            sparsity=spanner.sparsity, exact_sparsity=exact_sp,
+            experimental_ratio=_ratio(spanner.sparsity, exact_sp),
+            relative_sparsity=_ratio(spanner.sparsity, min_sparsity),
+            wall_time_ms=wall_ms, seed=seed, valid=True,
         ))
     return rows
 
 
 def run_plan(plan: ExperimentPlan, out_dir=None, workers: int = 1) -> list[ResultRow]:
-    """Execute a plan; returns rows sorted by (instance id, algorithm)."""
+    """Execute a plan in up to workers processes, never more than it has
+    instances; returns rows sorted by (instance id, algorithm)."""
     plan.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = list(_instance_tasks(plan))
+    workers = min(workers, len(tasks))
     rows: list[ResultRow] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -345,28 +354,29 @@ GROUP_FIELDS = {"n": "n", "l": "levels", "tsm": "tsm"}
 
 
 def summarize(rows, group: str = "n") -> list[dict]:
-    """Min/mean/max of the experimental ratio (or relative sparsity when no
-    exact values are present), grouped by a plan parameter and algorithm."""
+    """Min/mean/max per (group value, algorithm, metric) for each metric with
+    a value there: experimental_ratio (sparsity over the exact optimum) and
+    relative_sparsity (sparsity over the least sparsity of the same instance),
+    none where the divisor is 0 or absent.  Both come from the integer
+    columns, so run_plan's rows and the rows.csv written from them agree."""
     if not rows:
         raise ValueError("no rows to summarize")
     if group not in GROUP_FIELDS:
         raise ValueError(f"group must be one of {sorted(GROUP_FIELDS)}")
     attr = GROUP_FIELDS[group]
-    use_ratio = all(r.experimental_ratio is not None for r in rows)
-    metric = "experimental_ratio" if use_ratio else "relative_sparsity"
+    least: dict[str, int] = {}
+    for r in rows:
+        least[r.instance_id] = min(r.sparsity, least.get(r.instance_id, r.sparsity))
     groups: dict[tuple, list[float]] = {}
     for r in rows:
-        value = getattr(r, metric)
-        if value is None:
-            continue
-        groups.setdefault((getattr(r, attr), r.algorithm), []).append(value)
-    out = []
-    for (value, algo), values in sorted(groups.items()):
-        out.append({
-            "group": group, "value": value, "algorithm": algo, "metric": metric,
-            "count": len(values), "min": min(values), "mean": mean(values), "max": max(values),
-        })
-    return out
+        for metric, base in (("experimental_ratio", r.exact_sparsity),
+                             ("relative_sparsity", least[r.instance_id])):
+            ratio = _ratio(r.sparsity, base)
+            if ratio is not None:
+                groups.setdefault((getattr(r, attr), r.algorithm, metric), []).append(ratio)
+    return [{"group": group, "value": value, "algorithm": algo, "metric": metric,
+             "count": len(values), "min": min(values), "mean": mean(values), "max": max(values)}
+            for (value, algo, metric), values in sorted(groups.items())]
 
 
 def summary_to_csv(summary) -> str:

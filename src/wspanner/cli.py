@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output prefix (per-level graphs plus PREFIX.json)")
     p.set_defaults(func=_cmd_multilevel)
 
-    p = sub.add_parser("exact", parents=[files, budget],
-                       help="exact minimum sparsity (size-capped brute force)")
+    p = sub.add_parser("exact", parents=[files, budget], help="exact minimum sparsity "
+                       "(size-capped branch-and-bound over per-pair path masks)")
     p.add_argument("--cap-single", type=int, default=SizeCaps.max_edges_single)
     p.add_argument("--cap-multi", type=int, default=SizeCaps.max_edges_multi)
     p.set_defaults(func=_cmd_exact)

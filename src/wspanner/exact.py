@@ -124,7 +124,11 @@ def emit_lp(model: IlpModel) -> str:
 
 def _minimal_path_masks(g: WeightedGraph, u: int, v: int, limit: int,
                         eindex: dict[Edge, int]) -> list[int]:
-    """Inclusion-minimal edge bitmasks of simple u-v paths of weight <= limit."""
+    """Edge bitmasks of the simple u-v paths of weight <= limit, sorted by
+    (edge count, mask) so that the search tries cheap paths first.  Each is
+    inclusion-minimal: if a simple u-v path Q uses only edges of a simple u-v
+    path P, then Q is a u-v path in the path graph P, so Q = P.  The masks
+    are distinct and pairwise incomparable, so none needs filtering."""
     adj = g.adj
     found: list[int] = []
 
@@ -142,11 +146,7 @@ def _minimal_path_masks(g: WeightedGraph, u: int, v: int, limit: int,
 
     walk(u, 1 << u, 0, 0)
     found.sort(key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for mask in found:
-        if not any(k & mask == k for k in kept):
-            kept.append(mask)
-    return kept
+    return found
 
 
 def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> MultiLevelSpanner:

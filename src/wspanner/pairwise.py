@@ -105,19 +105,11 @@ def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
     return h
 
 
-def _tree_edges(g: WeightedGraph, root: int) -> set[Edge]:
+def shortest_path_tree(g: WeightedGraph, root: int) -> set[Edge]:
     """Edges of the canonical shortest-path tree from root over the vertices
     it reaches."""
     parents = [g.paths.tree_parent(root, v) for v in range(g.n)]
     return {edge_key(p, v) for v, p in enumerate(parents) if v != root and p >= 0}
-
-
-def shortest_path_tree(g: WeightedGraph, root: int) -> set[Edge]:
-    """Edge set of the canonical shortest-path tree from root (n-1 edges)."""
-    tree = _tree_edges(g, root)
-    if len(tree) != g.n - 1:
-        raise ValueError("shortest-path tree needs a connected graph")
-    return tree
 
 
 def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, present: set[Edge],
@@ -219,27 +211,24 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell
             h.update(pe)
         elif algo is PairwiseAlgo.P4W and len(missing) * d * d >= n:
             for r in _sample(rng, n, d * d / n, report):
-                h.update(_tree_edges(g, r))
-        elif algo is PairwiseAlgo.P4W:
+                h.update(shortest_path_tree(g, r))
+        elif algo is not PairwiseAlgo.P2W:
             h.update(missing[:ell])
             h.update(missing[-ell:])
             sample = _sample(rng, n, 1.0 / (ell * d), report)
-            for i, r in enumerate(sample):
-                for r_prime in sample[i + 1:]:
-                    path = limited_missing_path(g, r, r_prime, h, n // (d * d))
-                    if path is not None:
-                        h.update(edge_key(a, b) for a, b in zip(path, path[1:]))
-        elif algo is PairwiseAlgo.P8W:
-            h.update(missing[:ell])
-            h.update(missing[-ell:])
-            sample = _sample(rng, n, 1.0 / (ell * d), report)
-            # the subsetwise subroutine needs a connected graph; without it the
-            # final patch still guarantees the advertised budget
-            if len(sample) >= 2 and g.is_connected():
+            if algo is PairwiseAlgo.P4W:
+                for i, r in enumerate(sample):
+                    for r_prime in sample[i + 1:]:
+                        path = limited_missing_path(g, r, r_prime, h, n // (d * d))
+                        if path is not None:
+                            h.update(edge_key(a, b) for a, b in zip(path, path[1:]))
+            elif len(sample) >= 2 and g.is_connected():
+                # the subsetwise subroutine needs a connected graph; without
+                # it the final patch still guarantees the advertised budget
                 h.update(subsetwise_2w(g, frozenset(sample)))
     if algo is PairwiseAlgo.P2W:
         for r in _sample(rng, n, 1.0 / (ell * d), report):
-            h.update(_tree_edges(g, r))
+            h.update(shortest_path_tree(g, r))
 
 
 def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],

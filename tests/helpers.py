@@ -40,6 +40,23 @@ def simple_paths(g, u: int, v: int):
     yield from walk([u])
 
 
+def minimal_path_masks(g, u: int, v: int, limit: int, eindex) -> list:
+    """Inclusion-minimal edge bitmasks (bit eindex[(a, b)] for edge a < b) of
+    the simple u-v paths of weight <= limit, ordered by (edge count, mask):
+    every path's mask from simple_paths, then each mask that contains a
+    smaller kept one dropped."""
+    found = []
+    for path in simple_paths(g, u, v):
+        if path_weight(g, path) <= limit:
+            found.append(sum(1 << eindex[min(a, b), max(a, b)] for a, b in zip(path, path[1:])))
+    found.sort(key=lambda m: (m.bit_count(), m))
+    kept = []
+    for mask in found:
+        if not any(k & mask == k for k in kept):
+            kept.append(mask)
+    return kept
+
+
 def caterpillar_edges(k: int) -> tuple:
     """Weighted edges on 3k vertices: a spine 0..k-1 of weight-2..4 edges,
     each spine vertex with two weight-1 leaves, so a 2-light init misses

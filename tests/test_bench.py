@@ -96,6 +96,37 @@ class TestRunPlan:
         parallel = strip_wall_time(rows_to_csv(run_plan(plan, workers=2)))
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers,pools", [(5000, [4]), (3, [3]), (1, [])])
+    def test_pool_never_outnumbers_instances(self, workers, pools, monkeypatch):
+        started = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", StubPool)
+        plan = small_plan(sizes=(10,), seeds_per_cell=2, exact=False)  # 4 instances
+        assert len(run_plan(plan, workers=workers)) == 8
+        assert started == pools
+        started.clear()
+        assert len(run_plan(small_plan(sizes=(10,), tsms=("exp",), seeds_per_cell=1,
+                                       exact=False), workers=workers)) == 2
+        assert started == []
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_plan(small_plan(sizes=(10,), seeds_per_cell=1, exact=False), workers=workers)
+
     def test_output_files(self, tmp_path):
         plan = small_plan(sizes=(10,), seeds_per_cell=1, exact=False)
         rows = run_plan(plan, out_dir=tmp_path)
@@ -212,10 +243,28 @@ class TestSummarize:
     def test_grouping_arithmetic(self):
         rows = run_plan(small_plan())
         summary = summarize(rows, "n")
-        # one aggregate row per (n, algorithm)
-        assert len(summary) == 4
-        assert [(s["value"], s["algorithm"]) for s in summary] == [
-            (10, "p2w"), (10, "sub2w"), (20, "p2w"), (20, "sub2w")]
+        # one aggregate row per (n, algorithm, metric with a value); only some
+        # n=10 instances are within the exact caps
+        assert [(s["value"], s["algorithm"], s["metric"]) for s in summary] == [
+            (10, "p2w", "experimental_ratio"), (10, "p2w", "relative_sparsity"),
+            (10, "sub2w", "experimental_ratio"), (10, "sub2w", "relative_sparsity"),
+            (20, "p2w", "relative_sparsity"), (20, "sub2w", "relative_sparsity")]
+        for s in summary:
+            values = [getattr(r, s["metric"]) for r in rows
+                      if (r.n, r.algorithm) == (s["value"], s["algorithm"])
+                      and getattr(r, s["metric"]) is not None]
+            assert s["count"] == len(values)
+            assert (s["min"], s["max"]) == (min(values), max(values))
+            assert s["mean"] == pytest.approx(sum(values) / len(values))
+
+    def test_rows_in_memory_and_from_file_summarize_alike(self, tmp_path):
+        # some instances are within the exact caps and some are not
+        rows = run_plan(small_plan(sizes=(10, 14), levels=(1, 2), seeds_per_cell=3),
+                        out_dir=tmp_path)
+        assert {r.exact_sparsity is None for r in rows} == {True, False}
+        back = read_rows_csv(tmp_path / "rows.csv")
+        for group in ("n", "l", "tsm"):
+            assert summary_to_csv(summarize(back, group)) == summary_to_csv(summarize(rows, group))
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):

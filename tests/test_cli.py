@@ -128,6 +128,18 @@ def test_run_rejects_a_misspelled_plan_key(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+def test_run_rejects_fewer_than_one_worker(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"models": ["er"], "sizes": [10], "levels": [1],
+                                     "tsms": ["linear"], "algorithms": ["p2w"]}))
+    code = main(["run", "--plan", str(plan_path), "--out", str(tmp_path / "results"),
+                 "--workers", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "wspanner: error: workers must be >= 1, got 0\n"
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("extra,name", [
     ({"seeds_per_cell": "3"}, "seeds_per_cell"), ({"seeds_per_cell": True}, "seeds_per_cell"),
     ({"sizes": [20.5]}, "sizes"), ({"base_seed": "x"}, "base_seed"), ({"exact": "yes"}, "exact"),

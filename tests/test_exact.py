@@ -2,17 +2,20 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspanner.core import (
     BudgetMode,
     ErrorBudget,
     WeightedGraph,
+    edge_key,
     terminal_pairs,
     verify_spanner,
 )
 from wspanner.exact import (
     SizeCapExceeded,
     SizeCaps,
+    _minimal_path_masks,
     build_ilp,
     emit_lp,
     exact_optimum,
@@ -23,8 +26,14 @@ from wspanner.multilevel import MultiLevelInstance
 from wspanner.pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, pairwise_spanner
 from wspanner.subsetwise import subsetwise_2w
 
-from helpers import brute_min_spanner_size, brute_multilevel_opt, solve_lp_text
-from strategies import graphs_with_terminals
+from helpers import (
+    brute_force_distance,
+    brute_min_spanner_size,
+    brute_multilevel_opt,
+    minimal_path_masks,
+    solve_lp_text,
+)
+from strategies import connected_graphs, graphs_with_terminals
 
 GOLDEN = Path(__file__).parent / "golden"
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -164,6 +173,19 @@ class TestExactOptimum:
         opt = exact_optimum(inst(TRIANGLE, {0}))
         assert opt.sparsity == 0
         assert opt.level_edges == (frozenset(),)
+
+
+@pytest.mark.parametrize("mode", list(BudgetMode))
+@given(g=connected_graphs(min_n=2, max_n=7, max_w=4), c=st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_path_masks_match_filtered_enumeration(mode, g, c):
+    # Every simple path's mask within the budget is already inclusion-minimal.
+    budget = ErrorBudget(mode, c)
+    eindex = {edge_key(u, v): i for i, (u, v, _) in enumerate(g.edges)}
+    for u, v in terminal_pairs(range(g.n)):
+        limit = brute_force_distance(g, u, v) + budget.allowance(g, u, v)
+        assert _minimal_path_masks(g, u, v, limit, eindex) == minimal_path_masks(
+            g, u, v, limit, eindex)
 
 
 @given(graphs_with_terminals(max_n=6, max_w=3))

@@ -148,9 +148,8 @@ class TestShortestPathTree:
             expected = {edge_key(fresh.tree_parent(root, v), v) for v in range(g.n) if v != root}
             assert shortest_path_tree(g, root) == expected
 
-    def test_disconnected_raises(self):
-        with pytest.raises(ValueError):
-            shortest_path_tree(WeightedGraph(3, ((0, 1, 1),)), 0)
+    def test_disconnected_spans_what_root_reaches(self):
+        assert shortest_path_tree(WeightedGraph(3, ((0, 1, 1),)), 0) == {(0, 1)}
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
