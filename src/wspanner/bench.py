@@ -16,6 +16,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import product
 from pathlib import Path
 from statistics import mean
 
@@ -49,9 +50,7 @@ class ValidityError(RuntimeError):
 def make_solver(algo: str, seed: int, sweep: bool = False) -> SingleLevelSolver:
     """Single-level solver handle; pairwise solvers mix the level into the seed."""
     if algo == "sub2w":
-        def solve(g: WeightedGraph, terminals: frozenset, level: int) -> set:
-            return subsetwise_2w(g, terminals)
-        return solve
+        return lambda g, terminals, level: subsetwise_2w(g, terminals)
     palgo = PairwiseAlgo(algo)
 
     def solve(g: WeightedGraph, terminals: frozenset, level: int) -> set:
@@ -259,15 +258,6 @@ def read_rows_csv(path) -> list[ResultRow]:
     return rows
 
 
-def _instance_tasks(plan: ExperimentPlan):
-    for mi, model in enumerate(plan.models):
-        for n in plan.sizes:
-            for ell in plan.levels:
-                for ti, tsm in enumerate(plan.tsms):
-                    for rep in range(plan.seeds_per_cell):
-                        yield (mi, model, n, ell, ti, tsm, rep)
-
-
 def _verify_levels(g: WeightedGraph, sets, spanner: MultiLevelSpanner,
                    budget: ErrorBudget) -> list:
     problems = []
@@ -285,8 +275,9 @@ def _ratio(sparsity: int, base: int | None) -> float | None:
 
 
 def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
-    """All result rows for one seeded instance of a plan cell."""
-    mi, model, n, ell, ti, tsm, rep = task
+    """All result rows for one seeded instance of a plan cell; task is
+    ((model index, model), n, levels, (tsm index, tsm), repetition)."""
+    (mi, model), n, ell, (ti, tsm), rep = task
     seed = derive_seed(plan.base_seed, ROLE_PLAN, mi, n, ell, ti, rep)
     instance_id = f"{model}-n{n}-l{ell}-{tsm}-r{rep}"
     g = generate(GeneratorSpec(Model(model), n, seed))
@@ -330,7 +321,8 @@ def run_plan(plan: ExperimentPlan, out_dir=None, workers: int = 1) -> list[Resul
     plan.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = list(_instance_tasks(plan))
+    tasks = list(product(enumerate(plan.models), plan.sizes, plan.levels, enumerate(plan.tsms),
+                         range(plan.seeds_per_cell)))
     workers = min(workers, len(tasks))
     rows: list[ResultRow] = []
     if workers > 1:

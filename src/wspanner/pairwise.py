@@ -124,42 +124,49 @@ def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, present: set[Ed
     (r_prime, k) state: weights are >= 1, so every state lighter than that
     answer is already settled, and the (weight, vertex, k) heap order makes its
     k the smallest among equal-weight answers, exactly as a full search would.
+
+    Dominance pruning: least[x] is the least k settled at x so far (at first
+    miss_cap + 1, which is the cap), and (x, k) is pushed and expanded only
+    while k < least[x].  A state settled earlier at x with fewer misses is no
+    heavier, so from it the suffix of any path through (x, k) would reach
+    r_prime no heavier with fewer misses: a pruned state lies on no optimal
+    path.  So optimal paths are settled as in the full search, and each
+    table entry, a walk's weight, is never below the full search's: the
+    states the reconstruction's weight test accepts, the break point, the
+    returned tuple and None are the same as without pruning.
     """
     if miss_cap < 0:
         raise ValueError("miss_cap must be >= 0")
+    if not (0 <= r < g.n and 0 <= r_prime < g.n):
+        raise ValueError(f"pair ({r},{r_prime}) references a vertex outside 0..{g.n - 1}")
     if r == r_prime:
         return (r,)
-    n = g.n
-    cap = miss_cap
-    dist = [[UNREACHABLE] * (cap + 1) for _ in range(n)]
-    dist[r][0] = 0
+    adj, width = g.adj, miss_cap + 1
+    dist = [UNREACHABLE] * (g.n * width)  # state (x, k) at x * width + k
+    least = [width] * g.n
+    dist[r * width] = 0
     heap = [(0, r, 0)]
     while heap:
         d, x, k = heapq.heappop(heap)
-        if d > dist[x][k]:
+        if k >= least[x]:
             continue
+        least[x] = k
         if x == r_prime:
             break
-        for y, w in g.adj[x]:
-            k2 = k + (0 if edge_key(x, y) in present else 1)
-            if k2 > cap:
-                continue
-            nd = d + w
-            if nd < dist[y][k2]:
-                dist[y][k2] = nd
-                heapq.heappush(heap, (nd, y, k2))
+        for y, w in adj[x]:
+            k2 = k if ((x, y) if x < y else (y, x)) in present else k + 1
+            if k2 < least[y] and d + w < dist[y * width + k2]:
+                dist[y * width + k2] = d + w
+                heapq.heappush(heap, (d + w, y, k2))
     else:
         return None
-    weight = d
-    path = [r_prime]
-    x = r_prime
+    weight, path = d, [r_prime]
     while x != r or k != 0:
-        for u, w in g.adj[x]:
-            k_prev = k - (0 if edge_key(u, x) in present else 1)
-            if k_prev >= 0 and dist[u][k_prev] != UNREACHABLE and dist[u][k_prev] + w == weight:
+        for u, w in adj[x]:
+            k_prev = k if edge_key(u, x) in present else k - 1
+            if k_prev >= 0 and dist[u * width + k_prev] + w == weight:
                 path.append(u)
-                weight -= w
-                x, k = u, k_prev
+                weight, x, k = weight - w, u, k_prev
                 break
         else:
             raise AssertionError("path reconstruction failed")

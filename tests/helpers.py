@@ -5,12 +5,15 @@ shortest-path or search machinery: distances come from exhaustive simple-path
 enumeration or Bellman-Ford relaxation, optima from plain subset / rate-vector
 enumeration, LP files are solved through scipy's MILP backend, and the
 clustering and the multi-level rounding-up sets follow their definitions
-literally.  ``caterpillar_edges`` is the one test instance shared by the
-pairwise and golden tests.
+literally.  ``unpruned_limited_missing_path`` is the library's bounded-miss
+search as it was before dominance pruning, kept to pin which of several tied
+paths comes back.  ``caterpillar_edges`` is the one test instance shared by
+the pairwise and golden tests.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import deque
 from itertools import combinations, product
@@ -55,6 +58,57 @@ def minimal_path_masks(g, u: int, v: int, limit: int, eindex) -> list:
         if not any(k & mask == k for k in kept):
             kept.append(mask)
     return kept
+
+
+def unpruned_limited_missing_path(g, r: int, r_prime: int, present, miss_cap: int):
+    """The bounded-miss search without dominance pruning: Dijkstra over every
+    (vertex, missing-count) state up to miss_cap, stopped at the first settled
+    (r_prime, k), then a backward walk that takes the first neighbour (in
+    adjacency order) whose state weight plus the edge weight is tight."""
+    if miss_cap < 0:
+        raise ValueError("miss_cap must be >= 0")
+    if r == r_prime:
+        return (r,)
+
+    def edge_key(u, v):
+        return (u, v) if u < v else (v, u)
+
+    n = g.n
+    cap = miss_cap
+    dist = [[INF] * (cap + 1) for _ in range(n)]
+    dist[r][0] = 0
+    heap = [(0, r, 0)]
+    while heap:
+        d, x, k = heapq.heappop(heap)
+        if d > dist[x][k]:
+            continue
+        if x == r_prime:
+            break
+        for y, w in g.adj[x]:
+            k2 = k + (0 if edge_key(x, y) in present else 1)
+            if k2 > cap:
+                continue
+            nd = d + w
+            if nd < dist[y][k2]:
+                dist[y][k2] = nd
+                heapq.heappush(heap, (nd, y, k2))
+    else:
+        return None
+    weight = d
+    path = [r_prime]
+    x = r_prime
+    while x != r or k != 0:
+        for u, w in g.adj[x]:
+            k_prev = k - (0 if edge_key(u, x) in present else 1)
+            if k_prev >= 0 and dist[u][k_prev] != INF and dist[u][k_prev] + w == weight:
+                path.append(u)
+                weight -= w
+                x, k = u, k_prev
+                break
+        else:
+            raise AssertionError("path reconstruction failed")
+    path.reverse()
+    return tuple(path)
 
 
 def caterpillar_edges(k: int) -> tuple:

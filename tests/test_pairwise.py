@@ -32,7 +32,7 @@ from wspanner.pairwise import (
     shortest_path_tree,
 )
 
-from helpers import caterpillar_edges, path_weight, simple_paths
+from helpers import caterpillar_edges, path_weight, simple_paths, unpruned_limited_missing_path
 from strategies import graphs_with_pairs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -190,6 +190,13 @@ class TestLimitedMissingPath:
         with pytest.raises(ValueError):
             limited_missing_path(TRIANGLE, 0, 1, set(), -1)
 
+    @pytest.mark.parametrize("r, r_prime", [(-1, 0), (3, 0), (0, -1), (0, 3), (-1, -1)])
+    def test_rejects_vertex_outside_range(self, r, r_prime):
+        g = WeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
+        with pytest.raises(ValueError, match=rf"pair \({r},{r_prime}\) references a vertex "
+                                             r"outside 0\.\.2"):
+            limited_missing_path(g, r, r_prime, set(), 3)
+
     def test_prefers_fewer_missing_edges_on_weight_tie(self):
         # routes 0-1-3 and 0-2-3 both weigh 2; only 0-2-3 is fully present
         g = WeightedGraph(4, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
@@ -229,6 +236,25 @@ def test_limited_missing_path_matches_brute_force(case):
     assert path is not None and path[0] == r and path[-1] == r_prime
     assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
     assert (path_weight(g, path), misses(path)) == min(admissible)
+
+
+@given(bounded_miss_cases())
+@settings(max_examples=300, deadline=None)
+def test_limited_missing_path_matches_unpruned_search_on_small_graphs(case):
+    # the brute-force test pins (weight, misses); this pins the tied path too
+    assert limited_missing_path(*case) == unpruned_limited_missing_path(*case)
+
+
+@given(st.sampled_from([Model.GE, Model.ER]), st.integers(0, 2**16), st.data())
+@settings(max_examples=60, deadline=None)
+def test_limited_missing_path_matches_unpruned_search_on_generated_graphs(model, seed, data):
+    g = generate(GeneratorSpec(model, 22, seed))
+    present = {(u, v) for u, v, _ in g.edges if data.draw(st.booleans())}
+    for _ in range(10):
+        r, r_prime = data.draw(st.integers(0, 21)), data.draw(st.integers(0, 21))
+        cap = data.draw(st.integers(0, 22))
+        assert (limited_missing_path(g, r, r_prime, present, cap)
+                == unpruned_limited_missing_path(g, r, r_prime, present, cap))
 
 
 class TestPairwiseSpanner:
