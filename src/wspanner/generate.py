@@ -83,15 +83,12 @@ def _er(n: int, eps: float, rng) -> set[tuple[int, int]]:
 
 def _ws(n: int, k: int, p: float, rng) -> set[tuple[int, int]]:
     neighbors: list[set[int]] = [set() for _ in range(n)]
-    edges: set[tuple[int, int]] = set()
 
     def add(a: int, b: int) -> None:
-        edges.add(edge_key(a, b))
         neighbors[a].add(b)
         neighbors[b].add(a)
 
     def drop(a: int, b: int) -> None:
-        edges.discard(edge_key(a, b))
         neighbors[a].discard(b)
         neighbors[b].discard(a)
 
@@ -110,7 +107,7 @@ def _ws(n: int, k: int, p: float, rng) -> set[tuple[int, int]]:
             target = candidates[int(rng.integers(len(candidates)))]
             drop(i, (i + j) % n)
             add(i, target)
-    return edges
+    return {(a, b) for a in range(n) for b in neighbors[a] if a < b}
 
 
 def _ba(n: int, m: int, rng) -> set[tuple[int, int]]:

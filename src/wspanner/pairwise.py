@@ -189,9 +189,9 @@ class PairwiseReport:
 
 
 def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
-    """Each vertex independently with probability min(1, prob); the sample
-    size is appended to the report."""
-    hits = rng.random(n) < min(1.0, prob)
+    """Each vertex independently with probability prob (all of them when
+    prob >= 1); the sample size is appended to the report."""
+    hits = rng.random(n) < prob
     sample = [v for v in range(n) if hits[v]]
     report.sample_counts.append(len(sample))
     return sample

@@ -26,14 +26,11 @@ from .core import (
 )
 
 
-def _isqrt_ceil(x: int) -> int:
-    r = math.isqrt(x)
-    return r if r * r == x else r + 1
-
-
 def cluster_threshold(s_size: int, w_max: int) -> int:
     """ceil(sqrt(s_size * w_max)) in exact integer arithmetic, at least 1."""
-    return max(1, _isqrt_ceil(s_size * w_max))
+    x = s_size * w_max
+    r = math.isqrt(x)
+    return max(1, r if r * r == x else r + 1)
 
 
 @dataclass(frozen=True)
