@@ -10,14 +10,15 @@ parameter choices make connectivity the likely case).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .core import WeightedGraph, edge_key
-from .seeding import ROLE_TERMINALS, ROLE_TOPOLOGY, ROLE_WEIGHTS, stream
+from .core import WeightedGraph
+from .seeding import ROLE_TERMINALS, ROLE_TOPOLOGY, ROLE_WEIGHTS, pick, stream
 
 MAX_CONNECTIVITY_ATTEMPTS = 100
 EPSILON = 1.0
@@ -57,14 +58,15 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         ordered = sorted(_topology(spec, stream(spec.seed, ROLE_TOPOLOGY, attempt)))
         # The weight stream does not depend on the attempt, so every draw
         # weighs its edges with the same sequence.
-        weights = stream(spec.seed, ROLE_WEIGHTS).integers(lo, hi, size=len(ordered), endpoint=True)
-        g = WeightedGraph(spec.n, tuple((u, v, int(w)) for (u, v), w in zip(ordered, weights)))
+        rng = stream(spec.seed, ROLE_WEIGHTS)
+        g = WeightedGraph(spec.n, tuple((u, v, lo + int(rng.random() * (hi - lo + 1)))
+                                        for u, v in ordered))
         if g.is_connected():
             return g
     raise RuntimeError(f"no connected topology in {MAX_CONNECTIVITY_ATTEMPTS} attempts for {spec}")
 
 
-def _topology(spec: GeneratorSpec, rng: np.random.Generator) -> set[tuple[int, int]]:
+def _topology(spec: GeneratorSpec, rng: random.Random) -> set[tuple[int, int]]:
     if spec.model is Model.ER:
         return _er(spec.n, EPSILON, rng)
     if spec.model is Model.WS:
@@ -76,69 +78,52 @@ def _topology(spec: GeneratorSpec, rng: np.random.Generator) -> set[tuple[int, i
 
 def _er(n: int, eps: float, rng) -> set[tuple[int, int]]:
     p = min(1.0, (1.0 + eps) * math.log(n) / n)
-    rows, cols = np.triu_indices(n, k=1)
-    mask = rng.random(len(rows)) < p
-    return {(int(u), int(v)) for u, v in zip(rows[mask], cols[mask])}
+    return {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
 
 
 def _ws(n: int, k: int, p: float, rng) -> set[tuple[int, int]]:
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-
-    def add(a: int, b: int) -> None:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-
-    def drop(a: int, b: int) -> None:
-        neighbors[a].discard(b)
-        neighbors[b].discard(a)
-
-    for j in range(1, k // 2 + 1):
-        for i in range(n):
-            add(i, (i + j) % n)
+    half = k // 2
+    neighbors = [{(i + j) % n for j in range(-half, half + 1) if j} for i in range(n)]
     # Rewire each clockwise lattice edge with probability p to a uniform
     # non-duplicate, non-self target.
-    for j in range(1, k // 2 + 1):
+    for j in range(1, half + 1):
         for i in range(n):
             if rng.random() >= p:
                 continue
             candidates = [t for t in range(n) if t != i and t not in neighbors[i]]
             if not candidates:
                 continue
-            target = candidates[int(rng.integers(len(candidates)))]
-            drop(i, (i + j) % n)
-            add(i, target)
+            target = candidates[int(rng.random() * len(candidates))]
+            neighbors[i].discard((i + j) % n)
+            neighbors[(i + j) % n].discard(i)
+            neighbors[i].add(target)
+            neighbors[target].add(i)
     return {(a, b) for a in range(n) for b in neighbors[a] if a < b}
 
 
 def _ba(n: int, m: int, rng) -> set[tuple[int, int]]:
     # Complete seed core on m+1 vertices, then degree-proportional attachment
-    # of m distinct targets per new vertex, sampled without replacement.
+    # of m distinct targets per new vertex, sampled without replacement: a
+    # chosen target's weight drops to 0, so the bisection never lands on it.
     edges = {(u, v) for u in range(m + 1) for v in range(u + 1, m + 1)}
     degree = [m] * (m + 1) + [0] * (n - m - 1)
     for t in range(m + 1, n):
-        candidates = list(range(t))
-        weights = [degree[c] for c in candidates]
-        chosen = []
+        weights = degree[:t]
         for _ in range(m):
-            total = sum(weights)
-            probs = np.array(weights, dtype=float) / total
-            idx = int(rng.choice(len(candidates), p=probs))
-            chosen.append(candidates.pop(idx))
-            weights.pop(idx)
-        for c in chosen:
-            edges.add(edge_key(c, t))
+            cumulative = list(itertools.accumulate(weights))
+            c = bisect.bisect(cumulative, rng.random() * cumulative[-1])
+            weights[c] = 0
+            edges.add((c, t))
             degree[c] += 1
         degree[t] = m
     return edges
 
 
 def _ge(n: int, eps: float, rng) -> set[tuple[int, int]]:
-    points = rng.random((n, 2))
-    rc = math.sqrt((1.0 + eps) * math.log(n) / (math.pi * n))
-    rows, cols = np.triu_indices(n, k=1)
-    d2 = np.sum((points[rows] - points[cols]) ** 2, axis=1)
-    mask = d2 <= rc * rc
-    return {(int(u), int(v)) for u, v in zip(rows[mask], cols[mask])}
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    r2 = (1.0 + eps) * math.log(n) / (math.pi * n)
+    return {(u, v) for u, (x, y) in enumerate(points) for v in range(u + 1, n)
+            if (x - points[v][0]) ** 2 + (y - points[v][1]) ** 2 <= r2}
 
 
 class TerminalScheme(Enum):
@@ -176,16 +161,16 @@ def generate_terminals(n: int, sel: TerminalSelection) -> tuple[tuple[int, ...],
     else:
         first = max(1, _round_half_up(n / 2.0))
         drop = 0
-    current = sorted(int(v) for v in rng.choice(n, size=first, replace=False))
+    current = sorted(pick(rng, range(n), first))
     sets = [tuple(current)]
     for _ in range(ell - 1):
         if sel.method is TerminalScheme.LINEAR:
             remove = min(drop, len(current) - 1)
-            removed = {int(v) for v in rng.choice(current, size=remove, replace=False)}
+            removed = set(pick(rng, current, remove))
             current = [v for v in current if v not in removed]
         else:
             keep = math.ceil(len(current) / 2)
-            current = sorted(int(v) for v in rng.choice(current, size=keep, replace=False))
+            current = sorted(pick(rng, current, keep))
         if not current:
             raise ValueError("terminal level became empty")
         sets.append(tuple(current))

@@ -191,8 +191,7 @@ class PairwiseReport:
 def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
     """Each vertex independently with probability prob (all of them when
     prob >= 1); the sample size is appended to the report."""
-    hits = rng.random(n) < prob
-    sample = [v for v in range(n) if hits[v]]
+    sample = [v for v in range(n) if rng.random() < prob]
     report.sample_counts.append(len(sample))
     return sample
 

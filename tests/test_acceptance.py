@@ -31,7 +31,7 @@ from wspanner.generate import (
 )
 from wspanner.multilevel import MultiLevelInstance, multilevel_roundup
 from wspanner.pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, pairwise_spanner
-from wspanner.seeding import stream
+from wspanner.seeding import pick, stream
 from wspanner.subsetwise import subsetwise_2w
 
 from helpers import solve_lp_text
@@ -200,7 +200,7 @@ def test_criterion_6_d_sweep():
     for seed in range(20):
         g = generate(GeneratorSpec(Model.ER, 200, seed))
         rng = stream(seed, 1234)
-        terminals = sorted(int(v) for v in rng.choice(200, size=50, replace=False))
+        terminals = sorted(pick(rng, range(200), 50))
         pairs = terminal_pairs(terminals)
         best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, seed=seed)
         base_size = ladder[0][1]
@@ -253,7 +253,7 @@ def test_criterion_8_scale_smoke():
     """p2w, p4w, p8w each finish an ER n=500 instance within 60 seconds."""
     g = generate(GeneratorSpec(Model.ER, 500, 3))
     rng = stream(3, 99)
-    terminals = sorted(int(v) for v in rng.choice(500, size=50, replace=False))
+    terminals = sorted(pick(rng, range(500), 50))
     pairs = terminal_pairs(terminals)
     timings = {}
     for algo in PairwiseAlgo:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from wspanner import bench
+from wspanner import bench, pairwise
 from wspanner.bench import (
     ExperimentPlan,
     ValidityError,
@@ -314,16 +314,22 @@ class TestDSweep:
             assert len(h) == size
             assert verify_spanner(g, h, pairs, params_budget) == []
 
-    def test_p4w_sweep_with_small_d_finishes_in_bounded_time(self):
+    def test_p4w_sweep_with_small_d_finishes_in_bounded_time(self, monkeypatch):
         # d <= 2 sends every heavy pair into the bounded-miss repair; this sweep
         # took about a minute while limited_missing_path searched every state
-        # instead of stopping at its target.
-        g = generate(GeneratorSpec(Model.ER, 100, 0))
+        # instead of stopping at its target.  The search count keeps the
+        # instance one whose sweep meets a heavy pair, so the search runs.
+        searches = []
+        search = pairwise.limited_missing_path
+        monkeypatch.setattr(pairwise, "limited_missing_path",
+                            lambda *args: searches.append(args) or search(*args))
+        g = generate(GeneratorSpec(Model.ER, 100, 1))
         pairs = terminal_pairs(sorted(random.Random(0).sample(range(100), 25)))
         start = time.perf_counter()
         best, ladder = d_sweep(g, pairs, PairwiseAlgo.P4W, seed=1)
         elapsed = time.perf_counter() - start
         budget = BUDGETS[PairwiseAlgo.P4W]
         assert verify_spanner(g, best, pairs, budget) == []
-        assert ladder == [(6, 359), (3, 225), (2, 191), (1, 231)]
+        assert ladder == [(6, 365), (3, 246), (2, 217), (1, 275)]
+        assert len(searches) == 1225
         assert elapsed < 15

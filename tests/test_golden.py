@@ -9,6 +9,7 @@ alters outputs on purpose updates the digests and says so.
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict
 
@@ -65,39 +66,51 @@ def _run(case):
 
 
 PAIRWISE_DIGESTS = {
-    "ge22-p2w-dNone-r10": "8b1d9f9c1b62f41693c637026cbb6cb1fd1ebbd0f758cb78d5a072ab3649c8e1",
-    "ge22-p2w-d1-r10": "1eb42281b7f677594bf7bfe36b32c424efc547f475cbf70cae62da2ea578a5bb",
-    "ge22-p2w-d2-r10": "a78f30ed57bf6c468310aedf3482015abf7f583e4197e77bfa4581d8a8d3a570",
-    "ge22-p4w-dNone-r10": "959843b3f5b78b41cb0789e064fa9bef6b0ad7e47afe9be44a646c1901672f40",
-    "ge22-p4w-d1-r10": "ad8c0a8e604f72a5b89a1067c412d48f2ce4b297b2884f5b0e89a51fecb8c0d0",
-    "ge22-p4w-d2-r10": "9484323b5d6deb946cf7a3a6399c6154f3e73f2a7a0d3fcc72292d597ba29796",
-    "ge22-p8w-dNone-r10": "2b439952e11510247ab7c8ba32389a8d382ee28383ed7c5dd6362df57c16e8c7",
-    "ge22-p8w-d1-r10": "cf1ead8f5daa04ab2676d76ad732cc7367fa9afe60058b2a901e322f763008cc",
-    "ge22-p8w-d2-r10": "892f5333e9679c04ef88df97b34e488cdb50e1eaf27931d31f33a0ccde4e60f3",
-    "spine-p2w-dNone-r10": "7bebe2e8c6fa73af555791759a97596f2518521cdff678d748ac1815c3980c3e",
+    "ge22-p2w-dNone-r10": "8dfe34ab3bcdeb016ad1c598e5dd958ff1fcb66f7fc78d92dca0f2d798b4a45d",
+    "ge22-p2w-d1-r10": "78da0a85cc798a862ab55f932028437d3f2ba7765faa4fd13bec4ee4c82d65d5",
+    "ge22-p2w-d2-r10": "1b4faff6438820aaad13eed01f9ca01c75ae6a9b28dc1a152295b3d2b2b7ead0",
+    "ge22-p4w-dNone-r10": "5f4b67eeefc4ea7b3efc71062c84966139e2d5a484a3d278221cbf6366c753f1",
+    "ge22-p4w-d1-r10": "1eaf354bacd3be95ea48d0b68eb710f79123fd15b85ff638c5cb37ed537f1370",
+    "ge22-p4w-d2-r10": "849ad06ed19dda93a9f456d155fad18173b03f4433224e0b106d989ff39435f3",
+    "ge22-p8w-dNone-r10": "82ce03bc6938ecf961ff5a114538c984df5b10aea449e3e81651e2f75e34e411",
+    "ge22-p8w-d1-r10": "8062f3aa241f80d446ad59564baa631e09ba21ddf1473ff1b8bfd1c5d0a347db",
+    "ge22-p8w-d2-r10": "610c0410e2c052f9fc1eb7c243dac217cabf45d3c13891a19be1f8152874749a",
+    "spine-p2w-dNone-r10": "5f4690bf3cca0e65262728e2b4a0a196d746da6837ce79ada3a3cbd481653dce",
     "spine-p2w-d1-r10": "f9d9d2b39432fa6eac8a8b1d8ccd10cc70ad561b6e16ec368b0f24a8f0f51fd1",
-    "spine-p2w-d2-r10": "9a1fca3bb636d0fa63ea86255c99d2dae5e2e3558fe31e1018ba774383bc3f93",
+    "spine-p2w-d2-r10": "3734ba5006a60ed2ccc0b98099567277ca22a7113147b9da6efaf31aed10baa0",
     "spine-p4w-dNone-r10": "91b1c7c8d249c6df617da6a6e2822fadf9ddef19ff4d658f0da49fe40758a71d",
     "spine-p4w-d1-r10": "c152ee5147885ffcc066fc41949d703035d00e9536575daa49b9bcaa6be6dafd",
-    "spine-p4w-d2-r10": "87916b34a4365b03017773d69f12d33db96b9e507d2e68782cfc6a62203cf161",
+    "spine-p4w-d2-r10": "8d935d7bdf01763576e72a7e35ca1d5c1d803ee3e08eb98d87fb7138f773b7ab",
     "spine-p8w-dNone-r10": "0dcebb583002e8b14af3aa83e692d3ef4820c267c77ebbee5bccf84cc4f43d2a",
     "spine-p8w-d1-r10": "efff7f12de49114a0586dabe50249856a050e02b2665f834c80b8304bb6a1d02",
-    "spine-p8w-d2-r10": "d4fee339d7ac34a6b5069a088fc397388e7eff29a7c943124acfd2a6f3e91e4a",
+    "spine-p8w-d2-r10": "ecadcdfc8f8da641b85918960b25558abfff93c70a3736ee13447c989684f053",
 }
 
 GENERATE_DIGESTS = {
-    "er-30-1": "dd9b1579e40c5701faf74045659be19cb2ce4c883b7b928e60386f13b29d0008",
-    "ws-30-1": "6fc04f35f825f5b0d1bdc6091f35e283d61f33f90eb47fd80846e2126b245c39",
-    "ba-30-1": "fa667b16cf92bb03a3d5d45d627a2ffc0557b7e663e83c130578d88825a5746c",
-    "ge-22-0": "45c130c6a554fb1137c83ff2e374a16f8a30f8b0699dcc21b689fc817a6b9d8f",
-    "ge-22-1": "8fd0380c2a3f912df65014fc2c45791c38a1c8e599fbe62dab7309f6486284da",
-    "ge-22-2": "f0ad9506a8e67372f3957824bef14ce2e785a56347a81d35c659b811c38b5af7",
-    "ge-22-3": "4b80a8812dea1cb2fb5b1d272bd814b4bc78c384cc14163e5d0464d60bf4f671",
-    "ge-22-4": "685d91ffd41ba1a792558ac59a6a13cf841e0e2d150d2ae1e0401229b7bc142f",
+    "er-30-1": "ccf8259c31022f21172cb496b477dec56765b91c91cecce1cdd8b368422c5668",
+    "ws-30-1": "3f45b0a3cc5c2d266eaf09ee930b95746e9d37e1e92aeb2903c9882b31ad94fe",
+    "ba-30-1": "7c4225effe5fe8752870c56e267f2d6a4714e83e3b58f6fa7398a2eff0b37ea3",
+    "ge-22-0": "d2f1cec579ab6df66176399d3bd1100d7dfb84521e5bea7174540ca4a94b71a7",
+    "ge-22-1": "e2e3c0adab9347dadc7b04965b714369097e4f4087dc563195f409fba1155003",
+    "ge-22-3": "3078042cc92a3fc26c319b2f93baa2f1b12bafc4e4534f5525ac5345a8d4db50",
+    "ge-22-4": "b93d56e289b61270ab86846ea05a34c490c8dc7db794181bd790fab7c293379d",
+    "ge-22-5": "341da65e385b704bdec46f2e77dba7894b797b5652df29f85aaf4c4f8d7cf272",
 }
 
+
+def _first_disconnected_ge_seeds(count: int) -> list[int]:
+    """The first seeds whose first GE n=22 topology draw is disconnected, so
+    that every GE digest covers the redraw path of ``generate``."""
+    def first_draw_connected(seed: int) -> bool:
+        first = _topology(GeneratorSpec(Model.GE, 22, seed), stream(seed, ROLE_TOPOLOGY, 0))
+        return WeightedGraph(22, tuple((u, v, 1) for u, v in first)).is_connected()
+    return list(itertools.islice(itertools.filterfalse(first_draw_connected, itertools.count()),
+                                 count))
+
+
+GE_SEEDS = _first_disconnected_ge_seeds(5)
 GENERATE_CASES = [("er", 30, 1), ("ws", 30, 1), ("ba", 30, 1),
-                  *(("ge", 22, seed) for seed in range(5))]
+                  *(("ge", 22, seed) for seed in GE_SEEDS)]
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -114,10 +127,10 @@ def test_generate_digest(model, n, seed):
 
 
 def test_ge_golden_seeds_redraw_a_disconnected_topology():
-    for seed in range(5):
-        spec = GeneratorSpec(Model.GE, 22, seed)
-        first = _topology(spec, stream(seed, ROLE_TOPOLOGY, 0))
-        assert not WeightedGraph(22, tuple((u, v, 1) for u, v in first)).is_connected()
+    # The rule picks exactly the pinned seeds; a change to the GE draw that
+    # moves them fails here rather than as a missing digest.
+    pinned = [key for key in GENERATE_DIGESTS if key.startswith("ge-22-")]
+    assert [f"ge-22-{seed}" for seed in GE_SEEDS] == pinned
 
 
 def test_golden_cases_reach_every_repair(monkeypatch):
