@@ -29,7 +29,6 @@ from .core import (
     terminal_pairs,
     verify_spanner,
     write_graph_text,
-    WeightedGraph,
 )
 from .exact import SizeCapExceeded, SizeCaps, build_ilp, emit_lp, exact_optimum
 from .generate import (
@@ -54,11 +53,6 @@ def _read(path: str) -> str:
 def _load_instance(args, budget: ErrorBudget) -> MultiLevelInstance:
     return MultiLevelInstance(parse_graph_text(_read(args.graph)),
                               parse_terminals_text(_read(args.terminals)), budget)
-
-
-def _edges_graph(g: WeightedGraph, edges) -> WeightedGraph:
-    picked = tuple((u, v, g.weight(u, v)) for u, v in sorted(edges))
-    return WeightedGraph(g.n, picked)
 
 
 def _cmd_gen(args) -> int:
@@ -100,7 +94,7 @@ def _cmd_spanner(args) -> int:
     violated = verify_spanner(g, edges, terminal_pairs(terminals), budget)
     report["valid"] = not violated
     report["edges"] = len(edges)
-    text = write_graph_text(_edges_graph(g, edges))
+    text = write_graph_text(g, edges)
     if args.out:
         Path(f"{args.out}.graph").write_text(text, encoding="utf-8")
         Path(f"{args.out}.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -124,7 +118,7 @@ def _cmd_multilevel(args) -> int:
     if args.out:
         for k, edges in enumerate(spanner.level_edges, start=1):
             Path(f"{args.out}.level{k}.graph").write_text(
-                write_graph_text(_edges_graph(inst.graph, edges)), encoding="utf-8")
+                write_graph_text(inst.graph, edges), encoding="utf-8")
         Path(f"{args.out}.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {inst.levels} level files and {args.out}.json (sparsity {spanner.sparsity})")
     else:

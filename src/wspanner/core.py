@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Collection, Iterable
 
 Edge = tuple[int, int]
 
@@ -123,14 +123,16 @@ class WeightedGraph:
         return self._connected
 
 
-def write_graph_text(g: WeightedGraph) -> str:
-    """Serialize to the plain text format: `n m` then `u v w` per edge.
+def write_graph_text(g: WeightedGraph, keep: Collection[Edge] | None = None) -> str:
+    """Serialize to the plain text format: `n m` then `u v w` per edge; with
+    keep, only the edges of g whose (min, max) key it holds (a subgraph).
 
     Edges come out in ascending (u, v) order with u < v, so the encoding is
     bit-exact for equal graphs.
     """
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v} {w}" for u, v, w in g.edges)
+    edges = g.edges if keep is None else [e for e in g.edges if e[:2] in keep]
+    lines = [f"{g.n} {len(edges)}"]
+    lines.extend(f"{u} {v} {w}" for u, v, w in edges)
     return "\n".join(lines) + "\n"
 
 
@@ -175,8 +177,10 @@ class ErrorBudget:
         return self.c * g.paths.max_weight(u, v)
 
 
-def dijkstra_distances(adj, n: int, source: int) -> list:
-    """Single-source shortest-path weights; UNREACHABLE marks disconnection."""
+def dijkstra_distances(adj, n: int, source: int, limit=UNREACHABLE) -> list:
+    """Single-source shortest-path weights; UNREACHABLE marks disconnection.
+    The search stops once it pops a distance above limit: every entry at or
+    below limit is exact, and every other entry is above limit."""
     dist = [UNREACHABLE] * n
     dist[source] = 0
     heap = [(0, source)]
@@ -185,6 +189,8 @@ def dijkstra_distances(adj, n: int, source: int) -> list:
         d, x = pop(heap)
         if d > dist[x]:
             continue
+        if d > limit:
+            break
         for y, w in adj[x]:
             nd = d + w
             if nd < dist[y]:

@@ -81,17 +81,13 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
 
 
 def path_value(g: WeightedGraph, path: Sequence[int], x: int, clustering: Clustering,
-               current_edges: Iterable[Edge]) -> int:
+               h_adj) -> int:
     """Clusters touched by the path whose along-path distance from x beats the
-    distance through the current edge set (unreachable counts as infinite)."""
-    if path[0] == x:
-        seq = tuple(path)
-    elif path[-1] == x:
-        seq = tuple(reversed(path))
-    else:
+    distance from x in H, given as adjacency lists h_adj (unreachable counts as
+    infinite); H is searched no farther than the largest along-path distance."""
+    if x not in (path[0], path[-1]):
         raise ValueError(f"{x} is not an endpoint of the path")
-    if not clustering.clusters:
-        return 0
+    seq = tuple(path) if path[0] == x else tuple(reversed(path))
     along: dict[int, int] = {}
     acc = 0
     for i, v in enumerate(seq):
@@ -102,13 +98,11 @@ def path_value(g: WeightedGraph, path: Sequence[int], x: int, clustering: Cluste
             along[c] = acc
     if not along:
         return 0
-    dist = dijkstra_distances(subgraph_adjacency(g, current_edges), g.n, x)
-    count = 0
-    for c, d_path in along.items():
-        d_current = min(dist[w] for w in clustering.clusters[c])
-        if d_path < d_current:
-            count += 1
-    return count
+    # Entries past the limit are only known to lie beyond it, which is at
+    # least d_path, so the comparison decides as with exact distances.
+    dist = dijkstra_distances(h_adj, g.n, x, limit=max(along.values()))
+    return sum(d_path < min(dist[w] for w in clustering.clusters[c])
+               for c, d_path in along.items())
 
 
 @dataclass(frozen=True)
@@ -140,23 +134,28 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     clustering = build_clustering(g, len(s))
     w_max = g.weight_max
     h: set[Edge] = set(clustering.cluster_subgraph)
+    h_adj = None  # adjacency lists of h, built at the first pair that needs a value
     records: list[BuyRecord] = []
     for u, v in terminal_pairs(s):
-        pe = pt.path_edges(u, v)
-        cost = sum(1 for e in pe if e not in h)
-        if cost == 0:
-            # A path already inside the spanner cannot beat any spanner
-            # distance, so its value is exactly zero and it is always bought.
-            value = 0
-            bought = True
-        else:
+        new = [e for e in pt.path_edges(u, v) if e not in h]
+        # A path inside H beats no H distance: its value is 0 and it is
+        # bought.  Without clusters H is all of g, so every path is inside.
+        value = 0
+        if new:
+            if h_adj is None:
+                h_adj = subgraph_adjacency(g, h)
             path = pt.path(u, v)
-            value = (path_value(g, path, u, clustering, h)
-                     + path_value(g, path, v, clustering, h))
-            bought = cost <= (2 * w_max + 1) * value
+            value = (path_value(g, path, u, clustering, h_adj)
+                     + path_value(g, path, v, clustering, h_adj))
+        bought = len(new) <= (2 * w_max + 1) * value
         if bought:
-            h.update(pe)
-        records.append(BuyRecord((u, v), cost, value, bought))
+            h.update(new)
+            if h_adj is not None:
+                for a, b in new:
+                    w = g.weight_map[a, b]
+                    h_adj[a].append((b, w))
+                    h_adj[b].append((a, w))
+        records.append(BuyRecord((u, v), len(new), value, bought))
     return PathBuyState(h, records)
 
 

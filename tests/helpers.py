@@ -7,8 +7,10 @@ enumeration, LP files are solved through scipy's MILP backend, and the
 clustering and the multi-level rounding-up sets follow their definitions
 literally.  ``unpruned_limited_missing_path`` is the library's bounded-miss
 search as it was before dominance pruning, kept to pin which of several tied
-paths comes back.  ``caterpillar_edges`` is the one test instance shared by
-the pairwise and golden tests.
+paths comes back.  ``rebuilt_path_value`` is the subsetwise path value with
+full distances over the whole subgraph recomputed for every call.
+``caterpillar_edges`` is the one test instance shared by the pairwise and
+golden tests.
 """
 
 from __future__ import annotations
@@ -163,6 +165,27 @@ def bellman_ford_violations(g, h_edges, pairs, budget) -> list:
         if u != v and dg != INF and dh > dg + budget.allowance(g, u, v):
             out.append((u, v))
     return out
+
+
+def rebuilt_path_value(g, path, x: int, clusters, h_edges) -> int:
+    """Clusters (member sets) touched by the path whose along-path distance
+    from its endpoint x is below the Bellman-Ford distance from x, over the
+    weighted edges of g in h_edges, to the cluster's nearest member."""
+    if x not in (path[0], path[-1]):
+        raise ValueError(f"{x} is not an endpoint of the path")
+    seq = list(path) if path[0] == x else list(reversed(path))
+    keep = {(min(u, v), max(u, v)) for u, v in h_edges}
+    dist = bellman_ford(g.n, [(u, v, w) for u, v, w in g.edges if (u, v) in keep], x)
+    along = count = 0
+    seen = set()
+    for i, v in enumerate(seq):
+        if i:
+            along += g.weight(seq[i - 1], v)
+        for c, members in enumerate(clusters):
+            if v in members and c not in seen:
+                seen.add(c)
+                count += along < min(dist[w] for w in members)
+    return count
 
 
 def hop_radius(g) -> int:

@@ -89,6 +89,15 @@ class TestGraphText:
             parse_graph_text("2 2\n0 1 1\n")
 
 
+@given(connected_graphs(), st.data())
+@settings(max_examples=60)
+def test_subgraph_text_equals_the_text_of_the_rebuilt_subgraph(g, data):
+    keep = {e for e in sorted(g.edge_set) if data.draw(st.booleans())}
+    rebuilt = WeightedGraph(g.n, tuple((u, v, g.weight(u, v)) for u, v in keep))
+    assert write_graph_text(g, keep) == write_graph_text(rebuilt)
+    assert write_graph_text(g, g.edge_set) == write_graph_text(g)
+
+
 class TestPathTable:
     def test_path_graph(self):
         g = WeightedGraph(3, ((0, 1, 2), (1, 2, 3)))
@@ -202,6 +211,21 @@ def test_tree_paths_are_prefix_consistent_per_source(g):
             assert path == tree_path(u, v)
             for i in range(1, len(path) + 1):
                 assert path[:i] == tree_path(u, path[i - 1])
+
+
+@given(connected_graphs(), st.data())
+@settings(max_examples=100)
+def test_dijkstra_limit_keeps_every_entry_up_to_it_exact(g, data):
+    kept = [(u, v, w) for u, v, w in g.edges if data.draw(st.booleans())]
+    adj = core.subgraph_adjacency(g, [(u, v) for u, v, _ in kept])
+    s = data.draw(st.integers(0, g.n - 1))
+    exact = bellman_ford(g.n, kept, s)
+    assert core.dijkstra_distances(adj, g.n, s) == exact
+    assert core.dijkstra_distances(adj, g.n, s, limit=UNREACHABLE) == exact
+    limit = data.draw(st.integers(0, 5 * g.n))
+    bounded = core.dijkstra_distances(adj, g.n, s, limit=limit)
+    for got, want in zip(bounded, exact):
+        assert got == want if want <= limit else got > limit
 
 
 def _answers(pt, sources, n):

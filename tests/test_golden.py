@@ -1,11 +1,13 @@
-"""Pinned output digests for the pairwise constructions and the generators.
+"""Pinned output digests for the constructions and the generators.
 
 Each digest is the SHA-256 of a canonical JSON encoding of an output, so a
 refactor that claims byte-identical outputs under fixed seeds is checked
 against the bytes of an earlier version, not only against itself.  The
 instances are chosen so that every randomized repair runs at least once;
-``test_golden_cases_reach_every_repair`` asserts that they do.  A change that
-alters outputs on purpose updates the digests and says so.
+``test_golden_cases_reach_every_repair`` asserts that they do.  The sub2w
+instances are the CLI benchmark's ER n=128 graphs, on which clusters form and
+the buying sweep meets paths of positive value.  A change that alters outputs
+on purpose updates the digests and says so.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ from wspanner.generate import (
 )
 from wspanner.pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner_run
 from wspanner.seeding import ROLE_TOPOLOGY, stream
+from wspanner.subsetwise import subsetwise_2w_run
 
 from helpers import caterpillar_edges
 
@@ -86,6 +89,14 @@ PAIRWISE_DIGESTS = {
     "spine-p8w-d2-r10": "ecadcdfc8f8da641b85918960b25558abfff93c70a3736ee13447c989684f053",
 }
 
+SUB2W_DIGESTS = {
+    1000: "22f36cf5d0525f3ed906b550e124ab029db05585d256b9ff758dffa11a1671a1",
+    1001: "f6e4c27c3faa63152c388f6bfcf6ffcfd5080d709e1aa232dce76dbf2d5448e4",
+    1002: "a491ff8609e3ceeafc6b0be1ddfbb0214dec204ddb00315613587dd681ba333a",
+    1003: "b8ab9501753a727c923eaec0d69ac83743c7a3d299916858bceca5e70cab5ba1",
+    1004: "7e4f83aecf0161ae41ae3a493892c882c7146c911c77ab9eab589e91adcfa9dd",
+}
+
 GENERATE_DIGESTS = {
     "er-30-1": "ccf8259c31022f21172cb496b477dec56765b91c91cecce1cdd8b368422c5668",
     "ws-30-1": "3f45b0a3cc5c2d266eaf09ee930b95746e9d37e1e92aeb2903c9882b31ad94fe",
@@ -117,6 +128,17 @@ GENERATE_CASES = [("er", 30, 1), ("ws", 30, 1), ("ba", 30, 1),
 def test_pairwise_output_digest(case):
     edges, report = _run(case)
     assert _digest([sorted(edges), asdict(report)]) == PAIRWISE_DIGESTS[_case_id(case)]
+
+
+@pytest.mark.parametrize("seed", sorted(SUB2W_DIGESTS))
+def test_sub2w_output_digest(seed):
+    # ER n=128, level 3 of 7 exponential levels: 16 terminals.
+    g = generate(GeneratorSpec(Model.ER, 128, seed))
+    terminals = generate_terminals(128, TerminalSelection(TerminalScheme.EXPONENTIAL, 7, seed))[2]
+    state = subsetwise_2w_run(g, terminals)
+    assert any(r.value > 0 for r in state.records)
+    records = [asdict(r) for r in state.records]
+    assert _digest([sorted(state.current_edges), records]) == SUB2W_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("model,n,seed", GENERATE_CASES)

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wspanner import subsetwise
 from wspanner.core import (
     BudgetMode,
     ErrorBudget,
     WeightedGraph,
+    subgraph_adjacency,
     terminal_pairs,
     verify_spanner,
 )
@@ -19,7 +21,7 @@ from wspanner.subsetwise import (
     subsetwise_2w_run,
 )
 
-from helpers import brute_min_spanner_size, rescan_clustering
+from helpers import brute_min_spanner_size, rebuilt_path_value, rescan_clustering
 from strategies import connected_graphs, graphs_with_terminals
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -82,25 +84,36 @@ class TestPathValue:
         clustering = build_clustering(TRIANGLE, 2)
         path = pt.path(0, 2)
         for x in (0, 2):
-            assert path_value(TRIANGLE, path, x, clustering, TRIANGLE.edge_set) == 0
+            assert path_value(TRIANGLE, path, x, clustering, TRIANGLE.adj) == 0
 
     def test_zero_with_no_clusters(self):
         c = build_clustering(TRIANGLE, 3)
         assert c.clusters == ()
-        assert path_value(TRIANGLE, (0, 1, 2), 0, c, set()) == 0
+        assert path_value(TRIANGLE, (0, 1, 2), 0, c, TRIANGLE.adj) == 0
 
     def test_counts_unreachable_cluster_member(self):
         # path 0-1-2, single cluster {1}; with no current edges the cluster is
         # unreachable, so both endpoints beat it along the path: total value 2
         g = WeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
         c = Clustering((frozenset({1}),), (0,), frozenset({(0, 1)}), 1)
-        assert path_value(g, (0, 1, 2), 0, c, set()) == 1
-        assert path_value(g, (0, 1, 2), 2, c, set()) == 1
+        assert path_value(g, (0, 1, 2), 0, c, subgraph_adjacency(g, ())) == 1
+        assert path_value(g, (0, 1, 2), 2, c, subgraph_adjacency(g, ())) == 1
+
+    def test_cluster_beyond_the_search_limit_is_beaten(self):
+        # From 0 the path reaches cluster {1} at distance 1, and H reaches it
+        # only at 11, past the search's limit of 1; from 2, H's edge (1, 2)
+        # ties the path, which does not beat it.
+        g = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (0, 3, 5), (2, 3, 5)))
+        c = Clustering((frozenset({1}),), (0,), frozenset(), 1)
+        h = {(0, 3), (2, 3), (1, 2)}
+        for x, value in ((0, 1), (2, 0)):
+            assert path_value(g, (0, 1, 2), x, c, subgraph_adjacency(g, h)) == value
+            assert rebuilt_path_value(g, (0, 1, 2), x, c.clusters, h) == value
 
     def test_rejects_non_endpoint(self):
         c = build_clustering(TRIANGLE, 3)
         with pytest.raises(ValueError):
-            path_value(TRIANGLE, (0, 1, 2), 1, c, set())
+            path_value(TRIANGLE, (0, 1, 2), 1, c, TRIANGLE.adj)
 
 
 class TestSubsetwise2W:
@@ -144,32 +157,65 @@ def test_output_always_meets_plus_2w(gt):
     assert verify_spanner(g, h, terminal_pairs(terminals), GLOBAL2) == []
 
 
-@given(graphs_with_terminals(max_n=6))
-@settings(max_examples=40, deadline=None)
-def test_audit_replay_matches_run(gt):
-    """Replaying the audit records against independently recomputed cost/value
-    reproduces the run, including the monotone growth of the edge set."""
-    g, terminals = gt
+def _replay(g, terminals):
+    """Replay the run's audit against the literal clustering rule and the
+    rebuild-per-call path value oracle: each record's cost, value and decision,
+    and the monotone growth of the edge set.  Returns the run's state."""
     pt = g.paths
     state = subsetwise_2w_run(g, terminals)
-    clustering = build_clustering(g, len(set(terminals)))
+    threshold = cluster_threshold(len(set(terminals)), g.weight_max)
+    clusters, _, subgraph = rescan_clustering(g, threshold)
     w = g.weight_max
-    h = set(clustering.cluster_subgraph)
-    pairs = terminal_pairs(terminals)
-    assert [r.pair for r in state.records] == pairs
+    h = set(subgraph)
+    assert [r.pair for r in state.records] == terminal_pairs(terminals)
     for record in state.records:
         u, v = record.pair
         pe = pt.path_edges(u, v)
         cost = sum(1 for e in pe if e not in h)
         path = pt.path(u, v)
-        value = (path_value(g, path, u, clustering, h)
-                 + path_value(g, path, v, clustering, h))
+        value = (rebuilt_path_value(g, path, u, clusters, h)
+                 + rebuilt_path_value(g, path, v, clusters, h))
         assert record.cost == cost
         assert record.value == value
         assert record.bought == (cost <= (2 * w + 1) * value)
         if record.bought:
             h.update(pe)
     assert h == state.current_edges
+    return state
+
+
+@given(graphs_with_terminals(max_n=6))
+@settings(max_examples=40, deadline=None)
+def test_audit_replay_matches_run(gt):
+    _replay(*gt)
+
+
+@pytest.mark.parametrize("model,n,seed,k", [("er", 30, 2, 6), ("er", 30, 4, 4), ("ba", 20, 2, 6)])
+def test_audit_replay_matches_run_where_clusters_form(model, n, seed, k):
+    # On these instances a path of positive cost is bought and a later
+    # pair's value is then taken over the grown subgraph.
+    g = generate(GeneratorSpec(Model(model), n, seed))
+    state = _replay(g, range(0, n, n // k)[:k])
+    bought = [i for i, r in enumerate(state.records) if r.cost > 0 and r.bought]
+    assert bought and any(r.value > 0 for r in state.records[bought[0] + 1:])
+
+
+def test_one_subgraph_adjacency_per_run_and_none_without_clusters(monkeypatch):
+    calls = []
+    real = subsetwise.subgraph_adjacency
+
+    def counting(g, edges):
+        calls.append(len(edges))
+        return real(g, edges)
+
+    monkeypatch.setattr(subsetwise, "subgraph_adjacency", counting)
+    g = generate(GeneratorSpec(Model.ER, 30, 2))
+    state = subsetwise_2w_run(g, range(0, 30, 5))
+    assert sum(r.cost > 0 for r in state.records) > 1 and len(calls) == 1
+    calls.clear()
+    assert build_clustering(g, 30).clusters == ()  # threshold ceil(sqrt(30 * W))
+    subsetwise_2w_run(g, range(30))
+    assert calls == []
 
 
 def test_mean_output_below_full_graph_on_er():
