@@ -5,12 +5,14 @@ disconnected pairs and never takes part in arithmetic.  Shortest-path ties
 are broken toward the smallest-id predecessor, per source, as edges are
 relaxed, so every derived artifact (paths, per-pair maximum edge weights,
 shortest-path trees) is a pure function of the graph.  ``PathTable``
-computes these artifacts on demand, one search per source row, and caches
-each row it computes; every graph owns one, ``WeightedGraph.paths``, which
-the constructions, the validity check and the exact solver all read.  The
-validity check passes a pair whose canonical path lies in the subgraph
-without searching it, so it trusts the table's paths as well as its
-distances; only the pairs left over cost a search of the subgraph.
+computes these artifacts on demand, one search per source row that settles
+vertices a distance bucket at a time, and caches each row and each row's
+canonical-path edge tuples; every graph owns one, ``WeightedGraph.paths``,
+which the constructions, the validity check and the exact solver all read,
+the pair sweeps one row per run of pairs sharing a source.  The validity
+check passes a pair whose canonical path lies in the subgraph without
+searching it, so it trusts the table's paths as well as its distances; only
+the pairs left over cost a search of the subgraph.
 """
 
 from __future__ import annotations
@@ -87,6 +89,12 @@ class WeightedGraph:
             lists[u].append((v, w))
             lists[v].append((u, w))
         return tuple(tuple(sorted(entry)) for entry in lists)
+
+    @cached_property
+    def light_first(self) -> tuple[tuple[Edge, ...], ...]:
+        """Per-vertex incident edge keys by (weight, neighbor id), lightest first."""
+        return tuple(tuple(edge_key(v, u) for _, u in sorted((w, u) for u, w in entry))
+                     for v, entry in enumerate(self.adj))
 
     @cached_property
     def weight_max(self) -> int:
@@ -177,26 +185,48 @@ class ErrorBudget:
         return self.c * g.paths.max_weight(u, v)
 
 
+def _settle(adj, n: int, source: int, limit) -> tuple[list, list[int], list[int]]:
+    """The search behind dijkstra_distances and shortest_path_row.  buckets
+    maps a distance to the vertices that reached it (one that later reaches
+    less is skipped there) and keys is a heap of those distances, so no
+    memory grows with the weights.  Order within a bucket cannot change a
+    row: every tight predecessor of a vertex is in an earlier bucket."""
+    dist = [UNREACHABLE] * n
+    parent = [-1] * n
+    wmax = [0] * n
+    dist[source] = 0
+    buckets = {0: [source]}
+    keys = [0]
+    push, pop = heapq.heappush, heapq.heappop
+    while keys:
+        d = pop(keys)
+        if d > limit:
+            break
+        for x in buckets.pop(d):
+            if dist[x] < d:
+                continue
+            top = wmax[x]
+            for y, w in adj[x]:
+                nd = d + w
+                if nd < dist[y]:
+                    dist[y] = nd
+                    if nd in buckets:
+                        buckets[nd].append(y)
+                    else:
+                        buckets[nd] = [y]
+                        push(keys, nd)
+                elif nd > dist[y] or x > parent[y]:
+                    continue
+                parent[y] = x
+                wmax[y] = top if top > w else w
+    return dist, parent, wmax
+
+
 def dijkstra_distances(adj, n: int, source: int, limit=UNREACHABLE) -> list:
     """Single-source shortest-path weights; UNREACHABLE marks disconnection.
     The search stops once it pops a distance above limit: every entry at or
     below limit is exact, and every other entry is above limit."""
-    dist = [UNREACHABLE] * n
-    dist[source] = 0
-    heap = [(0, source)]
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, x = pop(heap)
-        if d > dist[x]:
-            continue
-        if d > limit:
-            break
-        for y, w in adj[x]:
-            nd = d + w
-            if nd < dist[y]:
-                dist[y] = nd
-                push(heap, (nd, y))
-    return dist
+    return _settle(adj, n, source, limit)[0]
 
 
 def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int], list[int]]:
@@ -204,31 +234,9 @@ def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int], list[i
     vertex's smallest-id parent in the shortest-path tree (-1 at the source
     and where unreachable), and the largest edge weight on its tree path.
 
-    A relaxation that ties a vertex's distance keeps the smaller parent id.
-    Each parent change also takes the parent's path maximum, which is final
-    because the parent is settled.
-    """
-    dist = [UNREACHABLE] * n
-    parent = [-1] * n
-    wmax = [0] * n
-    dist[source] = 0
-    heap = [(0, source)]
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, x = pop(heap)
-        if d > dist[x]:
-            continue
-        top = wmax[x]
-        for y, w in adj[x]:
-            nd = d + w
-            if nd < dist[y]:
-                dist[y] = nd
-                push(heap, (nd, y))
-            elif nd > dist[y] or x > parent[y]:
-                continue
-            parent[y] = x
-            wmax[y] = top if top > w else w
-    return dist, parent, wmax
+    A relaxation that ties a vertex's distance keeps the smaller parent id,
+    and each parent change takes the settled parent's final path maximum."""
+    return _settle(adj, n, source, UNREACHABLE)
 
 
 def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge]):
@@ -249,13 +257,15 @@ class PathTable:
     A row for source s holds the distances from s, the smallest-id parents of
     the shortest-path tree rooted at s (the tie-break is applied as edges are
     relaxed), and the largest edge weight on each tree path, all from one
-    search (``shortest_path_row``).  It is computed the first time any
-    method asks for s and then cached.  The canonical path of an unordered
-    pair {u, v} comes from the tree rooted at min(u, v); path(v, u) is its
-    reverse.  dist, reachable, max_weight and path read the row of min(u, v);
-    tree_parent(root, v) reads the row of root.  Answers do not depend on the
-    order of queries.  Each row is a pure function of the graph, so
-    concurrent first reads of one source can at worst compute its row twice.
+    search (``shortest_path_row``), computed the first time any method asks
+    for s.  The first path read of s builds the edge tuples of every
+    canonical path from s, each its parent's tuple plus one edge.  Both are
+    cached.  The canonical path of an unordered pair {u, v} comes from the
+    tree rooted at min(u, v); path(v, u) is its reverse.  The per-pair
+    methods read the row of min(u, v); tree_parent(root, v) reads the row of
+    root.  Answers do not depend on the order of queries.  Each row is a
+    pure function of the graph, so concurrent first reads of one source can
+    at worst compute it twice.
 
     The table keeps the graph's adjacency and vertex count, not the graph
     itself, so a graph that caches its table forms no reference cycle and
@@ -266,13 +276,27 @@ class PathTable:
         self._adj = graph.adj
         self._n = graph.n
         self._rows: dict[int, tuple[list, list[int], list[int]]] = {}
-        self._edge_cache: dict[Edge, tuple[Edge, ...]] = {}
+        self._edges: dict[int, list[tuple[Edge, ...] | None]] = {}
 
     def _row(self, s: int) -> tuple[list, list[int], list[int]]:
         row = self._rows.get(s)
         if row is None:
             row = self._rows[s] = shortest_path_row(self._adj, self._n, s)
         return row
+
+    def _edge_row(self, s: int) -> list[tuple[Edge, ...] | None]:
+        """Canonical path edges from s to each vertex; None where unreachable."""
+        edges = self._edges.get(s)
+        if edges is None:
+            dist, parent, _ = self._row(s)
+            edges = [None] * self._n
+            edges[s] = ()
+            for y in sorted(range(self._n), key=dist.__getitem__):
+                p = parent[y]
+                if p >= 0:
+                    edges[y] = edges[p] + ((p, y) if p < y else (y, p),)
+            self._edges[s] = edges
+        return edges
 
     def dist(self, u: int, v: int):
         return self._row(u)[0][v] if u < v else self._row(v)[0][u]
@@ -289,28 +313,30 @@ class PathTable:
         return self._row(root)[1][v]
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
-        if u == v:
-            return (u,)
-        if not self.reachable(u, v):
-            raise ValueError(f"no path between {u} and {v}")
-        s, t = (u, v) if u < v else (v, u)
-        par = self._row(s)[1]
-        rev = [t]
-        while rev[-1] != s:
-            rev.append(par[rev[-1]])
-        if u < v:
-            rev.reverse()
-        return tuple(rev)
+        walk = [min(u, v)]
+        for a, b in self.path_edges(u, v):
+            walk.append(b if a == walk[-1] else a)
+        return tuple(walk) if u <= v else tuple(reversed(walk))
 
     def path_edges(self, u: int, v: int) -> tuple[Edge, ...]:
-        """Canonical path as a sequence of (min, max) edges."""
-        key = edge_key(u, v) if u != v else (u, v)
-        hit = self._edge_cache.get(key)
-        if hit is None:
-            p = self.path(*key)
-            hit = tuple(edge_key(a, b) for a, b in zip(p, p[1:]))
-            self._edge_cache[key] = hit
-        return hit
+        """Canonical path as (min, max) edges, walked from min(u, v)."""
+        edges = self._edge_row(u)[v] if u < v else self._edge_row(v)[u]
+        if edges is None:
+            raise ValueError(f"no path between {u} and {v}")
+        return edges
+
+    def each_pair(self, pairs: Iterable[Edge]):
+        """(u, v, dist, path_edges or None when unreachable) for each pair,
+        reading the rows of min(u, v) once per run of pairs that share it; a
+        vertex outside 0..n-1 is a ValueError."""
+        last = -1
+        for u, v in pairs:
+            s, t = (u, v) if u < v else (v, u)
+            if s < 0 or t >= self._n:
+                raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
+            if s != last:
+                last, dist, edges = s, self._row(s)[0], self._edge_row(s)
+            yield u, v, dist[t], edges[t]
 
 
 def build_path_table(g: WeightedGraph) -> PathTable:
@@ -336,29 +362,18 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     extra = hset - g.edge_set
     if extra:
         raise ValueError(f"subgraph edges not present in the graph: {sorted(extra)[:3]}")
-    n, pt = g.n, g.paths
-    left = []
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{n - 1}")
-        if u == v:
-            continue
-        dg = pt.dist(u, v)
-        if dg != UNREACHABLE and not hset.issuperset(pt.path_edges(u, v)):
-            left.append((u, v, dg))
+    left = [(u, v, dg) for u, v, dg, pe in g.paths.each_pair(pairs)
+            if pe is not None and not hset.issuperset(pe)]
     if not left:
         return []
-    h_adj = subgraph_adjacency(g, hset)
+    n, h_adj = g.n, subgraph_adjacency(g, hset)
     rows: dict[int, list] = {}
     violated = []
     for u, v, dg in left:
-        if u in rows:
-            dh = rows[u][v]
-        elif v in rows:
-            dh = rows[v][u]
-        else:
-            rows[u] = dijkstra_distances(h_adj, n, u)
-            dh = rows[u][v]
+        a, b = (v, u) if v in rows and u not in rows else (u, v)
+        if a not in rows:
+            rows[a] = dijkstra_distances(h_adj, n, a)
+        dh = rows[a][b]
         if dh == UNREACHABLE or dh > dg + budget.allowance(g, u, v):
             violated.append((u, v))
     return violated

@@ -98,11 +98,7 @@ def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
     (ties toward the smaller neighbor id; all edges when degree <= d)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    h: set[Edge] = set()
-    for v in range(g.n):
-        incident = sorted((w, u) for u, w in g.adj[v])
-        h.update(edge_key(v, u) for _, u in incident[:d])
-    return h
+    return {e for incident in g.light_first for e in incident[:d]}
 
 
 def shortest_path_tree(g: WeightedGraph, root: int) -> set[Edge]:
@@ -197,10 +193,7 @@ def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
 
 
 def _missing_for(g: WeightedGraph, pairs, h: set[Edge]) -> set[Edge]:
-    missing: set[Edge] = set()
-    for u, v in pairs:
-        missing.update(e for e in g.paths.path_edges(u, v) if e not in h)
-    return missing
+    return {e for _, _, _, pe in g.paths.each_pair(pairs) for e in pe if e not in h}
 
 
 def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell: int, rng,
@@ -210,8 +203,7 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell
     (p4w: trees or bounded-miss paths, p8w: a subsetwise spanner on a sample).
     p2w repairs once, after the sweep, with the trees of one sample."""
     n = g.n
-    for u, v in pairs:
-        pe = g.paths.path_edges(u, v)
+    for _, _, _, pe in g.paths.each_pair(pairs):
         missing = [e for e in pe if e not in h]
         if len(missing) <= ell:
             h.update(pe)
@@ -244,10 +236,8 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     if not pairs:
         raise ValueError("pairs must be nonempty")
     norm = [edge_key(u, v) if u != v else (u, v) for u, v in pairs]
-    for u, v in norm:
-        if u < 0 or v >= g.n:
-            raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{g.n - 1}")
-        if not g.paths.reachable(u, v):
+    for u, v, dist, _ in g.paths.each_pair(norm):
+        if dist == UNREACHABLE:
             raise ValueError(f"pair ({u},{v}) is disconnected")
     count = len(norm)
     d = params.d_override if params.d_override is not None else default_d(params.algo, count)

@@ -136,8 +136,8 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     h: set[Edge] = set(clustering.cluster_subgraph)
     h_adj = None  # adjacency lists of h, built at the first pair that needs a value
     records: list[BuyRecord] = []
-    for u, v in terminal_pairs(s):
-        new = [e for e in pt.path_edges(u, v) if e not in h]
+    for u, v, _, pe in pt.each_pair(terminal_pairs(s)):
+        new = [e for e in pe if e not in h]
         # A path inside H beats no H distance: its value is 0 and it is
         # bought.  Without clusters H is all of g, so every path is inside.
         value = 0

@@ -167,6 +167,16 @@ def bellman_ford_violations(g, h_edges, pairs, budget) -> list:
     return out
 
 
+def reordered_pairs(pairs, rnd) -> tuple[list, list]:
+    """Two reorderings of sorted pairs: shuffled, with some pairs reversed and
+    one u == v pair added; and sorted by (v, u), so that consecutive pairs
+    rarely share a source."""
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs]
+    shuffled.append((pairs[0][0], pairs[0][0]))
+    rnd.shuffle(shuffled)
+    return shuffled, sorted(pairs, key=lambda p: (p[1], p[0]))
+
+
 def rebuilt_path_value(g, path, x: int, clusters, h_edges) -> int:
     """Clusters (member sets) touched by the path whose along-path distance
     from its endpoint x is below the Bellman-Ford distance from x, over the

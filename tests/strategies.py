@@ -39,3 +39,16 @@ def graphs_with_pairs(draw, min_n=2, max_n=7, max_w=4, max_pairs=6):
     count = draw(st.integers(1, min(max_pairs, len(all_pairs))))
     pairs = draw(st.permutations(all_pairs))[:count]
     return g, list(pairs)
+
+
+@st.composite
+def any_graphs(draw, min_n=1, max_n=8, max_w=10**12):
+    """Small weighted graph, often disconnected, with weights up to max_w:
+    either a graph-wide scale times 1..4, which makes equal-length routes at
+    every magnitude, or any weight in 1..max_w."""
+    n = draw(st.integers(min_n, max_n))
+    scale = draw(st.sampled_from(sorted({1, max(1, max_w // 10**6), max(1, max_w // 4)})))
+    weight = st.one_of(st.integers(1, 4).map(lambda k: k * scale), st.integers(1, max_w))
+    edges = [(u, v, draw(weight)) for u in range(n) for v in range(u + 1, n)
+             if draw(st.booleans())]
+    return WeightedGraph(n, tuple(edges))

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from wspanner.core import (
     UNREACHABLE,
     BudgetMode,
     ErrorBudget,
+    PathTable,
     WeightedGraph,
     build_path_table,
     edge_key,
@@ -24,8 +26,14 @@ from wspanner.generate import GeneratorSpec, Model, generate
 from wspanner.pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner
 from wspanner.subsetwise import subsetwise_2w
 
-from helpers import bellman_ford, bellman_ford_violations, brute_force_distance, hop_radius
-from strategies import connected_graphs
+from helpers import (
+    bellman_ford,
+    bellman_ford_violations,
+    brute_force_distance,
+    hop_radius,
+    reordered_pairs,
+)
+from strategies import any_graphs, connected_graphs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
 
@@ -136,24 +144,34 @@ class TestPathTable:
         assert pt.path(3, 0) == (3, 1, 0)
 
 
-@given(connected_graphs(max_w=2))
-@settings(max_examples=150)
+def _tree_oracle(g, s):
+    """(dist, smallest-id parents, path maxima) from Bellman-Ford distances:
+    the parent of v is the smallest u whose edge to v is tight."""
+    dist = bellman_ford(g.n, g.edges, s)
+    parent = [min((u for u, w in g.adj[v] if dist[u] + w == dist[v]), default=-1)
+              if v != s and dist[v] != UNREACHABLE else -1 for v in range(g.n)]
+    wmax = [0] * g.n
+    for v in range(g.n):
+        x = v
+        while parent[x] >= 0:
+            wmax[v] = max(wmax[v], g.weight(x, parent[x]))
+            x = parent[x]
+    return dist, parent, wmax
+
+
+@given(st.one_of(connected_graphs(max_w=2), any_graphs()))
+@settings(max_examples=200)
 def test_tree_parents_and_path_max_follow_the_smallest_id_rule(g):
-    # Weights 1..2 make many equal-length routes.  The expected parent of v is
-    # the smallest u with an edge that is tight under Bellman-Ford distances.
+    # Weights 1..2 make many equal-length routes; any_graphs adds disconnected
+    # graphs and weights up to 10**12 with ties at every scale.
     pt = g.paths
     for s in range(g.n):
-        bf = bellman_ford(g.n, g.edges, s)
-        parent = [min((u for u, w in g.adj[v] if bf[u] + w == bf[v]), default=-1)
-                  if v != s else -1 for v in range(g.n)]
+        dist, parent, wmax = _tree_oracle(g, s)
+        assert core.shortest_path_row(g.adj, g.n, s) == (dist, parent, wmax)
         for v in range(g.n):
             assert pt.tree_parent(s, v) == parent[v]
         for v in range(s + 1, g.n):
-            heaviest, x = 0, v
-            while x != s:
-                heaviest = max(heaviest, g.weight(x, parent[x]))
-                x = parent[x]
-            assert pt.max_weight(s, v) == heaviest
+            assert pt.max_weight(s, v) == wmax[v]
 
 
 @given(connected_graphs(max_n=7))
@@ -213,8 +231,8 @@ def test_tree_paths_are_prefix_consistent_per_source(g):
                 assert path[:i] == tree_path(u, path[i - 1])
 
 
-@given(connected_graphs(), st.data())
-@settings(max_examples=100)
+@given(st.one_of(connected_graphs(), any_graphs()), st.data())
+@settings(max_examples=150)
 def test_dijkstra_limit_keeps_every_entry_up_to_it_exact(g, data):
     kept = [(u, v, w) for u, v, w in g.edges if data.draw(st.booleans())]
     adj = core.subgraph_adjacency(g, [(u, v) for u, v, _ in kept])
@@ -222,10 +240,73 @@ def test_dijkstra_limit_keeps_every_entry_up_to_it_exact(g, data):
     exact = bellman_ford(g.n, kept, s)
     assert core.dijkstra_distances(adj, g.n, s) == exact
     assert core.dijkstra_distances(adj, g.n, s, limit=UNREACHABLE) == exact
-    limit = data.draw(st.integers(0, 5 * g.n))
+    finite = sorted({d for d in exact if d != UNREACHABLE})
+    limit = data.draw(st.one_of(st.integers(0, 5 * g.n), st.sampled_from(finite).flatmap(
+        lambda d: st.sampled_from([d - 1, d, d + 1]))))
     bounded = core.dijkstra_distances(adj, g.n, s, limit=limit)
     for got, want in zip(bounded, exact):
         assert got == want if want <= limit else got > limit
+
+
+def test_row_kernel_allocates_nothing_proportional_to_the_weights():
+    g = WeightedGraph(3, ((0, 1, 10**15), (1, 2, 10**15), (0, 2, 3 * 10**15)))
+    tracemalloc.start()
+    try:
+        row = core.shortest_path_row(g.adj, g.n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row == ([0, 10**15, 2 * 10**15], [-1, 0, 1], [0, 10**15, 10**15])
+    assert peak < 4096
+
+
+def _walked_edges(pt, s, t):
+    """Edges of the tree path from s to t, walked through tree_parent."""
+    rev = [t]
+    while rev[-1] != s:
+        rev.append(pt.tree_parent(s, rev[-1]))
+    rev.reverse()
+    return tuple(edge_key(a, b) for a, b in zip(rev, rev[1:]))
+
+
+@given(any_graphs(max_w=5))
+@settings(max_examples=100)
+def test_path_edges_are_the_edges_of_the_canonical_path(g):
+    pt = g.paths
+    for u in range(g.n):
+        for v in range(g.n):
+            s, t = min(u, v), max(u, v)
+            if not pt.reachable(u, v):
+                with pytest.raises(ValueError):
+                    pt.path_edges(u, v)
+                with pytest.raises(ValueError):
+                    pt.path(u, v)
+                continue
+            path = pt.path(s, t)
+            assert pt.path_edges(u, v) == _walked_edges(pt, s, t)
+            assert pt.path_edges(u, v) == tuple(edge_key(a, b) for a, b in zip(path, path[1:]))
+            assert pt.path(u, v) == (path if u <= v else tuple(reversed(path)))
+
+
+def test_each_sources_edge_list_is_built_once(monkeypatch):
+    g = generate(GeneratorSpec(Model.ER, 30, 4))
+    built: dict[int, set[int]] = {}
+    real = PathTable._edge_row
+
+    def recording(self, s):
+        edges = real(self, s)
+        built.setdefault(s, set()).add(id(edges))
+        return edges
+
+    monkeypatch.setattr(PathTable, "_edge_row", recording)
+    pt = g.paths
+    pairs = [(u, v) for u in range(0, 30, 3) for v in range(30)]
+    for order in (pairs, pairs[::-1], sorted(pairs, key=lambda p: p[1])):
+        for u, v in order:
+            pt.path_edges(u, v)
+        list(pt.each_pair(order))
+    assert set(built) == {min(u, v) for u, v in pairs}
+    assert all(len(ids) == 1 for ids in built.values())
 
 
 def _answers(pt, sources, n):
@@ -376,6 +457,18 @@ def test_verify_spanner_matches_a_bellman_ford_verifier(case):
         for c in (0, 1, 2):
             b = budget(mode, c)
             assert verify_spanner(g, h, pairs, b) == bellman_ford_violations(g, h, pairs, b)
+
+
+@given(subgraph_checks(), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_check_does_not_depend_on_pair_order(case, rnd):
+    g, h, pairs = case
+    pairs = sorted({edge_key(u, v) for u, v in pairs})
+    b = budget("LOCAL", 1)
+    flagged = set(verify_spanner(g, h, pairs, b))
+    for order in reordered_pairs(pairs, rnd):
+        assert verify_spanner(WeightedGraph(g.n, g.edges), h, order, b) == [
+            p for p in order if edge_key(*p) in flagged]
 
 
 def test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path(monkeypatch):

@@ -6,7 +6,9 @@ against the bytes of an earlier version, not only against itself.  The
 instances are chosen so that every randomized repair runs at least once;
 ``test_golden_cases_reach_every_repair`` asserts that they do.  The sub2w
 instances are the CLI benchmark's ER n=128 graphs, on which clusters form and
-the buying sweep meets paths of positive value.  A change that alters outputs
+the buying sweep meets paths of positive value.  The row digests pin every
+source's path-table row, the shortest-path kernel's whole output, on one ER
+and one GE graph of the grid-paper benchmark.  A change that alters outputs
 on purpose updates the digests and says so.
 """
 
@@ -18,7 +20,13 @@ from dataclasses import asdict
 import pytest
 
 from wspanner import pairwise
-from wspanner.core import PathTable, WeightedGraph, terminal_pairs, write_graph_text
+from wspanner.core import (
+    PathTable,
+    WeightedGraph,
+    shortest_path_row,
+    terminal_pairs,
+    write_graph_text,
+)
 from wspanner.generate import (
     GeneratorSpec,
     Model,
@@ -29,7 +37,7 @@ from wspanner.generate import (
     generate_terminals,
 )
 from wspanner.pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner_run
-from wspanner.seeding import ROLE_TOPOLOGY, stream
+from wspanner.seeding import ROLE_PLAN, ROLE_TOPOLOGY, derive_seed, stream
 from wspanner.subsetwise import subsetwise_2w_run
 
 from helpers import caterpillar_edges
@@ -181,3 +189,24 @@ def test_golden_cases_reach_every_repair(monkeypatch):
         else:
             hits["p8w_subsetwise"] += calls["subsetwise"]
     assert all(hits.values()), hits
+
+
+def _grid_paper_graph(model: Model, base_seed: int) -> WeightedGraph:
+    # The graph of a one-model grid-paper op: n=100, 2 exp levels, first cell.
+    return generate(GeneratorSpec(model, 100, derive_seed(base_seed, ROLE_PLAN, 0, 100, 2, 0, 0)))
+
+
+ROW_GRAPHS = {"er-100": (Model.ER, 1000), "ge-100": (Model.GE, 1001)}
+
+ROW_DIGESTS = {
+    "er-100": "4ed4d648876d59c1039e1f4a144c6cefa69052f8273f4ec39c1deec09c48e037",
+    "ge-100": "2ec2c83446e929012637a11e07abbe93269e74ef7bdb7e5d1b2f871da1233265",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
+def test_path_table_row_digest(name):
+    # Every source's (dist, parent, wmax) row: the kernel's whole output.
+    g = _grid_paper_graph(*ROW_GRAPHS[name])
+    rows = [shortest_path_row(g.adj, g.n, s) for s in range(g.n)]
+    assert _digest(rows) == ROW_DIGESTS[name]

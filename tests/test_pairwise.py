@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,13 @@ from wspanner.pairwise import (
     shortest_path_tree,
 )
 
-from helpers import caterpillar_edges, path_weight, simple_paths, unpruned_limited_missing_path
+from helpers import (
+    caterpillar_edges,
+    path_weight,
+    reordered_pairs,
+    simple_paths,
+    unpruned_limited_missing_path,
+)
 from strategies import graphs_with_pairs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -150,6 +158,27 @@ class TestShortestPathTree:
 
     def test_disconnected_spans_what_root_reaches(self):
         assert shortest_path_tree(WeightedGraph(3, ((0, 1, 1),)), 0) == {(0, 1)}
+
+
+def _pair_by_pair(table, pairs):
+    # The reads each_pair replaces: every pair asks the table on its own.
+    for u, v in pairs:
+        yield u, v, table.dist(u, v), table.path_edges(u, v) if table.reachable(u, v) else None
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_runs_on_any_pair_order_match_pair_by_pair_reads(algo, monkeypatch):
+    # The sweep's output depends on the pair order by design, so each order
+    # is checked against pair-by-pair reads of that same order, each run on a
+    # fresh graph whose table holds no row yet.
+    g = generate(GeneratorSpec(Model.ER, 30, 5))
+    pairs = terminal_pairs(range(0, 30, 3))
+    orders = [pairs, *reordered_pairs(pairs, random.Random(0))]
+    params = PairwiseParams(algo, seed=3)
+    runs = [pairwise_spanner_run(WeightedGraph(g.n, g.edges), order, params) for order in orders]
+    monkeypatch.setattr(core.PathTable, "each_pair", _pair_by_pair)
+    for order, run in zip(orders, runs):
+        assert pairwise_spanner_run(WeightedGraph(g.n, g.edges), order, params) == run
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
