@@ -258,8 +258,8 @@ class PathTable:
     the shortest-path tree rooted at s (the tie-break is applied as edges are
     relaxed), and the largest edge weight on each tree path, all from one
     search (``shortest_path_row``), computed the first time any method asks
-    for s.  The first path read of s builds the edge tuples of every
-    canonical path from s, each its parent's tuple plus one edge.  Both are
+    for s.  Path reads build the row's canonical-path edge tuples, each
+    vertex's once, as its parent's tuple plus one edge; rows and tuples are
     cached.  The canonical path of an unordered pair {u, v} comes from the
     tree rooted at min(u, v); path(v, u) is its reverse.  The per-pair
     methods read the row of min(u, v); tree_parent(root, v) reads the row of
@@ -275,28 +275,31 @@ class PathTable:
     def __init__(self, graph: WeightedGraph):
         self._adj = graph.adj
         self._n = graph.n
-        self._rows: dict[int, tuple[list, list[int], list[int]]] = {}
-        self._edges: dict[int, list[tuple[Edge, ...] | None]] = {}
+        self._rows: dict[int, tuple[list, list[int], list[int], list]] = {}
 
-    def _row(self, s: int) -> tuple[list, list[int], list[int]]:
+    def _row(self, s: int) -> tuple[list, list[int], list[int], list]:
+        """shortest_path_row's (dist, parent, wmax) for s, plus the canonical
+        path edge tuples from s, each None until _edges_to builds it."""
         row = self._rows.get(s)
         if row is None:
-            row = self._rows[s] = shortest_path_row(self._adj, self._n, s)
+            edges: list = [None] * self._n
+            edges[s] = ()
+            row = self._rows[s] = (*shortest_path_row(self._adj, self._n, s), edges)
         return row
 
-    def _edge_row(self, s: int) -> list[tuple[Edge, ...] | None]:
-        """Canonical path edges from s to each vertex; None where unreachable."""
-        edges = self._edges.get(s)
-        if edges is None:
-            dist, parent, _ = self._row(s)
-            edges = [None] * self._n
-            edges[s] = ()
-            for y in sorted(range(self._n), key=dist.__getitem__):
+    def _edges_to(self, s: int, t: int) -> tuple[Edge, ...] | None:
+        """Canonical path edges from s to t, None when unreachable.  Each
+        vertex's tuple is its parent's plus one edge, built once, the first
+        time a path through the vertex is asked for."""
+        dist, parent, _, edges = self._row(s)
+        if edges[t] is None and dist[t] != UNREACHABLE:
+            climb = [t]
+            while edges[parent[climb[-1]]] is None:
+                climb.append(parent[climb[-1]])
+            for y in reversed(climb):
                 p = parent[y]
-                if p >= 0:
-                    edges[y] = edges[p] + ((p, y) if p < y else (y, p),)
-            self._edges[s] = edges
-        return edges
+                edges[y] = edges[p] + ((p, y) if p < y else (y, p),)
+        return edges[t]
 
     def dist(self, u: int, v: int):
         return self._row(u)[0][v] if u < v else self._row(v)[0][u]
@@ -320,7 +323,7 @@ class PathTable:
 
     def path_edges(self, u: int, v: int) -> tuple[Edge, ...]:
         """Canonical path as (min, max) edges, walked from min(u, v)."""
-        edges = self._edge_row(u)[v] if u < v else self._edge_row(v)[u]
+        edges = self._edges_to(u, v) if u < v else self._edges_to(v, u)
         if edges is None:
             raise ValueError(f"no path between {u} and {v}")
         return edges
@@ -335,8 +338,8 @@ class PathTable:
             if s < 0 or t >= self._n:
                 raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
             if s != last:
-                last, dist, edges = s, self._row(s)[0], self._edge_row(s)
-            yield u, v, dist[t], edges[t]
+                last, (dist, _, _, edges) = s, self._row(s)
+            yield u, v, dist[t], edges[t] or self._edges_to(s, t)
 
 
 def build_path_table(g: WeightedGraph) -> PathTable:

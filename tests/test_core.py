@@ -12,7 +12,6 @@ from wspanner.core import (
     UNREACHABLE,
     BudgetMode,
     ErrorBudget,
-    PathTable,
     WeightedGraph,
     build_path_table,
     edge_key,
@@ -288,25 +287,16 @@ def test_path_edges_are_the_edges_of_the_canonical_path(g):
             assert pt.path(u, v) == (path if u <= v else tuple(reversed(path)))
 
 
-def test_each_sources_edge_list_is_built_once(monkeypatch):
+def test_each_canonical_edge_tuple_is_built_once():
+    # Every later read, in any order and either orientation, returns the
+    # object built by the first one.
     g = generate(GeneratorSpec(Model.ER, 30, 4))
-    built: dict[int, set[int]] = {}
-    real = PathTable._edge_row
-
-    def recording(self, s):
-        edges = real(self, s)
-        built.setdefault(s, set()).add(id(edges))
-        return edges
-
-    monkeypatch.setattr(PathTable, "_edge_row", recording)
     pt = g.paths
     pairs = [(u, v) for u in range(0, 30, 3) for v in range(30)]
+    first = {edge_key(u, v): pt.path_edges(u, v) for u, v in pairs}
     for order in (pairs, pairs[::-1], sorted(pairs, key=lambda p: p[1])):
-        for u, v in order:
-            pt.path_edges(u, v)
-        list(pt.each_pair(order))
-    assert set(built) == {min(u, v) for u, v in pairs}
-    assert all(len(ids) == 1 for ids in built.values())
+        for u, v, _, edges in pt.each_pair(order):
+            assert edges is first[edge_key(u, v)] is pt.path_edges(v, u)
 
 
 def _answers(pt, sources, n):
