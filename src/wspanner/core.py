@@ -6,13 +6,13 @@ are broken toward the smallest-id predecessor, per source, as edges are
 relaxed, so every derived artifact (paths, per-pair maximum edge weights,
 shortest-path trees) is a pure function of the graph.  ``PathTable``
 computes these artifacts on demand, one search per source row that settles
-vertices a distance bucket at a time, and caches each row and each row's
-canonical-path edge tuples; every graph owns one, ``WeightedGraph.paths``,
-which the constructions, the validity check and the exact solver all read,
-the pair sweeps one row per run of pairs sharing a source.  The validity
-check passes a pair whose canonical path lies in the subgraph without
-searching it, so it trusts the table's paths as well as its distances; only
-the pairs left over cost a search of the subgraph.
+vertices a distance bucket at a time, and caches each row and each path
+edge tuple it builds; every graph owns one, ``WeightedGraph.paths``, which
+the constructions, the validity check and the exact solver all read, the
+pair sweeps one row per run of pairs sharing a source.  The validity check
+passes a pair whose canonical path lies in the subgraph without searching
+it, so it trusts the table's paths as well as its distances; only the
+pairs left over cost a search of the subgraph.
 """
 
 from __future__ import annotations
