@@ -249,9 +249,10 @@ def test_dijkstra_limit_keeps_every_entry_up_to_it_exact(g, data):
 
 def test_row_kernel_allocates_nothing_proportional_to_the_weights():
     g = WeightedGraph(3, ((0, 1, 10**15), (1, 2, 10**15), (0, 2, 3 * 10**15)))
+    adj = g.adj
     tracemalloc.start()
     try:
-        row = core.shortest_path_row(g.adj, g.n, 0)
+        row = core.shortest_path_row(adj, g.n, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
