@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Sequence
 
 from .core import (
@@ -172,8 +173,7 @@ def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, present: set[Ed
 
 @dataclass
 class PairwiseReport:
-    """Run trace: parameters, sampling counts, patch size.  passes is always
-    1 (one sweep per run); the field stays for readers of the report."""
+    """Run trace: parameters, sampling counts, patch size (passes is always 1)."""
 
     algo: str
     d: int
@@ -199,9 +199,10 @@ def _missing_for(g: WeightedGraph, pairs, h: set[Edge]) -> set[Edge]:
 def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell: int, rng,
           report: PairwiseReport) -> None:
     """One sweep over the pairs: buy a pair's canonical path when at most ell
-    of its edges are missing from h, otherwise run the algorithm's repair
-    (p4w: trees or bounded-miss paths, p8w: a subsetwise spanner on a sample).
-    p2w repairs once, after the sweep, with the trees of one sample."""
+    of its edges are missing from h, else repair: p4w with trees or with
+    bounded-miss paths for the sample pairs whose canonical path leaves h (one
+    in h weighs dist_G with no miss, so the search would return a path in h),
+    p8w with a subsetwise spanner on a sample, p2w after the sweep with trees."""
     n = g.n
     for _, _, _, pe in g.paths.each_pair(pairs):
         missing = [e for e in pe if e not in h]
@@ -215,8 +216,8 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell
             h.update(missing[-ell:])
             sample = _sample(rng, n, 1.0 / (ell * d), report)
             if algo is PairwiseAlgo.P4W:
-                for i, r in enumerate(sample):
-                    for r_prime in sample[i + 1:]:
+                for r, r_prime, _, spe in g.paths.each_pair(combinations(sample, 2)):
+                    if spe is not None and not h.issuperset(spe):
                         path = limited_missing_path(g, r, r_prime, h, n // (d * d))
                         if path is not None:
                             h.update(edge_key(a, b) for a, b in zip(path, path[1:]))
@@ -235,7 +236,7 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     canonical-path edges of the pairs the check flags."""
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    norm = [edge_key(u, v) if u != v else (u, v) for u, v in pairs]
+    norm = [edge_key(u, v) for u, v in pairs]
     for u, v, dist, _ in g.paths.each_pair(norm):
         if dist == UNREACHABLE:
             raise ValueError(f"pair ({u},{v}) is disconnected")

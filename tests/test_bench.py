@@ -318,7 +318,9 @@ class TestDSweep:
         # d <= 2 sends every heavy pair into the bounded-miss repair; this sweep
         # took about a minute while limited_missing_path searched every state
         # instead of stopping at its target.  The search count keeps the
-        # instance one whose sweep meets a heavy pair, so the search runs.
+        # instance one whose sweep meets a heavy pair, so the search runs; it
+        # counts only the sample pairs whose canonical path leaves H (1,225
+        # when every sample pair was searched).
         searches = []
         search = pairwise.limited_missing_path
         monkeypatch.setattr(pairwise, "limited_missing_path",
@@ -331,5 +333,23 @@ class TestDSweep:
         budget = BUDGETS[PairwiseAlgo.P4W]
         assert verify_spanner(g, best, pairs, budget) == []
         assert ladder == [(6, 365), (3, 246), (2, 217), (1, 275)]
-        assert len(searches) == 1225
+        assert len(searches) == 162
+        assert elapsed < 15
+
+    def test_p4w_at_d1_on_er200_searches_only_pairs_leaving_h(self, monkeypatch):
+        # every heavy pair draws about n/2 sampled roots at d=1; this run made
+        # 5,151 bounded-miss searches in about 4 s while every sample pair was
+        # searched, and 604 once pairs whose canonical path lies in H are skipped
+        searches = []
+        search = pairwise.limited_missing_path
+        monkeypatch.setattr(pairwise, "limited_missing_path",
+                            lambda *args: searches.append(args) or search(*args))
+        g = generate(GeneratorSpec(Model.ER, 200, 0))
+        pairs = terminal_pairs(random.Random(0).sample(range(200), 50))
+        start = time.perf_counter()
+        h = pairwise_spanner(g, pairs, PairwiseParams(PairwiseAlgo.P4W, d_override=1, seed=1))
+        elapsed = time.perf_counter() - start
+        assert verify_spanner(g, h, pairs, BUDGETS[PairwiseAlgo.P4W]) == []
+        assert len(h) == 688
+        assert len(searches) == 604
         assert elapsed < 15

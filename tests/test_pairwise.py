@@ -41,7 +41,7 @@ from helpers import (
     simple_paths,
     unpruned_limited_missing_path,
 )
-from strategies import graphs_with_pairs
+from strategies import any_graphs, connected_graphs, graphs_with_pairs
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
 
@@ -284,6 +284,23 @@ def test_limited_missing_path_matches_unpruned_search_on_generated_graphs(model,
         cap = data.draw(st.integers(0, 22))
         assert (limited_missing_path(g, r, r_prime, present, cap)
                 == unpruned_limited_missing_path(g, r, r_prime, present, cap))
+
+
+@given(st.one_of(connected_graphs(), any_graphs()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_limited_missing_path_stays_in_present_holding_the_canonical_path(g, data):
+    # the p4w repair skips the search for such a pair: its answer adds no edge
+    r, r_prime = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+    present = {(u, v) for u, v, _ in g.edges if data.draw(st.booleans())}
+    cap = data.draw(st.integers(0, g.n))
+    if not g.paths.reachable(r, r_prime):
+        assert limited_missing_path(g, r, r_prime, present, cap) is None
+        return
+    present.update(g.paths.path_edges(r, r_prime))
+    path = limited_missing_path(g, r, r_prime, present, cap)
+    assert path is not None and path[0] == r and path[-1] == r_prime
+    assert all(edge_key(a, b) in present for a, b in zip(path, path[1:]))
+    assert path_weight(g, path) == g.paths.dist(r, r_prime)
 
 
 class TestPairwiseSpanner:
