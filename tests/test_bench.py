@@ -319,8 +319,7 @@ class TestDSweep:
         # took about a minute while limited_missing_path searched every state
         # instead of stopping at its target.  The search count keeps the
         # instance one whose sweep meets a heavy pair, so the search runs; it
-        # counts only the sample pairs whose canonical path leaves H (1,225
-        # when every sample pair was searched).
+        # counts only the sample pairs whose canonical path leaves H.
         searches = []
         search = pairwise.limited_missing_path
         monkeypatch.setattr(pairwise, "limited_missing_path",
