@@ -123,12 +123,8 @@ class WeightedGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    @cached_property
-    def _connected(self) -> bool:
-        return all(self.paths.reachable(0, v) for v in range(1, self.n))
-
     def is_connected(self) -> bool:
-        return self._connected
+        return all(self.paths.reachable(0, v) for v in range(1, self.n))
 
 
 def write_graph_text(g: WeightedGraph, keep: Collection[Edge] | None = None) -> str:
@@ -240,11 +236,11 @@ def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int], list[i
 
 
 def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge]):
-    """Adjacency lists of the subgraph induced by the given edges of g, in no
-    particular order (its readers take distances, which do not depend on it)."""
+    """Adjacency lists of g's subgraph on the given (min, max) edge keys, in
+    no particular order (its readers take distances, which do not depend on it)."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for u, v in edges:
-        w = g.weight_map[edge_key(u, v)]
+        w = g.weight_map[u, v]
         adj[u].append((v, w))
         adj[v].append((u, w))
     return adj
@@ -354,6 +350,8 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     """Pairs whose distance in the subgraph exceeds dist_G + allowance, in
     the order they are given.
 
+    The subgraph's edges h_edges are (min, max) keys of edges of g, as in
+    ``g.edge_set``; anything else, a reversed key included, is a ValueError.
     An empty result means h_edges is a valid spanner for the given pairs.
     Pairs disconnected in g itself are never reported.  A pair whose
     canonical path lies in the subgraph has dist_H = dist_G and passes
@@ -361,10 +359,10 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     weight ``dist``.  The subgraph is searched, one Dijkstra per source,
     only for the pairs left over.
     """
-    hset = {edge_key(u, v) for u, v in h_edges}
-    extra = hset - g.edge_set
+    hset = set(h_edges)
+    extra = sorted(hset - g.edge_set)[:3]
     if extra:
-        raise ValueError(f"subgraph edges not present in the graph: {sorted(extra)[:3]}")
+        raise ValueError(f"subgraph edges must be (min, max) keys of graph edges: {extra}")
     left = [(u, v, dg) for u, v, dg, pe in g.paths.each_pair(pairs)
             if pe is not None and not hset.issuperset(pe)]
     if not left:

@@ -36,28 +36,31 @@ class SizeCapExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LinearConstraint:
-    name: str
-    terms: tuple[tuple[int, str], ...]
-    sense: str  # "<=" or "="
-    rhs: int
-
-
-@dataclass(frozen=True)
 class IlpModel:
-    """Binary model: minimize the sum of objective variables."""
+    """Binary model: minimize the sum of objective variables; rows are LP text."""
 
     objective: tuple[str, ...]
-    constraints: tuple[LinearConstraint, ...]
+    constraints: tuple[str, ...]
     binaries: tuple[str, ...]
+
+
+def _row(name: str, terms, sense: str, rhs: int) -> str:
+    """An LP constraint row from (coefficient, variable) terms; a unit
+    coefficient is left out, and a leading sign only when negative."""
+    parts = []
+    for coef, var in terms:
+        body = var if abs(coef) == 1 else f"{abs(coef)} {var}"
+        parts.append(("- " if coef < 0 else "+ ") + body)
+    return f"{name}: {' '.join(parts).removeprefix('+ ')} {sense} {rhs}"
 
 
 def build_ilp(inst: MultiLevelInstance) -> IlpModel:
     """Path-based flow model, one flow system per unordered terminal pair per
-    level: path length bounded by dist + allowance, flow conservation,
-    out-degree at most one, arcs coupled to edge variables, and (multi-level)
-    each level's edges contained in the level below.  Variable names carry a
-    level suffix _l{k} only when there is more than one level."""
+    level, in this row order: path length bounded by dist + allowance, flow
+    conservation and out-degree at most one per vertex, arcs coupled to edge
+    variables, and (multi-level) each level's edges contained in the level
+    below.  Variable names carry a level suffix _l{k} only when there is more
+    than one level."""
     g = inst.graph
     pt = g.paths
     suffixes = [f"_l{k}" if inst.levels > 1 else "" for k in range(1, inst.levels + 1)]
@@ -65,7 +68,7 @@ def build_ilp(inst: MultiLevelInstance) -> IlpModel:
     arcs = [(a, b, w) for i, j, w in g.edges for a, b in ((i, j), (j, i))]
     objective = [name for level in xe for name in level]
     binaries = list(objective)
-    constraints: list[LinearConstraint] = []
+    constraints: list[str] = []
     for k, sfx in enumerate(suffixes):
         for u, v in terminal_pairs(inst.terminal_sets[k]):
             if not pt.reachable(u, v):
@@ -74,48 +77,30 @@ def build_ilp(inst: MultiLevelInstance) -> IlpModel:
             f = {(i, j): f"f_{i}_{j}_{pair}" for i, j, _ in arcs}
             binaries.extend(f.values())
             limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
-            constraints.append(LinearConstraint(
-                f"len_{pair}", tuple((w, f[i, j]) for i, j, w in arcs), "<=", limit))
+            constraints.append(_row(f"len_{pair}", ((w, f[i, j]) for i, j, w in arcs), "<=", limit))
             for i in range(g.n):
-                terms = tuple(t for j, _ in g.adj[i] for t in ((1, f[i, j]), (-1, f[j, i])))
+                terms = (t for j, _ in g.adj[i] for t in ((1, f[i, j]), (-1, f[j, i])))
                 rhs = 1 if i == u else (-1 if i == v else 0)
-                constraints.append(LinearConstraint(f"flow_{pair}_v{i}", terms, "=", rhs))
+                constraints.append(_row(f"flow_{pair}_v{i}", terms, "=", rhs))
             for i in range(g.n):
-                terms = tuple((1, f[i, j]) for j, _ in g.adj[i])
-                if terms:
-                    constraints.append(LinearConstraint(f"deg_{pair}_v{i}", terms, "<=", 1))
+                if g.adj[i]:
+                    terms = ((1, f[i, j]) for j, _ in g.adj[i])
+                    constraints.append(_row(f"deg_{pair}_v{i}", terms, "<=", 1))
             for e, (i, j, _) in enumerate(g.edges):
-                constraints.append(LinearConstraint(
-                    f"cpl_{pair}_e{i}_{j}", ((1, f[i, j]), (1, f[j, i]), (-1, xe[k][e])), "<=", 0))
+                constraints.append(_row(f"cpl_{pair}_e{i}_{j}",
+                                        ((1, f[i, j]), (1, f[j, i]), (-1, xe[k][e])), "<=", 0))
     for k in range(1, inst.levels):
         for e, (i, j, _) in enumerate(g.edges):
-            constraints.append(LinearConstraint(
-                f"nest_e{i}_{j}{suffixes[k]}", ((1, xe[k][e]), (-1, xe[k - 1][e])), "<=", 0))
+            constraints.append(_row(f"nest_e{i}_{j}{suffixes[k]}",
+                                    ((1, xe[k][e]), (-1, xe[k - 1][e])), "<=", 0))
     return IlpModel(tuple(objective), tuple(constraints), tuple(binaries))
 
 
-def _format_terms(terms) -> str:
-    parts = []
-    for idx, (coef, var) in enumerate(terms):
-        mag = abs(coef)
-        body = var if mag == 1 else f"{mag} {var}"
-        if idx == 0:
-            parts.append(body if coef >= 0 else f"- {body}")
-        else:
-            parts.append(("+ " if coef >= 0 else "- ") + body)
-    return " ".join(parts)
-
-
 def emit_lp(model: IlpModel) -> str:
-    """Deterministic LP text: Minimize / Subject To / Binary / End.
-
-    Constraints appear in model order (per level, per pair: length, flow per
-    vertex, degree per vertex, coupling per edge; then nesting), so equal
-    models serialize byte-identically.
-    """
+    """Deterministic LP text: Minimize / Subject To / Binary / End, with the
+    rows in model order, so equal models serialize byte-identically."""
     lines = ["Minimize", " obj: " + " + ".join(model.objective), "Subject To"]
-    for c in model.constraints:
-        lines.append(f" {c.name}: {_format_terms(c.terms)} {c.sense} {c.rhs}")
+    lines.extend(f" {c}" for c in model.constraints)
     lines.append("Binary")
     lines.extend(f" {v}" for v in model.binaries)
     lines.append("End")
@@ -166,7 +151,7 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     if (ell + 1) ** m > caps.max_work:
         raise SizeCapExceeded(f"search space ({ell + 1}**{m}) exceeds the work budget", m, ell)
     pt = g.paths
-    eindex = {edge_key(u, v): i for i, (u, v, _) in enumerate(g.edges)}
+    eindex = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
     masks: dict[Edge, list[int]] = {}
     for u, v in terminal_pairs(inst.terminal_sets[0]):
         if not pt.reachable(u, v):
@@ -221,12 +206,3 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     return MultiLevelSpanner(tuple(
         frozenset((u, v) for i, (u, v, _) in enumerate(g.edges) if best_rates[i] >= k)
         for k in range(1, ell + 1)))
-
-
-def exact_single_level(g: WeightedGraph, terminals, budget,
-                       caps: SizeCaps | None = None) -> set[Edge]:
-    """Minimum edge set spanning one terminal set within the budget."""
-    if len(set(terminals)) < 2:
-        return set()
-    inst = MultiLevelInstance(g, (frozenset(terminals),), budget)
-    return set(exact_optimum(inst, caps).level_edges[0])

@@ -236,17 +236,16 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     canonical-path edges of the pairs the check flags."""
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    norm = [edge_key(u, v) for u, v in pairs]
-    for u, v, dist, _ in g.paths.each_pair(norm):
+    for u, v, dist, _ in g.paths.each_pair(pairs):
         if dist == UNREACHABLE:
             raise ValueError(f"pair ({u},{v}) is disconnected")
-    count = len(norm)
+    count = len(pairs)
     d = params.d_override if params.d_override is not None else default_d(params.algo, count)
     ell = default_ell(params.algo, g.n, count)
     h = d_light_init(g, d)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
-    _pass(params.algo, g, norm, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
-    missing = _missing_for(g, verify_spanner(g, h, norm, BUDGETS[params.algo]), h)
+    _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
+    missing = _missing_for(g, verify_spanner(g, h, pairs, BUDGETS[params.algo]), h)
     h.update(missing)
     report.patched = len(missing)
     report.fallback = len(missing) > g.n * d

@@ -73,7 +73,7 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
             clusters.append(frozenset(members))
             centers.append(center)
             gc.update(edge_key(center, u) for u in members)
-            gc.update(edge_key(a, b) for a in members for b, _ in adj[a] if b in member_set and a < b)
+            gc.update((a, b) for a in members for b, _ in adj[a] if b in member_set and a < b)
     for v in range(g.n):
         if unclustered[v]:
             gc.update(edge_key(v, u) for u, _ in adj[v])

@@ -10,7 +10,8 @@ search as it was before dominance pruning, kept to pin which of several tied
 paths comes back.  ``rebuilt_path_value`` is the subsetwise path value with
 full distances over the whole subgraph recomputed for every call.
 ``caterpillar_edges`` is the one test instance shared by the pairwise and
-golden tests.
+golden tests.  ``exact_single_level`` is no oracle: it is the library's exact
+optimum read as one level's edge set, for the tests that compare against it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+
+from wspanner.exact import exact_optimum
+from wspanner.multilevel import MultiLevelInstance
 
 INF = float("inf")
 
@@ -318,6 +322,14 @@ def brute_multilevel_opt(g, level_pair_limits) -> int:
                 best = sparsity
     assert best is not None
     return best
+
+
+def exact_single_level(g, terminals, budget, caps=None) -> set:
+    """Minimum edge set spanning one terminal set within the budget."""
+    if len(set(terminals)) < 2:
+        return set()
+    inst = MultiLevelInstance(g, (frozenset(terminals),), budget)
+    return set(exact_optimum(inst, caps).level_edges[0])
 
 
 _TERM = re.compile(r"([+-])?\s*(\d+)?\s*([A-Za-z_][A-Za-z0-9_]*)")

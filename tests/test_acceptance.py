@@ -20,7 +20,7 @@ from wspanner.core import (
     terminal_pairs,
     verify_spanner,
 )
-from wspanner.exact import exact_optimum, exact_single_level
+from wspanner.exact import exact_optimum
 from wspanner.generate import (
     GeneratorSpec,
     Model,
@@ -34,7 +34,7 @@ from wspanner.pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, pairwise_sp
 from wspanner.seeding import pick, stream
 from wspanner.subsetwise import subsetwise_2w
 
-from helpers import solve_lp_text
+from helpers import exact_single_level, solve_lp_text
 
 GOLDEN = Path(__file__).parent / "golden"
 GLOBAL2 = ErrorBudget(BudgetMode.GLOBAL, 2)

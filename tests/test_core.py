@@ -390,6 +390,10 @@ class TestVerifySpanner:
         with pytest.raises(ValueError):
             verify_spanner(TRIANGLE, {(0, 5)}, [(0, 2)], budget("GLOBAL", 2))
 
+    def test_rejects_a_reversed_key_of_a_graph_edge(self):
+        with pytest.raises(ValueError, match=r"must be \(min, max\) keys of graph edges: \[\(2, 0\)\]"):
+            verify_spanner(TRIANGLE, {(0, 1), (2, 0)}, [(0, 2)], budget("GLOBAL", 2))
+
     def test_local_budget_uses_pair_max_weight(self):
         # dist(0,2)=2, W(0,2)=1: edge (0,2) of weight 3 passes c=1 but not c=0.
         assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("LOCAL", 1)) == []

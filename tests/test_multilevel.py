@@ -9,7 +9,7 @@ from wspanner.core import (
     terminal_pairs,
     verify_spanner,
 )
-from wspanner.exact import SizeCaps, exact_optimum, exact_single_level
+from wspanner.exact import SizeCaps, exact_optimum
 from wspanner.generate import GeneratorSpec, Model, TerminalScheme, TerminalSelection, generate, generate_terminals
 from wspanner.multilevel import (
     MultiLevelInstance,
@@ -18,7 +18,7 @@ from wspanner.multilevel import (
 )
 from wspanner.subsetwise import subsetwise_2w
 
-from helpers import round_up_pow2, roundup_solves
+from helpers import exact_single_level, round_up_pow2, roundup_solves
 from strategies import connected_graphs
 
 GLOBAL2 = ErrorBudget(BudgetMode.GLOBAL, 2)

@@ -181,6 +181,18 @@ def test_runs_on_any_pair_order_match_pair_by_pair_reads(algo, monkeypatch):
         assert pairwise_spanner_run(WeightedGraph(g.n, g.edges), order, params) == run
 
 
+@pytest.mark.parametrize("d", [None, 1, 2])
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_reversed_pairs_give_the_same_run(algo, d):
+    # A pair names the same canonical path in either orientation; the spine
+    # instance reaches every repair of every construction at some d.
+    g = WeightedGraph(30, caterpillar_edges(10))
+    pairs = terminal_pairs([0, 9, *range(10, 30)])
+    params = PairwiseParams(algo, d_override=d, seed=7)
+    reversed_run = pairwise_spanner_run(g, [(v, u) for u, v in pairs], params)
+    assert reversed_run == pairwise_spanner_run(g, pairs, params)
+
+
 @pytest.mark.parametrize("algo", ALL_ALGOS)
 def test_few_terminals_compute_few_path_table_rows(algo, monkeypatch):
     g = generate(GeneratorSpec(Model.ER, 60, 3))
@@ -338,6 +350,7 @@ class TestPairwiseSpanner:
         assert report.patched == len(expected - init) > 0
         assert report.passes == 1 and not report.fallback
         assert verify_spanner(g, h, pairs, budget) == []
+        assert pairwise_spanner_run(g, [(v, u) for u, v in pairs], params) == (h, report)
 
     def test_patch_larger_than_n_times_d_is_a_fallback(self, monkeypatch):
         # _missing_for reports all of g's edges missing, more than n*d: they are
