@@ -120,9 +120,6 @@ class WeightedGraph:
         """The graph's path table; its rows are computed as they are read."""
         return build_path_table(self)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def is_connected(self) -> bool:
         return all(self.paths.reachable(0, v) for v in range(1, self.n))
 

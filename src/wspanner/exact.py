@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, WeightedGraph, edge_key, terminal_pairs
+from .core import Edge, edge_key, terminal_pairs
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
 
 
@@ -107,27 +107,22 @@ def emit_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _minimal_path_masks(g: WeightedGraph, u: int, v: int, limit: int,
-                        eindex: dict[Edge, int]) -> list[int]:
-    """Edge bitmasks of the simple u-v paths of weight <= limit, sorted by
-    (edge count, mask) so that the search tries cheap paths first.  Each is
+def _minimal_path_masks(incidence, u: int, v: int, limit: int) -> list[int]:
+    """Edge bitmasks of the simple u-v paths of weight <= limit, walked over
+    incidence, each vertex's (neighbor, weight, edge bit) triples, and sorted
+    by (edge count, mask) so that the search tries cheap paths first.  Each is
     inclusion-minimal: if a simple u-v path Q uses only edges of a simple u-v
     path P, then Q is a u-v path in the path graph P, so Q = P.  The masks
     are distinct and pairwise incomparable, so none needs filtering."""
-    adj = g.adj
     found: list[int] = []
 
     def walk(x: int, visited: int, weight: int, mask: int) -> None:
         if x == v:
             found.append(mask)
             return
-        for y, w in adj[x]:
-            if visited >> y & 1:
-                continue
-            nw = weight + w
-            if nw > limit:
-                continue
-            walk(y, visited | (1 << y), nw, mask | (1 << eindex[edge_key(x, y)]))
+        for y, w, bit in incidence[x]:
+            if not visited >> y & 1 and weight + w <= limit:
+                walk(y, visited | (1 << y), weight + w, mask | bit)
 
     walk(u, 1 << u, 0, 0)
     found.sort(key=lambda m: (m.bit_count(), m))
@@ -151,13 +146,14 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     if (ell + 1) ** m > caps.max_work:
         raise SizeCapExceeded(f"search space ({ell + 1}**{m}) exceeds the work budget", m, ell)
     pt = g.paths
-    eindex = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
+    bits = {(u, v): 1 << i for i, (u, v, _) in enumerate(g.edges)}
+    incidence = [[(y, w, bits[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
     masks: dict[Edge, list[int]] = {}
     for u, v in terminal_pairs(inst.terminal_sets[0]):
         if not pt.reachable(u, v):
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
         limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
-        masks[(u, v)] = _minimal_path_masks(g, u, v, limit, eindex)
+        masks[(u, v)] = _minimal_path_masks(incidence, u, v, limit)
     flat = [(k, pair)
             for k in range(ell, 0, -1)
             for pair in terminal_pairs(inst.terminal_sets[k - 1])]

@@ -6,9 +6,9 @@ outright when few of its edges are missing and otherwise falling back to
 randomized repairs (shortest-path trees from sampled roots, bounded-miss
 paths between sampled pairs, or a subsetwise spanner over a sample).  One
 sweep serves all three; only the repair differs.  A run is one sweep, one
-check and one patch: the pairs still over budget after the sweep get the
-missing edges of their canonical paths, so the result always meets its
-advertised budget:
+check and one patch: the check reads only the pairs the sweep did not buy,
+and those still over budget get the missing edges of their canonical
+paths, so the result always meets its advertised budget:
 
     p2w -> +2*W(u,v)    p4w -> +4*W(u,v)    p8w -> +6*W_max
 
@@ -192,23 +192,29 @@ def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
     return sample
 
 
-def _missing_for(g: WeightedGraph, pairs, h: set[Edge]) -> set[Edge]:
-    return {e for _, _, _, pe in g.paths.each_pair(pairs) for e in pe if e not in h}
-
-
 def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell: int, rng,
-          report: PairwiseReport) -> None:
+          report: PairwiseReport) -> list[tuple[int, int]]:
     """One sweep over the pairs: buy a pair's canonical path when at most ell
     of its edges are missing from h, else repair: p4w with trees or with
     bounded-miss paths for the sample pairs whose canonical path leaves h (one
     in h weighs dist_G with no miss, so the search would return a path in h),
-    p8w with a subsetwise spanner on a sample, p2w after the sweep with trees."""
+    p8w with a subsetwise spanner on a sample, p2w after the sweep with trees.
+    Returns the pairs not bought, in input order: a bought pair's canonical
+    path is in h, which only grows, so a check passes it without a search and
+    checking only the rest flags the same pairs, in order, by the same
+    searches.  The first disconnected pair raises, and no repair before it
+    can: p8w skips subsetwise on a disconnected graph, p4w pathless samples."""
     n = g.n
-    for _, _, _, pe in g.paths.each_pair(pairs):
+    left = []
+    for u, v, _, pe in g.paths.each_pair(pairs):
+        if pe is None:
+            raise ValueError(f"pair ({u},{v}) is disconnected")
         missing = [e for e in pe if e not in h]
         if len(missing) <= ell:
             h.update(pe)
-        elif algo is PairwiseAlgo.P4W and len(missing) * d * d >= n:
+            continue
+        left.append((u, v))
+        if algo is PairwiseAlgo.P4W and len(missing) * d * d >= n:
             for r in _sample(rng, n, d * d / n, report):
                 h.update(shortest_path_tree(g, r))
         elif algo is not PairwiseAlgo.P2W:
@@ -228,24 +234,23 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell
     if algo is PairwiseAlgo.P2W:
         for r in _sample(rng, n, 1.0 / (ell * d), report):
             h.update(shortest_path_tree(g, r))
+    return left
 
 
 def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
                          params: PairwiseParams) -> tuple[set[Edge], PairwiseReport]:
-    """The d-light init, one sweep, one check, and a patch of the missing
-    canonical-path edges of the pairs the check flags."""
+    """The d-light init, one sweep, one check of the pairs it did not buy, and
+    a patch of the missing canonical-path edges of the pairs the check flags."""
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    for u, v, dist, _ in g.paths.each_pair(pairs):
-        if dist == UNREACHABLE:
-            raise ValueError(f"pair ({u},{v}) is disconnected")
     count = len(pairs)
     d = params.d_override if params.d_override is not None else default_d(params.algo, count)
     ell = default_ell(params.algo, g.n, count)
     h = d_light_init(g, d)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
-    _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
-    missing = _missing_for(g, verify_spanner(g, h, pairs, BUDGETS[params.algo]), h)
+    left = _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
+    violators = verify_spanner(g, h, left, BUDGETS[params.algo])
+    missing = {e for _, _, _, pe in g.paths.each_pair(violators) for e in pe if e not in h}
     h.update(missing)
     report.patched = len(missing)
     report.fallback = len(missing) > g.n * d

@@ -195,9 +195,10 @@ def test_path_masks_match_filtered_enumeration(mode, g, c):
     # Every simple path's mask within the budget is already inclusion-minimal.
     budget = ErrorBudget(mode, c)
     eindex = {edge_key(u, v): i for i, (u, v, _) in enumerate(g.edges)}
+    incidence = [[(y, w, 1 << eindex[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
     for u, v in terminal_pairs(range(g.n)):
         limit = brute_force_distance(g, u, v) + budget.allowance(g, u, v)
-        assert _minimal_path_masks(g, u, v, limit, eindex) == minimal_path_masks(
+        assert _minimal_path_masks(incidence, u, v, limit) == minimal_path_masks(
             g, u, v, limit, eindex)
 
 

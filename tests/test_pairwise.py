@@ -107,7 +107,7 @@ class TestDefaults:
 class TestDLightInit:
     def test_d_at_least_max_degree_returns_all_edges(self):
         g = generate(GeneratorSpec(Model.ER, 15, 2))
-        max_deg = max(g.degree(v) for v in range(g.n))
+        max_deg = max(len(entry) for entry in g.adj)
         assert d_light_init(g, max_deg) == g.edge_set
 
     def test_star_every_leaf_claims_its_edge(self):
@@ -323,22 +323,35 @@ class TestPairwiseSpanner:
         assert h == {(0, 1), (1, 2)}
         assert report.passes == 1 and not report.fallback
 
-    def test_canonical_path_inside_init_needs_no_retries(self):
+    def test_canonical_path_inside_init_needs_no_retries(self, monkeypatch):
+        # With d = n the init is all of g: the sweep buys every pair, so the
+        # check is handed no pair at all.
         g = generate(GeneratorSpec(Model.ER, 20, 8))
-        pair = terminal_pairs(range(g.n))[0]
-        params = PairwiseParams(PairwiseAlgo.P2W, d_override=g.n, seed=0)
-        h, report = pairwise_spanner_run(g, [pair], params)
-        assert report.passes == 1 and report.patched == 0
-        assert h == d_light_init(g, g.n)
+        pairs = terminal_pairs(range(0, g.n, 3))
+        real_verify = pairwise.verify_spanner
+        checked = []
+
+        def verify(g, h, pairs, budget):
+            checked.append(list(pairs))
+            return real_verify(g, h, pairs, budget)
+
+        monkeypatch.setattr(pairwise, "verify_spanner", verify)
+        for algo in ALL_ALGOS:
+            params = PairwiseParams(algo, d_override=g.n, seed=0)
+            h, report = pairwise_spanner_run(g, pairs, params)
+            assert report.passes == 1 and report.patched == 0
+            assert h == d_light_init(g, g.n) == g.edge_set
+        assert checked == [[], [], []]
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_patch_completes_a_sweepless_init(self, algo, monkeypatch):
-        # With the sweep stubbed out, the check runs on the 1-light init, and
-        # the patch adds the missing canonical edges of the pairs it flags.
+        # With the sweep stubbed out to buy nothing and hand back every pair,
+        # the check runs on the 1-light init, and the patch adds the missing
+        # canonical edges of the pairs it flags.
         g = generate(GeneratorSpec(Model.GE, 22, 0))
         sets = generate_terminals(22, TerminalSelection(TerminalScheme.LINEAR, 2, 0))
         pairs = terminal_pairs(sets[0])
-        monkeypatch.setattr(pairwise, "_pass", lambda *args: None)
+        monkeypatch.setattr(pairwise, "_pass", lambda algo, g, pairs, *rest: list(pairs))
         params = PairwiseParams(algo, d_override=1, seed=1)
         h, report = pairwise_spanner_run(g, pairs, params)
         init = d_light_init(g, 1)
@@ -353,9 +366,15 @@ class TestPairwiseSpanner:
         assert pairwise_spanner_run(g, [(v, u) for u, v in pairs], params) == (h, report)
 
     def test_patch_larger_than_n_times_d_is_a_fallback(self, monkeypatch):
-        # _missing_for reports all of g's edges missing, more than n*d: they are
-        # patched in after the one check, and the run is a fallback.
-        g = generate(GeneratorSpec(Model.ER, 20, 8))
+        # A weight-1 spine plus weight-2 chords over 7 or more spine edges: the
+        # 1-light init is the spine, and each chord is the only shortest path
+        # of its ends, which lie 7 or more apart in the spine, beyond 2 + 2*2.
+        # With the sweep stubbed out, the one check flags every chord pair and
+        # the patch adds all 91 chords, more than n*d = 20: a fallback.
+        n = 20
+        spine = tuple((i, i + 1, 1) for i in range(n - 1))
+        chords = tuple((i, j, 2) for i in range(n) for j in range(i + 7, n))
+        g = WeightedGraph(n, spine + chords)
         real_verify = pairwise.verify_spanner
         checks = []
 
@@ -363,13 +382,13 @@ class TestPairwiseSpanner:
             checks.append(args)
             return real_verify(*args)
 
-        monkeypatch.setattr(pairwise, "_missing_for", lambda *args: set(g.edge_set))
+        monkeypatch.setattr(pairwise, "_pass", lambda algo, g, pairs, *rest: list(pairs))
         monkeypatch.setattr(pairwise, "verify_spanner", verify)
         params = PairwiseParams(PairwiseAlgo.P2W, d_override=1, seed=0)
-        h, report = pairwise_spanner_run(g, terminal_pairs(range(0, g.n, 4)), params)
-        assert len(g.edges) > g.n * report.d
+        h, report = pairwise_spanner_run(g, [(u, v) for u, v, _ in chords], params)
+        assert d_light_init(g, 1) == {(u, v) for u, v, _ in spine}
         assert report.fallback and report.passes == 1 and len(checks) == 1
-        assert h == g.edge_set and report.patched == len(g.edges)
+        assert h == g.edge_set and report.patched == len(chords) == 91 > g.n * report.d
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_deterministic_given_seed(self, algo):
@@ -386,6 +405,17 @@ class TestPairwiseSpanner:
         g = WeightedGraph(4, ((0, 1, 1), (2, 3, 1)))
         with pytest.raises(ValueError):
             pairwise_spanner(g, [(0, 3)], PairwiseParams(PairwiseAlgo.P2W))
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS)
+    def test_first_disconnected_pair_after_connected_ones_is_named(self, algo):
+        # The sweep repairs the caterpillar pairs first (as in the test below),
+        # then meets the detached edge's pair, named as the caller gave it;
+        # the out-of-range pair after it is never reached.
+        g = WeightedGraph(32, caterpillar_edges(10) + ((30, 31, 1),))
+        pairs = terminal_pairs([0, 9, *range(10, 30)]) + [(31, 0), (0, 99)]
+        params = PairwiseParams(algo, d_override=2, seed=2)
+        with pytest.raises(ValueError, match=r"^pair \(31,0\) is disconnected$"):
+            pairwise_spanner_run(g, pairs, params)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_disconnected_graph_with_connected_pairs(self, algo):
