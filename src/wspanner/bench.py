@@ -72,17 +72,13 @@ def run_strategy(strategy: str, inst: MultiLevelInstance,
     return (multilevel_roundup if strategy == "roundup" else multilevel_naive)(inst, solver)
 
 
-def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, base_d: int | None = None,
+def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo,
             seed: int = 0) -> tuple[set[Edge], list[tuple[int, int]]]:
-    """Rerun the construction for d, ceil(d/2), ..., 1 (same seed) and keep the
-    sparsest output.  Returns (best edge set, [(d, size), ...] ladder)."""
-    if base_d is None:
-        base_d = default_d(algo, len(pairs))
-    if base_d < 1:
-        raise ValueError("base_d must be >= 1")
+    """Rerun the construction for d = default_d, ceil(d/2), ..., 1 (same seed)
+    and keep the sparsest output.  Returns (best edge set, [(d, size)] ladder)."""
     ladder: list[tuple[int, int]] = []
     best: set[Edge] | None = None
-    d = base_d
+    d = default_d(algo, len(pairs))
     while True:
         h = pairwise_spanner(g, pairs, PairwiseParams(algo, d_override=d, seed=seed))
         ladder.append((d, len(h)))

@@ -178,15 +178,15 @@ class ErrorBudget:
         return self.c * g.paths.max_weight(u, v)
 
 
-def _settle(adj, n: int, source: int, limit) -> tuple[list, list[int], list[int]]:
-    """The search behind dijkstra_distances and shortest_path_row.  buckets
-    maps a distance to the vertices that reached it (one that later reaches
-    less is skipped there) and keys is a heap of those distances, so no
-    memory grows with the weights.  Order within a bucket cannot change a
-    row: every tight predecessor of a vertex is in an earlier bucket."""
+def _settle(adj, n: int, source: int, limit) -> tuple[list, list[int]]:
+    """The search behind dijkstra_distances and shortest_path_row: distances
+    and smallest-id parents.  buckets maps a distance to the vertices that
+    reached it (one that later reaches less is skipped there) and keys is a
+    heap of those distances, so no memory grows with the weights.  Order
+    within a bucket cannot change a row: every tight predecessor of a vertex
+    is in an earlier bucket."""
     dist = [UNREACHABLE] * n
     parent = [-1] * n
-    wmax = [0] * n
     dist[source] = 0
     buckets = {0: [source]}
     keys = [0]
@@ -198,7 +198,6 @@ def _settle(adj, n: int, source: int, limit) -> tuple[list, list[int], list[int]
         for x in buckets.pop(d):
             if dist[x] < d:
                 continue
-            top = wmax[x]
             for y, w in adj[x]:
                 nd = d + w
                 if nd < dist[y]:
@@ -211,8 +210,7 @@ def _settle(adj, n: int, source: int, limit) -> tuple[list, list[int], list[int]
                 elif nd > dist[y] or x > parent[y]:
                     continue
                 parent[y] = x
-                wmax[y] = top if top > w else w
-    return dist, parent, wmax
+    return dist, parent
 
 
 def dijkstra_distances(adj, n: int, source: int, limit=UNREACHABLE) -> list:
@@ -222,13 +220,11 @@ def dijkstra_distances(adj, n: int, source: int, limit=UNREACHABLE) -> list:
     return _settle(adj, n, source, limit)[0]
 
 
-def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int], list[int]]:
-    """One path-table row from one search: distances from source, each
+def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int]]:
+    """One path-table row from one search: distances from source and each
     vertex's smallest-id parent in the shortest-path tree (-1 at the source
-    and where unreachable), and the largest edge weight on its tree path.
-
-    A relaxation that ties a vertex's distance keeps the smaller parent id,
-    and each parent change takes the settled parent's final path maximum."""
+    and where unreachable).  A relaxation that ties a vertex's distance keeps
+    the smaller parent id."""
     return _settle(adj, n, source, UNREACHABLE)
 
 
@@ -247,32 +243,34 @@ class PathTable:
     """Distances, canonical paths, and per-pair maximum edge weight, computed
     on demand one source row at a time.
 
-    A row for source s holds the distances from s, the smallest-id parents of
-    the shortest-path tree rooted at s (the tie-break is applied as edges are
-    relaxed), and the largest edge weight on each tree path, all from one
-    search (``shortest_path_row``), computed the first time any method asks
-    for s.  Path reads build the row's canonical-path edge tuples, each
-    vertex's once, as its parent's tuple plus one edge; rows and tuples are
-    cached.  The canonical path of an unordered pair {u, v} comes from the
-    tree rooted at min(u, v); path(v, u) is its reverse.  The per-pair
-    methods read the row of min(u, v); tree_parent(root, v) reads the row of
-    root.  Answers do not depend on the order of queries.  Each row is a
-    pure function of the graph, so concurrent first reads of one source can
-    at worst compute it twice.
+    A row for source s holds the distances from s and the smallest-id parents
+    of the shortest-path tree rooted at s (the tie-break is applied as edges
+    are relaxed), both from one search (``shortest_path_row``), computed the
+    first time any method asks for s.  Path reads build the row's
+    canonical-path edge tuples, each vertex's once, as its parent's tuple
+    plus one edge; rows and tuples are cached.  W(u, v), the largest edge
+    weight on the canonical path, is read off that path's cached edges.  The
+    canonical path of an unordered pair {u, v} comes from the tree rooted at
+    min(u, v); path(v, u) is its reverse.  The per-pair methods read the row
+    of min(u, v); tree_parent(root, v) reads the row of root.  Answers do
+    not depend on the order of queries.  Each row is a pure function of the
+    graph, so concurrent first reads of one source can at worst compute it
+    twice.
 
-    The table keeps the graph's adjacency and vertex count, not the graph
-    itself, so a graph that caches its table forms no reference cycle and
-    both are freed as soon as the graph is.
+    The table keeps the graph's adjacency, weight map and vertex count, not
+    the graph itself, so a graph that caches its table forms no reference
+    cycle and both are freed as soon as the graph is.
     """
 
     def __init__(self, graph: WeightedGraph):
         self._adj = graph.adj
+        self._weight = graph.weight_map
         self._n = graph.n
-        self._rows: dict[int, tuple[list, list[int], list[int], list]] = {}
+        self._rows: dict[int, tuple[list, list[int], list]] = {}
 
-    def _row(self, s: int) -> tuple[list, list[int], list[int], list]:
-        """shortest_path_row's (dist, parent, wmax) for s, plus the canonical
-        path edge tuples from s, each None until _edges_to builds it."""
+    def _row(self, s: int) -> tuple[list, list[int], list]:
+        """shortest_path_row's (dist, parent) for s, plus the canonical path
+        edge tuples from s, each None until _edges_to builds it."""
         row = self._rows.get(s)
         if row is None:
             edges: list = [None] * self._n
@@ -284,7 +282,7 @@ class PathTable:
         """Canonical path edges from s to t, None when unreachable.  Each
         vertex's tuple is its parent's plus one edge, built once, the first
         time a path through the vertex is asked for."""
-        dist, parent, _, edges = self._row(s)
+        dist, parent, edges = self._row(s)
         if edges[t] is None and dist[t] != UNREACHABLE:
             climb = [t]
             while edges[parent[climb[-1]]] is None:
@@ -301,8 +299,10 @@ class PathTable:
         return self.dist(u, v) != UNREACHABLE
 
     def max_weight(self, u: int, v: int) -> int:
-        """Largest edge weight on the canonical u-v path (0 when u == v)."""
-        return self._row(u)[2][v] if u < v else self._row(v)[2][u]
+        """Largest edge weight on the canonical u-v path (0 when u == v or
+        the pair is unreachable)."""
+        edges = self._edges_to(u, v) if u < v else self._edges_to(v, u)
+        return max(map(self._weight.__getitem__, edges or ()), default=0)
 
     def tree_parent(self, root: int, v: int) -> int:
         """Predecessor of v in the canonical shortest-path tree from root."""
@@ -331,7 +331,7 @@ class PathTable:
             if s < 0 or t >= self._n:
                 raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
             if s != last:
-                last, (dist, _, _, edges) = s, self._row(s)
+                last, (dist, _, edges) = s, self._row(s)
             yield u, v, dist[t], edges[t] or self._edges_to(s, t)
 
 

@@ -29,11 +29,6 @@ class SizeCaps:
 class SizeCapExceeded(RuntimeError):
     """Instance too large for exhaustive search; use the ILP route instead."""
 
-    def __init__(self, message: str, edges: int, levels: int):
-        super().__init__(message)
-        self.edges = edges
-        self.levels = levels
-
 
 @dataclass(frozen=True)
 class IlpModel:
@@ -142,9 +137,9 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     m = len(g.edges)
     cap = caps.max_edges_single if ell == 1 else caps.max_edges_multi
     if m > cap:
-        raise SizeCapExceeded(f"{m} edges exceeds the cap of {cap} for {ell} level(s)", m, ell)
+        raise SizeCapExceeded(f"{m} edges exceeds the cap of {cap} for {ell} level(s)")
     if (ell + 1) ** m > caps.max_work:
-        raise SizeCapExceeded(f"search space ({ell + 1}**{m}) exceeds the work budget", m, ell)
+        raise SizeCapExceeded(f"search space ({ell + 1}**{m}) exceeds the work budget")
     pt = g.paths
     bits = {(u, v): 1 << i for i, (u, v, _) in enumerate(g.edges)}
     incidence = [[(y, w, bits[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]

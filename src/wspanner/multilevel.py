@@ -64,11 +64,6 @@ class MultiLevelSpanner:
     def sparsity(self) -> int:
         return sum(len(edges) for edges in self.level_edges)
 
-    @property
-    def edge_rate(self) -> dict[Edge, int]:
-        """Each edge's rate: the highest level holding it."""
-        return {e: k for k, edges in enumerate(self.level_edges, start=1) for e in edges}
-
 
 def _assemble(inst: MultiLevelInstance, subroutine: SingleLevelSolver,
               tagged_sets: Iterable[tuple[int, frozenset]]) -> MultiLevelSpanner:

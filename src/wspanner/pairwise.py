@@ -136,8 +136,6 @@ def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, present: set[Ed
         raise ValueError("miss_cap must be >= 0")
     if not (0 <= r < g.n and 0 <= r_prime < g.n):
         raise ValueError(f"pair ({r},{r_prime}) references a vertex outside 0..{g.n - 1}")
-    if r == r_prime:
-        return (r,)
     adj, width = g.adj, miss_cap + 1
     dist = [UNREACHABLE] * (g.n * width)  # state (x, k) at x * width + k
     least = [width] * g.n

@@ -284,9 +284,11 @@ class TestSummarize:
 
 class TestDSweep:
     def test_base_one_is_a_single_run(self):
+        # One pair gives default_d 1, so the ladder is a single rung.
         g = generate(GeneratorSpec(Model.ER, 15, 3))
-        pairs = terminal_pairs(range(0, g.n, 2))
-        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, base_d=1, seed=5)
+        pairs = terminal_pairs(range(0, g.n, 2))[:1]
+        assert default_d(PairwiseAlgo.P2W, len(pairs)) == 1
+        best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, seed=5)
         assert ladder == [(1, len(best))]
 
     def test_best_never_worse_than_base(self):
@@ -298,9 +300,11 @@ class TestDSweep:
         assert len(best) <= ladder[0][1]
 
     def test_ladder_halves_down_to_one(self):
-        g = generate(GeneratorSpec(Model.ER, 20, 2))
-        pairs = terminal_pairs(range(8))
-        _, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, base_d=11, seed=0)
+        # 46 terminals give 1,035 pairs and default_d 11.
+        g = generate(GeneratorSpec(Model.ER, 48, 2))
+        pairs = terminal_pairs(range(46))
+        assert default_d(PairwiseAlgo.P2W, len(pairs)) == 11
+        _, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, seed=0)
         assert [d for d, _ in ladder] == [11, 6, 3, 2, 1]
 
     def test_every_swept_output_is_valid(self):

@@ -206,7 +206,17 @@ ROW_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
 def test_path_table_row_digest(name):
-    # Every source's (dist, parent, wmax) row: the kernel's whole output.
+    # Every source's (dist, parent) row, the kernel's whole output, with each
+    # vertex's tree-path maximum edge weight derived from the parents: a
+    # parent is strictly nearer the source, so ascending distance order
+    # derives it before its children.
     g = _grid_paper_graph(*ROW_GRAPHS[name])
-    rows = [shortest_path_row(g.adj, g.n, s) for s in range(g.n)]
+    rows = []
+    for s in range(g.n):
+        dist, parent = shortest_path_row(g.adj, g.n, s)
+        path_max = [0] * g.n
+        for v in sorted(range(g.n), key=dist.__getitem__):
+            if parent[v] >= 0:
+                path_max[v] = max(path_max[parent[v]], g.weight(parent[v], v))
+        rows.append((dist, parent, path_max))
     assert _digest(rows) == ROW_DIGESTS[name]
