@@ -55,8 +55,6 @@ def make_solver(algo: str, seed: int, sweep: bool = False) -> SingleLevelSolver:
 
     def solve(g: WeightedGraph, terminals: frozenset, level: int) -> set:
         pairs = terminal_pairs(terminals)
-        if not pairs:
-            return set()
         level_seed = derive_seed(seed, ROLE_LEVEL, level)
         if sweep:
             return d_sweep(g, pairs, palgo, seed=level_seed)[0]
@@ -136,7 +134,7 @@ class ExperimentPlan:
     caps: SizeCaps = SizeCaps()
     d_sweep: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.models or not self.sizes or not self.levels or not self.tsms:
             raise ValueError("plan needs at least one model, size, level count, and tsm")
         if not self.algorithms:
@@ -314,7 +312,6 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
 def run_plan(plan: ExperimentPlan, out_dir=None, workers: int = 1) -> list[ResultRow]:
     """Execute a plan in up to workers processes, never more than it has
     instances; returns rows sorted by (instance id, algorithm)."""
-    plan.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = list(product(enumerate(plan.models), plan.sizes, plan.levels, enumerate(plan.tsms),

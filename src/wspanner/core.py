@@ -121,7 +121,7 @@ class WeightedGraph:
         return build_path_table(self)
 
     def is_connected(self) -> bool:
-        return all(self.paths.reachable(0, v) for v in range(1, self.n))
+        return UNREACHABLE not in self.paths.row(0)[0]
 
 
 def write_graph_text(g: WeightedGraph, keep: Collection[Edge] | None = None) -> str:
@@ -252,7 +252,7 @@ class PathTable:
     weight on the canonical path, is read off that path's cached edges.  The
     canonical path of an unordered pair {u, v} comes from the tree rooted at
     min(u, v); path(v, u) is its reverse.  The per-pair methods read the row
-    of min(u, v); tree_parent(root, v) reads the row of root.  Answers do
+    of min(u, v); row(s) hands out the row of s whole.  Answers do
     not depend on the order of queries.  Each row is a pure function of the
     graph, so concurrent first reads of one source can at worst compute it
     twice.
@@ -304,9 +304,9 @@ class PathTable:
         edges = self._edges_to(u, v) if u < v else self._edges_to(v, u)
         return max(map(self._weight.__getitem__, edges or ()), default=0)
 
-    def tree_parent(self, root: int, v: int) -> int:
-        """Predecessor of v in the canonical shortest-path tree from root."""
-        return self._row(root)[1][v]
+    def row(self, s: int) -> tuple[list, list[int]]:
+        """The cached (dist, parent) lists of source s, to read, not to change."""
+        return self._row(s)[:2]
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
         walk = [min(u, v)]
@@ -368,10 +368,9 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     rows: dict[int, list] = {}
     violated = []
     for u, v, dg in left:
-        a, b = (v, u) if v in rows and u not in rows else (u, v)
-        if a not in rows:
-            rows[a] = dijkstra_distances(h_adj, n, a)
-        dh = rows[a][b]
+        if u not in rows:
+            rows[u] = dijkstra_distances(h_adj, n, u)
+        dh = rows[u][v]
         if dh == UNREACHABLE or dh > dg + budget.allowance(g, u, v):
             violated.append((u, v))
     return violated

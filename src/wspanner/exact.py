@@ -158,9 +158,8 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     rates = [0] * m
 
     def search(idx: int, covered: int, sparsity: int) -> None:
+        # Every call has sparsity <= best_sparsity: each option is tested first.
         nonlocal best_sparsity, best_rates
-        if best_sparsity is not None and sparsity > best_sparsity:
-            return
         if idx == len(flat):
             key = tuple(rates)
             if (best_sparsity is None or sparsity < best_sparsity
@@ -180,12 +179,10 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
             cost = level * new.bit_count()
             if best_sparsity is not None and sparsity + cost > best_sparsity:
                 continue
-            bits = []
-            rest = new
+            bits, rest = [], new  # set bits of new, lowest first
             while rest:
-                low = rest & -rest
-                bits.append(low.bit_length() - 1)
-                rest ^= low
+                bits.append((rest & -rest).bit_length() - 1)
+                rest &= rest - 1
             for b in bits:
                 rates[b] = level
             search(idx + 1, covered | mask, sparsity + cost)

@@ -160,7 +160,6 @@ def generate_terminals(n: int, sel: TerminalSelection) -> tuple[tuple[int, ...],
         drop = _round_half_up(n / (ell + 1))
     else:
         first = max(1, _round_half_up(n / 2.0))
-        drop = 0
     current = sorted(pick(rng, range(n), first))
     sets = [tuple(current)]
     for _ in range(ell - 1):
@@ -171,8 +170,6 @@ def generate_terminals(n: int, sel: TerminalSelection) -> tuple[tuple[int, ...],
         else:
             keep = math.ceil(len(current) / 2)
             current = sorted(pick(rng, current, keep))
-        if not current:
-            raise ValueError("terminal level became empty")
         sets.append(tuple(current))
     return tuple(sets)
 

@@ -105,8 +105,7 @@ def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
 def shortest_path_tree(g: WeightedGraph, root: int) -> set[Edge]:
     """Edges of the canonical shortest-path tree from root over the vertices
     it reaches."""
-    parents = [g.paths.tree_parent(root, v) for v in range(g.n)]
-    return {edge_key(p, v) for v, p in enumerate(parents) if v != root and p >= 0}
+    return {edge_key(p, v) for v, p in enumerate(g.paths.row(root)[1]) if p >= 0}
 
 
 def limited_missing_path(g: WeightedGraph, r: int, r_prime: int, present: set[Edge],

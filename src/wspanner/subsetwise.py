@@ -150,11 +150,10 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
         bought = len(new) <= (2 * w_max + 1) * value
         if bought:
             h.update(new)
-            if h_adj is not None:
-                for a, b in new:
-                    w = g.weight_map[a, b]
-                    h_adj[a].append((b, w))
-                    h_adj[b].append((a, w))
+            for a, b in new:  # new edges mean h_adj was built above
+                w = g.weight_map[a, b]
+                h_adj[a].append((b, w))
+                h_adj[b].append((a, w))
         records.append(BuyRecord((u, v), len(new), value, bought))
     return PathBuyState(h, records)
 

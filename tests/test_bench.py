@@ -78,7 +78,7 @@ class TestRunPlan:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
-            small_plan(algorithms=("qspanner",)).validate()
+            small_plan(algorithms=("qspanner",))
 
     def test_repeated_algorithm_rejected(self):
         with pytest.raises(ValueError, match="'p2w' is listed twice"):
@@ -143,6 +143,13 @@ class TestRunPlan:
         monkeypatch.setattr(bench, "make_solver", broken_solver)
         with pytest.raises(ValidityError):
             run_plan(small_plan(sizes=(10,), seeds_per_cell=1, exact=False))
+
+    @pytest.mark.parametrize("algo", ["sub2w", "p2w", "p4w", "p8w"])
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_solver_handle_rejects_fewer_than_two_terminals(self, algo, sweep):
+        solve = bench.make_solver(algo, 0, sweep=sweep)
+        with pytest.raises(ValueError):
+            solve(generate(GeneratorSpec(Model.ER, 10, 0)), frozenset({3}), 1)
 
     def test_plan_level_d_sweep_stays_valid(self):
         plan = small_plan(sizes=(20,), algorithms=("p2w", "p4w"), seeds_per_cell=2,

@@ -127,6 +127,12 @@ class TestPathTable:
         assert pt.path(0, 0) == (0,)
         assert pt.max_weight(0, 0) == 0
 
+    def test_is_connected(self):
+        assert WeightedGraph(1, ()).is_connected()
+        assert TRIANGLE.is_connected()
+        assert not WeightedGraph(3, ((0, 1, 1),)).is_connected()
+        assert not WeightedGraph(2, ()).is_connected()
+
     def test_disconnected_pair_gets_sentinel(self):
         g = WeightedGraph(3, ((0, 1, 1),))
         pt = g.paths
@@ -167,10 +173,15 @@ def test_tree_parents_and_path_max_follow_the_smallest_id_rule(g):
     for s in range(g.n):
         dist, parent, wmax = _tree_oracle(g, s)
         assert core.shortest_path_row(g.adj, g.n, s) == (dist, parent)
-        for v in range(g.n):
-            assert pt.tree_parent(s, v) == parent[v]
+        assert pt.row(s) == (dist, parent)
         for v in range(s + 1, g.n):
             assert pt.max_weight(s, v) == wmax[v]
+
+
+@given(any_graphs())
+@settings(max_examples=100)
+def test_is_connected_matches_bellman_ford(g):
+    assert g.is_connected() == (UNREACHABLE not in bellman_ford(g.n, g.edges, 0))
 
 
 @given(connected_graphs(max_n=7))
@@ -219,7 +230,7 @@ def test_tree_paths_are_prefix_consistent_per_source(g):
     def tree_path(s, v):
         rev = [v]
         while rev[-1] != s:
-            rev.append(pt.tree_parent(s, rev[-1]))
+            rev.append(pt.row(s)[1][rev[-1]])
         return tuple(reversed(rev))
 
     for u in range(g.n):
@@ -261,10 +272,10 @@ def test_row_kernel_allocates_nothing_proportional_to_the_weights():
 
 
 def _walked_edges(pt, s, t):
-    """Edges of the tree path from s to t, walked through tree_parent."""
+    """Edges of the tree path from s to t, walked through the parents of row(s)."""
     rev = [t]
     while rev[-1] != s:
-        rev.append(pt.tree_parent(s, rev[-1]))
+        rev.append(pt.row(s)[1][rev[-1]])
     rev.reverse()
     return tuple(edge_key(a, b) for a, b in zip(rev, rev[1:]))
 
@@ -302,7 +313,7 @@ def test_each_canonical_edge_tuple_is_built_once():
 
 def _answers(pt, sources, n):
     """Every per-pair answer of the table, asked source by source in the given order."""
-    return {(s, v): (pt.dist(s, v), pt.path(s, v), pt.max_weight(s, v), pt.tree_parent(s, v))
+    return {(s, v): (pt.dist(s, v), pt.path(s, v), pt.max_weight(s, v), pt.row(s)[1][v])
             for s in sources for v in range(n)}
 
 
@@ -339,7 +350,7 @@ def test_path_table_computes_only_the_rows_it_is_asked_for(monkeypatch):
     pt = g.paths
     assert sources == []
     assert pt.dist(4, 1) == 3 and pt.path(4, 1) == (4, 3, 2, 1) and pt.max_weight(1, 4) == 1
-    assert pt.tree_parent(3, 0) == 1
+    assert pt.row(3)[1][0] == 1
     assert sources == [1, 3]
 
 

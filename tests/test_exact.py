@@ -27,7 +27,6 @@ from wspanner.subsetwise import subsetwise_2w
 
 from helpers import (
     brute_force_distance,
-    brute_min_spanner_size,
     brute_multilevel_opt,
     exact_single_level,
     minimal_path_masks,
@@ -201,26 +200,39 @@ def test_path_masks_match_filtered_enumeration(mode, g, c):
             g, u, v, limit, eindex)
 
 
-@given(graphs_with_terminals(max_n=6, max_w=3))
-@settings(max_examples=30, deadline=None)
-def test_matches_plain_enumeration_single_level(gt):
-    g, terminals = gt
-    if len(g.edges) > 10:
+def _matches_plain_enumeration(data, levels, max_n, max_edges):
+    """exact_optimum against brute_multilevel_opt on a drawn graph, budget
+    mode and nested terminal levels; brute_multilevel_opt tries all
+    (levels+1)**m rate vectors, so callers lower max_edges as levels rise."""
+    g, terminals = data.draw(graphs_with_terminals(max_n=max_n, max_w=3))
+    if len(g.edges) > max_edges:
         return
-    opt = exact_optimum(inst(g, terminals))
-    assert opt.sparsity == brute_min_spanner_size(g, pair_limits(g, terminals, GLOBAL2))
-
-
-@given(graphs_with_terminals(max_n=5, max_w=3))
-@settings(max_examples=20, deadline=None)
-def test_matches_plain_enumeration_two_levels(gt):
-    g, terminals = gt
-    if len(g.edges) > 8:
-        return
-    inner = tuple(sorted(terminals)[: max(1, len(terminals) // 2)])
-    opt = exact_optimum(inst(g, terminals, inner))
-    limits = [pair_limits(g, terminals, GLOBAL2), pair_limits(g, inner, GLOBAL2)]
+    sets = [terminals]
+    for _ in range(levels - 1):
+        keep = data.draw(st.integers(1, len(sets[-1])))
+        sets.append(tuple(sorted(data.draw(st.permutations(sets[-1]))[:keep])))
+    budget = ErrorBudget(data.draw(st.sampled_from(list(BudgetMode))), 2)
+    opt = exact_optimum(inst(g, *sets, budget=budget))
+    limits = [pair_limits(g, level, budget) for level in sets]
     assert opt.sparsity == brute_multilevel_opt(g, limits)
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_matches_plain_enumeration_single_level(data):
+    _matches_plain_enumeration(data, levels=1, max_n=6, max_edges=10)
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_matches_plain_enumeration_two_levels(data):
+    _matches_plain_enumeration(data, levels=2, max_n=5, max_edges=8)
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_matches_plain_enumeration_three_levels(data):
+    _matches_plain_enumeration(data, levels=3, max_n=5, max_edges=6)
 
 
 @given(graphs_with_terminals(max_n=6, max_w=3))

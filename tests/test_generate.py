@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspanner.generate import (
     GeneratorSpec,
@@ -116,6 +118,15 @@ class TestTerminals:
     def test_rejects_too_few_vertices(self):
         with pytest.raises(ValueError):
             generate_terminals(3, TerminalSelection(TerminalScheme.LINEAR, 3, 0))
+
+    @given(method=st.sampled_from(list(TerminalScheme)), levels=st.integers(1, 12),
+           extra=st.integers(0, 100), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=200)
+    def test_no_level_is_empty_for_any_legal_n(self, method, levels, extra, seed):
+        # LINEAR removes at most all but one vertex per level; EXPONENTIAL
+        # keeps ceil(half) of a nonempty level.
+        sets = generate_terminals(levels + 1 + extra, TerminalSelection(method, levels, seed))
+        assert len(sets) == levels and all(sets)
 
     def test_sidecar_round_trip(self):
         sets = generate_terminals(10, TerminalSelection(TerminalScheme.LINEAR, 2, 1))

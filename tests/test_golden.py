@@ -8,8 +8,10 @@ instances are chosen so that every randomized repair runs at least once;
 instances are the CLI benchmark's ER n=128 graphs, on which clusters form and
 the buying sweep meets paths of positive value.  The row digests pin every
 source's path-table row, the shortest-path kernel's whole output, on one ER
-and one GE graph of the grid-paper benchmark.  A change that alters outputs
-on purpose updates the digests and says so.
+and one GE graph of the grid-paper benchmark.  The exact digests pin the
+exact optimum's level sets on a desk grid of small instances with the size
+caps lifted.  A change that alters outputs on purpose updates the digests and
+says so.
 """
 
 import hashlib
@@ -21,12 +23,14 @@ import pytest
 
 from wspanner import pairwise
 from wspanner.core import (
-    PathTable,
+    BudgetMode,
+    ErrorBudget,
     WeightedGraph,
     shortest_path_row,
     terminal_pairs,
     write_graph_text,
 )
+from wspanner.exact import SizeCaps, exact_optimum
 from wspanner.generate import (
     GeneratorSpec,
     Model,
@@ -36,6 +40,7 @@ from wspanner.generate import (
     generate,
     generate_terminals,
 )
+from wspanner.multilevel import MultiLevelInstance
 from wspanner.pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner_run
 from wspanner.seeding import ROLE_PLAN, ROLE_TOPOLOGY, derive_seed, stream
 from wspanner.subsetwise import subsetwise_2w_run
@@ -175,8 +180,9 @@ def test_golden_cases_reach_every_repair(monkeypatch):
     monkeypatch.setattr(pairwise, "limited_missing_path",
                         counted("lmp", pairwise.limited_missing_path))
     monkeypatch.setattr(pairwise, "subsetwise_2w", counted("subsetwise", pairwise.subsetwise_2w))
-    monkeypatch.setattr(PathTable, "tree_parent", counted("tree", PathTable.tree_parent))
-    hits = {"p2w_tree_roots": 0, "p4w_tree_rows": 0, "p4w_lmp": 0, "p8w_subsetwise": 0}
+    monkeypatch.setattr(pairwise, "shortest_path_tree",
+                        counted("tree", pairwise.shortest_path_tree))
+    hits = {"p2w_tree_roots": 0, "p4w_trees": 0, "p4w_lmp": 0, "p8w_subsetwise": 0}
     for case in CASES:
         calls.update(lmp=0, subsetwise=0, tree=0)
         _, report = _run(case)
@@ -184,7 +190,7 @@ def test_golden_cases_reach_every_repair(monkeypatch):
         if algo is PairwiseAlgo.P2W:
             hits["p2w_tree_roots"] += sum(report.sample_counts)
         elif algo is PairwiseAlgo.P4W:
-            hits["p4w_tree_rows"] += calls["tree"]
+            hits["p4w_trees"] += calls["tree"]
             hits["p4w_lmp"] += calls["lmp"]
         else:
             hits["p8w_subsetwise"] += calls["subsetwise"]
@@ -220,3 +226,52 @@ def test_path_table_row_digest(name):
                 path_max[v] = max(path_max[parent[v]], g.weight(parent[v], v))
         rows.append((dist, parent, path_max))
     assert _digest(rows) == ROW_DIGESTS[name]
+
+
+# ER/GE/BA at n in {9, 12, 16}, seed 5, 1 or 2 exponential levels, global and
+# local c=2: every case of that grid but the six global ones that each take
+# over 0.3 s (ER n=16 and BA n=12 and n=16 at both level counts).
+EXACT_DIGESTS = {
+    "er-9-l1-global": "0a14bcf05771b01e7abfb9f53248ac2d7f8d0c4cf3bcba2ffc7a3df64e24716f",
+    "er-9-l1-local": "6922eb27b039f2e9a9e213259fb84fab0f15011e2ccd540a204f08fbf8f5726b",
+    "er-9-l2-global": "97399bc0d088f3eb2262d131216c46a4d81dc8129e7a10da345777d47d7aac6f",
+    "er-9-l2-local": "c540b7d2a83348030cc46779876552496491d50aaa1d68fd0fcfbdef3470a80b",
+    "er-12-l1-global": "b1342c1e96b5d600de58a5b5b99394ce3d489e7be00c89d14f19ccd802e08569",
+    "er-12-l1-local": "ee73dd95aa6ad1b1f750eda9ac7bb47a09cc82f33f42b68a37a5be65b89a3511",
+    "er-12-l2-global": "74a73382b0bf494ac2e66354f9b59376fd39223a56207db9764ccdbc41ff410e",
+    "er-12-l2-local": "8d4ca7ab537ab26dc04a1e1ecaf6abedc8c3a3ac16960d5b1023e13d350fa678",
+    "er-16-l1-local": "f6be9c8525e8e2087c0980adc112f7d664f0b8ffc050d02bf9cf22d7909eef13",
+    "er-16-l2-local": "4f92c0523695c634405eeff6706477bf5bf81e268afa05f40456b68cb271713d",
+    "ge-9-l1-global": "77eee29189b8b641edb4fb08fbeafcf0ef4906725d5d651c77ab9a0d89f52210",
+    "ge-9-l1-local": "8ea7b14905864a376bdb05aa8233cc95e65cbfaf84f9b64749da1e8f2a5a8048",
+    "ge-9-l2-global": "bf044254843137c794690f7e0d1244ab68230aac9e77ecd94b98a9f760b45264",
+    "ge-9-l2-local": "8b09b73c238374834d279cf4672b345e43b40d425154b4410bf70b2c409f5f35",
+    "ge-12-l1-global": "ebe864afddc1f710f4fe4b8139390c1c590c66b076ab4fbc068a843c029d739e",
+    "ge-12-l1-local": "d71911049595e2cc89eddd441b2c125b3d392e6b23261676365ae298292e1b74",
+    "ge-12-l2-global": "494d66163a0d286ae8b0e0de20d2d8653fc6b0aa58771d633b0917dd12b9980d",
+    "ge-12-l2-local": "2e02f14ecab648b4984370dc0ff9ee423d54feffc00f475a4a2704f6663a612f",
+    "ge-16-l1-global": "37f0712eb5732d6a5e44e096f87bb4aae9f30bcf71a022bfaf448c3dd53d91c5",
+    "ge-16-l1-local": "a8166a218679c37a168db23717a1167ad3b1783a03bb5d3b9c157bd15b0789c2",
+    "ge-16-l2-global": "2d458e0f5450987337bc7f15d737230df279cc079dbd51f324697a1e6d3ed4f7",
+    "ge-16-l2-local": "aaea5604a157cfffbda187dad79de7298ffa7d630cb4b92f0a446bdb0087d111",
+    "ba-9-l1-global": "5c080ea56d845d9d6c9a69965a4bdb5e4e9960c4a08ccc004f56710fa80c381e",
+    "ba-9-l1-local": "42a3786359f9ddd2ae549adba462ddb08cad2390cb9e49f04a63a1414a54e41f",
+    "ba-9-l2-global": "cdee7facb5a25327329da297d486418b106e132c5c4b0e61009d9c8938bbb089",
+    "ba-9-l2-local": "47ca7b2f2d11775c69b50d241473c1da916d6038d4d566fc136ad5192f9a987b",
+    "ba-12-l1-local": "b66c4fcc176ae909abbbf65bcb8af5a5510de402618b6162293d09ec49fb3870",
+    "ba-12-l2-local": "2648ad4534dede413244818970c13275da55d37a94f53eb4fe7de9ee3eba865b",
+    "ba-16-l1-local": "557f640d02bb3c6c3ed36e1eab70fe887797d198074a01a6e7010f37ccfacff9",
+    "ba-16-l2-local": "ef99ceb5de29602d91d311239f61cd0bf679b3164bf807d2000a4ad524781537",
+}
+
+UNCAPPED = SizeCaps(max_edges_single=10**9, max_edges_multi=10**9, max_work=10**100)
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_DIGESTS))
+def test_exact_level_sets_digest(case):
+    model, n, levels, mode = case.split("-")
+    n, ell = int(n), int(levels.removeprefix("l"))
+    g = generate(GeneratorSpec(Model(model), n, 5))
+    sets = generate_terminals(n, TerminalSelection(TerminalScheme.EXPONENTIAL, ell, 5))
+    opt = exact_optimum(MultiLevelInstance(g, sets, ErrorBudget(BudgetMode(mode), 2)), UNCAPPED)
+    assert _digest([sorted(level) for level in opt.level_edges]) == EXACT_DIGESTS[case]

@@ -153,7 +153,7 @@ class TestShortestPathTree:
         g = generate(GeneratorSpec(Model.ER, 12, 5))
         fresh = build_path_table(g)
         for root in range(g.n):
-            expected = {edge_key(fresh.tree_parent(root, v), v) for v in range(g.n) if v != root}
+            expected = {edge_key(fresh.row(root)[1][v], v) for v in range(g.n) if v != root}
             assert shortest_path_tree(g, root) == expected
 
     def test_disconnected_spans_what_root_reaches(self):
