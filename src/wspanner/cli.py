@@ -80,13 +80,13 @@ def _cmd_spanner(args) -> int:
     terminals = sets[args.level - 1]
     budget = ALGO_BUDGETS[args.algo]
     if args.algo == "sub2w":
+        if args.d is not None:
+            raise ValueError("--d sets the d-light parameter of p2w, p4w and p8w; sub2w has none")
         state = subsetwise_2w_run(g, terminals)
         edges = state.current_edges
-        report = {
-            "algorithm": "sub2w",
-            "buy_audit": [{"pair": list(r.pair), "cost": r.cost, "value": r.value,
-                           "bought": r.bought} for r in state.records],
-        }
+        report = {"algorithm": "sub2w", "buy_audit": [
+            {"pair": list(r.pair), "cost": r.cost, "value": r.value, "bought": r.bought}
+            for r in state.records]}
     else:
         params = PairwiseParams(PairwiseAlgo(args.algo), d_override=args.d, seed=args.seed)
         edges, run = pairwise_spanner_run(g, terminal_pairs(terminals), params)
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=sorted(ALGO_BUDGETS), required=True)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=int, default=None, help="override the d-light parameter")
+    p.add_argument("--d", type=int, default=None, help="override the pairwise d-light parameter")
     p.add_argument("--out", help="output prefix (writes PREFIX.graph and PREFIX.json)")
     p.set_defaults(func=_cmd_spanner)
 

@@ -1,10 +1,10 @@
 """Multi-level spanners: the naive and the rounding-up strategies.
 
-Both strategies run a single-level subsetwise solver on some terminal sets
-and merge the results by keeping each edge at the highest level tag that
-used it; level k receives every edge whose tag is at least k, which
-preserves nesting and per-level validity.  The naive strategy solves every
-level k over S_k with tag k.
+Both strategies run a single-level subsetwise solver on tagged terminal sets
+and assemble one union per level: level k is the union of the edge sets
+solved with a tag of at least k, so each edge reaches exactly the levels up
+to its highest tag, which preserves nesting and per-level validity.  The
+naive strategy solves every level k over S_k with tag k.
 
 The rounding-up strategy rounds each vertex's priority (the highest level
 holding it) up to a power of two and solves only the power-of-two levels,
@@ -67,16 +67,12 @@ class MultiLevelSpanner:
 
 def _assemble(inst: MultiLevelInstance, subroutine: SingleLevelSolver,
               tagged_sets: Iterable[tuple[int, frozenset]]) -> MultiLevelSpanner:
-    """Solve each (tag, terminals) with at least 2 terminals, in ascending
-    tag order so that each edge keeps its highest tag, and give level k the
-    edges whose tag is at least k."""
-    tag_of: dict[Edge, int] = {}
-    for tag, terminals in tagged_sets:
-        if len(terminals) >= 2:
-            for e in subroutine(inst.graph, terminals, tag):
-                tag_of[e] = tag
+    """Solve each (tag, terminals) with at least 2 terminals, in ascending tag
+    order; level k is the union of the edge sets with a tag of at least k."""
+    solved = [(tag, subroutine(inst.graph, terminals, tag))
+              for tag, terminals in tagged_sets if len(terminals) >= 2]
     return MultiLevelSpanner(tuple(
-        frozenset(e for e, t in tag_of.items() if t >= k)
+        frozenset().union(*(edges for tag, edges in solved if tag >= k))
         for k in range(1, inst.levels + 1)))
 
 

@@ -191,21 +191,25 @@ def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
 
 def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell: int, rng,
           report: PairwiseReport) -> list[tuple[int, int]]:
-    """One sweep over the pairs: buy a pair's canonical path when at most ell
-    of its edges are missing from h, else repair: p4w with trees or with
-    bounded-miss paths for the sample pairs whose canonical path leaves h (one
-    in h weighs dist_G with no miss, so the search would return a path in h),
-    p8w with a subsetwise spanner on a sample, p2w after the sweep with trees.
-    Returns the pairs not bought, in input order: a bought pair's canonical
-    path is in h, which only grows, so a check passes it without a search and
-    checking only the rest flags the same pairs, in order, by the same
-    searches.  The first disconnected pair raises, and no repair before it
-    can: p8w skips subsetwise on a disconnected graph, p4w pathless samples."""
+    """One sweep over the pairs, in-H test first: a pair whose canonical path
+    is in h costs one subset test and draws nothing.  Any other pair's path
+    is bought when at most ell of its edges are missing from h, else repaired:
+    p4w with trees or with bounded-miss paths for the sample pairs whose
+    canonical path leaves h (one in h weighs dist_G with no miss, so the
+    search would return a path in h), p8w with a subsetwise spanner on a
+    sample, p2w after the sweep with trees.  Returns the pairs not bought, in
+    input order: a bought pair's canonical path is in h, which only grows, so
+    a check passes it without a search and checking only the rest flags the
+    same pairs, in order, by the same searches.  The first disconnected pair
+    raises, and no repair before it can: p8w skips subsetwise on a
+    disconnected graph, p4w pathless samples."""
     n = g.n
     left = []
     for u, v, _, pe in g.paths.each_pair(pairs):
         if pe is None:
             raise ValueError(f"pair ({u},{v}) is disconnected")
+        if h.issuperset(pe):
+            continue
         missing = [e for e in pe if e not in h]
         if len(missing) <= ell:
             h.update(pe)

@@ -4,9 +4,11 @@ The clustering phase repeatedly picks the smallest-id vertex with at least
 ceil(sqrt(|S| * W)) unclustered neighbors and clusters that many of its
 smallest-id unclustered neighbors; star edges and intra-cluster edges go
 into the cluster subgraph, and every edge incident to a vertex left
-unclustered is added afterwards.  The buying sweep then walks the terminal
-pairs in ascending order and buys a canonical shortest path when
-cost <= (2W+1) * value.
+unclustered is added afterwards.  The buying sweep walks the terminal pairs
+in ascending order, in-H test first: a pair whose canonical path H already
+holds costs one subset test and is bought with cost 0 and value 0 (a path
+inside H beats no H distance; without clusters H is all of g).  Any other
+path is bought when cost <= (2W+1) * value.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def path_value(g: WeightedGraph, path: Sequence[int], x: int, clustering: Cluste
                for c, d_path in along.items())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BuyRecord:
     pair: Edge
     cost: int
@@ -132,25 +134,23 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
         raise ValueError("need at least two terminals")
     pt = g.paths
     clustering = build_clustering(g, len(s))
-    w_max = g.weight_max
     h: set[Edge] = set(clustering.cluster_subgraph)
     h_adj = None  # adjacency lists of h, built at the first pair that needs a value
     records: list[BuyRecord] = []
     for u, v, _, pe in pt.each_pair(terminal_pairs(s)):
+        if h.issuperset(pe):
+            records.append(BuyRecord((u, v), 0, 0, True))
+            continue
         new = [e for e in pe if e not in h]
-        # A path inside H beats no H distance: its value is 0 and it is
-        # bought.  Without clusters H is all of g, so every path is inside.
-        value = 0
-        if new:
-            if h_adj is None:
-                h_adj = subgraph_adjacency(g, h)
-            path = pt.path(u, v)
-            value = (path_value(g, path, u, clustering, h_adj)
-                     + path_value(g, path, v, clustering, h_adj))
-        bought = len(new) <= (2 * w_max + 1) * value
+        if h_adj is None:
+            h_adj = subgraph_adjacency(g, h)
+        path = pt.path(u, v)
+        value = (path_value(g, path, u, clustering, h_adj)
+                 + path_value(g, path, v, clustering, h_adj))
+        bought = len(new) <= (2 * g.weight_max + 1) * value
         if bought:
             h.update(new)
-            for a, b in new:  # new edges mean h_adj was built above
+            for a, b in new:
                 w = g.weight_map[a, b]
                 h_adj[a].append((b, w))
                 h_adj[b].append((a, w))

@@ -5,7 +5,8 @@ shortest-path or search machinery: distances come from exhaustive simple-path
 enumeration or Bellman-Ford relaxation, optima from plain subset / rate-vector
 enumeration, LP files are solved through scipy's MILP backend, and the
 clustering and the multi-level rounding-up sets follow their definitions
-literally.  ``unpruned_limited_missing_path`` is the library's bounded-miss
+literally, and ``highest_tag_levels`` is the multi-level assembly as a
+per-edge highest-tag map.  ``unpruned_limited_missing_path`` is the library's bounded-miss
 search as it was before dominance pruning, kept to pin which of several tied
 paths comes back.  ``rebuilt_path_value`` is the subsetwise path value with
 full distances over the whole subgraph recomputed for every call.
@@ -278,6 +279,18 @@ def roundup_solves(terminal_sets) -> list:
         out.append((i, frozenset(v for v, r in rounded.items() if r >= i)))
         i *= 2
     return out
+
+
+def highest_tag_levels(levels: int, solved) -> tuple:
+    """The multi-level assembly from its per-edge definition: walk the
+    (tag, edges) solves in order, let each edge keep the last (highest) tag
+    that used it, and give level k the edges whose tag is at least k."""
+    tag_of = {}
+    for tag, edges in solved:
+        for e in edges:
+            tag_of[e] = tag
+    return tuple(frozenset(e for e, t in tag_of.items() if t >= k)
+                 for k in range(1, levels + 1))
 
 
 def subset_meets_limits(g, subset, pair_limits) -> bool:

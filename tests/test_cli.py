@@ -5,8 +5,15 @@ import pytest
 
 from wspanner.bench import ResultRow, rows_to_csv
 from wspanner.cli import main
-from wspanner.core import parse_graph_text
-from wspanner.generate import parse_terminals_text
+from wspanner.core import parse_graph_text, terminal_pairs, write_graph_text
+from wspanner.generate import (
+    GeneratorSpec,
+    Model,
+    generate,
+    parse_terminals_text,
+    write_terminals_text,
+)
+from wspanner.subsetwise import build_clustering, subsetwise_2w_run
 
 
 @pytest.fixture
@@ -56,6 +63,40 @@ def test_spanner_d_override(instance_files, tmp_path):
     assert main(["spanner", "--algo", "p2w", "--graph", str(graph_path),
                  "--terminals", str(terms_path), "--d", "1", "--out", str(out)]) == 0
     assert json.loads(out.with_suffix(".json").read_text())["d"] == 1
+
+
+def test_spanner_sub2w_buy_audit_is_the_record_list(tmp_path):
+    """One audit entry per terminal pair, in terminal_pairs order, with exactly
+    the record's fields; on ER n=30 with every vertex a terminal no cluster
+    forms, so H is all of g and every pair is bought at cost 0 and value 0."""
+    g = generate(GeneratorSpec(Model.ER, 30, 2))
+    terminals = range(30)
+    assert build_clustering(g, 30).clusters == ()
+    (tmp_path / "er30.graph").write_text(write_graph_text(g))
+    (tmp_path / "er30.terminals").write_text(write_terminals_text([terminals]))
+    out = tmp_path / "audit"
+    assert main(["spanner", "--algo", "sub2w", "--graph", str(tmp_path / "er30.graph"),
+                 "--terminals", str(tmp_path / "er30.terminals"), "--out", str(out)]) == 0
+    audit = json.loads(out.with_suffix(".json").read_text())["buy_audit"]
+    assert [tuple(entry["pair"]) for entry in audit] == terminal_pairs(terminals)
+    assert all(entry.keys() == {"pair", "cost", "value", "bought"} for entry in audit)
+    records = subsetwise_2w_run(g, terminals).records
+    assert audit == [{"pair": list(r.pair), "cost": r.cost, "value": r.value,
+                      "bought": r.bought} for r in records]
+    assert all(entry["cost"] == 0 and entry["value"] == 0 and entry["bought"] is True
+               for entry in audit)
+    assert len(audit) == 30 * 29 // 2
+
+
+def test_spanner_sub2w_rejects_a_d_override(instance_files, tmp_path, capsys):
+    graph_path, terms_path = instance_files
+    out = tmp_path / "sub2w_d"
+    code = main(["spanner", "--algo", "sub2w", "--graph", str(graph_path),
+                 "--terminals", str(terms_path), "--d", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wspanner: error: --d ") and err.count("\n") == 1
+    assert not out.with_suffix(".json").exists()
 
 
 def test_multilevel_subcommand(instance_files, tmp_path):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from wspanner.multilevel import (
 )
 from wspanner.subsetwise import subsetwise_2w
 
-from helpers import exact_single_level, round_up_pow2, roundup_solves
+from helpers import exact_single_level, highest_tag_levels, round_up_pow2, roundup_solves
 from strategies import connected_graphs
 
 GLOBAL2 = ErrorBudget(BudgetMode.GLOBAL, 2)
@@ -119,6 +121,34 @@ def test_roundup_solves_match_paper_definition(data):
     assert calls == expected
     for k, edges in enumerate(ml.level_edges, start=1):
         assert edges == {(0, v) for tag, s in expected if tag >= round_up_pow2(k) for v in s}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_union_assembly_matches_highest_tag_oracle(data):
+    """Level k as the union of the solves tagged at least k equals the
+    per-edge highest-tag assembly, for random overlapping edge sets per tag
+    at 1-5 levels under both strategies, and the levels are nested."""
+    n = data.draw(st.integers(2, 8))
+    ell = data.draw(st.integers(1, 5))
+    order = data.draw(st.permutations(range(n)))
+    sizes = sorted(data.draw(st.lists(st.integers(1, n), min_size=ell, max_size=ell)),
+                   reverse=True)
+    sets = [frozenset(order[:size]) for size in sizes]
+    universe = list(combinations(range(n), 2))
+    path = WeightedGraph(n, tuple((v, v + 1, 1) for v in range(n - 1)))
+    for strategy in (multilevel_roundup, multilevel_naive):
+        solved = []
+
+        def stub_solver(g, terminals, tag):
+            edges = data.draw(st.sets(st.sampled_from(universe)))
+            solved.append((tag, edges))
+            return set(edges)
+
+        ml = strategy(instance(path, *sets), stub_solver)
+        assert ml.level_edges == highest_tag_levels(ell, solved)
+        for k in range(1, ell):
+            assert ml.level_edges[k] <= ml.level_edges[k - 1]
 
 
 class TestNaive:
