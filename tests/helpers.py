@@ -6,9 +6,9 @@ enumeration or Bellman-Ford relaxation, optima from plain subset / rate-vector
 enumeration, LP files are solved through scipy's MILP backend, and the
 clustering and the multi-level rounding-up sets follow their definitions
 literally, and ``highest_tag_levels`` is the multi-level assembly as a
-per-edge highest-tag map.  ``unpruned_limited_missing_path`` is the library's bounded-miss
-search as it was before dominance pruning, kept to pin which of several tied
-paths comes back.  ``rebuilt_path_value`` is the subsetwise path value with
+per-edge highest-tag map.  ``unpruned_limited_missing_path`` is the
+library's bounded-miss search as it was before dominance pruning, kept to pin
+which of several tied paths comes back.  ``rebuilt_path_value`` is the subsetwise path value with
 full distances over the whole subgraph recomputed for every call.
 ``caterpillar_edges`` is the one test instance shared by the pairwise and
 golden tests.  ``exact_single_level`` is no oracle: it is the library's exact
