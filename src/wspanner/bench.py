@@ -73,19 +73,12 @@ def run_strategy(strategy: str, inst: MultiLevelInstance,
 def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo,
             seed: int = 0) -> tuple[set[Edge], list[tuple[int, int]]]:
     """Rerun the construction for d = default_d, ceil(d/2), ..., 1 (same seed)
-    and keep the sparsest output.  Returns (best edge set, [(d, size)] ladder)."""
-    ladder: list[tuple[int, int]] = []
-    best: set[Edge] | None = None
-    d = default_d(algo, len(pairs))
-    while True:
-        h = pairwise_spanner(g, pairs, PairwiseParams(algo, d_override=d, seed=seed))
-        ladder.append((d, len(h)))
-        if best is None or len(h) < len(best):
-            best = h
-        if d == 1:
-            break
-        d = (d + 1) // 2
-    return best, ladder
+    and keep the first sparsest output.  Returns (best edge set, [(d, size)] ladder)."""
+    rungs = [default_d(algo, len(pairs))]
+    while rungs[-1] > 1:
+        rungs.append((rungs[-1] + 1) // 2)
+    outs = [pairwise_spanner(g, pairs, PairwiseParams(algo, d_override=d, seed=seed)) for d in rungs]
+    return min(outs, key=len), [(d, len(h)) for d, h in zip(rungs, outs)]
 
 
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
@@ -228,10 +221,6 @@ def rows_to_csv(rows) -> str:
     return _csv_text(CSV_COLUMNS, map(vars, rows))
 
 
-def write_rows_csv(rows, path) -> None:
-    Path(path).write_text(rows_to_csv(rows), encoding="utf-8")
-
-
 def read_rows_csv(path) -> list[ResultRow]:
     """Rows from a file written by rows_to_csv; a cell that file could not
     hold raises ValueError naming its line and column."""
@@ -329,7 +318,7 @@ def run_plan(plan: ExperimentPlan, out_dir=None, workers: int = 1) -> list[Resul
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_rows_csv(rows, out / "rows.csv")
+        (out / "rows.csv").write_text(rows_to_csv(rows), encoding="utf-8")
         (out / "plan.json").write_text(json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")
     return rows

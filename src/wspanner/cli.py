@@ -61,14 +61,10 @@ def _cmd_gen(args) -> int:
     g = generate(spec)
     sets = generate_terminals(args.n, TerminalSelection(TerminalScheme(args.tsm),
                                                         args.levels, args.seed))
-    if args.out:
-        Path(f"{args.out}.graph").write_text(write_graph_text(g), encoding="utf-8")
-        Path(f"{args.out}.terminals").write_text(write_terminals_text(sets), encoding="utf-8")
-        print(f"wrote {args.out}.graph ({g.n} vertices, {len(g.edges)} edges) "
-              f"and {args.out}.terminals ({len(sets)} levels)")
-    else:
-        sys.stdout.write(write_graph_text(g))
-        sys.stdout.write(write_terminals_text(sets))
+    Path(f"{args.out}.graph").write_text(write_graph_text(g), encoding="utf-8")
+    Path(f"{args.out}.terminals").write_text(write_terminals_text(sets), encoding="utf-8")
+    print(f"wrote {args.out}.graph ({g.n} vertices, {len(g.edges)} edges) "
+          f"and {args.out}.terminals ({len(sets)} levels)")
     return 0
 
 
@@ -181,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsm", choices=[t.value for t in TerminalScheme], default="linear")
     p.add_argument("--weight-lo", type=int, default=1)
     p.add_argument("--weight-hi", type=int, default=10)
-    p.add_argument("--out", help="output prefix (writes PREFIX.graph and PREFIX.terminals)")
+    p.add_argument("--out", required=True,
+                   help="output prefix (writes PREFIX.graph and PREFIX.terminals)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("spanner", parents=[files],

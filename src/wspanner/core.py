@@ -138,7 +138,7 @@ def write_graph_text(g: WeightedGraph, keep: Collection[Edge] | None = None) -> 
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
-    lines = text.splitlines()
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty graph text")
     head = lines[0].split()

@@ -153,8 +153,7 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
             for k in range(ell, 0, -1)
             for pair in terminal_pairs(inst.terminal_sets[k - 1])]
 
-    best_sparsity: int | None = None
-    best_rates: tuple[int, ...] | None = None
+    best_sparsity, best_rates = float("inf"), ()
     rates = [0] * m
 
     def search(idx: int, covered: int, sparsity: int) -> None:
@@ -162,8 +161,7 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
         nonlocal best_sparsity, best_rates
         if idx == len(flat):
             key = tuple(rates)
-            if (best_sparsity is None or sparsity < best_sparsity
-                    or (sparsity == best_sparsity and key < best_rates)):
+            if sparsity < best_sparsity or (sparsity == best_sparsity and key < best_rates):
                 best_sparsity, best_rates = sparsity, key
             return
         level, pair = flat[idx]
@@ -177,7 +175,7 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
         for mask in options:
             new = mask & ~covered
             cost = level * new.bit_count()
-            if best_sparsity is not None and sparsity + cost > best_sparsity:
+            if sparsity + cost > best_sparsity:
                 continue
             bits, rest = [], new  # set bits of new, lowest first
             while rest:
@@ -190,7 +188,6 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
                 rates[b] = 0
 
     search(0, 0, 0)
-    assert best_rates is not None
     return MultiLevelSpanner(tuple(
         frozenset((u, v) for i, (u, v, _) in enumerate(g.edges) if best_rates[i] >= k)
         for k in range(1, ell + 1)))

@@ -66,29 +66,19 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
     raise RuntimeError(f"no connected topology in {MAX_CONNECTIVITY_ATTEMPTS} attempts for {spec}")
 
 
-def _topology(spec: GeneratorSpec, rng: random.Random) -> set[tuple[int, int]]:
-    if spec.model is Model.ER:
-        return _er(spec.n, EPSILON, rng)
-    if spec.model is Model.WS:
-        return _ws(spec.n, WS_K, WS_P, rng)
-    if spec.model is Model.BA:
-        return _ba(spec.n, BA_M, rng)
-    return _ge(spec.n, EPSILON, rng)
-
-
-def _er(n: int, eps: float, rng) -> set[tuple[int, int]]:
-    p = min(1.0, (1.0 + eps) * math.log(n) / n)
+def _er(n: int, rng) -> set[tuple[int, int]]:
+    p = min(1.0, (1.0 + EPSILON) * math.log(n) / n)
     return {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
 
 
-def _ws(n: int, k: int, p: float, rng) -> set[tuple[int, int]]:
-    half = k // 2
+def _ws(n: int, rng) -> set[tuple[int, int]]:
+    half = WS_K // 2
     neighbors = [{(i + j) % n for j in range(-half, half + 1) if j} for i in range(n)]
-    # Rewire each clockwise lattice edge with probability p to a uniform
+    # Rewire each clockwise lattice edge with probability WS_P to a uniform
     # non-duplicate, non-self target.
     for j in range(1, half + 1):
         for i in range(n):
-            if rng.random() >= p:
+            if rng.random() >= WS_P:
                 continue
             candidates = [t for t in range(n) if t != i and t not in neighbors[i]]
             if not candidates:
@@ -101,29 +91,33 @@ def _ws(n: int, k: int, p: float, rng) -> set[tuple[int, int]]:
     return {(a, b) for a in range(n) for b in neighbors[a] if a < b}
 
 
-def _ba(n: int, m: int, rng) -> set[tuple[int, int]]:
-    # Complete seed core on m+1 vertices, then degree-proportional attachment
-    # of m distinct targets per new vertex, sampled without replacement: a
+def _ba(n: int, rng) -> set[tuple[int, int]]:
+    # Complete seed core on BA_M+1 vertices, then degree-proportional attachment
+    # of BA_M distinct targets per new vertex, sampled without replacement: a
     # chosen target's weight drops to 0, so the bisection never lands on it.
-    edges = {(u, v) for u in range(m + 1) for v in range(u + 1, m + 1)}
-    degree = [m] * (m + 1) + [0] * (n - m - 1)
-    for t in range(m + 1, n):
+    edges = {(u, v) for u in range(BA_M + 1) for v in range(u + 1, BA_M + 1)}
+    degree = [BA_M] * (BA_M + 1) + [0] * (n - BA_M - 1)
+    for t in range(BA_M + 1, n):
         weights = degree[:t]
-        for _ in range(m):
+        for _ in range(BA_M):
             cumulative = list(itertools.accumulate(weights))
             c = bisect.bisect(cumulative, rng.random() * cumulative[-1])
             weights[c] = 0
             edges.add((c, t))
             degree[c] += 1
-        degree[t] = m
+        degree[t] = BA_M
     return edges
 
 
-def _ge(n: int, eps: float, rng) -> set[tuple[int, int]]:
+def _ge(n: int, rng) -> set[tuple[int, int]]:
     points = [(rng.random(), rng.random()) for _ in range(n)]
-    r2 = (1.0 + eps) * math.log(n) / (math.pi * n)
+    r2 = (1.0 + EPSILON) * math.log(n) / (math.pi * n)
     return {(u, v) for u, (x, y) in enumerate(points) for v in range(u + 1, n)
             if (x - points[v][0]) ** 2 + (y - points[v][1]) ** 2 <= r2}
+
+
+def _topology(spec: GeneratorSpec, rng: random.Random) -> set[tuple[int, int]]:
+    return {Model.ER: _er, Model.WS: _ws, Model.BA: _ba, Model.GE: _ge}[spec.model](spec.n, rng)
 
 
 class TerminalScheme(Enum):

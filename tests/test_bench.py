@@ -7,6 +7,7 @@ import pytest
 from wspanner import bench, pairwise
 from wspanner.bench import (
     ExperimentPlan,
+    ResultRow,
     ValidityError,
     d_sweep,
     read_rows_csv,
@@ -14,7 +15,6 @@ from wspanner.bench import (
     run_plan,
     summarize,
     summary_to_csv,
-    write_rows_csv,
 )
 from wspanner.core import terminal_pairs, verify_spanner
 from wspanner.exact import SizeCaps
@@ -166,7 +166,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         rows = run_plan(small_plan(sizes=(10,), seeds_per_cell=1))
         path = tmp_path / "rows.csv"
-        write_rows_csv(rows, path)
+        path.write_text(rows_to_csv(rows), encoding="utf-8")
         loaded = read_rows_csv(path)
         assert strip_wall_time(rows_to_csv(loaded)) == strip_wall_time(rows_to_csv(rows))
         # a second pass through the text format is bit-stable
@@ -277,6 +277,12 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([], "n")
 
+    def test_unknown_group_rejected(self):
+        row = ResultRow("er-n10-l1-linear-r0", "er", 10, 14, 1, "linear", "p2w", "local", 20,
+                        None, None, 1.0, 3.5, 7, True)
+        with pytest.raises(ValueError, match=r"^group must be one of \['l', 'n', 'tsm'\]$"):
+            summarize([row], "model")
+
     def test_groups_sort_numerically(self):
         plan = small_plan(sizes=(100, 20), tsms=("exp",), algorithms=("p2w",),
                           seeds_per_cell=1, exact=False)
@@ -297,6 +303,16 @@ class TestDSweep:
         assert default_d(PairwiseAlgo.P2W, len(pairs)) == 1
         best, ladder = d_sweep(g, pairs, PairwiseAlgo.P2W, seed=5)
         assert ladder == [(1, len(best))]
+
+    def test_tie_keeps_the_larger_d(self, monkeypatch):
+        # 20 terminals give 190 pairs and the rungs 6, 3, 2, 1; d=3 and d=2
+        # tie at the least size, and the first of them in rung order wins.
+        sizes = {6: 9, 3: 5, 2: 5, 1: 7}
+        monkeypatch.setattr(bench, "pairwise_spanner", lambda g, pairs, params: {
+            (params.d_override, i) for i in range(sizes[params.d_override])})
+        best, ladder = d_sweep(None, terminal_pairs(range(20)), PairwiseAlgo.P2W, seed=5)
+        assert ladder == [(6, 9), (3, 5), (2, 5), (1, 7)]
+        assert best == {(3, i) for i in range(5)}
 
     def test_best_never_worse_than_base(self):
         g = generate(GeneratorSpec(Model.ER, 30, 9))

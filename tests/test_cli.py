@@ -304,3 +304,70 @@ def test_summarize_rejects_a_cell_rows_csv_never_writes(column, cell, message, t
     assert code == 2 and out == ""
     assert err.startswith(f"wspanner: error: {rows_path} line 3, column {column}: ")
     assert message in err and err.count("\n") == 1
+
+
+def test_gen_requires_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--model", "er", "--n", "6"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_spanner_reads_a_graph_file_with_a_trailing_blank_line(instance_files, tmp_path):
+    graph_path, terms_path = instance_files
+    padded = tmp_path / "padded.graph"
+    padded.write_text(graph_path.read_text() + "\n")
+    for name, path in (("plain", graph_path), ("padded", padded)):
+        assert main(["spanner", "--algo", "p2w", "--graph", str(path), "--terminals",
+                     str(terms_path), "--out", str(tmp_path / name)]) == 0
+    for suffix in (".graph", ".json"):
+        assert ((tmp_path / "padded").with_suffix(suffix).read_text()
+                == (tmp_path / "plain").with_suffix(suffix).read_text())
+
+
+@pytest.mark.parametrize("graph,terminals,message", [
+    ("", "0 1\n", "empty graph text"),
+    ("\n \n", "0 1\n", "empty graph text"),
+    ("3\n0 1 1\n", "0 1\n", "expected header 'n m', got '3'"),
+    ("2 1\n0 1\n", "0 1\n", "bad edge line '0 1'"),
+    ("2 1\n0 1 1\n", "\n", "empty terminals text"),
+], ids=["empty-graph", "blank-graph", "bad-header", "bad-edge-line", "empty-terminals"])
+def test_spanner_rejects_malformed_text_files(graph, terminals, message, tmp_path, capsys):
+    (tmp_path / "g.graph").write_text(graph)
+    (tmp_path / "g.terminals").write_text(terminals)
+    code = main(["spanner", "--algo", "p2w", "--graph", str(tmp_path / "g.graph"),
+                 "--terminals", str(tmp_path / "g.terminals")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"wspanner: error: {message}\n"
+
+
+def test_exact_rejects_a_disconnected_terminal_pair(tmp_path, capsys):
+    (tmp_path / "g.graph").write_text("4 2\n0 1 1\n2 3 1\n")
+    (tmp_path / "g.terminals").write_text("0 2\n")
+    code = main(["exact", "--graph", str(tmp_path / "g.graph"),
+                 "--terminals", str(tmp_path / "g.terminals")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "wspanner: error: terminal pair (0,2) is disconnected\n"
+
+
+@pytest.mark.parametrize("plan,message", [
+    ([], "plan must be a JSON object"),
+    *[({axis: []}, "plan needs at least one model, size, level count, and tsm")
+      for axis in ("models", "sizes", "levels", "tsms")],
+    ({"strategy": "greedy"}, "unknown strategy 'greedy'"),
+    ({"seeds_per_cell": 0}, "seeds_per_cell must be >= 1"),
+], ids=["not-an-object", "no-models", "no-sizes", "no-levels", "no-tsms", "unknown-strategy",
+        "zero-seeds"])
+def test_run_rejects_a_plan_it_cannot_run(plan, message, tmp_path, capsys):
+    if isinstance(plan, dict):
+        plan = {"models": ["er"], "sizes": [10], "levels": [1], "tsms": ["linear"],
+                "algorithms": ["p2w"]} | plan
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    code = main(["run", "--plan", str(plan_path), "--out", str(tmp_path / "results")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"wspanner: error: {message}\n"
+    assert not (tmp_path / "results").exists()

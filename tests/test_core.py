@@ -95,6 +95,11 @@ class TestGraphText:
         with pytest.raises(ValueError):
             parse_graph_text("2 2\n0 1 1\n")
 
+    def test_parse_skips_blank_lines(self):
+        text = write_graph_text(TRIANGLE)
+        assert parse_graph_text(text + "\n") == TRIANGLE
+        assert parse_graph_text("\n" + text.replace("\n", "\n \n")) == TRIANGLE
+
 
 @given(connected_graphs(), st.data())
 @settings(max_examples=60)
