@@ -9,10 +9,12 @@ computes these artifacts on demand, one search per source row that settles
 vertices a distance bucket at a time, and caches each row and each path
 edge tuple it builds; every graph owns one, ``WeightedGraph.paths``, which
 the constructions, the validity check and the exact solver all read, the
-pair sweeps one row per run of pairs sharing a source.  The validity check
-passes a pair whose canonical path lies in the subgraph without searching
-it, so it trusts the table's paths as well as its distances; only the
-pairs left over cost a search of the subgraph.
+pair sweeps one row per run of pairs sharing a source.  Per distinct pair
+list the table keeps an index from each canonical-path edge to the pairs
+using it, so the sweeps and the validity check find the pairs whose path
+leaves a subgraph by one set difference.  The check passes every other pair
+without a search, so it trusts the table's paths as well as its distances;
+only the pairs left over cost a search of the subgraph.
 """
 
 from __future__ import annotations
@@ -252,10 +254,11 @@ class PathTable:
     weight on the canonical path, is read off that path's cached edges.  The
     canonical path of an unordered pair {u, v} comes from the tree rooted at
     min(u, v); path(v, u) is its reverse.  The per-pair methods read the row
-    of min(u, v); row(s) hands out the row of s whole.  Answers do
-    not depend on the order of queries.  Each row is a pure function of the
-    graph, so concurrent first reads of one source can at worst compute it
-    twice.
+    of min(u, v); row(s) hands out the row of s whole.  ``leaving`` indexes
+    each distinct pair list once, through ``each_pair``, and keeps the index
+    with the rows.  Answers do not depend on the order of queries.  Each row
+    and index is a pure function of the graph and its input, so concurrent
+    first reads can at worst compute one twice.
 
     The table keeps the graph's adjacency, weight map and vertex count, not
     the graph itself, so a graph that caches its table forms no reference
@@ -267,6 +270,7 @@ class PathTable:
         self._weight = graph.weight_map
         self._n = graph.n
         self._rows: dict[int, tuple[list, list[int], list]] = {}
+        self._indexes: dict[tuple, tuple[dict[Edge, list[int]], list]] = {}
 
     def _row(self, s: int) -> tuple[list, list[int], list]:
         """shortest_path_row's (dist, parent) for s, plus the canonical path
@@ -334,6 +338,31 @@ class PathTable:
                 last, (dist, _, edges) = s, self._row(s)
             yield u, v, dist[t], edges[t] or self._edges_to(s, t)
 
+    def leaving(self, pairs: Iterable[Edge], h: Collection[Edge]) -> list[tuple[int, tuple]]:
+        """(position, canonical path edges) of each pair whose path has an
+        edge outside h, a set of (min, max) keys, by ascending position; a
+        pair with u == v or no path never leaves.  The first call on a pair
+        list walks it with each_pair (a vertex outside 0..n-1 raises and
+        caches nothing) and keeps its paths and an index from each path edge
+        to the positions of the pairs using it; a call on an equal list then
+        costs one set difference and a merge of positions."""
+        key = tuple(pairs)
+        entry = self._indexes.get(key)
+        if entry is None:
+            index: dict[Edge, list[int]] = {}
+            paths = [pe for _, _, _, pe in self.each_pair(key)]
+            for i, pe in enumerate(paths):
+                for e in pe or ():
+                    at = index.get(e)
+                    if at is None:
+                        index[e] = [i]
+                    else:
+                        at.append(i)
+            entry = self._indexes[key] = (index, paths)
+        index, paths = entry
+        missing = index.keys() - h
+        return [(i, paths[i]) for i in sorted(set().union(*map(index.__getitem__, missing)))]
+
 
 def build_path_table(g: WeightedGraph) -> PathTable:
     """A new deterministic path table of g (see PathTable for the tie-break
@@ -353,24 +382,25 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     Pairs disconnected in g itself are never reported.  A pair whose
     canonical path lies in the subgraph has dist_H = dist_G and passes
     without a search; this trusts ``path_edges`` to be a real path of
-    weight ``dist``.  The subgraph is searched, one Dijkstra per source,
-    only for the pairs left over.
+    weight ``dist``.  The pairs left over come from the table's index of the
+    pair list (``PathTable.leaving``), and only they cost a search of the
+    subgraph, one Dijkstra per source.
     """
     hset = set(h_edges)
     extra = sorted(hset - g.edge_set)[:3]
     if extra:
         raise ValueError(f"subgraph edges must be (min, max) keys of graph edges: {extra}")
-    left = [(u, v, dg) for u, v, dg, pe in g.paths.each_pair(pairs)
-            if pe is not None and not hset.issuperset(pe)]
+    pairs = tuple(pairs)
+    left = g.paths.leaving(pairs, hset)
     if not left:
         return []
     n, h_adj = g.n, subgraph_adjacency(g, hset)
     rows: dict[int, list] = {}
     violated = []
-    for u, v, dg in left:
+    for u, v in (pairs[i] for i, _ in left):
         if u not in rows:
             rows[u] = dijkstra_distances(h_adj, n, u)
         dh = rows[u][v]
-        if dh == UNREACHABLE or dh > dg + budget.allowance(g, u, v):
+        if dh == UNREACHABLE or dh > g.paths.dist(u, v) + budget.allowance(g, u, v):
             violated.append((u, v))
     return violated

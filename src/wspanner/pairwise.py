@@ -6,9 +6,10 @@ outright when few of its edges are missing and otherwise falling back to
 randomized repairs (shortest-path trees from sampled roots, bounded-miss
 paths between sampled pairs, or a subsetwise spanner over a sample).  One
 sweep serves all three; only the repair differs.  A run is one sweep, one
-check and one patch: the check reads only the pairs the sweep did not buy,
-and those still over budget get the missing edges of their canonical
-paths, so the result always meets its advertised budget:
+check and one patch, and the sweep and the check visit only the pairs whose
+canonical path leaves H (``PathTable.leaving``); the pairs still over budget
+get the missing edges of their canonical paths, so the result always meets
+its advertised budget:
 
     p2w -> +2*W(u,v)    p4w -> +4*W(u,v)    p8w -> +6*W_max
 
@@ -189,32 +190,29 @@ def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
     return sample
 
 
-def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell: int, rng,
-          report: PairwiseReport) -> list[tuple[int, int]]:
-    """One sweep over the pairs, in-H test first: a pair whose canonical path
-    is in h costs one subset test and draws nothing.  Any other pair's path
-    is bought when at most ell of its edges are missing from h, else repaired:
-    p4w with trees or with bounded-miss paths for the sample pairs whose
-    canonical path leaves h (one in h weighs dist_G with no miss, so the
-    search would return a path in h), p8w with a subsetwise spanner on a
-    sample, p2w after the sweep with trees.  Returns the pairs not bought, in
-    input order: a bought pair's canonical path is in h, which only grows, so
-    a check passes it without a search and checking only the rest flags the
-    same pairs, in order, by the same searches.  The first disconnected pair
-    raises, and no repair before it can: p8w skips subsetwise on a
-    disconnected graph, p4w pathless samples."""
-    n = g.n
-    left = []
-    for u, v, _, pe in g.paths.each_pair(pairs):
-        if pe is None:
-            raise ValueError(f"pair ({u},{v}) is disconnected")
-        if h.issuperset(pe):
-            continue
+def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]],
+          h: set[Edge], d: int, ell: int, rng, report: PairwiseReport) -> None:
+    """One sweep, in input order, over the pairs whose canonical path leaves
+    h when it starts: h only grows, so every other pair's path stays in h,
+    and the pair draws nothing.  A visited pair's missing edges are counted
+    at its turn, since earlier buys and repairs may have covered its path.
+    Its path is bought when at most ell edges are missing from h, else
+    repaired: p4w with trees or with bounded-miss paths for the sample pairs
+    whose canonical path leaves h (one in h weighs dist_G with no miss, so
+    the search would return a path in h), p8w with a subsetwise spanner on a
+    sample, p2w after the sweep with trees.  The first bad pair in input
+    order raises before any repair: a disconnected one, which only a
+    disconnected graph has, or, through the index, one outside the graph."""
+    n, pt = g.n, g.paths
+    if not g.is_connected():
+        for u, v, _, pe in pt.each_pair(pairs):
+            if pe is None:
+                raise ValueError(f"pair ({u},{v}) is disconnected")
+    for _, pe in pt.leaving(pairs, h):
         missing = [e for e in pe if e not in h]
         if len(missing) <= ell:
-            h.update(pe)
+            h.update(missing)
             continue
-        left.append((u, v))
         if algo is PairwiseAlgo.P4W and len(missing) * d * d >= n:
             for r in _sample(rng, n, d * d / n, report):
                 h.update(shortest_path_tree(g, r))
@@ -223,7 +221,7 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell
             h.update(missing[-ell:])
             sample = _sample(rng, n, 1.0 / (ell * d), report)
             if algo is PairwiseAlgo.P4W:
-                for r, r_prime, _, spe in g.paths.each_pair(combinations(sample, 2)):
+                for r, r_prime, _, spe in pt.each_pair(combinations(sample, 2)):
                     if spe is not None and not h.issuperset(spe):
                         path = limited_missing_path(g, r, r_prime, h, n // (d * d))
                         if path is not None:
@@ -235,13 +233,14 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs, h: set[Edge], d: int, ell
     if algo is PairwiseAlgo.P2W:
         for r in _sample(rng, n, 1.0 / (ell * d), report):
             h.update(shortest_path_tree(g, r))
-    return left
 
 
 def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
                          params: PairwiseParams) -> tuple[set[Edge], PairwiseReport]:
-    """The d-light init, one sweep, one check of the pairs it did not buy, and
-    a patch of the missing canonical-path edges of the pairs the check flags."""
+    """The d-light init, one sweep, one check and a patch of the missing
+    canonical-path edges of the pairs the check flags.  Only a pair whose
+    canonical path leaves H can be flagged, so the check gets every pair
+    when one does and none otherwise."""
     if not pairs:
         raise ValueError("pairs must be nonempty")
     count = len(pairs)
@@ -249,8 +248,9 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     ell = default_ell(params.algo, g.n, count)
     h = d_light_init(g, d)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
-    left = _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
-    violators = verify_spanner(g, h, left, BUDGETS[params.algo])
+    _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
+    checked = pairs if g.paths.leaving(pairs, h) else ()
+    violators = verify_spanner(g, h, checked, BUDGETS[params.algo])
     missing = {e for _, _, _, pe in g.paths.each_pair(violators) for e in pe if e not in h}
     h.update(missing)
     report.patched = len(missing)

@@ -4,11 +4,12 @@ The clustering phase repeatedly picks the smallest-id vertex with at least
 ceil(sqrt(|S| * W)) unclustered neighbors and clusters that many of its
 smallest-id unclustered neighbors; star edges and intra-cluster edges go
 into the cluster subgraph, and every edge incident to a vertex left
-unclustered is added afterwards.  The buying sweep walks the terminal pairs
-in ascending order, in-H test first: a pair whose canonical path H already
-holds costs one subset test and is bought with cost 0 and value 0 (a path
-inside H beats no H distance; without clusters H is all of g).  Any other
-path is bought when cost <= (2W+1) * value.
+unclustered is added afterwards.  The buying sweep visits, in ascending
+order, the terminal pairs whose canonical path leaves H at its start
+(``PathTable.leaving``).  A pair whose path H holds at its turn is bought
+with cost 0 and value 0 (a path inside H beats no H distance; without
+clusters H is all of g).  Any other path is bought when cost <= (2W+1) *
+value.
 """
 
 from __future__ import annotations
@@ -136,12 +137,14 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     clustering = build_clustering(g, len(s))
     h: set[Edge] = set(clustering.cluster_subgraph)
     h_adj = None  # adjacency lists of h, built at the first pair that needs a value
-    records: list[BuyRecord] = []
-    for u, v, _, pe in pt.each_pair(terminal_pairs(s)):
-        if h.issuperset(pe):
-            records.append(BuyRecord((u, v), 0, 0, True))
-            continue
+    pairs = terminal_pairs(s)
+    records = [BuyRecord(pair, 0, 0, True) for pair in pairs]
+    # an h that is all of g (always so without clusters) holds every path
+    for i, pe in pt.leaving(pairs, h) if len(h) < len(g.edges) else ():
+        u, v = pairs[i]
         new = [e for e in pe if e not in h]
+        if not new:
+            continue
         if h_adj is None:
             h_adj = subgraph_adjacency(g, h)
         path = pt.path(u, v)
@@ -154,7 +157,7 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
                 w = g.weight_map[a, b]
                 h_adj[a].append((b, w))
                 h_adj[b].append((a, w))
-        records.append(BuyRecord((u, v), len(new), value, bought))
+        records[i] = BuyRecord((u, v), len(new), value, bought)
     return PathBuyState(h, records)
 
 

@@ -10,8 +10,9 @@ per-edge highest-tag map.  ``unpruned_limited_missing_path`` is the
 library's bounded-miss search as it was before dominance pruning, kept to pin
 which of several tied paths comes back.  ``rebuilt_path_value`` is the subsetwise path value with
 full distances over the whole subgraph recomputed for every call.
-``caterpillar_edges`` is the one test instance shared by the pairwise and
-golden tests.  ``exact_single_level`` is no oracle: it is the library's exact
+``scanned_leaving`` is the per-pair scan that ``PathTable.leaving``
+replaces, one subset test per pair.  ``caterpillar_edges`` is the one test
+instance shared by the pairwise and golden tests.  ``exact_single_level`` is no oracle: it is the library's exact
 optimum read as one level's edge set, for the tests that compare against it.
 """
 
@@ -116,6 +117,14 @@ def unpruned_limited_missing_path(g, r: int, r_prime: int, present, miss_cap: in
             raise AssertionError("path reconstruction failed")
     path.reverse()
     return tuple(path)
+
+
+def scanned_leaving(table, pairs, h) -> list:
+    """(position, canonical path edges) of each pair whose path has an edge
+    outside h, by walking the pairs with each_pair and testing every path
+    against h on its own (pathless pairs and u == v never leave)."""
+    return [(i, pe) for i, (_, _, _, pe) in enumerate(table.each_pair(pairs))
+            if pe is not None and not h.issuperset(pe)]
 
 
 def caterpillar_edges(k: int) -> tuple:

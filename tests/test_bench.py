@@ -1,10 +1,11 @@
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from wspanner import bench, pairwise
+from wspanner import bench, core, pairwise
 from wspanner.bench import (
     ExperimentPlan,
     ResultRow,
@@ -160,6 +161,33 @@ class TestRunPlan:
                                        seeds_per_cell=2, exact=False))
         swept = {(r.instance_id, r.algorithm): r.sparsity for r in rows}
         assert swept.keys() == {(r.instance_id, r.algorithm) for r in baseline}
+
+
+def test_instance_walks_each_terminal_pair_list_once(monkeypatch):
+    # Every solve, d-sweep rung, check and validity gate of one instance
+    # reads its terminal pair lists through the table's index, so each list
+    # is walked with each_pair once, when the index is built.
+    made, walks = {}, Counter()
+    real_walk, real_gen, real_sets = (core.PathTable.each_pair, bench.generate,
+                                      bench.generate_terminals)
+
+    def walk(table, pairs):
+        pairs = tuple(pairs)
+        yield from real_walk(table, pairs)
+        walks[table, pairs] += 1
+
+    monkeypatch.setattr(core.PathTable, "each_pair", walk)
+    monkeypatch.setattr(bench, "generate", lambda spec: made.setdefault("g", real_gen(spec)))
+    monkeypatch.setattr(bench, "generate_terminals",
+                        lambda *a: made.setdefault("sets", real_sets(*a)))
+    plan = ExperimentPlan(models=("er",), sizes=(60,), levels=(2,), tsms=("exp",),
+                          algorithms=("sub2w", "p2w", "p4w", "p8w"), d_sweep=True)
+    rows = bench.run_instance(plan, ((0, "er"), 60, 2, (0, "exp"), 0))
+    assert len(rows) == 4
+    table = made["g"].paths
+    lists = {tuple(terminal_pairs(s)) for s in made["sets"]}
+    assert len(lists) == 2
+    assert {pairs: walks[table, pairs] for pairs in lists} == dict.fromkeys(lists, 1)
 
 
 class TestCsv:

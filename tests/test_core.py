@@ -31,6 +31,7 @@ from helpers import (
     brute_force_distance,
     hop_radius,
     reordered_pairs,
+    scanned_leaving,
 )
 from strategies import any_graphs, connected_graphs
 
@@ -390,6 +391,33 @@ def test_graph_and_its_table_form_no_reference_cycle():
             gc.enable()
 
 
+@st.composite
+def graphs_with_pair_lists(draw):
+    """A graph, often disconnected, and a list of its vertex pairs in either
+    orientation, with repeats and u == v pairs."""
+    g = draw(any_graphs(max_w=6))
+    vertex = st.integers(0, g.n - 1)
+    return g, draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+
+
+@given(graphs_with_pair_lists(), st.data())
+@settings(max_examples=60)
+def test_leaving_matches_the_per_pair_scan(case, data):
+    # One table answers one list, and equal copies of it, for random
+    # subgraphs and for a growing one, from the index its first call built.
+    g, pairs = case
+    pt = g.paths
+    edges = sorted(g.edge_set)
+    subgraphs = st.sets(st.sampled_from(edges)) if edges else st.just(set())
+    grown: set = set()
+    for _ in range(4):
+        grown |= data.draw(subgraphs)
+        for h in (data.draw(subgraphs), set(grown)):
+            for order in (pairs, list(pairs), tuple(pairs)):
+                assert pt.leaving(order, h) == scanned_leaving(pt, pairs, h)
+    assert pt.leaving(pairs, g.edge_set) == []
+
+
 class TestVerifySpanner:
     def test_heavy_edge_within_global_budget(self):
         assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("GLOBAL", 2)) == []
@@ -426,6 +454,15 @@ class TestVerifySpanner:
         u, v = pair
         with pytest.raises(ValueError, match=rf"pair \({u},{v}\) references a vertex outside 0\.\.2"):
             verify_spanner(TRIANGLE, TRIANGLE.edge_set, [pair], budget("GLOBAL", 2))
+
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 2)])
+    def test_pair_outside_the_graph_raises_on_every_call(self, pair):
+        # A failed index build keeps nothing, so every later call on the same
+        # list raises again, with the whole graph as the subgraph too.
+        g = WeightedGraph(TRIANGLE.n, TRIANGLE.edges)
+        for h in (g.edge_set, g.edge_set, set(), {(0, 1)}, g.edge_set):
+            with pytest.raises(ValueError, match=r"references a vertex outside 0\.\.2"):
+                verify_spanner(g, h, [(0, 2), pair], budget("GLOBAL", 2))
 
 
 @st.composite

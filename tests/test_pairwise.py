@@ -417,6 +417,23 @@ class TestPairwiseSpanner:
         with pytest.raises(ValueError, match=r"^pair \(31,0\) is disconnected$"):
             pairwise_spanner_run(g, pairs, params)
 
+    @pytest.mark.parametrize("algo", [PairwiseAlgo.P4W, PairwiseAlgo.P8W])
+    def test_pair_covered_by_earlier_buys_is_not_repaired(self, algo):
+        # The 1-light init holds only the caterpillar's leaf edges.  (0,4) and
+        # (4,8) each miss 4 = ell spine edges and are bought; (0,8) misses all
+        # 8 of its spine edges when the sweep starts but none at its turn, so
+        # it is neither repaired nor draws a sample.  The leaf pairs, whose
+        # paths lie in the init, bring |P| to 20, where ell is 4.
+        g = WeightedGraph(30, caterpillar_edges(10))
+        leaves = [(i, 10 + 2 * i + j) for i in range(10) for j in (0, 1)][:17]
+        pairs = [(0, 4), (4, 8), (0, 8)] + leaves
+        init = d_light_init(g, 1)
+        assert default_ell(algo, g.n, len(pairs)) == 4
+        assert [i for i, _ in g.paths.leaving(pairs, init)] == [0, 1, 2]
+        h, report = pairwise_spanner_run(g, pairs, PairwiseParams(algo, d_override=1, seed=0))
+        assert report.sample_counts == [] and report.patched == 0
+        assert h == init | {(i, i + 1) for i in range(8)}
+
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_disconnected_graph_with_connected_pairs(self, algo):
         # a caterpillar plus a detached edge; every pair stays on the

@@ -13,6 +13,7 @@ from wspanner.core import (
 )
 from wspanner.generate import GeneratorSpec, Model, TerminalScheme, TerminalSelection, generate, generate_terminals
 from wspanner.subsetwise import (
+    BuyRecord,
     Clustering,
     build_clustering,
     cluster_threshold,
@@ -230,3 +231,27 @@ def test_mean_output_below_full_graph_on_er():
         assert len(h) <= len(g.edges)
         ratios.append(len(h) / len(g.edges))
     assert sum(ratios) / len(ratios) < 1.0
+
+
+def test_pair_covered_by_an_earlier_buy_asks_no_path_value(monkeypatch):
+    # ER n=16 seed 12, terminals {5, 7, 9, 12}: (9, 12) leaves the cluster
+    # subgraph when the sweep starts, but the path bought for (7, 12) covers
+    # it by its turn, so it is bought with cost 0 and value 0 unvalued.
+    g = generate(GeneratorSpec(Model.ER, 16, 12))
+    terminals = (5, 7, 9, 12)
+    pairs = terminal_pairs(terminals)
+    start = set(build_clustering(g, len(terminals)).cluster_subgraph)
+    assert [pairs[i] for i, _ in g.paths.leaving(pairs, start)] == [
+        (5, 7), (5, 12), (7, 12), (9, 12)]
+    valued = []
+    real = subsetwise.path_value
+
+    def counting(g, path, x, clustering, h_adj):
+        valued.append((path[0], path[-1]))
+        return real(g, path, x, clustering, h_adj)
+
+    monkeypatch.setattr(subsetwise, "path_value", counting)
+    state = subsetwise_2w_run(g, terminals)
+    assert state.records[4] == BuyRecord((7, 12), 2, 1, True)
+    assert state.records[5] == BuyRecord((9, 12), 0, 0, True)
+    assert sorted(set(valued)) == [(5, 7), (5, 12), (7, 12)]
