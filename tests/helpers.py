@@ -12,8 +12,9 @@ which of several tied paths comes back.  ``rebuilt_path_value`` is the subsetwis
 full distances over the whole subgraph recomputed for every call.
 ``scanned_leaving`` is the per-pair scan that ``PathTable.leaving``
 replaces, one subset test per pair.  ``caterpillar_edges`` is the one test
-instance shared by the pairwise and golden tests.  ``exact_single_level`` is no oracle: it is the library's exact
-optimum read as one level's edge set, for the tests that compare against it.
+instance shared by the pairwise and golden tests.  ``exact_single_level`` is
+no oracle: it is the library's exact optimum read as one level's edge set,
+for the tests that compare against it.
 """
 
 from __future__ import annotations
