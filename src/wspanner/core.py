@@ -122,8 +122,20 @@ class WeightedGraph:
         """The graph's path table; its rows are computed as they are read."""
         return build_path_table(self)
 
+    @cached_property
+    def _connected(self) -> bool:
+        """Every vertex reaches vertex 0, by a search over adj that computes
+        no path-table row."""
+        seen, stack = {0}, [0]
+        while stack:
+            for y, _ in self.adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) == self.n
+
     def is_connected(self) -> bool:
-        return UNREACHABLE not in self.paths.row(0)[0]
+        return self._connected
 
 
 def write_graph_text(g: WeightedGraph, keep: Collection[Edge] | None = None) -> str:

@@ -3,8 +3,9 @@
 The optimizer exploits the fact that any minimum spanner is a union of one
 within-budget path per terminal pair: it enumerates, per pair, the
 inclusion-minimal edge sets of simple paths within the budget and runs a
-branch-and-bound over per-pair path choices, levels processed top-down.
-This returns exactly the minimum-sparsity solution (ties broken by the
+branch-and-bound over per-pair path choices, cut by a lower bound from the
+terminals that no chosen edge touches yet (see ``exact_optimum``).  This
+returns exactly the minimum-sparsity solution (ties broken by the
 lexicographically smallest per-edge rate vector) that plain subset
 enumeration in (cardinality, rate-vector) order would find, at a fraction
 of the cost.  Larger instances are refused with SizeCapExceeded; emit the
@@ -39,28 +40,24 @@ class IlpModel:
     binaries: tuple[str, ...]
 
 
-def _row(name: str, terms, sense: str, rhs: int) -> str:
-    """An LP constraint row from (coefficient, variable) terms; a unit
-    coefficient is left out, and a leading sign only when negative."""
-    parts = []
-    for coef, var in terms:
-        body = var if abs(coef) == 1 else f"{abs(coef)} {var}"
-        parts.append(("- " if coef < 0 else "+ ") + body)
-    return f"{name}: {' '.join(parts).removeprefix('+ ')} {sense} {rhs}"
-
-
 def build_ilp(inst: MultiLevelInstance) -> IlpModel:
     """Path-based flow model, one flow system per unordered terminal pair per
     level, in this row order: path length bounded by dist + allowance, flow
     conservation and out-degree at most one per vertex, arcs coupled to edge
     variables, and (multi-level) each level's edges contained in the level
     below.  Variable names carry a level suffix _l{k} only when there is more
-    than one level."""
+    than one level.  Each row is joined from its arc names directly: a unit
+    coefficient is left out, and a sign only where the term is negative."""
     g = inst.graph
     pt = g.paths
     suffixes = [f"_l{k}" if inst.levels > 1 else "" for k in range(1, inst.levels + 1)]
     xe = [[f"xe_{u}_{v}{sfx}" for u, v, _ in g.edges] for sfx in suffixes]
     arcs = [(a, b, w) for i, j, w in g.edges for a, b in ((i, j), (j, i))]
+    stems = [f"f_{i}_{j}_" for i, j, _ in arcs]
+    coefs = ["" if w == 1 else f"{w} " for _, _, w in arcs]
+    # f[a] names arc a of the pair; around[i] is (out arc, in arc) per neighbor of i
+    at = {(i, j): a for a, (i, j, _) in enumerate(arcs)}
+    around = [[(at[i, j], at[j, i]) for j, _ in g.adj[i]] for i in range(g.n)]
     objective = [name for level in xe for name in level]
     binaries = list(objective)
     constraints: list[str] = []
@@ -69,25 +66,25 @@ def build_ilp(inst: MultiLevelInstance) -> IlpModel:
             if not pt.reachable(u, v):
                 raise ValueError(f"terminal pair ({u},{v}) is disconnected")
             pair = f"p{u}_{v}{sfx}"
-            f = {(i, j): f"f_{i}_{j}_{pair}" for i, j, _ in arcs}
-            binaries.extend(f.values())
+            f = [stem + pair for stem in stems]
+            binaries.extend(f)
             limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
-            constraints.append(_row(f"len_{pair}", ((w, f[i, j]) for i, j, w in arcs), "<=", limit))
-            for i in range(g.n):
-                terms = (t for j, _ in g.adj[i] for t in ((1, f[i, j]), (-1, f[j, i])))
+            length = " + ".join(map(str.__add__, coefs, f))
+            constraints.append(f"len_{pair}: {length} <= {limit}")
+            for i, out in enumerate(around):
+                terms = " + ".join(f"{f[a]} - {f[b]}" for a, b in out)
                 rhs = 1 if i == u else (-1 if i == v else 0)
-                constraints.append(_row(f"flow_{pair}_v{i}", terms, "=", rhs))
-            for i in range(g.n):
-                if g.adj[i]:
-                    terms = ((1, f[i, j]) for j, _ in g.adj[i])
-                    constraints.append(_row(f"deg_{pair}_v{i}", terms, "<=", 1))
+                constraints.append(f"flow_{pair}_v{i}: {terms} = {rhs}")
+            for i, out in enumerate(around):
+                if out:
+                    terms = " + ".join(f[a] for a, _ in out)
+                    constraints.append(f"deg_{pair}_v{i}: {terms} <= 1")
             for e, (i, j, _) in enumerate(g.edges):
-                constraints.append(_row(f"cpl_{pair}_e{i}_{j}",
-                                        ((1, f[i, j]), (1, f[j, i]), (-1, xe[k][e])), "<=", 0))
+                forth, back = f[2 * e], f[2 * e + 1]
+                constraints.append(f"cpl_{pair}_e{i}_{j}: {forth} + {back} - {xe[k][e]} <= 0")
     for k in range(1, inst.levels):
         for e, (i, j, _) in enumerate(g.edges):
-            constraints.append(_row(f"nest_e{i}_{j}{suffixes[k]}",
-                                    ((1, xe[k][e]), (-1, xe[k - 1][e])), "<=", 0))
+            constraints.append(f"nest_e{i}_{j}{suffixes[k]}: {xe[k][e]} - {xe[k - 1][e]} <= 0")
     return IlpModel(tuple(objective), tuple(constraints), tuple(binaries))
 
 
@@ -102,25 +99,30 @@ def emit_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _minimal_path_masks(incidence, u: int, v: int, limit: int) -> list[int]:
-    """Edge bitmasks of the simple u-v paths of weight <= limit, walked over
-    incidence, each vertex's (neighbor, weight, edge bit) triples, and sorted
-    by (edge count, mask) so that the search tries cheap paths first.  Each is
-    inclusion-minimal: if a simple u-v path Q uses only edges of a simple u-v
-    path P, then Q is a u-v path in the path graph P, so Q = P.  The masks
-    are distinct and pairwise incomparable, so none needs filtering."""
-    found: list[int] = []
+def _minimal_path_masks(incidence, u: int, v: int, limit: int, to_v) -> list[tuple[int, int, int]]:
+    """(edge count, edge bitmask, vertex bitmask) of each simple u-v path of
+    weight <= limit, for u != v, walked over incidence, each vertex's
+    (neighbor, weight, edge bit) triples, and sorted by (edge count, edge
+    mask) so that the search tries cheap paths first.  The walk is
+    goal-directed: it skips the step to y when even a shortest y-v path, of
+    weight to_v[y] = dist_G(y, v), would take the weight over limit.  Every
+    path the walk completes passes that test, so it finds the same paths.
+    Each edge mask is inclusion-minimal: if a simple u-v path Q uses only
+    edges of a simple u-v path P, then Q is a u-v path in the path graph P,
+    so Q = P.  The masks are distinct and pairwise incomparable, so none
+    needs filtering."""
+    found: list[tuple[int, int, int]] = []
 
     def walk(x: int, visited: int, weight: int, mask: int) -> None:
-        if x == v:
-            found.append(mask)
-            return
         for y, w, bit in incidence[x]:
-            if not visited >> y & 1 and weight + w <= limit:
-                walk(y, visited | (1 << y), weight + w, mask | bit)
+            if not visited >> y & 1 and weight + w + to_v[y] <= limit:
+                if y == v:
+                    found.append(((mask | bit).bit_count(), mask | bit, visited | 1 << y))
+                else:
+                    walk(y, visited | 1 << y, weight + w, mask | bit)
 
     walk(u, 1 << u, 0, 0)
-    found.sort(key=lambda m: (m.bit_count(), m))
+    found.sort()
     return found
 
 
@@ -130,6 +132,28 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     Ties are broken toward the lexicographically smallest per-edge rate
     vector (edges in canonical sorted order).  Raises SizeCapExceeded when
     the instance is over the edge caps or the enumeration work budget.
+
+    The search takes the levels top-down and, within a level, the pairs with
+    the fewest path options first (ties by pair).  It keeps the edge mask
+    ``covered`` and the vertex mask ``touched`` of its end points.  Levels
+    go top-down, so a covered edge's rate is at least every level still to
+    come.  A terminal of a level with two or more terminals that no covered
+    edge touches therefore still needs a new incident edge of at least that
+    level's rate, and a new edge of rate r serves at most two terminals at
+    each of r levels; so ceil(sum_k popcount(T_k & ~touched) / 2) more
+    sparsity is still to come, with T_k the terminal mask of level k.  An
+    option is cut when the sparsity so far plus its cost plus that bound
+    exceeds the best found.  The test is strict, so every solution of the
+    best sparsity still reaches the rate-vector tie-break.
+
+    The pair order changes no output.  Let r* be the smallest rate vector
+    among the minimum-sparsity solutions.  Under any order of the pairs
+    within a level, r* is a reachable leaf: at each pair not yet satisfied,
+    take an option inside r*'s level-k edge set.  That leaf's rates are
+    pointwise at most r*'s, and their sum is no larger, so they equal r*.
+    The way to it takes the satisfied-pair shortcut wherever that applies,
+    and the bound cuts only branches whose every leaf is above the best
+    sparsity, so nothing cuts it.
     """
     caps = caps or SizeCaps()
     g = inst.graph
@@ -143,20 +167,22 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     pt = g.paths
     bits = {(u, v): 1 << i for i, (u, v, _) in enumerate(g.edges)}
     incidence = [[(y, w, bits[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
-    masks: dict[Edge, list[int]] = {}
+    masks: dict[Edge, list[tuple[int, int, int]]] = {}
     for u, v in terminal_pairs(inst.terminal_sets[0]):
         if not pt.reachable(u, v):
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
         limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
-        masks[(u, v)] = _minimal_path_masks(incidence, u, v, limit)
+        masks[(u, v)] = _minimal_path_masks(incidence, u, v, limit, pt.row(v)[0])
     flat = [(k, pair)
             for k in range(ell, 0, -1)
-            for pair in terminal_pairs(inst.terminal_sets[k - 1])]
+            for pair in sorted(terminal_pairs(inst.terminal_sets[k - 1]),
+                               key=lambda p: (len(masks[p]), p))]
+    terminal_masks = [sum(1 << t for t in ts) for ts in inst.terminal_sets if len(ts) >= 2]
 
     best_sparsity, best_rates = float("inf"), ()
     rates = [0] * m
 
-    def search(idx: int, covered: int, sparsity: int) -> None:
+    def search(idx: int, covered: int, touched: int, sparsity: int) -> None:
         # Every call has sparsity <= best_sparsity: each option is tested first.
         nonlocal best_sparsity, best_rates
         if idx == len(flat):
@@ -166,16 +192,20 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
             return
         level, pair = flat[idx]
         options = masks[pair]
-        for mask in options:
+        for _, mask, _ in options:
             if mask & covered == mask:
                 # Pair already satisfied at this level; adding anything else
                 # can only raise rates, so the branch is dominated.
-                search(idx + 1, covered, sparsity)
+                search(idx + 1, covered, touched, sparsity)
                 return
-        for mask in options:
+        for _, mask, verts in options:
             new = mask & ~covered
-            cost = level * new.bit_count()
-            if sparsity + cost > best_sparsity:
+            total = sparsity + level * new.bit_count()
+            if total > best_sparsity:
+                continue
+            reach = touched | verts
+            untouched = sum((t & ~reach).bit_count() for t in terminal_masks)
+            if total + (untouched + 1) // 2 > best_sparsity:
                 continue
             bits, rest = [], new  # set bits of new, lowest first
             while rest:
@@ -183,11 +213,11 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
                 rest &= rest - 1
             for b in bits:
                 rates[b] = level
-            search(idx + 1, covered | mask, sparsity + cost)
+            search(idx + 1, covered | mask, reach, total)
             for b in bits:
                 rates[b] = 0
 
-    search(0, 0, 0)
+    search(0, 0, 0, 0)
     return MultiLevelSpanner(tuple(
         frozenset((u, v) for i, (u, v, _) in enumerate(g.edges) if best_rates[i] >= k)
         for k in range(1, ell + 1)))

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written without reusing the library's
 shortest-path or search machinery: distances come from exhaustive simple-path
-enumeration or Bellman-Ford relaxation, optima from plain subset / rate-vector
-enumeration, LP files are solved through scipy's MILP backend, and the
+enumeration or Bellman-Ford relaxation, optima (and the tie-break among
+them) from plain subset / rate-vector enumeration, LP files are solved through scipy's MILP backend, and the
 clustering and the multi-level rounding-up sets follow their definitions
 literally, and ``highest_tag_levels`` is the multi-level assembly as a
 per-edge highest-tag map.  ``unpruned_limited_missing_path`` is the
@@ -325,10 +325,12 @@ def brute_min_spanner_size(g, pair_limits) -> int:
     raise AssertionError("full edge set should always be feasible")
 
 
-def brute_multilevel_opt(g, level_pair_limits) -> int:
-    """Minimum sparsity over all nested edge-set families, by enumerating every
-    per-edge rate vector.  level_pair_limits[k] maps pairs to limits for level
-    k+1 (0-based list, level 1 first)."""
+def brute_multilevel_opt(g, level_pair_limits) -> tuple[int, tuple]:
+    """(minimum sparsity, its first rate vector) over all nested edge-set
+    families, by enumerating every per-edge rate vector in product order,
+    which is lexicographic: the vector returned is the smallest optimal one,
+    the exact optimum's tie-break.  level_pair_limits[k] maps pairs to limits
+    for level k+1 (0-based list, level 1 first)."""
     edges = [(u, v) for u, v, _ in g.edges]
     ell = len(level_pair_limits)
     best = None
@@ -341,8 +343,8 @@ def brute_multilevel_opt(g, level_pair_limits) -> int:
                 break
         if ok:
             sparsity = sum(rates)
-            if best is None or sparsity < best:
-                best = sparsity
+            if best is None or sparsity < best[0]:
+                best = (sparsity, rates)
     assert best is not None
     return best
 

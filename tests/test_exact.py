@@ -190,20 +190,28 @@ class TestExactOptimum:
 @given(g=connected_graphs(min_n=2, max_n=7, max_w=4), c=st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_path_masks_match_filtered_enumeration(mode, g, c):
-    # Every simple path's mask within the budget is already inclusion-minimal.
+    # Every simple path's mask within the budget is already inclusion-minimal,
+    # and the goal-directed walk loses none of them.
     budget = ErrorBudget(mode, c)
     eindex = {edge_key(u, v): i for i, (u, v, _) in enumerate(g.edges)}
     incidence = [[(y, w, 1 << eindex[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
     for u, v in terminal_pairs(range(g.n)):
         limit = brute_force_distance(g, u, v) + budget.allowance(g, u, v)
-        assert _minimal_path_masks(incidence, u, v, limit) == minimal_path_masks(
-            g, u, v, limit, eindex)
+        to_v = [brute_force_distance(g, y, v) for y in range(g.n)]
+        found = _minimal_path_masks(incidence, u, v, limit, to_v)
+        assert [mask for _, mask, _ in found] == minimal_path_masks(g, u, v, limit, eindex)
+        for count, mask, verts in found:
+            ends = {x for a, b, _ in g.edges if mask >> eindex[a, b] & 1 for x in (a, b)}
+            assert count == len(ends) - 1 and verts == sum(1 << x for x in ends)
 
 
 def _matches_plain_enumeration(data, levels, max_n, max_edges):
     """exact_optimum against brute_multilevel_opt on a drawn graph, budget
-    mode and nested terminal levels; brute_multilevel_opt tries all
-    (levels+1)**m rate vectors, so callers lower max_edges as levels rise."""
+    mode and nested terminal levels: the same sparsity and, as the tie-break
+    promises, the level sets of the lexicographically smallest optimal rate
+    vector, whatever order the search takes the pairs in.
+    brute_multilevel_opt tries all (levels+1)**m rate vectors, so callers
+    lower max_edges as levels rise."""
     g, terminals = data.draw(graphs_with_terminals(max_n=max_n, max_w=3))
     if len(g.edges) > max_edges:
         return
@@ -214,7 +222,11 @@ def _matches_plain_enumeration(data, levels, max_n, max_edges):
     budget = ErrorBudget(data.draw(st.sampled_from(list(BudgetMode))), 2)
     opt = exact_optimum(inst(g, *sets, budget=budget))
     limits = [pair_limits(g, level, budget) for level in sets]
-    assert opt.sparsity == brute_multilevel_opt(g, limits)
+    sparsity, rates = brute_multilevel_opt(g, limits)
+    assert opt.sparsity == sparsity
+    assert opt.level_edges == tuple(
+        frozenset((u, v) for (u, v, _), r in zip(g.edges, rates) if r >= k)
+        for k in range(1, levels + 1))
 
 
 @given(data=st.data())
