@@ -15,8 +15,9 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from statistics import mean
 
@@ -306,15 +307,9 @@ def run_plan(plan: ExperimentPlan, out_dir=None, workers: int = 1) -> list[Resul
     tasks = list(product(enumerate(plan.models), plan.sizes, plan.levels, enumerate(plan.tsms),
                          range(plan.seeds_per_cell)))
     workers = min(workers, len(tasks))
-    rows: list[ResultRow] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(run_instance, [plan] * len(tasks), tasks):
-                rows.extend(chunk)
-    else:
-        for task in tasks:
-            rows.extend(run_instance(plan, task))
-    rows.sort(key=lambda r: (r.instance_id, r.algorithm))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        chunks = (pool.map if pool else map)(run_instance, [plan] * len(tasks), tasks)
+        rows = sorted(chain.from_iterable(chunks), key=lambda r: (r.instance_id, r.algorithm))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -8,13 +8,13 @@ shortest-path trees) is a pure function of the graph.  ``PathTable``
 computes these artifacts on demand, one search per source row that settles
 vertices a distance bucket at a time, and caches each row and each path
 edge tuple it builds; every graph owns one, ``WeightedGraph.paths``, which
-the constructions, the validity check and the exact solver all read, the
-pair sweeps one row per run of pairs sharing a source.  Per distinct pair
-list the table keeps an index from each canonical-path edge to the pairs
-using it, so the sweeps and the validity check find the pairs whose path
-leaves a subgraph by one set difference.  The check passes every other pair
-without a search, so it trusts the table's paths as well as its distances;
-only the pairs left over cost a search of the subgraph.
+the constructions, the validity check and the exact solver all read, each
+pair from the row of its smaller end.  Per distinct pair list the table
+keeps an index from each canonical-path edge to the pairs using it, so the
+sweeps and the validity check find the pairs whose path leaves a subgraph
+by one set difference.  The check passes every other pair without a
+search, so it trusts the table's paths as well as its distances; only the
+pairs left over cost a search of the subgraph.
 """
 
 from __future__ import annotations
@@ -338,16 +338,13 @@ class PathTable:
         return edges
 
     def each_pair(self, pairs: Iterable[Edge]):
-        """(u, v, dist, path_edges or None when unreachable) for each pair,
-        reading the rows of min(u, v) once per run of pairs that share it; a
-        vertex outside 0..n-1 is a ValueError."""
-        last = -1
+        """(u, v, dist, path_edges or None when unreachable) for each pair, from
+        the row of min(u, v); a vertex outside 0..n-1 is a ValueError."""
         for u, v in pairs:
             s, t = (u, v) if u < v else (v, u)
             if s < 0 or t >= self._n:
                 raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
-            if s != last:
-                last, (dist, _, edges) = s, self._row(s)
+            dist, _, edges = self._row(s)
             yield u, v, dist[t], edges[t] or self._edges_to(s, t)
 
     def leaving(self, pairs: Iterable[Edge], h: Collection[Edge]) -> list[tuple[int, tuple]]:

@@ -31,23 +31,16 @@ class SizeCapExceeded(RuntimeError):
     """Instance too large for exhaustive search; use the ILP route instead."""
 
 
-@dataclass(frozen=True)
-class IlpModel:
-    """Binary model: minimize the sum of objective variables; rows are LP text."""
-
-    objective: tuple[str, ...]
-    constraints: tuple[str, ...]
-    binaries: tuple[str, ...]
-
-
-def build_ilp(inst: MultiLevelInstance) -> IlpModel:
-    """Path-based flow model, one flow system per unordered terminal pair per
-    level, in this row order: path length bounded by dist + allowance, flow
-    conservation and out-degree at most one per vertex, arcs coupled to edge
-    variables, and (multi-level) each level's edges contained in the level
-    below.  Variable names carry a level suffix _l{k} only when there is more
-    than one level.  Each row is joined from its arc names directly: a unit
-    coefficient is left out, and a sign only where the term is negative."""
+def build_ilp(inst: MultiLevelInstance) -> tuple[list[str], list[str], list[str]]:
+    """(objective, constraints, binaries), lists of LP text: minimize the sum
+    of the objective variables in a path-based flow model, one flow system
+    per unordered terminal pair per level, in this row order: path length
+    bounded by dist + allowance, flow conservation and out-degree at most one
+    per vertex, arcs coupled to edge variables, and (multi-level) each
+    level's edges contained in the level below.  Variable names carry a
+    level suffix _l{k} only when there is more than one level.  Each row is
+    joined from its arc names directly: a unit coefficient is left out, and
+    a sign only where the term is negative."""
     g = inst.graph
     pt = g.paths
     suffixes = [f"_l{k}" if inst.levels > 1 else "" for k in range(1, inst.levels + 1)]
@@ -85,16 +78,17 @@ def build_ilp(inst: MultiLevelInstance) -> IlpModel:
     for k in range(1, inst.levels):
         for e, (i, j, _) in enumerate(g.edges):
             constraints.append(f"nest_e{i}_{j}{suffixes[k]}: {xe[k][e]} - {xe[k - 1][e]} <= 0")
-    return IlpModel(tuple(objective), tuple(constraints), tuple(binaries))
+    return objective, constraints, binaries
 
 
-def emit_lp(model: IlpModel) -> str:
-    """Deterministic LP text: Minimize / Subject To / Binary / End, with the
-    rows in model order, so equal models serialize byte-identically."""
-    lines = ["Minimize", " obj: " + " + ".join(model.objective), "Subject To"]
-    lines.extend(f" {c}" for c in model.constraints)
+def emit_lp(model) -> str:
+    """Deterministic LP text of build_ilp's triple: Minimize / Subject To /
+    Binary / End, rows in model order, so equal models give equal bytes."""
+    objective, constraints, binaries = model
+    lines = ["Minimize", " obj: " + " + ".join(objective), "Subject To"]
+    lines.extend(f" {c}" for c in constraints)
     lines.append("Binary")
-    lines.extend(f" {v}" for v in model.binaries)
+    lines.extend(f" {v}" for v in binaries)
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -172,7 +166,7 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
         if not pt.reachable(u, v):
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
         limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
-        masks[(u, v)] = _minimal_path_masks(incidence, u, v, limit, pt.row(v)[0])
+        masks[(u, v)] = _minimal_path_masks(incidence, v, u, limit, pt.row(u)[0])
     flat = [(k, pair)
             for k in range(ell, 0, -1)
             for pair in sorted(terminal_pairs(inst.terminal_sets[k - 1]),

@@ -30,6 +30,7 @@ from .core import (
     Edge,
     ErrorBudget,
     WeightedGraph,
+    _is_int,
     edge_key,
     verify_spanner,
 )
@@ -91,8 +92,8 @@ class PairwiseParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_override is not None and self.d_override < 1:
-            raise ValueError(f"d override must be positive, got {self.d_override}")
+        if self.d_override is not None and not (_is_int(self.d_override) and self.d_override >= 1):
+            raise ValueError(f"d override must be an integer >= 1, got {self.d_override!r}")
 
 
 def d_light_init(g: WeightedGraph, d: int) -> set[Edge]:
@@ -237,20 +238,17 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
 
 def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
                          params: PairwiseParams) -> tuple[set[Edge], PairwiseReport]:
-    """The d-light init, one sweep, one check and a patch of the missing
-    canonical-path edges of the pairs the check flags.  Only a pair whose
-    canonical path leaves H can be flagged, so the check gets every pair
-    when one does and none otherwise."""
+    """The d-light init, one sweep, one check of every pair and a patch of
+    the missing canonical-path edges of the pairs it flags; the check
+    searches only for the pairs whose canonical path leaves H."""
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    count = len(pairs)
-    d = params.d_override if params.d_override is not None else default_d(params.algo, count)
-    ell = default_ell(params.algo, g.n, count)
+    d = params.d_override or default_d(params.algo, len(pairs))
+    ell = default_ell(params.algo, g.n, len(pairs))
     h = d_light_init(g, d)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
     _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
-    checked = pairs if g.paths.leaving(pairs, h) else ()
-    violators = verify_spanner(g, h, checked, BUDGETS[params.algo])
+    violators = verify_spanner(g, h, pairs, BUDGETS[params.algo])
     missing = {e for _, _, _, pe in g.paths.each_pair(violators) for e in pe if e not in h}
     h.update(missing)
     report.patched = len(missing)

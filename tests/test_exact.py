@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wspanner import core
 from wspanner.core import (
     BudgetMode,
     ErrorBudget,
@@ -68,9 +69,9 @@ GOLDEN_LPS = {
 
 class TestBuildIlp:
     def test_k2_variable_counts(self):
-        model = build_ilp(inst(K2, {0, 1}))
-        assert model.objective == ("xe_0_1",)
-        arc_vars = [v for v in model.binaries if v.startswith("f_")]
+        objective, _, binaries = build_ilp(inst(K2, {0, 1}))
+        assert objective == ["xe_0_1"]
+        arc_vars = [v for v in binaries if v.startswith("f_")]
         assert len(arc_vars) == 2
 
     @pytest.mark.parametrize("name", GOLDEN_LPS)
@@ -84,16 +85,16 @@ class TestBuildIlp:
         assert a == b
 
     def test_multilevel_adds_nesting_rows(self):
-        model = build_ilp(inst(TRIANGLE, {0, 1, 2}, {0, 2}))
-        nest = [row_parts(row) for row in model.constraints if row.startswith("nest_")]
+        _, constraints, _ = build_ilp(inst(TRIANGLE, {0, 1, 2}, {0, 2}))
+        nest = [row_parts(row) for row in constraints if row.startswith("nest_")]
         assert len(nest) == len(TRIANGLE.edges)
         assert all(sense == "<=" and rhs == 0 for _, sense, rhs in nest)
 
     def test_local_mode_tightens_rhs(self):
-        glob = build_ilp(inst(TRIANGLE, {0, 2}))
-        loc = build_ilp(inst(TRIANGLE, {0, 2}, budget=LOCAL2))
-        len_glob = next(row_parts(row) for row in glob.constraints if row.startswith("len_"))
-        len_loc = next(row_parts(row) for row in loc.constraints if row.startswith("len_"))
+        _, glob, _ = build_ilp(inst(TRIANGLE, {0, 2}))
+        _, loc, _ = build_ilp(inst(TRIANGLE, {0, 2}, budget=LOCAL2))
+        len_glob = next(row_parts(row) for row in glob if row.startswith("len_"))
+        len_loc = next(row_parts(row) for row in loc if row.startswith("len_"))
         assert len_glob == ("len_p0_2", "<=", 2 + 2 * 3)  # c * W_max
         assert len_loc == ("len_p0_2", "<=", 2 + 2 * 1)  # c * W(0, 2)
 
@@ -184,6 +185,23 @@ class TestExactOptimum:
         opt = exact_optimum(inst(TRIANGLE, {0}))
         assert opt.sparsity == 0
         assert opt.level_edges == (frozenset(),)
+
+    @pytest.mark.parametrize("budget", [GLOBAL2, LOCAL2])
+    def test_reads_only_the_rows_of_smaller_pair_ends(self, budget, monkeypatch):
+        # Each pair's distance, allowance and walk all come from the row of
+        # its smaller end; vertex 9 is the larger end of every pair it is in.
+        g = WeightedGraph(10, tuple((i, i + 1, 1 + i % 3) for i in range(9)) + ((0, 9, 2), (2, 7, 1)))
+        sources = []
+        real = core.shortest_path_row
+
+        def counting(adj, n, source):
+            sources.append(source)
+            return real(adj, n, source)
+
+        monkeypatch.setattr(core, "shortest_path_row", counting)
+        terminals = {0, 4, 9}
+        exact_optimum(inst(g, terminals, budget=budget))
+        assert sources and set(sources) <= {u for u, _ in terminal_pairs(terminals)}
 
 
 @pytest.mark.parametrize("mode", list(BudgetMode))

@@ -100,8 +100,10 @@ class TestDefaults:
         assert p8.mode is BudgetMode.GLOBAL and p8.c == 6
 
     def test_rejects_nonpositive_overrides(self):
-        with pytest.raises(ValueError):
-            PairwiseParams(PairwiseAlgo.P2W, d_override=0)
+        # A bool or a float is no d either, even where it compares >= 1.
+        for d in (0, True, 2.5):
+            with pytest.raises(ValueError, match=f"got {d!r}"):
+                PairwiseParams(PairwiseAlgo.P2W, d_override=d)
 
 
 class TestDLightInit:
@@ -324,24 +326,23 @@ class TestPairwiseSpanner:
         assert report.passes == 1 and not report.fallback
 
     def test_canonical_path_inside_init_needs_no_retries(self, monkeypatch):
-        # With d = n the init is all of g: the sweep buys every pair, so the
-        # check is handed no pair at all.
+        # With d = n the init is all of g: every canonical path lies in H,
+        # so the check makes no search of the subgraph.
         g = generate(GeneratorSpec(Model.ER, 20, 8))
         pairs = terminal_pairs(range(0, g.n, 3))
-        real_verify = pairwise.verify_spanner
-        checked = []
+        calls = dict.fromkeys(("dijkstra_distances", "subgraph_adjacency"), 0)
+        for name in calls:
+            def counting(*args, name=name, real=getattr(core, name)):
+                calls[name] += 1
+                return real(*args)
 
-        def verify(g, h, pairs, budget):
-            checked.append(list(pairs))
-            return real_verify(g, h, pairs, budget)
-
-        monkeypatch.setattr(pairwise, "verify_spanner", verify)
+            monkeypatch.setattr(core, name, counting)
         for algo in ALL_ALGOS:
             params = PairwiseParams(algo, d_override=g.n, seed=0)
             h, report = pairwise_spanner_run(g, pairs, params)
             assert report.passes == 1 and report.patched == 0
             assert h == d_light_init(g, g.n) == g.edge_set
-        assert checked == [[], [], []]
+        assert calls == {"dijkstra_distances": 0, "subgraph_adjacency": 0}
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_patch_completes_a_sweepless_init(self, algo, monkeypatch):
