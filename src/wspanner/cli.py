@@ -74,7 +74,7 @@ def _cmd_spanner(args) -> int:
     if not 1 <= args.level <= len(sets):
         raise ValueError(f"level {args.level} out of range 1..{len(sets)}")
     terminals = sets[args.level - 1]
-    budget = ALGO_BUDGETS[args.algo]
+    pairs, budget = terminal_pairs(terminals), ALGO_BUDGETS[args.algo]
     if args.algo == "sub2w":
         if args.d is not None:
             raise ValueError("--d sets the d-light parameter of p2w, p4w and p8w; sub2w has none")
@@ -85,9 +85,9 @@ def _cmd_spanner(args) -> int:
             for r in state.records]}
     else:
         params = PairwiseParams(PairwiseAlgo(args.algo), d_override=args.d, seed=args.seed)
-        edges, run = pairwise_spanner_run(g, terminal_pairs(terminals), params)
+        edges, run = pairwise_spanner_run(g, pairs, params)
         report = {"algorithm": args.algo} | dataclasses.asdict(run)
-    violated = verify_spanner(g, edges, terminal_pairs(terminals), budget)
+    violated = verify_spanner(g, edges, pairs, budget)
     report["valid"] = not violated
     report["edges"] = len(edges)
     text = write_graph_text(g, edges)

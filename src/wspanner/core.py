@@ -111,9 +111,6 @@ class WeightedGraph:
     def weight_map(self) -> dict[Edge, int]:
         return {(u, v): w for u, v, w in self.edges}
 
-    def weight(self, u: int, v: int) -> int:
-        return self.weight_map[edge_key(u, v)]
-
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.weight_map
 
@@ -183,6 +180,7 @@ class ErrorBudget:
     c: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", BudgetMode(self.mode))
         if not _is_int(self.c) or self.c < 0:
             raise ValueError(f"budget coefficient must be a nonnegative integer, got {self.c!r}")
 
@@ -264,13 +262,13 @@ class PathTable:
     canonical-path edge tuples, each vertex's once, as its parent's tuple
     plus one edge; rows and tuples are cached.  W(u, v), the largest edge
     weight on the canonical path, is read off that path's cached edges.  The
-    canonical path of an unordered pair {u, v} comes from the tree rooted at
-    min(u, v); path(v, u) is its reverse.  The per-pair methods read the row
-    of min(u, v); row(s) hands out the row of s whole.  ``leaving`` indexes
-    each distinct pair list once, through ``each_pair``, and keeps the index
-    with the rows.  Answers do not depend on the order of queries.  Each row
-    and index is a pure function of the graph and its input, so concurrent
-    first reads can at worst compute one twice.
+    canonical path of an unordered pair {u, v} is the path from min(u, v) in
+    the tree rooted there, as (min, max) edge keys.  The per-pair methods
+    read the row of min(u, v); row(s) hands out the row of s whole.
+    ``leaving`` indexes each distinct pair list once, through ``each_pair``,
+    and keeps the index with the rows.  Answers do not depend on the order
+    of queries.  Each row and index is a pure function of the graph and its
+    input, so concurrent first reads can at worst compute one twice.
 
     The table keeps the graph's adjacency, weight map and vertex count, not
     the graph itself, so a graph that caches its table forms no reference
@@ -311,9 +309,6 @@ class PathTable:
     def dist(self, u: int, v: int):
         return self._row(u)[0][v] if u < v else self._row(v)[0][u]
 
-    def reachable(self, u: int, v: int) -> bool:
-        return self.dist(u, v) != UNREACHABLE
-
     def max_weight(self, u: int, v: int) -> int:
         """Largest edge weight on the canonical u-v path (0 when u == v or
         the pair is unreachable)."""
@@ -324,28 +319,14 @@ class PathTable:
         """The cached (dist, parent) lists of source s, to read, not to change."""
         return self._row(s)[:2]
 
-    def path(self, u: int, v: int) -> tuple[int, ...]:
-        walk = [min(u, v)]
-        for a, b in self.path_edges(u, v):
-            walk.append(b if a == walk[-1] else a)
-        return tuple(walk) if u <= v else tuple(reversed(walk))
-
-    def path_edges(self, u: int, v: int) -> tuple[Edge, ...]:
-        """Canonical path as (min, max) edges, walked from min(u, v)."""
-        edges = self._edges_to(u, v) if u < v else self._edges_to(v, u)
-        if edges is None:
-            raise ValueError(f"no path between {u} and {v}")
-        return edges
-
     def each_pair(self, pairs: Iterable[Edge]):
-        """(u, v, dist, path_edges or None when unreachable) for each pair, from
-        the row of min(u, v); a vertex outside 0..n-1 is a ValueError."""
+        """(u, v, canonical path edges or None when unreachable) for each pair,
+        from the row of min(u, v); a vertex outside 0..n-1 is a ValueError."""
         for u, v in pairs:
             s, t = (u, v) if u < v else (v, u)
             if s < 0 or t >= self._n:
                 raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
-            dist, _, edges = self._row(s)
-            yield u, v, dist[t], edges[t] or self._edges_to(s, t)
+            yield u, v, self._row(s)[2][t] or self._edges_to(s, t)
 
     def leaving(self, pairs: Iterable[Edge], h: Collection[Edge]) -> list[tuple[int, tuple]]:
         """(position, canonical path edges) of each pair whose path has an
@@ -359,7 +340,7 @@ class PathTable:
         entry = self._indexes.get(key)
         if entry is None:
             index: dict[Edge, list[int]] = {}
-            paths = [pe for _, _, _, pe in self.each_pair(key)]
+            paths = [pe for _, _, pe in self.each_pair(key)]
             for i, pe in enumerate(paths):
                 for e in pe or ():
                     at = index.get(e)
@@ -390,10 +371,10 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     An empty result means h_edges is a valid spanner for the given pairs.
     Pairs disconnected in g itself are never reported.  A pair whose
     canonical path lies in the subgraph has dist_H = dist_G and passes
-    without a search; this trusts ``path_edges`` to be a real path of
-    weight ``dist``.  The pairs left over come from the table's index of the
-    pair list (``PathTable.leaving``), and only they cost a search of the
-    subgraph, one Dijkstra per source.
+    without a search; this trusts ``each_pair``'s edges to form a real path
+    of weight ``dist``.  The pairs left over come from the table's index of
+    the pair list (``PathTable.leaving``), and only they cost a search of
+    the subgraph, one Dijkstra per source.
     """
     hset = set(h_edges)
     extra = sorted(hset - g.edge_set)[:3]

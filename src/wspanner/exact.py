@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, edge_key, terminal_pairs
+from .core import UNREACHABLE, Edge, edge_key, terminal_pairs
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
 
 
@@ -56,7 +56,7 @@ def build_ilp(inst: MultiLevelInstance) -> tuple[list[str], list[str], list[str]
     constraints: list[str] = []
     for k, sfx in enumerate(suffixes):
         for u, v in terminal_pairs(inst.terminal_sets[k]):
-            if not pt.reachable(u, v):
+            if pt.dist(u, v) == UNREACHABLE:
                 raise ValueError(f"terminal pair ({u},{v}) is disconnected")
             pair = f"p{u}_{v}{sfx}"
             f = [stem + pair for stem in stems]
@@ -163,7 +163,7 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     incidence = [[(y, w, bits[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
     masks: dict[Edge, list[tuple[int, int, int]]] = {}
     for u, v in terminal_pairs(inst.terminal_sets[0]):
-        if not pt.reachable(u, v):
+        if pt.dist(u, v) == UNREACHABLE:
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
         limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
         masks[(u, v)] = _minimal_path_masks(incidence, v, u, limit, pt.row(u)[0])

@@ -206,7 +206,7 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
     disconnected graph has, or, through the index, one outside the graph."""
     n, pt = g.n, g.paths
     if not g.is_connected():
-        for u, v, _, pe in pt.each_pair(pairs):
+        for u, v, pe in pt.each_pair(pairs):
             if pe is None:
                 raise ValueError(f"pair ({u},{v}) is disconnected")
     for _, pe in pt.leaving(pairs, h):
@@ -222,7 +222,7 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
             h.update(missing[-ell:])
             sample = _sample(rng, n, 1.0 / (ell * d), report)
             if algo is PairwiseAlgo.P4W:
-                for r, r_prime, _, spe in pt.each_pair(combinations(sample, 2)):
+                for r, r_prime, spe in pt.each_pair(combinations(sample, 2)):
                     if spe is not None and not h.issuperset(spe):
                         path = limited_missing_path(g, r, r_prime, h, n // (d * d))
                         if path is not None:
@@ -249,7 +249,7 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
     _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
     violators = verify_spanner(g, h, pairs, BUDGETS[params.algo])
-    missing = {e for _, _, _, pe in g.paths.each_pair(violators) for e in pe if e not in h}
+    missing = {e for _, _, pe in g.paths.each_pair(violators) for e in pe if e not in h}
     h.update(missing)
     report.patched = len(missing)
     report.fallback = len(missing) > g.n * d

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     Edge,
@@ -83,22 +83,25 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
     return Clustering(tuple(clusters), tuple(centers), frozenset(gc), threshold)
 
 
-def path_value(g: WeightedGraph, path: Sequence[int], x: int, clustering: Clustering,
-               h_adj) -> int:
-    """Clusters touched by the path whose along-path distance from x beats the
-    distance from x in H, given as adjacency lists h_adj (unreachable counts as
-    infinite); H is searched no farther than the largest along-path distance."""
-    if x not in (path[0], path[-1]):
+def path_value(g: WeightedGraph, pair: Edge, path_edges: Iterable[Edge], x: int,
+               clustering: Clustering, h_adj) -> int:
+    """Clusters touched by the canonical path of pair (u, v), u < v, given as
+    its edges, whose along-path distance from the end x beats the distance
+    from x in H (adjacency lists h_adj; unreachable counts as infinite),
+    searched no farther than the largest along-path distance.  Each prefix of
+    the path is a shortest path from u, so the along-path distance to a path
+    vertex y is dist_G(u, y) from u and dist_G(u, v) - dist_G(u, y) from v,
+    both read from row u; a cluster counts from its path member nearest x."""
+    u, v = pair
+    if x not in pair:
         raise ValueError(f"{x} is not an endpoint of the path")
-    seq = tuple(path) if path[0] == x else tuple(reversed(path))
+    dist_g = g.paths.row(u)[0]
     along: dict[int, int] = {}
-    acc = 0
-    for i, v in enumerate(seq):
-        if i:
-            acc += g.weight(seq[i - 1], v)
-        c = clustering.cluster_of.get(v)
-        if c is not None and c not in along:
-            along[c] = acc
+    for y in {y for e in path_edges for y in e}:
+        c = clustering.cluster_of.get(y)
+        if c is not None:
+            d = dist_g[y] if x == u else dist_g[v] - dist_g[y]
+            along[c] = min(d, along.get(c, d))
     if not along:
         return 0
     # Entries past the limit are only known to lie beyond it, which is at
@@ -147,9 +150,8 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
             continue
         if h_adj is None:
             h_adj = subgraph_adjacency(g, h)
-        path = pt.path(u, v)
-        value = (path_value(g, path, u, clustering, h_adj)
-                 + path_value(g, path, v, clustering, h_adj))
+        value = (path_value(g, (u, v), pe, u, clustering, h_adj)
+                 + path_value(g, (u, v), pe, v, clustering, h_adj))
         bought = len(new) <= (2 * g.weight_max + 1) * value
         if bought:
             h.update(new)

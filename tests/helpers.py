@@ -9,9 +9,13 @@ literally, and ``highest_tag_levels`` is the multi-level assembly as a
 per-edge highest-tag map.  ``unpruned_limited_missing_path`` is the
 library's bounded-miss search as it was before dominance pruning, kept to pin
 which of several tied paths comes back.  ``rebuilt_path_value`` is the subsetwise path value with
-full distances over the whole subgraph recomputed for every call.
-``scanned_leaving`` is the per-pair scan that ``PathTable.leaving``
-replaces, one subset test per pair.  ``caterpillar_edges`` is the one test
+full distances over the whole subgraph recomputed for every call, over a
+vertex path whose edge weights it adds up step by step.  ``tree_path`` walks
+a canonical path back through a row's parents, without the table's cached
+edge tuples.  ``scanned_leaving`` is the per-pair scan that
+``PathTable.leaving`` replaces, one subset test per pair.
+``canonical_edges`` is no oracle: it reads one pair's canonical path edges
+through ``PathTable.each_pair``.  ``caterpillar_edges`` is the one test
 instance shared by the pairwise and golden tests.  ``exact_single_level`` is
 no oracle: it is the library's exact optimum read as one level's edge set,
 for the tests that compare against it.
@@ -124,8 +128,30 @@ def scanned_leaving(table, pairs, h) -> list:
     """(position, canonical path edges) of each pair whose path has an edge
     outside h, by walking the pairs with each_pair and testing every path
     against h on its own (pathless pairs and u == v never leave)."""
-    return [(i, pe) for i, (_, _, _, pe) in enumerate(table.each_pair(pairs))
+    return [(i, pe) for i, (_, _, pe) in enumerate(table.each_pair(pairs))
             if pe is not None and not h.issuperset(pe)]
+
+
+def tree_path(table, s: int, t: int):
+    """Vertex path from s to t in the shortest-path tree of row s, walked
+    back from t through the row's parents; None when s does not reach t."""
+    dist, parent = table.row(s)
+    if dist[t] == INF:
+        return None
+    rev = [t]
+    while rev[-1] != s:
+        rev.append(parent[rev[-1]])
+    return tuple(reversed(rev))
+
+
+def path_edge_keys(path) -> tuple:
+    """(min, max) keys of the edges of a vertex path, in path order."""
+    return tuple((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+
+
+def canonical_edges(table, u: int, v: int):
+    """The table's canonical u-v path edges, read through each_pair."""
+    return next(table.each_pair([(u, v)]))[2]
 
 
 def caterpillar_edges(k: int) -> tuple:
@@ -139,7 +165,7 @@ def caterpillar_edges(k: int) -> tuple:
 
 
 def path_weight(g, path) -> int:
-    return sum(g.weight(a, b) for a, b in zip(path, path[1:]))
+    return sum(g.weight_map[e] for e in path_edge_keys(path))
 
 
 def brute_force_distance(g, u: int, v: int) -> float:
@@ -205,7 +231,7 @@ def rebuilt_path_value(g, path, x: int, clusters, h_edges) -> int:
     seen = set()
     for i, v in enumerate(seq):
         if i:
-            along += g.weight(seq[i - 1], v)
+            along += path_weight(g, seq[i - 1:i + 1])
         for c, members in enumerate(clusters):
             if v in members and c not in seen:
                 seen.add(c)
@@ -305,7 +331,7 @@ def highest_tag_levels(levels: int, solved) -> tuple:
 
 def subset_meets_limits(g, subset, pair_limits) -> bool:
     """True when every (u, v) -> limit entry holds in the edge subset."""
-    chosen = [(u, v, g.weight(u, v)) for u, v in subset]
+    chosen = [(u, v, g.weight_map[u, v]) for u, v in subset]
     by_source = {}
     for (u, v), limit in pair_limits.items():
         if u not in by_source:

@@ -29,9 +29,12 @@ from helpers import (
     bellman_ford,
     bellman_ford_violations,
     brute_force_distance,
+    canonical_edges,
     hop_radius,
+    path_edge_keys,
     reordered_pairs,
     scanned_leaving,
+    tree_path,
 )
 from strategies import any_graphs, connected_graphs
 
@@ -106,7 +109,7 @@ class TestGraphText:
 @settings(max_examples=60)
 def test_subgraph_text_equals_the_text_of_the_rebuilt_subgraph(g, data):
     keep = {e for e in sorted(g.edge_set) if data.draw(st.booleans())}
-    rebuilt = WeightedGraph(g.n, tuple((u, v, g.weight(u, v)) for u, v in keep))
+    rebuilt = WeightedGraph(g.n, tuple((u, v, g.weight_map[u, v]) for u, v in keep))
     assert write_graph_text(g, keep) == write_graph_text(rebuilt)
     assert write_graph_text(g, g.edge_set) == write_graph_text(g)
 
@@ -116,7 +119,7 @@ class TestPathTable:
         g = WeightedGraph(3, ((0, 1, 2), (1, 2, 3)))
         pt = g.paths
         assert pt.dist(0, 2) == 5
-        assert pt.path(0, 2) == (0, 1, 2)
+        assert canonical_edges(pt, 0, 2) == ((0, 1), (1, 2))
         assert pt.max_weight(0, 2) == 3
 
     def test_triangle_prefers_lighter_route(self):
@@ -124,13 +127,13 @@ class TestPathTable:
         assert brute_force_distance(TRIANGLE, 0, 2) == 2
         pt = TRIANGLE.paths
         assert pt.dist(0, 2) == 2
-        assert pt.path(0, 2) == (0, 1, 2)
+        assert canonical_edges(pt, 0, 2) == ((0, 1), (1, 2))
         assert pt.max_weight(0, 2) == 1
 
     def test_single_vertex(self):
         pt = build_path_table(WeightedGraph(1, ()))
         assert pt.dist(0, 0) == 0
-        assert pt.path(0, 0) == (0,)
+        assert canonical_edges(pt, 0, 0) == ()
         assert pt.max_weight(0, 0) == 0
 
     def test_is_connected(self):
@@ -143,16 +146,14 @@ class TestPathTable:
         g = WeightedGraph(3, ((0, 1, 1),))
         pt = g.paths
         assert pt.dist(0, 2) == UNREACHABLE
-        assert not pt.reachable(0, 2)
-        with pytest.raises(ValueError):
-            pt.path(0, 2)
+        assert canonical_edges(pt, 0, 2) is None and canonical_edges(pt, 2, 0) is None
 
     def test_equal_weight_ties_take_smaller_predecessor(self):
         # Two weight-2 routes 0->3: via 1 and via 2; the tie goes to vertex 1.
         g = WeightedGraph(4, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
         pt = g.paths
-        assert pt.path(0, 3) == (0, 1, 3)
-        assert pt.path(3, 0) == (3, 1, 0)
+        assert pt.row(0)[1][3] == 1
+        assert canonical_edges(pt, 0, 3) == canonical_edges(pt, 3, 0) == ((0, 1), (1, 3))
 
 
 def _tree_oracle(g, s):
@@ -165,7 +166,7 @@ def _tree_oracle(g, s):
     for v in range(g.n):
         x = v
         while parent[x] >= 0:
-            wmax[v] = max(wmax[v], g.weight(x, parent[x]))
+            wmax[v] = max(wmax[v], g.weight_map[edge_key(x, parent[x])])
             x = parent[x]
     return dist, parent, wmax
 
@@ -214,15 +215,11 @@ def test_triangle_inequality(g):
 @settings(max_examples=60)
 def test_canonical_paths_consistent(g):
     pt = g.paths
-    for u in range(g.n):
-        for v in range(g.n):
-            path = pt.path(u, v)
-            total = sum(g.weight(a, b) for a, b in zip(path, path[1:]))
-            assert total == pt.dist(u, v)
-            assert path == tuple(reversed(pt.path(v, u)))
-            if path[1:]:
-                assert pt.max_weight(u, v) == max(g.weight(a, b) for a, b in zip(path, path[1:]))
-                assert pt.max_weight(u, v) <= g.weight_max
+    for u, v, edges in pt.each_pair([(u, v) for u in range(g.n) for v in range(g.n)]):
+        weights = [g.weight_map[e] for e in edges]
+        assert sum(weights) == pt.dist(u, v)
+        assert edges == canonical_edges(pt, v, u)
+        assert pt.max_weight(u, v) == max(weights, default=0) <= g.weight_max
 
 
 @given(connected_graphs())
@@ -230,21 +227,16 @@ def test_canonical_paths_consistent(g):
 def test_tree_paths_are_prefix_consistent_per_source(g):
     # The tie-break guarantees prefix consistency within each source's tree:
     # the canonical path of {u, v} comes from the source-min(u, v) tree, and
-    # each of its prefixes is that same tree's path to the prefix endpoint.
+    # each of its prefixes that ends at a y > u is the canonical path of {u, y}.
     pt = g.paths
-
-    def tree_path(s, v):
-        rev = [v]
-        while rev[-1] != s:
-            rev.append(pt.row(s)[1][rev[-1]])
-        return tuple(reversed(rev))
-
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            path = pt.path(u, v)
-            assert path == tree_path(u, v)
-            for i in range(1, len(path) + 1):
-                assert path[:i] == tree_path(u, path[i - 1])
+            path = tree_path(pt, u, v)
+            edges = canonical_edges(pt, u, v)
+            assert edges == path_edge_keys(path)
+            for i, y in enumerate(path):
+                if u < y:
+                    assert canonical_edges(pt, u, y) == edges[:i]
 
 
 @given(st.one_of(connected_graphs(), any_graphs()), st.data())
@@ -277,32 +269,15 @@ def test_row_kernel_allocates_nothing_proportional_to_the_weights():
     assert peak < 4096
 
 
-def _walked_edges(pt, s, t):
-    """Edges of the tree path from s to t, walked through the parents of row(s)."""
-    rev = [t]
-    while rev[-1] != s:
-        rev.append(pt.row(s)[1][rev[-1]])
-    rev.reverse()
-    return tuple(edge_key(a, b) for a, b in zip(rev, rev[1:]))
-
-
 @given(any_graphs(max_w=5))
 @settings(max_examples=100)
 def test_path_edges_are_the_edges_of_the_canonical_path(g):
+    # each_pair's edges of {u, v} are those of the tree path from min(u, v),
+    # walked through the parents of its row, and None when it is unreachable.
     pt = g.paths
-    for u in range(g.n):
-        for v in range(g.n):
-            s, t = min(u, v), max(u, v)
-            if not pt.reachable(u, v):
-                with pytest.raises(ValueError):
-                    pt.path_edges(u, v)
-                with pytest.raises(ValueError):
-                    pt.path(u, v)
-                continue
-            path = pt.path(s, t)
-            assert pt.path_edges(u, v) == _walked_edges(pt, s, t)
-            assert pt.path_edges(u, v) == tuple(edge_key(a, b) for a, b in zip(path, path[1:]))
-            assert pt.path(u, v) == (path if u <= v else tuple(reversed(path)))
+    for u, v, edges in pt.each_pair([(u, v) for u in range(g.n) for v in range(g.n)]):
+        path = tree_path(pt, min(u, v), max(u, v))
+        assert edges == (None if path is None else path_edge_keys(path))
 
 
 def test_each_canonical_edge_tuple_is_built_once():
@@ -311,15 +286,16 @@ def test_each_canonical_edge_tuple_is_built_once():
     g = generate(GeneratorSpec(Model.ER, 30, 4))
     pt = g.paths
     pairs = [(u, v) for u in range(0, 30, 3) for v in range(30)]
-    first = {edge_key(u, v): pt.path_edges(u, v) for u, v in pairs}
+    first = {edge_key(u, v): canonical_edges(pt, u, v) for u, v in pairs}
     for order in (pairs, pairs[::-1], sorted(pairs, key=lambda p: p[1])):
-        for u, v, _, edges in pt.each_pair(order):
-            assert edges is first[edge_key(u, v)] is pt.path_edges(v, u)
+        for u, v, edges in pt.each_pair(order):
+            assert edges is first[edge_key(u, v)] is canonical_edges(pt, v, u)
 
 
 def _answers(pt, sources, n):
     """Every per-pair answer of the table, asked source by source in the given order."""
-    return {(s, v): (pt.dist(s, v), pt.path(s, v), pt.max_weight(s, v), pt.row(s)[1][v])
+    return {(s, v): (pt.dist(s, v), canonical_edges(pt, s, v), pt.max_weight(s, v),
+                     pt.row(s)[1][v])
             for s in sources for v in range(n)}
 
 
@@ -355,7 +331,8 @@ def test_path_table_computes_only_the_rows_it_is_asked_for(monkeypatch):
     monkeypatch.setattr(core, "shortest_path_row", counting)
     pt = g.paths
     assert sources == []
-    assert pt.dist(4, 1) == 3 and pt.path(4, 1) == (4, 3, 2, 1) and pt.max_weight(1, 4) == 1
+    assert pt.dist(4, 1) == 3 and pt.max_weight(1, 4) == 1
+    assert canonical_edges(pt, 4, 1) == ((1, 2), (2, 3), (3, 4))
     assert pt.row(3)[1][0] == 1
     assert sources == [1, 3]
 
@@ -488,7 +465,7 @@ def subgraph_checks(draw):
                     [y for y, w in g.adj[x] if dist[y] + w == dist[x]])))
             h.update(edge_key(a, b) for a, b in zip(walk, walk[1:]))
         else:
-            edges = g.paths.path_edges(u, v)
+            edges = canonical_edges(g.paths, u, v)
             if kind == "cut":
                 cut = draw(st.sets(st.sampled_from(edges), min_size=1))
                 edges = [e for e in edges if e not in cut]
@@ -522,7 +499,7 @@ def test_check_does_not_depend_on_pair_order(case, rnd):
 def test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path(monkeypatch):
     g = generate(GeneratorSpec(Model.ER, 40, 3))
     pairs = terminal_pairs(range(0, g.n, 5))
-    h = {e for u, v in pairs for e in g.paths.path_edges(u, v)}
+    h = {e for _, _, pe in g.paths.each_pair(pairs) for e in pe}
     calls = dict.fromkeys(("dijkstra_distances", "subgraph_adjacency"), 0)
     for name in calls:
         def counting(*args, name=name, real=getattr(core, name)):
@@ -533,7 +510,7 @@ def test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path(mon
     for mode in ("GLOBAL", "LOCAL"):
         assert verify_spanner(g, h, pairs, budget(mode, 0)) == []
     assert calls == {"dijkstra_distances": 0, "subgraph_adjacency": 0}
-    cut = h - {g.paths.path_edges(*pairs[0])[0]}
+    cut = h - {canonical_edges(g.paths, *pairs[0])[0]}
     for mode in ("GLOBAL", "LOCAL"):
         calls.update(dijkstra_distances=0, subgraph_adjacency=0)
         b = budget(mode, 0)
@@ -579,6 +556,18 @@ def test_error_budget_validation():
 def test_error_budget_rejects_bool_coefficient():
     with pytest.raises(ValueError, match="got True"):
         ErrorBudget(BudgetMode.GLOBAL, True)
+
+
+def test_error_budget_mode_value_acts_as_its_mode_and_an_unknown_one_is_rejected():
+    # On the path 0-1-2 with weights 1 and 5, W_max is 5 and W(0, 1) is 1.
+    g = WeightedGraph(3, ((0, 1, 1), (1, 2, 5)))
+    for value, mode, allowance in (("global", BudgetMode.GLOBAL, 10),
+                                   ("local", BudgetMode.LOCAL, 2)):
+        b = ErrorBudget(value, 2)
+        assert b == ErrorBudget(mode, 2) and b.mode is mode
+        assert b.allowance(g, 0, 1) == allowance
+    with pytest.raises(ValueError, match="bogus"):
+        ErrorBudget("bogus", 1)
 
 
 def test_edge_key_and_terminal_pairs():

@@ -6,7 +6,8 @@ against the bytes of an earlier version, not only against itself.  The
 instances are chosen so that every randomized repair runs at least once;
 ``test_golden_cases_reach_every_repair`` asserts that they do.  The sub2w
 instances are the CLI benchmark's ER n=128 graphs, on which clusters form and
-the buying sweep meets paths of positive value.  The row digests pin every
+the buying sweep meets paths of positive value, and a BA n=300 graph, on which
+it values a hundred paths above 0.  The row digests pin every
 source's path-table row, the shortest-path kernel's whole output, on one ER
 and one GE graph of the grid-paper benchmark.  The exact digests pin the
 exact optimum's level sets on a desk grid of small instances with the size
@@ -27,6 +28,7 @@ from wspanner.core import (
     BudgetMode,
     ErrorBudget,
     WeightedGraph,
+    edge_key,
     shortest_path_row,
     terminal_pairs,
     write_graph_text,
@@ -155,6 +157,25 @@ def test_sub2w_output_digest(seed):
     assert _digest([sorted(state.current_edges), records]) == SUB2W_DIGESTS[seed]
 
 
+# BA n=300 seed 1, both of 2 exponential levels: 150 and 75 terminals.  The
+# sweeps value 47 and 50 paths above 0 and buy them, each valued from both
+# ends, so these pin the path values over many grown subgraphs.
+SUB2W_BA_DIGESTS = {
+    0: "74d30e2b720b2d9f03825f03c461052aacca86ef0dbf13a0e9443f8be88319ac",
+    1: "746e471d5ca9bbeeeb136780a5064187415ae2aa5aa4fd91f8b12d5f75dfc52e",
+}
+
+
+@pytest.mark.parametrize("level", sorted(SUB2W_BA_DIGESTS))
+def test_sub2w_ba300_output_digest(level):
+    g = generate(GeneratorSpec(Model.BA, 300, 1))
+    terminals = generate_terminals(300, TerminalSelection(TerminalScheme.EXPONENTIAL, 2, 1))[level]
+    state = subsetwise_2w_run(g, terminals)
+    assert sum(r.value > 0 for r in state.records) == (47, 50)[level]
+    records = [asdict(r) for r in state.records]
+    assert _digest([sorted(state.current_edges), records]) == SUB2W_BA_DIGESTS[level]
+
+
 @pytest.mark.parametrize("model,n,seed", GENERATE_CASES)
 def test_generate_digest(model, n, seed):
     g = generate(GeneratorSpec(Model(model), n, seed))
@@ -224,7 +245,7 @@ def test_path_table_row_digest(name):
         path_max = [0] * g.n
         for v in sorted(range(g.n), key=dist.__getitem__):
             if parent[v] >= 0:
-                path_max[v] = max(path_max[parent[v]], g.weight(parent[v], v))
+                path_max[v] = max(path_max[parent[v]], g.weight_map[edge_key(parent[v], v)])
         rows.append((dist, parent, path_max))
     assert _digest(rows) == ROW_DIGESTS[name]
 

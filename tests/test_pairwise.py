@@ -35,10 +35,13 @@ from wspanner.pairwise import (
 )
 
 from helpers import (
+    canonical_edges,
     caterpillar_edges,
+    path_edge_keys,
     path_weight,
     reordered_pairs,
     simple_paths,
+    tree_path,
     unpruned_limited_missing_path,
 )
 from strategies import any_graphs, connected_graphs, graphs_with_pairs
@@ -163,9 +166,11 @@ class TestShortestPathTree:
 
 
 def _pair_by_pair(table, pairs):
-    # The reads each_pair replaces: every pair asks the table on its own.
+    # each_pair's edges rebuilt pair by pair, by walking back through the
+    # parents of the smaller end's row.
     for u, v in pairs:
-        yield u, v, table.dist(u, v), table.path_edges(u, v) if table.reachable(u, v) else None
+        path = tree_path(table, min(u, v), max(u, v))
+        yield u, v, None if path is None else path_edge_keys(path)
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
@@ -217,8 +222,7 @@ class TestLimitedMissingPath:
     def test_large_cap_gives_shortest_path_weight(self):
         pt = TRIANGLE.paths
         path = limited_missing_path(TRIANGLE, 0, 2, set(), TRIANGLE.n - 1)
-        weight = sum(TRIANGLE.weight(a, b) for a, b in zip(path, path[1:]))
-        assert weight == pt.dist(0, 2)
+        assert path_weight(TRIANGLE, path) == pt.dist(0, 2)
 
     def test_cap_zero_without_connection_is_none(self):
         assert limited_missing_path(TRIANGLE, 0, 2, set(), 0) is None
@@ -307,10 +311,11 @@ def test_limited_missing_path_stays_in_present_holding_the_canonical_path(g, dat
     r, r_prime = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
     present = {(u, v) for u, v, _ in g.edges if data.draw(st.booleans())}
     cap = data.draw(st.integers(0, g.n))
-    if not g.paths.reachable(r, r_prime):
+    canonical = canonical_edges(g.paths, r, r_prime)
+    if canonical is None:
         assert limited_missing_path(g, r, r_prime, present, cap) is None
         return
-    present.update(g.paths.path_edges(r, r_prime))
+    present.update(canonical)
     path = limited_missing_path(g, r, r_prime, present, cap)
     assert path is not None and path[0] == r and path[-1] == r_prime
     assert all(edge_key(a, b) in present for a, b in zip(path, path[1:]))
@@ -359,7 +364,7 @@ class TestPairwiseSpanner:
         budget = BUDGETS[params.algo]
         expected = set(init)
         for pair in verify_spanner(g, init, pairs, budget):
-            expected.update(e for e in g.paths.path_edges(*pair) if e not in init)
+            expected.update(e for e in canonical_edges(g.paths, *pair) if e not in init)
         assert h == expected
         assert report.patched == len(expected - init) > 0
         assert report.passes == 1 and not report.fallback

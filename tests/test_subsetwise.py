@@ -22,7 +22,14 @@ from wspanner.subsetwise import (
     subsetwise_2w_run,
 )
 
-from helpers import brute_min_spanner_size, rebuilt_path_value, rescan_clustering
+from helpers import (
+    brute_min_spanner_size,
+    path_edge_keys,
+    path_weight,
+    rebuilt_path_value,
+    rescan_clustering,
+    tree_path,
+)
 from strategies import connected_graphs, graphs_with_terminals
 
 TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
@@ -79,26 +86,44 @@ def test_clustering_matches_rescan_oracle(g, data):
     assert (c.clusters, c.centers, c.cluster_subgraph) == rescan_clustering(g, c.threshold)
 
 
+# The canonical 0-2 path of TRIANGLE and of the graphs below: 0-1-2.
+PATH_012 = ((0, 1), (1, 2))
+
+
 class TestPathValue:
     def test_zero_when_current_edges_are_whole_graph(self):
-        pt = TRIANGLE.paths
         clustering = build_clustering(TRIANGLE, 2)
-        path = pt.path(0, 2)
         for x in (0, 2):
-            assert path_value(TRIANGLE, path, x, clustering, TRIANGLE.adj) == 0
+            assert path_value(TRIANGLE, (0, 2), PATH_012, x, clustering, TRIANGLE.adj) == 0
 
     def test_zero_with_no_clusters(self):
         c = build_clustering(TRIANGLE, 3)
         assert c.clusters == ()
-        assert path_value(TRIANGLE, (0, 1, 2), 0, c, TRIANGLE.adj) == 0
+        assert path_value(TRIANGLE, (0, 2), PATH_012, 0, c, TRIANGLE.adj) == 0
 
     def test_counts_unreachable_cluster_member(self):
         # path 0-1-2, single cluster {1}; with no current edges the cluster is
         # unreachable, so both endpoints beat it along the path: total value 2
         g = WeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
         c = Clustering((frozenset({1}),), (0,), frozenset({(0, 1)}), 1)
-        assert path_value(g, (0, 1, 2), 0, c, subgraph_adjacency(g, ())) == 1
-        assert path_value(g, (0, 1, 2), 2, c, subgraph_adjacency(g, ())) == 1
+        assert path_value(g, (0, 2), PATH_012, 0, c, subgraph_adjacency(g, ())) == 1
+        assert path_value(g, (0, 2), PATH_012, 2, c, subgraph_adjacency(g, ())) == 1
+
+    def test_cluster_counts_from_its_path_member_nearest_the_end(self):
+        # Path 0-1-2-3 with weights 1, 3, 1 and one cluster {1, 2}.  H, the
+        # weight-1 detours 0-4-1 and 3-5-2, reaches the cluster at 2 from
+        # either end.  The member nearest 0 lies 1 along the path and the one
+        # nearest 3 lies 1 from 3, so both ends count it; the far member, 4
+        # along the path, would beat H from neither.
+        g = WeightedGraph(6, ((0, 1, 1), (1, 2, 3), (2, 3, 1),
+                              (0, 4, 1), (1, 4, 1), (3, 5, 1), (2, 5, 1)))
+        c = Clustering((frozenset({1, 2}),), (0,), frozenset(), 2)
+        pe = ((0, 1), (1, 2), (2, 3))
+        assert next(g.paths.each_pair([(0, 3)]))[2] == pe
+        h = {(0, 4), (1, 4), (3, 5), (2, 5)}
+        for x in (0, 3):
+            assert path_value(g, (0, 3), pe, x, c, subgraph_adjacency(g, h)) == 1
+            assert rebuilt_path_value(g, (0, 1, 2, 3), x, c.clusters, h) == 1
 
     def test_cluster_beyond_the_search_limit_is_beaten(self):
         # From 0 the path reaches cluster {1} at distance 1, and H reaches it
@@ -108,13 +133,13 @@ class TestPathValue:
         c = Clustering((frozenset({1}),), (0,), frozenset(), 1)
         h = {(0, 3), (2, 3), (1, 2)}
         for x, value in ((0, 1), (2, 0)):
-            assert path_value(g, (0, 1, 2), x, c, subgraph_adjacency(g, h)) == value
+            assert path_value(g, (0, 2), PATH_012, x, c, subgraph_adjacency(g, h)) == value
             assert rebuilt_path_value(g, (0, 1, 2), x, c.clusters, h) == value
 
     def test_rejects_non_endpoint(self):
         c = build_clustering(TRIANGLE, 3)
         with pytest.raises(ValueError):
-            path_value(TRIANGLE, (0, 1, 2), 1, c, TRIANGLE.adj)
+            path_value(TRIANGLE, (0, 2), PATH_012, 1, c, TRIANGLE.adj)
 
 
 class TestSubsetwise2W:
@@ -135,7 +160,7 @@ class TestSubsetwise2W:
         c = build_clustering(star, 2)  # threshold ceil(sqrt(4)) = 2
         assert {1, 2} <= set().union(*c.clusters[:1])
         h = subsetwise_2w(star, [1, 2])
-        star_path_weight = star.weight(0, 1) + star.weight(0, 2)
+        star_path_weight = path_weight(star, (1, 0, 2))
         assert star_path_weight <= 2 * star.weight_max
         assert verify_spanner(star, h, [(1, 2)], GLOBAL2) == []
 
@@ -161,7 +186,8 @@ def test_output_always_meets_plus_2w(gt):
 def _replay(g, terminals):
     """Replay the run's audit against the literal clustering rule and the
     rebuild-per-call path value oracle: each record's cost, value and decision,
-    and the monotone growth of the edge set.  Returns the run's state."""
+    and the monotone growth of the edge set.  Each pair's path is walked back
+    through the parents of its smaller end's row.  Returns the run's state."""
     pt = g.paths
     state = subsetwise_2w_run(g, terminals)
     threshold = cluster_threshold(len(set(terminals)), g.weight_max)
@@ -171,9 +197,9 @@ def _replay(g, terminals):
     assert [r.pair for r in state.records] == terminal_pairs(terminals)
     for record in state.records:
         u, v = record.pair
-        pe = pt.path_edges(u, v)
+        path = tree_path(pt, u, v)
+        pe = path_edge_keys(path)
         cost = sum(1 for e in pe if e not in h)
-        path = pt.path(u, v)
         value = (rebuilt_path_value(g, path, u, clusters, h)
                  + rebuilt_path_value(g, path, v, clusters, h))
         assert record.cost == cost
@@ -188,6 +214,14 @@ def _replay(g, terminals):
 @given(graphs_with_terminals(max_n=6))
 @settings(max_examples=40, deadline=None)
 def test_audit_replay_matches_run(gt):
+    _replay(*gt)
+
+
+@given(graphs_with_terminals(min_n=8, max_n=12, max_w=2))
+@settings(max_examples=100, deadline=None)
+def test_audit_replay_matches_run_on_graphs_where_clusters_form(gt):
+    # Weights 1..2 on 8 to 12 vertices keep the cluster threshold low, so
+    # about half of these draws value some path above 0.
     _replay(*gt)
 
 
@@ -246,9 +280,9 @@ def test_pair_covered_by_an_earlier_buy_asks_no_path_value(monkeypatch):
     valued = []
     real = subsetwise.path_value
 
-    def counting(g, path, x, clustering, h_adj):
-        valued.append((path[0], path[-1]))
-        return real(g, path, x, clustering, h_adj)
+    def counting(g, pair, path_edges, x, clustering, h_adj):
+        valued.append(pair)
+        return real(g, pair, path_edges, x, clustering, h_adj)
 
     monkeypatch.setattr(subsetwise, "path_value", counting)
     state = subsetwise_2w_run(g, terminals)
