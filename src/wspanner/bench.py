@@ -264,8 +264,8 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
     (mi, model), n, ell, (ti, tsm), rep = task
     seed = derive_seed(plan.base_seed, ROLE_PLAN, mi, n, ell, ti, rep)
     instance_id = f"{model}-n{n}-l{ell}-{tsm}-r{rep}"
-    g = generate(GeneratorSpec(Model(model), n, seed))
-    sets = generate_terminals(n, TerminalSelection(TerminalScheme(tsm), ell, seed))
+    g = generate(GeneratorSpec(model, n, seed))
+    sets = generate_terminals(n, TerminalSelection(tsm, ell, seed))
     rows: list[ResultRow] = []
     produced: list[tuple[str, MultiLevelInstance, MultiLevelSpanner, float]] = []
     for algo in plan.algorithms:

@@ -42,7 +42,7 @@ from .generate import (
     write_terminals_text,
 )
 from .multilevel import MultiLevelInstance
-from .pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner_run
+from .pairwise import PairwiseParams, pairwise_spanner_run
 from .subsetwise import subsetwise_2w_run
 
 
@@ -56,11 +56,9 @@ def _load_instance(args, budget: ErrorBudget) -> MultiLevelInstance:
 
 
 def _cmd_gen(args) -> int:
-    spec = GeneratorSpec(Model(args.model), args.n, args.seed,
-                         weight_range=(args.weight_lo, args.weight_hi))
-    g = generate(spec)
-    sets = generate_terminals(args.n, TerminalSelection(TerminalScheme(args.tsm),
-                                                        args.levels, args.seed))
+    g = generate(GeneratorSpec(args.model, args.n, args.seed,
+                               weight_range=(args.weight_lo, args.weight_hi)))
+    sets = generate_terminals(args.n, TerminalSelection(args.tsm, args.levels, args.seed))
     Path(f"{args.out}.graph").write_text(write_graph_text(g), encoding="utf-8")
     Path(f"{args.out}.terminals").write_text(write_terminals_text(sets), encoding="utf-8")
     print(f"wrote {args.out}.graph ({g.n} vertices, {len(g.edges)} edges) "
@@ -84,7 +82,7 @@ def _cmd_spanner(args) -> int:
             {"pair": list(r.pair), "cost": r.cost, "value": r.value, "bought": r.bought}
             for r in state.records]}
     else:
-        params = PairwiseParams(PairwiseAlgo(args.algo), d_override=args.d, seed=args.seed)
+        params = PairwiseParams(args.algo, d_override=args.d, seed=args.seed)
         edges, run = pairwise_spanner_run(g, pairs, params)
         report = {"algorithm": args.algo} | dataclasses.asdict(run)
     violated = verify_spanner(g, edges, pairs, budget)
@@ -123,7 +121,7 @@ def _cmd_multilevel(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    inst = _load_instance(args, ErrorBudget(BudgetMode(args.mode), args.c))
+    inst = _load_instance(args, ErrorBudget(args.mode, args.c))
     spanner = exact_optimum(inst, SizeCaps(args.cap_single, args.cap_multi))
     print(json.dumps({"sparsity": spanner.sparsity,
                       "level_sizes": [len(e) for e in spanner.level_edges]}, indent=2))
@@ -131,7 +129,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_emit_ilp(args) -> int:
-    inst = _load_instance(args, ErrorBudget(BudgetMode(args.mode), args.c))
+    inst = _load_instance(args, ErrorBudget(args.mode, args.c))
     Path(args.out).write_text(emit_lp(build_ilp(inst)), encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

@@ -104,10 +104,6 @@ class WeightedGraph:
         return max((w for _, _, w in self.edges), default=0)
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset((u, v) for u, v, _ in self.edges)
-
-    @cached_property
     def weight_map(self) -> dict[Edge, int]:
         return {(u, v): w for u, v, w in self.edges}
 
@@ -120,7 +116,7 @@ class WeightedGraph:
         return build_path_table(self)
 
     @cached_property
-    def _connected(self) -> bool:
+    def is_connected(self) -> bool:
         """Every vertex reaches vertex 0, by a search over adj that computes
         no path-table row."""
         seen, stack = {0}, [0]
@@ -130,9 +126,6 @@ class WeightedGraph:
                     seen.add(y)
                     stack.append(y)
         return len(seen) == self.n
-
-    def is_connected(self) -> bool:
-        return self._connected
 
 
 def write_graph_text(g: WeightedGraph, keep: Collection[Edge] | None = None) -> str:
@@ -367,7 +360,7 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     the order they are given.
 
     The subgraph's edges h_edges are (min, max) keys of edges of g, as in
-    ``g.edge_set``; anything else, a reversed key included, is a ValueError.
+    ``g.weight_map``; anything else, a reversed key included, is a ValueError.
     An empty result means h_edges is a valid spanner for the given pairs.
     Pairs disconnected in g itself are never reported.  A pair whose
     canonical path lies in the subgraph has dist_H = dist_G and passes
@@ -377,7 +370,7 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     the subgraph, one Dijkstra per source.
     """
     hset = set(h_edges)
-    extra = sorted(hset - g.edge_set)[:3]
+    extra = sorted(hset.difference(g.weight_map))[:3]
     if extra:
         raise ValueError(f"subgraph edges must be (min, max) keys of graph edges: {extra}")
     pairs = tuple(pairs)

@@ -41,6 +41,9 @@ class GeneratorSpec:
     seed: int
     weight_range: tuple[int, int] = (1, 10)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "model", Model(self.model))
+
 
 def generate(spec: GeneratorSpec) -> WeightedGraph:
     """Connected weighted graph sampled from the requested model."""
@@ -61,7 +64,7 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         rng = stream(spec.seed, ROLE_WEIGHTS)
         g = WeightedGraph(spec.n, tuple((u, v, lo + int(rng.random() * (hi - lo + 1)))
                                         for u, v in ordered))
-        if g.is_connected():
+        if g.is_connected:
             return g
     raise RuntimeError(f"no connected topology in {MAX_CONNECTIVITY_ATTEMPTS} attempts for {spec}")
 
@@ -130,6 +133,9 @@ class TerminalSelection:
     method: TerminalScheme
     levels: int
     seed: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "method", TerminalScheme(self.method))
 
 
 def _round_half_up(x: float) -> int:

@@ -92,6 +92,7 @@ class PairwiseParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "algo", PairwiseAlgo(self.algo))
         if self.d_override is not None and not (_is_int(self.d_override) and self.d_override >= 1):
             raise ValueError(f"d override must be an integer >= 1, got {self.d_override!r}")
 
@@ -205,7 +206,7 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
     order raises before any repair: a disconnected one, which only a
     disconnected graph has, or, through the index, one outside the graph."""
     n, pt = g.n, g.paths
-    if not g.is_connected():
+    if not g.is_connected:
         for u, v, pe in pt.each_pair(pairs):
             if pe is None:
                 raise ValueError(f"pair ({u},{v}) is disconnected")
@@ -227,7 +228,7 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
                         path = limited_missing_path(g, r, r_prime, h, n // (d * d))
                         if path is not None:
                             h.update(edge_key(a, b) for a, b in zip(path, path[1:]))
-            elif len(sample) >= 2 and g.is_connected():
+            elif len(sample) >= 2 and g.is_connected:
                 # the subsetwise subroutine needs a connected graph; without
                 # it the final patch still guarantees the advertised budget
                 h.update(subsetwise_2w(g, frozenset(sample)))

@@ -38,12 +38,10 @@ def cluster_threshold(s_size: int, w_max: int) -> int:
 
 @dataclass(frozen=True)
 class Clustering:
-    """Disjoint clusters, their centers, and the cluster subgraph edge set."""
+    """Disjoint clusters and the cluster subgraph edge set."""
 
     clusters: tuple[frozenset[int], ...]
-    centers: tuple[int, ...]
     cluster_subgraph: frozenset[Edge]
-    threshold: int
 
     @cached_property
     def cluster_of(self) -> dict[int, int]:
@@ -61,7 +59,6 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
     adj = g.adj
     unclustered = [True] * g.n
     clusters: list[frozenset[int]] = []
-    centers: list[int] = []
     gc: set[Edge] = set()
     # Unclustered-neighbor counts only fall, so a vertex passed over never
     # qualifies later: one pass in id order picks the centers that a rescan
@@ -69,18 +66,16 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
     for center in range(g.n):
         free = [u for u, _ in adj[center] if unclustered[u]]
         while len(free) >= threshold:
-            members, free = free[:threshold], free[threshold:]
+            members, free = frozenset(free[:threshold]), free[threshold:]
             for u in members:
                 unclustered[u] = False
-            member_set = set(members)
-            clusters.append(frozenset(members))
-            centers.append(center)
+            clusters.append(members)
             gc.update(edge_key(center, u) for u in members)
-            gc.update((a, b) for a in members for b, _ in adj[a] if b in member_set and a < b)
+            gc.update((a, b) for a in members for b, _ in adj[a] if b in members and a < b)
     for v in range(g.n):
         if unclustered[v]:
             gc.update(edge_key(v, u) for u, _ in adj[v])
-    return Clustering(tuple(clusters), tuple(centers), frozenset(gc), threshold)
+    return Clustering(tuple(clusters), frozenset(gc))
 
 
 def path_value(g: WeightedGraph, pair: Edge, path_edges: Iterable[Edge], x: int,
@@ -128,7 +123,7 @@ class PathBuyState:
 
 
 def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyState:
-    if not g.is_connected():
+    if not g.is_connected:
         raise ValueError("subsetwise construction needs a connected graph")
     s = sorted(set(terminals))
     outside = [t for t in s if not 0 <= t < g.n]

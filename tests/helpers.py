@@ -14,6 +14,8 @@ vertex path whose edge weights it adds up step by step.  ``tree_path`` walks
 a canonical path back through a row's parents, without the table's cached
 edge tuples.  ``scanned_leaving`` is the per-pair scan that
 ``PathTable.leaving`` replaces, one subset test per pair.
+``reference_subsetwise_run`` is the whole subsetwise construction built
+from these oracles: every pair visited, none skipped through the index.
 ``canonical_edges`` is no oracle: it reads one pair's canonical path edges
 through ``PathTable.each_pair``.  ``caterpillar_edges`` is the one test
 instance shared by the pairwise and golden tests.  ``exact_single_level`` is
@@ -33,6 +35,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from wspanner.exact import exact_optimum
 from wspanner.multilevel import MultiLevelInstance
+from wspanner.subsetwise import BuyRecord, cluster_threshold
 
 INF = float("inf")
 
@@ -264,10 +267,10 @@ def hop_radius(g) -> int:
 
 
 def rescan_clustering(g, threshold: int):
-    """(clusters, centers, cluster subgraph) by the clustering rule read
-    literally: after each cluster, rescan from vertex 0 for the smallest-id
-    vertex with at least threshold unclustered neighbors, and cluster that
-    many of its smallest-id unclustered neighbors with it as center."""
+    """(clusters, cluster subgraph) by the clustering rule read literally:
+    after each cluster, rescan from vertex 0 for the smallest-id vertex with
+    at least threshold unclustered neighbors, and cluster that many of its
+    smallest-id unclustered neighbors with it as center."""
     nbrs = {x: [] for x in range(g.n)}
     for a, b, _ in g.edges:
         nbrs[a].append(b)
@@ -275,7 +278,7 @@ def rescan_clustering(g, threshold: int):
     for x in nbrs:
         nbrs[x].sort()
     unclustered = set(range(g.n))
-    clusters, centers, sub = [], [], set()
+    clusters, sub = [], set()
     while True:
         center = next((x for x in range(g.n)
                        if len([y for y in nbrs[x] if y in unclustered]) >= threshold), None)
@@ -284,11 +287,35 @@ def rescan_clustering(g, threshold: int):
         members = [y for y in nbrs[center] if y in unclustered][:threshold]
         unclustered -= set(members)
         clusters.append(frozenset(members))
-        centers.append(center)
         sub |= {(min(center, y), max(center, y)) for y in members}
         sub |= {(a, b) for a, b, _ in g.edges if a in members and b in members}
     sub |= {(a, b) for a, b, _ in g.edges if a in unclustered or b in unclustered}
-    return tuple(clusters), tuple(centers), frozenset(sub)
+    return tuple(clusters), frozenset(sub)
+
+
+def reference_subsetwise_run(g, terminals) -> tuple[set, list]:
+    """(edges, buy records) of the +2W subsetwise construction read plainly:
+    the clustering from rescan_clustering, then every terminal pair in
+    ascending order, its path walked back through its row's parents
+    (tree_path), its cost the path edges missing from H at its turn, its
+    value rebuilt_path_value from both ends, and the path bought when
+    cost <= (2W + 1) * value.  A path that H holds comes out worth 0 with no
+    special case: H reaches each of its vertices no later than the path does."""
+    s = sorted(set(terminals))
+    w = g.weight_max
+    clusters, subgraph = rescan_clustering(g, cluster_threshold(len(s), w))
+    h, records = set(subgraph), []
+    for u, v in combinations(s, 2):
+        path = tree_path(g.paths, u, v)
+        pe = path_edge_keys(path)
+        cost = sum(e not in h for e in pe)
+        value = (rebuilt_path_value(g, path, u, clusters, h)
+                 + rebuilt_path_value(g, path, v, clusters, h))
+        bought = cost <= (2 * w + 1) * value
+        if bought:
+            h.update(pe)
+        records.append(BuyRecord((u, v), cost, value, bought))
+    return h, records
 
 
 def round_up_pow2(p: int) -> int:

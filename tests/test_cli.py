@@ -28,7 +28,7 @@ def test_gen_writes_parseable_files(instance_files):
     graph_path, terms_path = instance_files
     g = parse_graph_text(graph_path.read_text())
     sets = parse_terminals_text(terms_path.read_text())
-    assert g.n == 12 and g.is_connected()
+    assert g.n == 12 and g.is_connected
     assert len(sets) == 2 and set(sets[1]) <= set(sets[0])
 
 
@@ -99,17 +99,21 @@ def test_spanner_sub2w_rejects_a_d_override(instance_files, tmp_path, capsys):
     assert not out.with_suffix(".json").exists()
 
 
-def test_multilevel_subcommand(instance_files, tmp_path):
+def test_multilevel_subcommand(instance_files, tmp_path, capsys):
     graph_path, terms_path = instance_files
     out = tmp_path / "ml"
-    assert main(["multilevel", "--algo", "sub2w", "--graph", str(graph_path),
-                 "--terminals", str(terms_path), "--out", str(out)]) == 0
+    files = ["--graph", str(graph_path), "--terminals", str(terms_path)]
+    assert main(["multilevel", "--algo", "sub2w", *files, "--out", str(out)]) == 0
     summary = json.loads(out.with_suffix(".json").read_text())
     assert summary["levels"] == 2
     level1 = parse_graph_text((tmp_path / "ml.level1.graph").read_text())
     level2 = parse_graph_text((tmp_path / "ml.level2.graph").read_text())
-    assert level2.edge_set <= level1.edge_set
+    assert level2.weight_map.keys() <= level1.weight_map.keys()
     assert summary["sparsity"] == len(level1.edges) + len(level2.edges)
+    # without --out the same summary goes to stdout
+    capsys.readouterr()
+    assert main(["multilevel", "--algo", "sub2w", *files]) == 0
+    assert json.loads(capsys.readouterr().out) == summary
 
 
 def test_exact_and_emit_ilp(tmp_path, capsys):
@@ -153,8 +157,12 @@ def test_run_and_summarize(tmp_path, capsys):
     assert main(["summarize", "--in", str(out_dir / "rows.csv"), "--group", "n",
                  "--out", str(summary_path)]) == 0
     lines = summary_path.read_text().splitlines()
-    assert lines[0].startswith("group,")
+    assert lines[0] == "group,value,algorithm,metric,count,min,mean,max"
     assert len(lines) == 3  # header + (n=10) x {p2w, sub2w}
+    # without --out the same text goes to stdout
+    capsys.readouterr()
+    assert main(["summarize", "--in", str(out_dir / "rows.csv"), "--group", "n"]) == 0
+    assert capsys.readouterr().out == summary_path.read_text()
 
 
 def test_run_rejects_a_misspelled_plan_key(tmp_path, capsys):

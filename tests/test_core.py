@@ -108,10 +108,10 @@ class TestGraphText:
 @given(connected_graphs(), st.data())
 @settings(max_examples=60)
 def test_subgraph_text_equals_the_text_of_the_rebuilt_subgraph(g, data):
-    keep = {e for e in sorted(g.edge_set) if data.draw(st.booleans())}
+    keep = {e for e in sorted(g.weight_map.keys()) if data.draw(st.booleans())}
     rebuilt = WeightedGraph(g.n, tuple((u, v, g.weight_map[u, v]) for u, v in keep))
     assert write_graph_text(g, keep) == write_graph_text(rebuilt)
-    assert write_graph_text(g, g.edge_set) == write_graph_text(g)
+    assert write_graph_text(g, g.weight_map.keys()) == write_graph_text(g)
 
 
 class TestPathTable:
@@ -137,10 +137,10 @@ class TestPathTable:
         assert pt.max_weight(0, 0) == 0
 
     def test_is_connected(self):
-        assert WeightedGraph(1, ()).is_connected()
-        assert TRIANGLE.is_connected()
-        assert not WeightedGraph(3, ((0, 1, 1),)).is_connected()
-        assert not WeightedGraph(2, ()).is_connected()
+        assert WeightedGraph(1, ()).is_connected
+        assert TRIANGLE.is_connected
+        assert not WeightedGraph(3, ((0, 1, 1),)).is_connected
+        assert not WeightedGraph(2, ()).is_connected
 
     def test_disconnected_pair_gets_sentinel(self):
         g = WeightedGraph(3, ((0, 1, 1),))
@@ -188,7 +188,7 @@ def test_tree_parents_and_path_max_follow_the_smallest_id_rule(g):
 @given(any_graphs())
 @settings(max_examples=100)
 def test_is_connected_matches_bellman_ford(g):
-    assert g.is_connected() == (UNREACHABLE not in bellman_ford(g.n, g.edges, 0))
+    assert g.is_connected == (UNREACHABLE not in bellman_ford(g.n, g.edges, 0))
 
 
 @given(connected_graphs(max_n=7))
@@ -384,7 +384,7 @@ def test_leaving_matches_the_per_pair_scan(case, data):
     # subgraphs and for a growing one, from the index its first call built.
     g, pairs = case
     pt = g.paths
-    edges = sorted(g.edge_set)
+    edges = sorted(g.weight_map.keys())
     subgraphs = st.sets(st.sampled_from(edges)) if edges else st.just(set())
     grown: set = set()
     for _ in range(4):
@@ -392,7 +392,7 @@ def test_leaving_matches_the_per_pair_scan(case, data):
         for h in (data.draw(subgraphs), set(grown)):
             for order in (pairs, list(pairs), tuple(pairs)):
                 assert pt.leaving(order, h) == scanned_leaving(pt, pairs, h)
-    assert pt.leaving(pairs, g.edge_set) == []
+    assert pt.leaving(pairs, g.weight_map.keys()) == []
 
 
 class TestVerifySpanner:
@@ -404,8 +404,8 @@ class TestVerifySpanner:
 
     def test_full_graph_never_violates(self):
         pairs = terminal_pairs(range(3))
-        assert verify_spanner(TRIANGLE, TRIANGLE.edge_set, pairs, budget("GLOBAL", 0)) == []
-        assert verify_spanner(TRIANGLE, TRIANGLE.edge_set, pairs, budget("LOCAL", 0)) == []
+        assert verify_spanner(TRIANGLE, TRIANGLE.weight_map.keys(), pairs, budget("GLOBAL", 0)) == []
+        assert verify_spanner(TRIANGLE, TRIANGLE.weight_map.keys(), pairs, budget("LOCAL", 0)) == []
 
     def test_rejects_foreign_edges(self):
         with pytest.raises(ValueError):
@@ -430,14 +430,14 @@ class TestVerifySpanner:
     def test_pair_outside_the_graph_is_a_value_error(self, pair):
         u, v = pair
         with pytest.raises(ValueError, match=rf"pair \({u},{v}\) references a vertex outside 0\.\.2"):
-            verify_spanner(TRIANGLE, TRIANGLE.edge_set, [pair], budget("GLOBAL", 2))
+            verify_spanner(TRIANGLE, TRIANGLE.weight_map.keys(), [pair], budget("GLOBAL", 2))
 
     @pytest.mark.parametrize("pair", [(0, 5), (-1, 2)])
     def test_pair_outside_the_graph_raises_on_every_call(self, pair):
         # A failed index build keeps nothing, so every later call on the same
         # list raises again, with the whole graph as the subgraph too.
         g = WeightedGraph(TRIANGLE.n, TRIANGLE.edges)
-        for h in (g.edge_set, g.edge_set, set(), {(0, 1)}, g.edge_set):
+        for h in (g.weight_map.keys(), g.weight_map.keys(), set(), {(0, 1)}, g.weight_map.keys()):
             with pytest.raises(ValueError, match=r"references a vertex outside 0\.\.2"):
                 verify_spanner(g, h, [(0, 2), pair], budget("GLOBAL", 2))
 
@@ -470,7 +470,7 @@ def subgraph_checks(draw):
                 cut = draw(st.sets(st.sampled_from(edges), min_size=1))
                 edges = [e for e in edges if e not in cut]
             h.update(edges)
-    h |= draw(st.sets(st.sampled_from(sorted(g.edge_set)), max_size=2))
+    h |= draw(st.sets(st.sampled_from(sorted(g.weight_map.keys())), max_size=2))
     return g, h, pairs
 
 
@@ -523,7 +523,7 @@ def test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path(mon
 def test_whole_graph_is_always_a_valid_spanner(g):
     pairs = terminal_pairs(range(g.n))
     for mode in ("GLOBAL", "LOCAL"):
-        assert verify_spanner(g, g.edge_set, pairs, budget(mode, 0)) == []
+        assert verify_spanner(g, g.weight_map.keys(), pairs, budget(mode, 0)) == []
 
 
 class TestHopRadius:

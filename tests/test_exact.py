@@ -273,7 +273,7 @@ def test_oracle_dominates_heuristics(gt):
         return
     pairs = terminal_pairs(terminals)
     sub = subsetwise_2w(g, terminals)
-    assert exact_single_level(g, terminals, GLOBAL2) <= g.edge_set
+    assert exact_single_level(g, terminals, GLOBAL2) <= g.weight_map.keys()
     assert len(exact_single_level(g, terminals, GLOBAL2)) <= len(sub)
     for algo in PairwiseAlgo:
         params = PairwiseParams(algo, seed=11)

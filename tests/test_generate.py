@@ -36,6 +36,8 @@ class TestGenerate:
     def test_ws_keeps_lattice_edge_count(self):
         g = generate(spec("ws", 20, 1))
         assert len(g.edges) == 20 * 6 // 2
+        # On 7 vertices the lattice is K7, so a drawn rewire finds no target.
+        assert len(generate(spec("ws", 7, 1)).edges) == 21
 
     def test_ge_radius_statistics(self):
         # Geometric graphs should be "long": most hop radii land in [4, 12],
@@ -49,7 +51,7 @@ class TestGenerate:
     def test_connected_simple_weighted(self, model):
         for seed in range(5):
             g = generate(spec(model, 24, seed))
-            assert g.is_connected()
+            assert g.is_connected
             assert all(1 <= w <= 10 for _, _, w in g.edges)
             assert len({(u, v) for u, v, _ in g.edges}) == len(g.edges)
 
@@ -80,6 +82,14 @@ class TestGenerate:
             generate(spec("ba", 5, 0))
         with pytest.raises(ValueError):
             generate(spec("er", 5, 0, weight_range=(0, 10)))
+
+    def test_model_value_acts_as_its_model_and_an_unknown_one_is_rejected(self):
+        for model in Model:
+            s = GeneratorSpec(model.value, 12, 3)
+            assert s == GeneratorSpec(model, 12, 3) and s.model is model
+            assert generate(s) == generate(GeneratorSpec(model, 12, 3))
+        with pytest.raises(ValueError, match="bogus"):
+            GeneratorSpec("bogus", 12, 3)
 
 
 class TestTerminals:
@@ -118,6 +128,21 @@ class TestTerminals:
     def test_rejects_too_few_vertices(self):
         with pytest.raises(ValueError):
             generate_terminals(3, TerminalSelection(TerminalScheme.LINEAR, 3, 0))
+
+    def test_rejects_zero_levels(self):
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            generate_terminals(8, TerminalSelection(TerminalScheme.LINEAR, 0, 0))
+
+    def test_method_value_acts_as_its_scheme_and_an_unknown_one_is_rejected(self):
+        # The two schemes give different sets here, so a value read as the
+        # wrong scheme shows.
+        for method in TerminalScheme:
+            sel = TerminalSelection(method.value, 2, 1)
+            assert sel == TerminalSelection(method, 2, 1) and sel.method is method
+            assert generate_terminals(20, sel) == generate_terminals(20, TerminalSelection(method, 2, 1))
+        assert len(generate_terminals(20, TerminalSelection("linear", 2, 1))[0]) == 13
+        with pytest.raises(ValueError, match="bogus"):
+            TerminalSelection("bogus", 2, 1)
 
     @given(method=st.sampled_from(list(TerminalScheme)), levels=st.integers(1, 12),
            extra=st.integers(0, 100), seed=st.integers(0, 2**64 - 1))

@@ -130,7 +130,7 @@ def _first_disconnected_ge_seeds(count: int) -> list[int]:
     that every GE digest covers the redraw path of ``generate``."""
     def first_draw_connected(seed: int) -> bool:
         first = _topology(GeneratorSpec(Model.GE, 22, seed), stream(seed, ROLE_TOPOLOGY, 0))
-        return WeightedGraph(22, tuple((u, v, 1) for u, v in first)).is_connected()
+        return WeightedGraph(22, tuple((u, v, 1) for u, v in first)).is_connected
     return list(itertools.islice(itertools.filterfalse(first_draw_connected, itertools.count()),
                                  count))
 

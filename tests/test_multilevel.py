@@ -44,6 +44,10 @@ TRIANGLE = WeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
 
 
 class TestInstanceValidation:
+    def test_rejects_no_levels(self):
+        with pytest.raises(ValueError, match="at least one terminal set"):
+            instance(TRIANGLE)
+
     def test_rejects_non_nested(self):
         with pytest.raises(ValueError, match="not contained"):
             instance(TRIANGLE, {0, 1}, {2})

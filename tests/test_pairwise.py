@@ -108,16 +108,26 @@ class TestDefaults:
             with pytest.raises(ValueError, match=f"got {d!r}"):
                 PairwiseParams(PairwiseAlgo.P2W, d_override=d)
 
+    def test_algo_value_acts_as_its_algo_and_an_unknown_one_is_rejected(self):
+        g = generate(GeneratorSpec(Model.ER, 15, 2))
+        for algo in PairwiseAlgo:
+            params = PairwiseParams(algo.value, seed=3)
+            assert params == PairwiseParams(algo, seed=3) and params.algo is algo
+            assert pairwise_spanner(g, [(0, 7), (3, 12)], params) == pairwise_spanner(
+                g, [(0, 7), (3, 12)], PairwiseParams(algo, seed=3))
+        with pytest.raises(ValueError, match="p16w"):
+            PairwiseParams("p16w")
+
 
 class TestDLightInit:
     def test_d_at_least_max_degree_returns_all_edges(self):
         g = generate(GeneratorSpec(Model.ER, 15, 2))
         max_deg = max(len(entry) for entry in g.adj)
-        assert d_light_init(g, max_deg) == g.edge_set
+        assert d_light_init(g, max_deg) == g.weight_map.keys()
 
     def test_star_every_leaf_claims_its_edge(self):
         star = WeightedGraph(4, ((0, 1, 1), (0, 2, 2), (0, 3, 3)))
-        assert d_light_init(star, 1) == star.edge_set
+        assert d_light_init(star, 1) == star.weight_map.keys()
 
     def test_triangle_d1_drops_heaviest(self):
         assert d_light_init(TRIANGLE_123, 1) == {(0, 1), (1, 2)}
@@ -145,7 +155,7 @@ def test_d_light_init_monotone_in_d(gp):
 class TestShortestPathTree:
     def test_tree_input_returns_all_edges(self):
         tree = WeightedGraph(5, ((0, 1, 2), (1, 2, 1), (1, 3, 4), (3, 4, 1)))
-        assert shortest_path_tree(tree, 2) == tree.edge_set
+        assert shortest_path_tree(tree, 2) == tree.weight_map.keys()
 
     def test_triangle_root_zero(self):
         assert shortest_path_tree(TRIANGLE, 0) == {(0, 1), (1, 2)}
@@ -346,7 +356,7 @@ class TestPairwiseSpanner:
             params = PairwiseParams(algo, d_override=g.n, seed=0)
             h, report = pairwise_spanner_run(g, pairs, params)
             assert report.passes == 1 and report.patched == 0
-            assert h == d_light_init(g, g.n) == g.edge_set
+            assert h == d_light_init(g, g.n) == g.weight_map.keys()
         assert calls == {"dijkstra_distances": 0, "subgraph_adjacency": 0}
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
@@ -394,7 +404,7 @@ class TestPairwiseSpanner:
         h, report = pairwise_spanner_run(g, [(u, v) for u, v, _ in chords], params)
         assert d_light_init(g, 1) == {(u, v) for u, v, _ in spine}
         assert report.fallback and report.passes == 1 and len(checks) == 1
-        assert h == g.edge_set and report.patched == len(chords) == 91 > g.n * report.d
+        assert h == g.weight_map.keys() and report.patched == len(chords) == 91 > g.n * report.d
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_deterministic_given_seed(self, algo):
@@ -460,7 +470,7 @@ def test_output_meets_advertised_budget(algo, gp):
     g, pairs = gp
     params = PairwiseParams(algo, seed=5)
     h = pairwise_spanner(g, pairs, params)
-    assert h <= g.edge_set
+    assert h <= g.weight_map.keys()
     assert verify_spanner(g, h, pairs, BUDGETS[params.algo]) == []
 
 

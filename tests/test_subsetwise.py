@@ -7,6 +7,7 @@ from wspanner.core import (
     BudgetMode,
     ErrorBudget,
     WeightedGraph,
+    edge_key,
     subgraph_adjacency,
     terminal_pairs,
     verify_spanner,
@@ -24,11 +25,10 @@ from wspanner.subsetwise import (
 
 from helpers import (
     brute_min_spanner_size,
-    path_edge_keys,
     path_weight,
     rebuilt_path_value,
+    reference_subsetwise_run,
     rescan_clustering,
-    tree_path,
 )
 from strategies import connected_graphs, graphs_with_terminals
 
@@ -47,17 +47,20 @@ def test_cluster_threshold_integer_exact():
 class TestBuildClustering:
     def test_star_clusters_pairs_of_leaves(self):
         star = WeightedGraph(5, tuple((0, i, 1) for i in range(1, 5)))
-        c = build_clustering(star, 4)
-        assert c.threshold == 2
+        c = build_clustering(star, 4)  # threshold ceil(sqrt(4)) = 2
         # the center repeatedly grabs its two smallest unclustered leaves
         assert c.clusters == (frozenset({1, 2}), frozenset({3, 4}))
-        assert c.centers == (0, 0)
-        assert c.cluster_subgraph == star.edge_set
+        assert c.cluster_subgraph == star.weight_map.keys()
+
+    def test_rejects_terminal_count_outside_1_to_n(self):
+        for s_size in (0, 4):
+            with pytest.raises(ValueError, match=r"terminal count .* out of range 1\.\.3"):
+                build_clustering(TRIANGLE, s_size)
 
     def test_threshold_above_max_degree_keeps_all_edges(self):
         c = build_clustering(TRIANGLE, 3)  # threshold ceil(sqrt(9)) = 3 > degree 2
         assert c.clusters == ()
-        assert c.cluster_subgraph == TRIANGLE.edge_set
+        assert c.cluster_subgraph == TRIANGLE.weight_map.keys()
 
     def test_intra_cluster_edges_included(self):
         # center 0 adjacent to 1,2,3; edge (1,2) lies inside the cluster
@@ -69,21 +72,27 @@ class TestBuildClustering:
     def test_clusters_disjoint_and_centers_adjacent(self):
         g = generate(GeneratorSpec(Model.BA, 25, 3))
         c = build_clustering(g, 4)
+        threshold = cluster_threshold(4, g.weight_max)
         seen = set()
-        for members, center in zip(c.clusters, c.centers):
-            assert len(members) == c.threshold
+        for members in c.clusters:
+            assert len(members) == threshold
             assert not members & seen
-            assert center not in members
-            assert all(g.has_edge(center, v) for v in members)
+            # some vertex outside the cluster is its center: the cluster
+            # subgraph joins it to every member
+            assert any(all(edge_key(x, v) in c.cluster_subgraph for v in members)
+                       for x in range(g.n) if x not in members)
             seen |= members
-        assert c.cluster_subgraph <= g.edge_set
+        assert c.cluster_subgraph <= g.weight_map.keys()
 
 
 @given(connected_graphs(max_n=12, max_w=2), st.data())
 @settings(max_examples=200, deadline=None)
 def test_clustering_matches_rescan_oracle(g, data):
-    c = build_clustering(g, data.draw(st.integers(1, g.n)))
-    assert (c.clusters, c.centers, c.cluster_subgraph) == rescan_clustering(g, c.threshold)
+    s_size = data.draw(st.integers(1, g.n))
+    c = build_clustering(g, s_size)
+    clusters, subgraph = rescan_clustering(g, cluster_threshold(s_size, g.weight_max))
+    assert (c.clusters, c.cluster_subgraph) == (clusters, subgraph)
+    assert c.cluster_of == {v: i for i, members in enumerate(clusters) for v in members}
 
 
 # The canonical 0-2 path of TRIANGLE and of the graphs below: 0-1-2.
@@ -105,7 +114,7 @@ class TestPathValue:
         # path 0-1-2, single cluster {1}; with no current edges the cluster is
         # unreachable, so both endpoints beat it along the path: total value 2
         g = WeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
-        c = Clustering((frozenset({1}),), (0,), frozenset({(0, 1)}), 1)
+        c = Clustering((frozenset({1}),), frozenset({(0, 1)}))
         assert path_value(g, (0, 2), PATH_012, 0, c, subgraph_adjacency(g, ())) == 1
         assert path_value(g, (0, 2), PATH_012, 2, c, subgraph_adjacency(g, ())) == 1
 
@@ -117,7 +126,7 @@ class TestPathValue:
         # along the path, would beat H from neither.
         g = WeightedGraph(6, ((0, 1, 1), (1, 2, 3), (2, 3, 1),
                               (0, 4, 1), (1, 4, 1), (3, 5, 1), (2, 5, 1)))
-        c = Clustering((frozenset({1, 2}),), (0,), frozenset(), 2)
+        c = Clustering((frozenset({1, 2}),), frozenset())
         pe = ((0, 1), (1, 2), (2, 3))
         assert next(g.paths.each_pair([(0, 3)]))[2] == pe
         h = {(0, 4), (1, 4), (3, 5), (2, 5)}
@@ -130,7 +139,7 @@ class TestPathValue:
         # only at 11, past the search's limit of 1; from 2, H's edge (1, 2)
         # ties the path, which does not beat it.
         g = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (0, 3, 5), (2, 3, 5)))
-        c = Clustering((frozenset({1}),), (0,), frozenset(), 1)
+        c = Clustering((frozenset({1}),), frozenset())
         h = {(0, 3), (2, 3), (1, 2)}
         for x, value in ((0, 1), (2, 0)):
             assert path_value(g, (0, 2), PATH_012, x, c, subgraph_adjacency(g, h)) == value
@@ -179,35 +188,17 @@ class TestSubsetwise2W:
 def test_output_always_meets_plus_2w(gt):
     g, terminals = gt
     h = subsetwise_2w(g, terminals)
-    assert h <= g.edge_set
+    assert h <= g.weight_map.keys()
     assert verify_spanner(g, h, terminal_pairs(terminals), GLOBAL2) == []
 
 
 def _replay(g, terminals):
-    """Replay the run's audit against the literal clustering rule and the
-    rebuild-per-call path value oracle: each record's cost, value and decision,
-    and the monotone growth of the edge set.  Each pair's path is walked back
-    through the parents of its smaller end's row.  Returns the run's state."""
-    pt = g.paths
+    """Compare the run's edges and audit, record by record, with the plain
+    construction (helpers.reference_subsetwise_run).  Returns the run's state."""
     state = subsetwise_2w_run(g, terminals)
-    threshold = cluster_threshold(len(set(terminals)), g.weight_max)
-    clusters, _, subgraph = rescan_clustering(g, threshold)
-    w = g.weight_max
-    h = set(subgraph)
-    assert [r.pair for r in state.records] == terminal_pairs(terminals)
-    for record in state.records:
-        u, v = record.pair
-        path = tree_path(pt, u, v)
-        pe = path_edge_keys(path)
-        cost = sum(1 for e in pe if e not in h)
-        value = (rebuilt_path_value(g, path, u, clusters, h)
-                 + rebuilt_path_value(g, path, v, clusters, h))
-        assert record.cost == cost
-        assert record.value == value
-        assert record.bought == (cost <= (2 * w + 1) * value)
-        if record.bought:
-            h.update(pe)
-    assert h == state.current_edges
+    edges, records = reference_subsetwise_run(g, terminals)
+    assert state.records == records
+    assert state.current_edges == edges
     return state
 
 
