@@ -15,7 +15,8 @@ a canonical path back through a row's parents, without the table's cached
 edge tuples.  ``scanned_leaving`` is the per-pair scan that
 ``PathTable.leaving`` replaces, one subset test per pair.
 ``reference_subsetwise_run`` is the whole subsetwise construction built
-from these oracles: every pair visited, none skipped through the index.
+from these oracles: every pair visited, none skipped through the index;
+``reference_pairwise_run`` is the pairwise one, likewise.
 ``canonical_edges`` is no oracle: it reads one pair's canonical path edges
 through ``PathTable.each_pair``.  ``caterpillar_edges`` is the one test
 instance shared by the pairwise and golden tests.  ``exact_single_level`` is
@@ -35,6 +36,17 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from wspanner.exact import exact_optimum
 from wspanner.multilevel import MultiLevelInstance
+from wspanner.pairwise import (
+    BUDGETS,
+    PairwiseAlgo,
+    PairwiseReport,
+    d_light_init,
+    default_d,
+    default_ell,
+    limited_missing_path,
+    shortest_path_tree,
+)
+from wspanner.seeding import ROLE_PAIRWISE, stream
 from wspanner.subsetwise import BuyRecord, cluster_threshold
 
 INF = float("inf")
@@ -316,6 +328,59 @@ def reference_subsetwise_run(g, terminals) -> tuple[set, list]:
             h.update(pe)
         records.append(BuyRecord((u, v), cost, value, bought))
     return h, records
+
+
+def reference_pairwise_run(g, pairs, params) -> tuple[set, PairwiseReport]:
+    """(edges, report) of the pairwise construction read plainly: the d-light
+    init, then every pair in input order, its missing edges recounted at its
+    turn from its canonical path (tree_path from the row of its smaller end),
+    bought when at most ell are missing and else repaired with every p4w
+    sample pair searched and p8w's subsetwise spanner from
+    reference_subsetwise_run; then the pairs bellman_ford_violations flags
+    get their missing canonical-path edges.  A disconnected pair raises at
+    its turn, which, as nothing is returned, matches raising up front."""
+    algo, n = params.algo, g.n
+    d = params.d_override or default_d(algo, len(pairs))
+    ell = default_ell(algo, n, len(pairs))
+    h, report = d_light_init(g, d), PairwiseReport(algo.value, d, ell)
+    rng = stream(params.seed, ROLE_PAIRWISE, 0)
+    connected = INF not in bellman_ford(n, g.edges, 0)
+
+    def sample(prob):
+        out = [v for v in range(n) if rng.random() < prob]
+        report.sample_counts.append(len(out))
+        return out
+
+    def canonical(u, v):
+        path = tree_path(g.paths, min(u, v), max(u, v))
+        if path is None:
+            raise ValueError(f"pair ({u},{v}) is disconnected")
+        return path_edge_keys(path)
+
+    for u, v in pairs:
+        missing = [e for e in canonical(u, v) if e not in h]
+        if len(missing) <= ell:
+            h.update(missing)
+        elif algo is PairwiseAlgo.P4W and len(missing) * d * d >= n:
+            for r in sample(d * d / n):
+                h.update(shortest_path_tree(g, r))
+        elif algo is not PairwiseAlgo.P2W:
+            h.update(missing[:ell] + missing[-ell:])
+            roots = sample(1.0 / (ell * d))
+            if algo is PairwiseAlgo.P4W:
+                for r, r_prime in combinations(roots, 2):
+                    path = limited_missing_path(g, r, r_prime, h, n // (d * d))
+                    h.update(path_edge_keys(path or ()))
+            elif len(roots) >= 2 and connected:
+                h.update(reference_subsetwise_run(g, roots)[0])
+    if algo is PairwiseAlgo.P2W:
+        for r in sample(1.0 / (ell * d)):
+            h.update(shortest_path_tree(g, r))
+    patch = {e for u, v in bellman_ford_violations(g, h, pairs, BUDGETS[algo])
+             for e in canonical(u, v) if e not in h}
+    h.update(patch)
+    report.patched, report.fallback = len(patch), len(patch) > n * d
+    return h, report
 
 
 def round_up_pow2(p: int) -> int:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 import time
@@ -114,7 +115,8 @@ class TestRunPlan:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", StubPool)
+        # run_plan imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
         plan = small_plan(sizes=(10,), seeds_per_cell=2, exact=False)  # 4 instances
         assert len(run_plan(plan, workers=workers)) == 8
         assert started == pools

@@ -50,13 +50,24 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["deque (line 1)"]
 
 
+def loaded_after_cli_import(names) -> str:
+    """The printed sorted list of those of names in sys.modules after
+    ``import wspanner.cli`` in a fresh interpreter."""
+    code = f"import sys, wspanner.cli; print(sorted({set(names)!r} & set(sys.modules)))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_cli_import_leaves_out_test_only_dependencies():
     # scipy alone would add about 0.3 s and 30 MB to every CLI start-up, and
     # numpy about 0.15 s and 13 MB
-    code = ("import sys, wspanner.cli; "
-            "print(sorted({'numpy', 'scipy', 'hypothesis'} & set(sys.modules)))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out == "[]\n"
+    assert loaded_after_cli_import({"numpy", "scipy", "hypothesis"}) == "[]\n"
+
+
+def test_cli_import_leaves_out_the_process_pool_and_statistics():
+    # with csv these are about 25 ms of every CLI start-up, and only run
+    # with workers > 1, summarize and the CSV writers and reader use them
+    names = {"concurrent.futures", "multiprocessing", "statistics", "csv"}
+    assert loaded_after_cli_import(names) == "[]\n"

@@ -35,10 +35,13 @@ from wspanner.pairwise import (
 )
 
 from helpers import (
+    INF,
+    bellman_ford,
     canonical_edges,
     caterpillar_edges,
     path_edge_keys,
     path_weight,
+    reference_pairwise_run,
     reordered_pairs,
     simple_paths,
     tree_path,
@@ -208,6 +211,77 @@ def test_reversed_pairs_give_the_same_run(algo, d):
     params = PairwiseParams(algo, d_override=d, seed=7)
     reversed_run = pairwise_spanner_run(g, [(v, u) for u, v in pairs], params)
     assert reversed_run == pairwise_spanner_run(g, pairs, params)
+
+
+@st.composite
+def caterpillar_graphs(draw, max_spine=10):
+    """Connected graph: a spine 0..k-1 of weight-2..5 edges, each spine vertex
+    with one or two weight-1 leaves, plus up to two chords of any weight.  A
+    spine vertex keeps its leaves in a light init ahead of its spine edges,
+    so paths along the spine miss many edges and the sweeps reach their
+    repairs (k is drawn evenly, since short spines rarely get there)."""
+    k = draw(st.sampled_from(range(2, max_spine + 1)))
+    edges = {(i, i + 1): draw(st.integers(2, 5)) for i in range(k - 1)}
+    n = k
+    for i in range(k):
+        leaves = draw(st.integers(1, 2))
+        edges.update({(i, n + j): 1 for j in range(leaves)})
+        n += leaves
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        edges.setdefault((u, v), draw(st.integers(1, 8)))
+    return WeightedGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
+
+
+@st.composite
+def pairwise_cases(draw, algo):
+    """(graph, pairs, params): a caterpillar graph, or a graph on up to 10
+    vertices that may be disconnected; then either every pair of a terminal
+    set holding half or more of one component, shuffled, or 1-40 pairs
+    inside components (either orientation, u == v and repeats allowed); any
+    seed and d."""
+    g = draw(st.one_of(caterpillar_graphs(), any_graphs(min_n=2, max_n=10, max_w=4)))
+    reach = [bellman_ford(g.n, g.edges, u) for u in range(g.n)]
+    root = draw(st.sampled_from(range(g.n)))
+    component = [v for v in range(g.n) if reach[root][v] < INF]
+    if len(component) >= 2 and draw(st.booleans()):
+        # in any order: in ascending order each pair's path tends to extend
+        # a path bought just before it, so the sweeps rarely repair
+        count = draw(st.integers(max(2, len(component) // 2), len(component)))
+        terminals = draw(st.permutations(component))[:count]
+        pairs = draw(st.permutations(terminal_pairs(terminals)))
+    else:
+        within = [(u, v) for u in range(g.n) for v in range(g.n) if reach[u][v] < INF]
+        pairs = [draw(st.sampled_from(within)) for _ in range(draw(st.integers(1, 40)))]
+    params = PairwiseParams(algo, draw(st.sampled_from([None, 1, 2])), draw(st.integers(0, 2**16)))
+    return g, pairs, params
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_run_matches_plain_reference(algo, data):
+    g, pairs, params = data.draw(pairwise_cases(algo))
+    assert pairwise_spanner_run(g, pairs, params) == reference_pairwise_run(g, pairs, params)
+
+
+@pytest.mark.parametrize("detached", [False, True])
+@pytest.mark.parametrize("d", [None, 1, 2])
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_run_matches_plain_reference_on_every_repair(algo, d, detached):
+    # The spine instance reaches every repair at some d.  Shuffled, a pair
+    # need not extend a path bought just before it, so what a repair adds
+    # decides later turns.  With a detached edge p8w skips its subsetwise
+    # repair, and a pair across raises.
+    g = WeightedGraph(30 + 2 * detached, caterpillar_edges(10) + ((30, 31, 1),) * detached)
+    pairs = terminal_pairs([0, 9, *range(10, 30)])
+    params = PairwiseParams(algo, d_override=d, seed=7)
+    for order in (pairs, random.Random(0).sample(pairs, len(pairs))):
+        assert pairwise_spanner_run(g, order, params) == reference_pairwise_run(g, order, params)
+    if detached:
+        for run in (pairwise_spanner_run, reference_pairwise_run):
+            with pytest.raises(ValueError, match=r"pair \(9,30\) is disconnected"):
+                run(g, pairs + [(9, 30)], params)
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
