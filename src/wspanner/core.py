@@ -10,9 +10,10 @@ vertices a distance bucket at a time, and caches each row and each path
 edge tuple it builds; every graph owns one, ``WeightedGraph.paths``, which
 the constructions, the validity check and the exact solver all read, each
 pair from the row of its smaller end.  Per distinct pair list the table
-keeps an index from each canonical-path edge to the pairs using it, so the
-sweeps and the validity check find the pairs whose path leaves a subgraph
-by one set difference.  The check passes every other pair without a
+keeps an index from each canonical-path edge to the pairs using it, built
+from the rows' parent arrays, so the sweeps and the validity check find the
+pairs whose path leaves a subgraph by one set difference, and only those
+pairs get an edge tuple.  The check passes every other pair without a
 search, so it trusts the table's paths as well as its distances; only the
 pairs left over cost a search of the subgraph.
 """
@@ -117,15 +118,24 @@ class WeightedGraph:
 
     @cached_property
     def is_connected(self) -> bool:
-        """Every vertex reaches vertex 0, by a search over adj that computes
-        no path-table row."""
-        seen, stack = {0}, [0]
-        while stack:
-            for y, _ in self.adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
+        """Every vertex reaches vertex 0; computes no path-table row."""
+        return connects(self.n, self.edges)
+
+
+def connects(n: int, edges: Iterable[tuple]) -> bool:
+    """Whether edges, tuples whose first two entries are vertex ids, join all
+    of 0..n-1 into one component (a search from vertex 0)."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        nbrs[e[0]].append(e[1])
+        nbrs[e[1]].append(e[0])
+    reached, seen = [0], {0}
+    for x in reached:
+        for y in nbrs[x]:
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return len(reached) == n
 
 
 def write_graph_text(g: WeightedGraph, keep: Collection[Edge] | None = None) -> str:
@@ -258,10 +268,10 @@ class PathTable:
     canonical path of an unordered pair {u, v} is the path from min(u, v) in
     the tree rooted there, as (min, max) edge keys.  The per-pair methods
     read the row of min(u, v); row(s) hands out the row of s whole.
-    ``leaving`` indexes each distinct pair list once, through ``each_pair``,
-    and keeps the index with the rows.  Answers do not depend on the order
-    of queries.  Each row and index is a pure function of the graph and its
-    input, so concurrent first reads can at worst compute one twice.
+    ``leaving`` indexes each distinct pair list once, from the rows' parent
+    arrays, and keeps the index with the rows.  Answers do not depend on the
+    order of queries.  Each row and index is a pure function of the graph
+    and its input, so concurrent first reads can at worst compute one twice.
 
     The table keeps the graph's adjacency, weight map and vertex count, not
     the graph itself, so a graph that caches its table forms no reference
@@ -325,26 +335,36 @@ class PathTable:
         """(position, canonical path edges) of each pair whose path has an
         edge outside h, a set of (min, max) keys, by ascending position; a
         pair with u == v or no path never leaves.  The first call on a pair
-        list walks it with each_pair (a vertex outside 0..n-1 raises and
-        caches nothing) and keeps its paths and an index from each path edge
-        to the positions of the pairs using it; a call on an equal list then
-        costs one set difference and a merge of positions."""
+        list indexes each path edge to the positions of the pairs using it,
+        by walking each pair's parent chain in the row of min(u, v) (a vertex
+        outside 0..n-1 raises and caches nothing).  A pair's edge tuple is
+        built the first time it is returned, so a call on an equal list
+        costs one set difference, a merge of positions and the new tuples."""
         key = tuple(pairs)
         entry = self._indexes.get(key)
         if entry is None:
             index: dict[Edge, list[int]] = {}
-            paths = [pe for _, _, pe in self.each_pair(key)]
-            for i, pe in enumerate(paths):
-                for e in pe or ():
+            for i, (u, v) in enumerate(key):
+                s, y = (u, v) if u < v else (v, u)
+                if s < 0 or y >= self._n:
+                    raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
+                parent = self._row(s)[1]
+                while (p := parent[y]) >= 0:  # -1 at s and where s does not reach
+                    e = (p, y) if p < y else (y, p)
                     at = index.get(e)
                     if at is None:
                         index[e] = [i]
                     else:
                         at.append(i)
-            entry = self._indexes[key] = (index, paths)
+                    y = p
+            entry = self._indexes[key] = (index, [None] * len(key))
         index, paths = entry
-        missing = index.keys() - h
-        return [(i, paths[i]) for i in sorted(set().union(*map(index.__getitem__, missing)))]
+        left = sorted(set().union(*map(index.__getitem__, index.keys() - h)))
+        for i in left:
+            if paths[i] is None:
+                u, v = key[i]
+                paths[i] = self._edges_to(u, v) if u < v else self._edges_to(v, u)
+        return [(i, paths[i]) for i in left]
 
 
 def build_path_table(g: WeightedGraph) -> PathTable:
@@ -364,10 +384,10 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     An empty result means h_edges is a valid spanner for the given pairs.
     Pairs disconnected in g itself are never reported.  A pair whose
     canonical path lies in the subgraph has dist_H = dist_G and passes
-    without a search; this trusts ``each_pair``'s edges to form a real path
-    of weight ``dist``.  The pairs left over come from the table's index of
-    the pair list (``PathTable.leaving``), and only they cost a search of
-    the subgraph, one Dijkstra per source.
+    without a search; this trusts the table's canonical paths to be real
+    paths of weight ``dist``.  The pairs left over come from the table's
+    index of the pair list (``PathTable.leaving``), and only they cost a
+    search of the subgraph, one Dijkstra per source.
     """
     hset = set(h_edges)
     extra = sorted(hset.difference(g.weight_map))[:3]

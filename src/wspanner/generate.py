@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import WeightedGraph
+from .core import WeightedGraph, connects
 from .seeding import ROLE_TERMINALS, ROLE_TOPOLOGY, ROLE_WEIGHTS, pick, stream
 
 MAX_CONNECTIVITY_ATTEMPTS = 100
@@ -58,14 +58,13 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         raise ValueError(f"BA needs n > m={BA_M}, got n={spec.n}")
 
     for attempt in range(MAX_CONNECTIVITY_ATTEMPTS):
-        ordered = sorted(_topology(spec, stream(spec.seed, ROLE_TOPOLOGY, attempt)))
-        # The weight stream does not depend on the attempt, so every draw
-        # weighs its edges with the same sequence.
-        rng = stream(spec.seed, ROLE_WEIGHTS)
-        g = WeightedGraph(spec.n, tuple((u, v, lo + int(rng.random() * (hi - lo + 1)))
-                                        for u, v in ordered))
-        if g.is_connected:
-            return g
+        topology = _topology(spec, stream(spec.seed, ROLE_TOPOLOGY, attempt))
+        if connects(spec.n, topology):
+            # The weight stream does not depend on the attempt, so the kept
+            # draw is weighed as it would be had every draw been weighed.
+            rng = stream(spec.seed, ROLE_WEIGHTS)
+            return WeightedGraph(spec.n, tuple((u, v, lo + int(rng.random() * (hi - lo + 1)))
+                                               for u, v in sorted(topology)))
     raise RuntimeError(f"no connected topology in {MAX_CONNECTIVITY_ATTEMPTS} attempts for {spec}")
 
 

@@ -64,6 +64,8 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
     # qualifies later: one pass in id order picks the centers that a rescan
     # from vertex 0 after each cluster would.
     for center in range(g.n):
+        if len(adj[center]) < threshold:
+            continue
         free = [u for u, _ in adj[center] if unclustered[u]]
         while len(free) >= threshold:
             members, free = frozenset(free[:threshold]), free[threshold:]
@@ -72,9 +74,7 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
             clusters.append(members)
             gc.update(edge_key(center, u) for u in members)
             gc.update((a, b) for a in members for b, _ in adj[a] if b in members and a < b)
-    for v in range(g.n):
-        if unclustered[v]:
-            gc.update(edge_key(v, u) for u, _ in adj[v])
+    gc.update((u, v) for u, v, _ in g.edges if unclustered[u] or unclustered[v])
     return Clustering(tuple(clusters), frozenset(gc))
 
 
@@ -116,10 +116,18 @@ class BuyRecord:
 
 @dataclass
 class PathBuyState:
-    """Final spanner edges plus the audit trail of buy decisions."""
+    """Final spanner edges plus the audit trail of buy decisions: the sweep
+    keeps the records of the pairs it valued, by position; ``records`` adds
+    cost 0, value 0 ones for the other pairs, in pair order, on first read."""
 
     current_edges: set[Edge]
-    records: list[BuyRecord]
+    pairs: list[Edge]
+    valued: dict[int, BuyRecord]
+
+    @cached_property
+    def records(self) -> list[BuyRecord]:
+        return [self.valued.get(i) or BuyRecord(pair, 0, 0, True)
+                for i, pair in enumerate(self.pairs)]
 
 
 def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyState:
@@ -136,7 +144,7 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     h: set[Edge] = set(clustering.cluster_subgraph)
     h_adj = None  # adjacency lists of h, built at the first pair that needs a value
     pairs = terminal_pairs(s)
-    records = [BuyRecord(pair, 0, 0, True) for pair in pairs]
+    valued: dict[int, BuyRecord] = {}
     # an h that is all of g (always so without clusters) holds every path
     for i, pe in pt.leaving(pairs, h) if len(h) < len(g.edges) else ():
         u, v = pairs[i]
@@ -154,8 +162,8 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
                 w = g.weight_map[a, b]
                 h_adj[a].append((b, w))
                 h_adj[b].append((a, w))
-        records[i] = BuyRecord((u, v), len(new), value, bought)
-    return PathBuyState(h, records)
+        valued[i] = BuyRecord((u, v), len(new), value, bought)
+    return PathBuyState(h, pairs, valued)
 
 
 def subsetwise_2w(g: WeightedGraph, terminals: Iterable[int]) -> set[Edge]:

@@ -168,17 +168,25 @@ class TestRunPlan:
 def test_instance_walks_each_terminal_pair_list_once(monkeypatch):
     # Every solve, d-sweep rung, check and validity gate of one instance
     # reads its terminal pair lists through the table's index, so each list
-    # is walked with each_pair once, when the index is built.
-    made, walks = {}, Counter()
-    real_walk, real_gen, real_sets = (core.PathTable.each_pair, bench.generate,
+    # is walked once, when its index is built and cached.
+    made = {}
+    real_init, real_gen, real_sets = (core.PathTable.__init__, bench.generate,
                                       bench.generate_terminals)
 
-    def walk(table, pairs):
-        pairs = tuple(pairs)
-        yield from real_walk(table, pairs)
-        walks[table, pairs] += 1
+    class CountedIndexes(dict):
+        def __init__(self):
+            super().__init__()
+            self.builds = Counter()
 
-    monkeypatch.setattr(core.PathTable, "each_pair", walk)
+        def __setitem__(self, pairs, entry):
+            self.builds[pairs] += 1
+            super().__setitem__(pairs, entry)
+
+    def init(table, graph):
+        real_init(table, graph)
+        table._indexes = CountedIndexes()
+
+    monkeypatch.setattr(core.PathTable, "__init__", init)
     monkeypatch.setattr(bench, "generate", lambda spec: made.setdefault("g", real_gen(spec)))
     monkeypatch.setattr(bench, "generate_terminals",
                         lambda *a: made.setdefault("sets", real_sets(*a)))
@@ -188,8 +196,8 @@ def test_instance_walks_each_terminal_pair_list_once(monkeypatch):
     assert len(rows) == 4
     table = made["g"].paths
     lists = {tuple(terminal_pairs(s)) for s in made["sets"]}
-    assert len(lists) == 2
-    assert {pairs: walks[table, pairs] for pairs in lists} == dict.fromkeys(lists, 1)
+    assert len(lists) == 2 and isinstance(table._indexes, CountedIndexes)
+    assert {pairs: table._indexes.builds[pairs] for pairs in lists} == dict.fromkeys(lists, 1)
 
 
 class TestCsv:

@@ -395,6 +395,21 @@ def test_leaving_matches_the_per_pair_scan(case, data):
     assert pt.leaving(pairs, g.weight_map.keys()) == []
 
 
+def test_leaving_builds_path_tuples_only_for_pairs_it_returns():
+    # The index comes from the rows' parent arrays: a subgraph holding every
+    # path leaves each row's edge tuples unbuilt but for the source's ().
+    g = generate(GeneratorSpec(Model.ER, 40, 3))
+    pairs = terminal_pairs(range(0, 40, 3))
+    pt = g.paths
+    assert pt.leaving(pairs, g.weight_map.keys()) == []
+    assert pt._rows.keys() == {u for u, _ in pairs}
+    for s, (_, _, edges) in pt._rows.items():
+        assert [t for t, pe in enumerate(edges) if pe is not None] == [s] and edges[s] == ()
+    left = pt.leaving(pairs, set())
+    assert [i for i, _ in left] == list(range(len(pairs)))
+    assert all(pe is pt._rows[pairs[i][0]][2][pairs[i][1]] for i, pe in left)
+
+
 class TestVerifySpanner:
     def test_heavy_edge_within_global_budget(self):
         assert verify_spanner(TRIANGLE, {(0, 2)}, [(0, 2)], budget("GLOBAL", 2)) == []

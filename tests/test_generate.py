@@ -4,16 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wspanner.core import WeightedGraph, connects
 from wspanner.generate import (
     GeneratorSpec,
     Model,
     TerminalScheme,
     TerminalSelection,
+    _topology,
     generate,
     generate_terminals,
     parse_terminals_text,
     write_terminals_text,
 )
+from wspanner.seeding import ROLE_TOPOLOGY, stream
 
 from helpers import hop_radius
 
@@ -54,6 +57,17 @@ class TestGenerate:
             assert g.is_connected
             assert all(1 <= w <= 10 for _, _, w in g.edges)
             assert len({(u, v) for u, v, _ in g.edges}) == len(g.edges)
+
+    def test_a_redrawn_topology_builds_one_graph(self, monkeypatch):
+        # Connectivity is tested on each drawn topology, so only the kept
+        # draw is weighed and built; GE n=22 seed 0 redraws its first draw.
+        first = _topology(spec("ge", 22, 0), stream(0, ROLE_TOPOLOGY, 0))
+        assert not connects(22, first)
+        built = []
+        monkeypatch.setitem(generate.__globals__, "WeightedGraph",
+                            lambda *a: built.append(WeightedGraph(*a)) or built[-1])
+        g = generate(spec("ge", 22, 0))
+        assert built == [g] and g.is_connected
 
     @pytest.mark.parametrize("model", ["er", "ws", "ba", "ge"])
     def test_reproducible_bit_identical(self, model):

@@ -244,6 +244,21 @@ def test_one_subgraph_adjacency_per_run_and_none_without_clusters(monkeypatch):
     assert calls == []
 
 
+def test_zero_cluster_run_builds_its_buy_records_on_first_read(monkeypatch):
+    # Without clusters the sweep values no pair, so the audit trail is made
+    # only when read: one cost 0, value 0 record per pair, then cached.
+    made = []
+    real = subsetwise.BuyRecord
+    monkeypatch.setattr(subsetwise, "BuyRecord", lambda *a: made.append(a) or real(*a))
+    g = generate(GeneratorSpec(Model.ER, 30, 2))
+    assert build_clustering(g, 30).clusters == ()
+    state = subsetwise_2w_run(g, range(30))
+    assert state.current_edges == g.weight_map.keys() and made == []
+    pairs = terminal_pairs(range(30))
+    assert state.records == [real(pair, 0, 0, True) for pair in pairs]
+    assert len(made) == len(pairs) and state.records is state.records
+
+
 def test_mean_output_below_full_graph_on_er():
     # regression guard: sub2w should not degenerate to the full edge set
     # on average for ER n=40, |S|=10, W in [1,10]
