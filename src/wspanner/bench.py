@@ -244,12 +244,12 @@ def read_rows_csv(path) -> list[ResultRow]:
     return rows
 
 
-def _verify_levels(g: WeightedGraph, sets, spanner: MultiLevelSpanner,
-                   budget: ErrorBudget) -> list:
+def _verify_levels(inst: MultiLevelInstance, spanner: MultiLevelSpanner) -> list:
+    """(level, violated pairs) for each level of spanner that misses inst's budget."""
     problems = []
-    for k, terminals in enumerate(sets, start=1):
-        violated = verify_spanner(g, spanner.level_edges[k - 1], terminal_pairs(terminals),
-                                  budget)
+    for k, terminals in enumerate(inst.terminal_sets, start=1):
+        violated = verify_spanner(inst.graph, spanner.level_edges[k - 1],
+                                  terminal_pairs(terminals), inst.budget)
         if violated:
             problems.append((k, violated))
     return problems
@@ -271,13 +271,12 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
     rows: list[ResultRow] = []
     produced: list[tuple[str, MultiLevelInstance, MultiLevelSpanner, float]] = []
     for algo in plan.algorithms:
-        budget = ALGO_BUDGETS[algo]
-        inst = MultiLevelInstance(g, sets, budget)
+        inst = MultiLevelInstance(g, sets, ALGO_BUDGETS[algo])
         solver = make_solver(algo, seed, sweep=plan.d_sweep)
         start = time.perf_counter()
         spanner = run_strategy(plan.strategy, inst, solver)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        problems = _verify_levels(g, sets, spanner, budget)
+        problems = _verify_levels(inst, spanner)
         if problems:
             raise ValidityError(
                 f"instance {instance_id}, algorithm {algo}: budget violations {problems}")

@@ -9,13 +9,14 @@ computes these artifacts on demand, one search per source row that settles
 vertices a distance bucket at a time, and caches each row and each path
 edge tuple it builds; every graph owns one, ``WeightedGraph.paths``, which
 the constructions, the validity check and the exact solver all read, each
-pair from the row of its smaller end.  Per distinct pair list the table
-keeps an index from each canonical-path edge to the pairs using it, built
-from the rows' parent arrays, so the sweeps and the validity check find the
-pairs whose path leaves a subgraph by one set difference, and only those
-pairs get an edge tuple.  The check passes every other pair without a
-search, so it trusts the table's paths as well as its distances; only the
-pairs left over cost a search of the subgraph.
+pair from the row of its smaller end, and ``PathTable.path`` is its one
+reader of canonical-path edges.  Per distinct pair list the table keeps an
+index from each canonical-path edge to the positions of the pairs using
+it, built from the rows' parent arrays, so the sweeps and the validity
+check find the pairs whose path leaves a subgraph by one set difference;
+only the sweeps then read those pairs' edge tuples.  The check passes every
+other pair without a search, so it trusts the table's paths as well as its
+distances; only the pairs left over cost a search of the subgraph.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ class PathTable:
     A row for source s holds the distances from s and the smallest-id parents
     of the shortest-path tree rooted at s (the tie-break is applied as edges
     are relaxed), both from one search (``shortest_path_row``), computed the
-    first time any method asks for s.  Path reads build the row's
+    first time any method asks for s.  ``path`` builds the row's
     canonical-path edge tuples, each vertex's once, as its parent's tuple
     plus one edge; rows and tuples are cached.  W(u, v), the largest edge
     weight on the canonical path, is read off that path's cached edges.  The
@@ -269,9 +270,10 @@ class PathTable:
     the tree rooted there, as (min, max) edge keys.  The per-pair methods
     read the row of min(u, v); row(s) hands out the row of s whole.
     ``leaving`` indexes each distinct pair list once, from the rows' parent
-    arrays, and keeps the index with the rows.  Answers do not depend on the
-    order of queries.  Each row and index is a pure function of the graph
-    and its input, so concurrent first reads can at worst compute one twice.
+    arrays, keeps the index with the rows and hands out positions, never
+    paths.  Answers do not depend on the order of queries.  Each row and
+    index is a pure function of the graph and its input, so concurrent
+    first reads can at worst compute one twice.
 
     The table keeps the graph's adjacency, weight map and vertex count, not
     the graph itself, so a graph that caches its table forms no reference
@@ -283,11 +285,11 @@ class PathTable:
         self._weight = graph.weight_map
         self._n = graph.n
         self._rows: dict[int, tuple[list, list[int], list]] = {}
-        self._indexes: dict[tuple, tuple[dict[Edge, list[int]], list]] = {}
+        self._indexes: dict[tuple, dict[Edge, list[int]]] = {}
 
     def _row(self, s: int) -> tuple[list, list[int], list]:
         """shortest_path_row's (dist, parent) for s, plus the canonical path
-        edge tuples from s, each None until _edges_to builds it."""
+        edge tuples from s, each None until ``path`` builds it."""
         row = self._rows.get(s)
         if row is None:
             edges: list = [None] * self._n
@@ -295,11 +297,15 @@ class PathTable:
             row = self._rows[s] = (*shortest_path_row(self._adj, self._n, s), edges)
         return row
 
-    def _edges_to(self, s: int, t: int) -> tuple[Edge, ...] | None:
-        """Canonical path edges from s to t, None when unreachable.  Each
+    def path(self, u: int, v: int) -> tuple[Edge, ...] | None:
+        """Canonical path edges of {u, v} from the row of min(u, v), None
+        when unreachable; a vertex outside 0..n-1 is a ValueError.  Each
         vertex's tuple is its parent's plus one edge, built once, the first
         time a path through the vertex is asked for."""
-        dist, parent, edges = self._row(s)
+        s, t = (u, v) if u < v else (v, u)
+        if s < 0 or t >= self._n:
+            raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
+        dist, parent, edges = self._rows.get(s) or self._row(s)
         if edges[t] is None and dist[t] != UNREACHABLE:
             climb = [t]
             while edges[parent[climb[-1]]] is None:
@@ -315,35 +321,24 @@ class PathTable:
     def max_weight(self, u: int, v: int) -> int:
         """Largest edge weight on the canonical u-v path (0 when u == v or
         the pair is unreachable)."""
-        edges = self._edges_to(u, v) if u < v else self._edges_to(v, u)
-        return max(map(self._weight.__getitem__, edges or ()), default=0)
+        return max(map(self._weight.__getitem__, self.path(u, v) or ()), default=0)
 
     def row(self, s: int) -> tuple[list, list[int]]:
         """The cached (dist, parent) lists of source s, to read, not to change."""
         return self._row(s)[:2]
 
-    def each_pair(self, pairs: Iterable[Edge]):
-        """(u, v, canonical path edges or None when unreachable) for each pair,
-        from the row of min(u, v); a vertex outside 0..n-1 is a ValueError."""
-        for u, v in pairs:
-            s, t = (u, v) if u < v else (v, u)
-            if s < 0 or t >= self._n:
-                raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
-            yield u, v, self._row(s)[2][t] or self._edges_to(s, t)
-
-    def leaving(self, pairs: Iterable[Edge], h: Collection[Edge]) -> list[tuple[int, tuple]]:
-        """(position, canonical path edges) of each pair whose path has an
-        edge outside h, a set of (min, max) keys, by ascending position; a
-        pair with u == v or no path never leaves.  The first call on a pair
-        list indexes each path edge to the positions of the pairs using it,
-        by walking each pair's parent chain in the row of min(u, v) (a vertex
-        outside 0..n-1 raises and caches nothing).  A pair's edge tuple is
-        built the first time it is returned, so a call on an equal list
-        costs one set difference, a merge of positions and the new tuples."""
+    def leaving(self, pairs: Iterable[Edge], h: Collection[Edge]) -> list[int]:
+        """Ascending positions of the pairs whose canonical path has an edge
+        outside h, a set of (min, max) keys; a pair with u == v or no path
+        never leaves.  The first call on a pair list indexes each path edge
+        to the positions of the pairs using it, by walking each pair's
+        parent chain in the row of min(u, v) (a vertex outside 0..n-1 raises
+        and caches nothing), so a call on an equal list costs one set
+        difference and a merge of positions, and builds no edge tuple."""
         key = tuple(pairs)
-        entry = self._indexes.get(key)
-        if entry is None:
-            index: dict[Edge, list[int]] = {}
+        index = self._indexes.get(key)
+        if index is None:
+            index = {}
             for i, (u, v) in enumerate(key):
                 s, y = (u, v) if u < v else (v, u)
                 if s < 0 or y >= self._n:
@@ -357,14 +352,8 @@ class PathTable:
                     else:
                         at.append(i)
                     y = p
-            entry = self._indexes[key] = (index, [None] * len(key))
-        index, paths = entry
-        left = sorted(set().union(*map(index.__getitem__, index.keys() - h)))
-        for i in left:
-            if paths[i] is None:
-                u, v = key[i]
-                paths[i] = self._edges_to(u, v) if u < v else self._edges_to(v, u)
-        return [(i, paths[i]) for i in left]
+            self._indexes[key] = index
+        return sorted(set().union(*map(index.__getitem__, index.keys() - h)))
 
 
 def build_path_table(g: WeightedGraph) -> PathTable:
@@ -386,8 +375,9 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     canonical path lies in the subgraph has dist_H = dist_G and passes
     without a search; this trusts the table's canonical paths to be real
     paths of weight ``dist``.  The pairs left over come from the table's
-    index of the pair list (``PathTable.leaving``), and only they cost a
-    search of the subgraph, one Dijkstra per source.
+    index of the pair list (``PathTable.leaving``), which builds no edge
+    tuple, and only they cost a search of the subgraph, one Dijkstra per
+    source.
     """
     hset = set(h_edges)
     extra = sorted(hset.difference(g.weight_map))[:3]
@@ -400,7 +390,7 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     n, h_adj = g.n, subgraph_adjacency(g, hset)
     rows: dict[int, list] = {}
     violated = []
-    for u, v in (pairs[i] for i, _ in left):
+    for u, v in (pairs[i] for i in left):
         if u not in rows:
             rows[u] = dijkstra_distances(h_adj, n, u)
         dh = rows[u][v]

@@ -195,23 +195,24 @@ def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
 def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]],
           h: set[Edge], d: int, ell: int, rng, report: PairwiseReport) -> None:
     """One sweep, in input order, over the pairs whose canonical path leaves
-    h when it starts: h only grows, so every other pair's path stays in h,
-    and the pair draws nothing.  A visited pair's missing edges are counted
-    at its turn, since earlier buys and repairs may have covered its path.
-    Its path is bought when at most ell edges are missing from h, else
-    repaired: p4w with trees or with bounded-miss paths for the sample pairs
-    whose canonical path leaves h (one in h weighs dist_G with no miss, so
-    the search would return a path in h), p8w with a subsetwise spanner on a
-    sample, p2w after the sweep with trees.  The first bad pair in input
-    order raises before any repair: a disconnected one, which only a
-    disconnected graph has, or, through the index, one outside the graph."""
+    h when it starts (their positions from ``PathTable.leaving``, each path
+    from ``PathTable.path``): h only grows, so every other pair's path stays
+    in h, and the pair draws nothing.  A visited pair's missing edges are
+    counted at its turn, since earlier buys and repairs may have covered its
+    path.  Its path is bought when at most ell edges are missing from h,
+    else repaired: p4w with trees or with bounded-miss paths for the sample
+    pairs whose canonical path leaves h (one in h weighs dist_G with no
+    miss, so the search would return a path in h), p8w with a subsetwise
+    spanner on a sample, p2w after the sweep with trees.  The first bad pair
+    in input order raises before any repair: a disconnected one, which only
+    a disconnected graph has, or one outside the graph."""
     n, pt = g.n, g.paths
     if not g.is_connected:
-        for u, v, pe in pt.each_pair(pairs):
-            if pe is None:
+        for u, v in pairs:
+            if pt.path(u, v) is None:
                 raise ValueError(f"pair ({u},{v}) is disconnected")
-    for _, pe in pt.leaving(pairs, h):
-        missing = [e for e in pe if e not in h]
+    for i in pt.leaving(pairs, h):
+        missing = [e for e in pt.path(*pairs[i]) if e not in h]
         if len(missing) <= ell:
             h.update(missing)
             continue
@@ -223,8 +224,8 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
             h.update(missing[-ell:])
             sample = _sample(rng, n, 1.0 / (ell * d), report)
             if algo is PairwiseAlgo.P4W:
-                for r, r_prime, spe in pt.each_pair(combinations(sample, 2)):
-                    if spe is not None and not h.issuperset(spe):
+                for r, r_prime in combinations(sample, 2):
+                    if not h.issuperset(pt.path(r, r_prime) or ()):
                         path = limited_missing_path(g, r, r_prime, h, n // (d * d))
                         if path is not None:
                             h.update(edge_key(a, b) for a, b in zip(path, path[1:]))
@@ -250,7 +251,7 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
     _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
     violators = verify_spanner(g, h, pairs, BUDGETS[params.algo])
-    missing = {e for _, _, pe in g.paths.each_pair(violators) for e in pe if e not in h}
+    missing = {e for u, v in violators for e in g.paths.path(u, v) if e not in h}
     h.update(missing)
     report.patched = len(missing)
     report.fallback = len(missing) > g.n * d

@@ -78,11 +78,10 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
     return Clustering(tuple(clusters), frozenset(gc))
 
 
-def path_value(g: WeightedGraph, pair: Edge, path_edges: Iterable[Edge], x: int,
-               clustering: Clustering, h_adj) -> int:
-    """Clusters touched by the canonical path of pair (u, v), u < v, given as
-    its edges, whose along-path distance from the end x beats the distance
-    from x in H (adjacency lists h_adj; unreachable counts as infinite),
+def path_value(g: WeightedGraph, pair: Edge, x: int, clustering: Clustering, h_adj) -> int:
+    """Clusters touched by the canonical path of pair (u, v), u < v, from
+    ``g.paths.path``, whose along-path distance from the end x beats the
+    distance from x in H (adjacency lists h_adj; unreachable is infinite),
     searched no farther than the largest along-path distance.  Each prefix of
     the path is a shortest path from u, so the along-path distance to a path
     vertex y is dist_G(u, y) from u and dist_G(u, v) - dist_G(u, y) from v,
@@ -92,7 +91,7 @@ def path_value(g: WeightedGraph, pair: Edge, path_edges: Iterable[Edge], x: int,
         raise ValueError(f"{x} is not an endpoint of the path")
     dist_g = g.paths.row(u)[0]
     along: dict[int, int] = {}
-    for y in {y for e in path_edges for y in e}:
+    for y in {y for e in g.paths.path(u, v) for y in e}:
         c = clustering.cluster_of.get(y)
         if c is not None:
             d = dist_g[y] if x == u else dist_g[v] - dist_g[y]
@@ -146,15 +145,15 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     pairs = terminal_pairs(s)
     valued: dict[int, BuyRecord] = {}
     # an h that is all of g (always so without clusters) holds every path
-    for i, pe in pt.leaving(pairs, h) if len(h) < len(g.edges) else ():
+    for i in pt.leaving(pairs, h) if len(h) < len(g.edges) else ():
         u, v = pairs[i]
-        new = [e for e in pe if e not in h]
+        new = [e for e in pt.path(u, v) if e not in h]
         if not new:
             continue
         if h_adj is None:
             h_adj = subgraph_adjacency(g, h)
-        value = (path_value(g, (u, v), pe, u, clustering, h_adj)
-                 + path_value(g, (u, v), pe, v, clustering, h_adj))
+        value = (path_value(g, (u, v), u, clustering, h_adj)
+                 + path_value(g, (u, v), v, clustering, h_adj))
         bought = len(new) <= (2 * g.weight_max + 1) * value
         if bought:
             h.update(new)

@@ -18,7 +18,7 @@ edge tuples.  ``scanned_leaving`` is the per-pair scan that
 from these oracles: every pair visited, none skipped through the index;
 ``reference_pairwise_run`` is the pairwise one, likewise.
 ``canonical_edges`` is no oracle: it reads one pair's canonical path edges
-through ``PathTable.each_pair``.  ``caterpillar_edges`` is the one test
+through ``PathTable.path``.  ``caterpillar_edges`` is the one test
 instance shared by the pairwise and golden tests.  ``exact_single_level`` is
 no oracle: it is the library's exact optimum read as one level's edge set,
 for the tests that compare against it.
@@ -140,11 +140,11 @@ def unpruned_limited_missing_path(g, r: int, r_prime: int, present, miss_cap: in
 
 
 def scanned_leaving(table, pairs, h) -> list:
-    """(position, canonical path edges) of each pair whose path has an edge
-    outside h, by walking the pairs with each_pair and testing every path
-    against h on its own (pathless pairs and u == v never leave)."""
-    return [(i, pe) for i, (_, _, pe) in enumerate(table.each_pair(pairs))
-            if pe is not None and not h.issuperset(pe)]
+    """Positions of the pairs whose canonical path has an edge outside h, by
+    reading each pair's path from the table and testing it against h on its
+    own (pathless pairs and u == v never leave)."""
+    return [i for i, (u, v) in enumerate(pairs)
+            if not h.issuperset(table.path(u, v) or ())]
 
 
 def tree_path(table, s: int, t: int):
@@ -165,8 +165,8 @@ def path_edge_keys(path) -> tuple:
 
 
 def canonical_edges(table, u: int, v: int):
-    """The table's canonical u-v path edges, read through each_pair."""
-    return next(table.each_pair([(u, v)]))[2]
+    """The table's canonical u-v path edges, read through PathTable.path."""
+    return table.path(u, v)
 
 
 def caterpillar_edges(k: int) -> tuple:

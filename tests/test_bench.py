@@ -147,6 +147,16 @@ class TestRunPlan:
         with pytest.raises(ValidityError):
             run_plan(small_plan(sizes=(10,), seeds_per_cell=1, exact=False))
 
+    def test_validity_failure_on_an_upper_level_aborts(self, monkeypatch):
+        # Level 1 gets the whole graph and passes; level 2 gets nothing, so
+        # only a gate that checks every level of the instance catches it.
+        def upper_level_broken(algo, seed, **kwargs):
+            return lambda g, terminals, level: set(g.weight_map) if level == 1 else set()
+
+        monkeypatch.setattr(bench, "make_solver", upper_level_broken)
+        with pytest.raises(ValidityError, match=r"budget violations \[\(2, \["):
+            run_plan(small_plan(sizes=(10,), levels=(2,), seeds_per_cell=1, exact=False))
+
     @pytest.mark.parametrize("algo", ["sub2w", "p2w", "p4w", "p8w"])
     @pytest.mark.parametrize("sweep", [False, True])
     def test_solver_handle_rejects_fewer_than_two_terminals(self, algo, sweep):

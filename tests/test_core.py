@@ -215,7 +215,8 @@ def test_triangle_inequality(g):
 @settings(max_examples=60)
 def test_canonical_paths_consistent(g):
     pt = g.paths
-    for u, v, edges in pt.each_pair([(u, v) for u in range(g.n) for v in range(g.n)]):
+    for u, v in [(u, v) for u in range(g.n) for v in range(g.n)]:
+        edges = pt.path(u, v)
         weights = [g.weight_map[e] for e in edges]
         assert sum(weights) == pt.dist(u, v)
         assert edges == canonical_edges(pt, v, u)
@@ -272,12 +273,12 @@ def test_row_kernel_allocates_nothing_proportional_to_the_weights():
 @given(any_graphs(max_w=5))
 @settings(max_examples=100)
 def test_path_edges_are_the_edges_of_the_canonical_path(g):
-    # each_pair's edges of {u, v} are those of the tree path from min(u, v),
+    # path's edges of {u, v} are those of the tree path from min(u, v),
     # walked through the parents of its row, and None when it is unreachable.
     pt = g.paths
-    for u, v, edges in pt.each_pair([(u, v) for u in range(g.n) for v in range(g.n)]):
+    for u, v in [(u, v) for u in range(g.n) for v in range(g.n)]:
         path = tree_path(pt, min(u, v), max(u, v))
-        assert edges == (None if path is None else path_edge_keys(path))
+        assert pt.path(u, v) == (None if path is None else path_edge_keys(path))
 
 
 def test_each_canonical_edge_tuple_is_built_once():
@@ -288,8 +289,8 @@ def test_each_canonical_edge_tuple_is_built_once():
     pairs = [(u, v) for u in range(0, 30, 3) for v in range(30)]
     first = {edge_key(u, v): canonical_edges(pt, u, v) for u, v in pairs}
     for order in (pairs, pairs[::-1], sorted(pairs, key=lambda p: p[1])):
-        for u, v, edges in pt.each_pair(order):
-            assert edges is first[edge_key(u, v)] is canonical_edges(pt, v, u)
+        for u, v in order:
+            assert pt.path(u, v) is first[edge_key(u, v)] is canonical_edges(pt, v, u)
 
 
 def _answers(pt, sources, n):
@@ -395,19 +396,56 @@ def test_leaving_matches_the_per_pair_scan(case, data):
     assert pt.leaving(pairs, g.weight_map.keys()) == []
 
 
+def _built_path_tuples(pt) -> set:
+    """(source, target) of every canonical-path edge tuple the table holds."""
+    return {(s, t) for s, (_, _, edges) in pt._rows.items()
+            for t, pe in enumerate(edges) if pe is not None}
+
+
 def test_leaving_builds_path_tuples_only_for_pairs_it_returns():
-    # The index comes from the rows' parent arrays: a subgraph holding every
-    # path leaves each row's edge tuples unbuilt but for the source's ().
+    # The index comes from the rows' parent arrays and leaving hands out
+    # positions: whether it returns no pair or every one, each row's edge
+    # tuples stay unbuilt but for the source's (), until path reads them.
     g = generate(GeneratorSpec(Model.ER, 40, 3))
     pairs = terminal_pairs(range(0, 40, 3))
     pt = g.paths
     assert pt.leaving(pairs, g.weight_map.keys()) == []
     assert pt._rows.keys() == {u for u, _ in pairs}
-    for s, (_, _, edges) in pt._rows.items():
-        assert [t for t, pe in enumerate(edges) if pe is not None] == [s] and edges[s] == ()
-    left = pt.leaving(pairs, set())
-    assert [i for i, _ in left] == list(range(len(pairs)))
-    assert all(pe is pt._rows[pairs[i][0]][2][pairs[i][1]] for i, pe in left)
+    sources_only = {(s, s) for s in pt._rows}
+    assert _built_path_tuples(pt) == sources_only
+    assert all(pt._rows[s][2][s] == () for s in pt._rows)
+    assert pt.leaving(pairs, set()) == list(range(len(pairs)))
+    assert _built_path_tuples(pt) == sources_only
+    assert all(pt.path(u, v) is pt._rows[u][2][v] for u, v in pairs)
+
+
+def test_global_check_builds_no_path_tuple():
+    # A GLOBAL budget needs no W(u, v), so on a fresh graph the check of an
+    # empty subgraph flags every pair and builds only each source's ().
+    g = generate(GeneratorSpec(Model.ER, 40, 3))
+    pairs = terminal_pairs(range(0, 40, 3))
+    assert verify_spanner(g, set(), pairs, budget("GLOBAL", 2)) == pairs
+    assert _built_path_tuples(g.paths) == {(s, s) for s in g.paths._rows}
+
+
+@pytest.mark.parametrize("pair", [(-1, 2), (2, -1), (0, 3), (3, 0), (-1, 3), (4, -2)])
+def test_path_outside_the_graph_is_a_one_line_value_error(pair):
+    # Either orientation, negative ids included: -1 does not wrap to the
+    # last row.  max_weight reads through path, so it raises alike.
+    u, v = pair
+    pt = WeightedGraph(TRIANGLE.n, TRIANGLE.edges).paths
+    message = rf"^pair \({u},{v}\) references a vertex outside 0\.\.2$"
+    with pytest.raises(ValueError, match=message):
+        pt.path(u, v)
+    with pytest.raises(ValueError, match=message):
+        pt.max_weight(u, v)
+
+
+def test_max_weight_of_a_pathless_pair_is_zero():
+    pt = WeightedGraph(3, ((0, 1, 4),)).paths
+    assert pt.path(0, 2) is None and pt.path(2, 0) is None
+    assert pt.max_weight(0, 2) == pt.max_weight(2, 0) == 0
+    assert pt.max_weight(0, 1) == 4
 
 
 class TestVerifySpanner:
@@ -514,7 +552,7 @@ def test_check_does_not_depend_on_pair_order(case, rnd):
 def test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path(monkeypatch):
     g = generate(GeneratorSpec(Model.ER, 40, 3))
     pairs = terminal_pairs(range(0, g.n, 5))
-    h = {e for _, _, pe in g.paths.each_pair(pairs) for e in pe}
+    h = {e for u, v in pairs for e in g.paths.path(u, v)}
     calls = dict.fromkeys(("dijkstra_distances", "subgraph_adjacency"), 0)
     for name in calls:
         def counting(*args, name=name, real=getattr(core, name)):

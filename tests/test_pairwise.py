@@ -178,12 +178,13 @@ class TestShortestPathTree:
         assert shortest_path_tree(WeightedGraph(3, ((0, 1, 1),)), 0) == {(0, 1)}
 
 
-def _pair_by_pair(table, pairs):
-    # each_pair's edges rebuilt pair by pair, by walking back through the
-    # parents of the smaller end's row.
-    for u, v in pairs:
-        path = tree_path(table, min(u, v), max(u, v))
-        yield u, v, None if path is None else path_edge_keys(path)
+def _pair_by_pair(table, u, v):
+    # PathTable.path's edges rebuilt on every read, by walking back through
+    # the parents of the smaller end's row; the range error is kept.
+    if min(u, v) < 0 or max(u, v) >= table._n:
+        raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{table._n - 1}")
+    path = tree_path(table, min(u, v), max(u, v))
+    return None if path is None else path_edge_keys(path)
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
@@ -196,7 +197,7 @@ def test_runs_on_any_pair_order_match_pair_by_pair_reads(algo, monkeypatch):
     orders = [pairs, *reordered_pairs(pairs, random.Random(0))]
     params = PairwiseParams(algo, seed=3)
     runs = [pairwise_spanner_run(WeightedGraph(g.n, g.edges), order, params) for order in orders]
-    monkeypatch.setattr(core.PathTable, "each_pair", _pair_by_pair)
+    monkeypatch.setattr(core.PathTable, "path", _pair_by_pair)
     for order, run in zip(orders, runs):
         assert pairwise_spanner_run(WeightedGraph(g.n, g.edges), order, params) == run
 
@@ -519,7 +520,7 @@ class TestPairwiseSpanner:
         pairs = [(0, 4), (4, 8), (0, 8)] + leaves
         init = d_light_init(g, 1)
         assert default_ell(algo, g.n, len(pairs)) == 4
-        assert [i for i, _ in g.paths.leaving(pairs, init)] == [0, 1, 2]
+        assert g.paths.leaving(pairs, init) == [0, 1, 2]
         h, report = pairwise_spanner_run(g, pairs, PairwiseParams(algo, d_override=1, seed=0))
         assert report.sample_counts == [] and report.patched == 0
         assert h == init | {(i, i + 1) for i in range(8)}

@@ -102,21 +102,23 @@ PATH_012 = ((0, 1), (1, 2))
 class TestPathValue:
     def test_zero_when_current_edges_are_whole_graph(self):
         clustering = build_clustering(TRIANGLE, 2)
+        assert TRIANGLE.paths.path(0, 2) == PATH_012
         for x in (0, 2):
-            assert path_value(TRIANGLE, (0, 2), PATH_012, x, clustering, TRIANGLE.adj) == 0
+            assert path_value(TRIANGLE, (0, 2), x, clustering, TRIANGLE.adj) == 0
 
     def test_zero_with_no_clusters(self):
         c = build_clustering(TRIANGLE, 3)
         assert c.clusters == ()
-        assert path_value(TRIANGLE, (0, 2), PATH_012, 0, c, TRIANGLE.adj) == 0
+        assert path_value(TRIANGLE, (0, 2), 0, c, TRIANGLE.adj) == 0
 
     def test_counts_unreachable_cluster_member(self):
         # path 0-1-2, single cluster {1}; with no current edges the cluster is
         # unreachable, so both endpoints beat it along the path: total value 2
         g = WeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
         c = Clustering((frozenset({1}),), frozenset({(0, 1)}))
-        assert path_value(g, (0, 2), PATH_012, 0, c, subgraph_adjacency(g, ())) == 1
-        assert path_value(g, (0, 2), PATH_012, 2, c, subgraph_adjacency(g, ())) == 1
+        assert g.paths.path(0, 2) == PATH_012
+        assert path_value(g, (0, 2), 0, c, subgraph_adjacency(g, ())) == 1
+        assert path_value(g, (0, 2), 2, c, subgraph_adjacency(g, ())) == 1
 
     def test_cluster_counts_from_its_path_member_nearest_the_end(self):
         # Path 0-1-2-3 with weights 1, 3, 1 and one cluster {1, 2}.  H, the
@@ -127,11 +129,10 @@ class TestPathValue:
         g = WeightedGraph(6, ((0, 1, 1), (1, 2, 3), (2, 3, 1),
                               (0, 4, 1), (1, 4, 1), (3, 5, 1), (2, 5, 1)))
         c = Clustering((frozenset({1, 2}),), frozenset())
-        pe = ((0, 1), (1, 2), (2, 3))
-        assert next(g.paths.each_pair([(0, 3)]))[2] == pe
+        assert g.paths.path(0, 3) == ((0, 1), (1, 2), (2, 3))
         h = {(0, 4), (1, 4), (3, 5), (2, 5)}
         for x in (0, 3):
-            assert path_value(g, (0, 3), pe, x, c, subgraph_adjacency(g, h)) == 1
+            assert path_value(g, (0, 3), x, c, subgraph_adjacency(g, h)) == 1
             assert rebuilt_path_value(g, (0, 1, 2, 3), x, c.clusters, h) == 1
 
     def test_cluster_beyond_the_search_limit_is_beaten(self):
@@ -141,14 +142,15 @@ class TestPathValue:
         g = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (0, 3, 5), (2, 3, 5)))
         c = Clustering((frozenset({1}),), frozenset())
         h = {(0, 3), (2, 3), (1, 2)}
+        assert g.paths.path(0, 2) == PATH_012
         for x, value in ((0, 1), (2, 0)):
-            assert path_value(g, (0, 2), PATH_012, x, c, subgraph_adjacency(g, h)) == value
+            assert path_value(g, (0, 2), x, c, subgraph_adjacency(g, h)) == value
             assert rebuilt_path_value(g, (0, 1, 2), x, c.clusters, h) == value
 
     def test_rejects_non_endpoint(self):
         c = build_clustering(TRIANGLE, 3)
         with pytest.raises(ValueError):
-            path_value(TRIANGLE, (0, 2), PATH_012, 1, c, TRIANGLE.adj)
+            path_value(TRIANGLE, (0, 2), 1, c, TRIANGLE.adj)
 
 
 class TestSubsetwise2W:
@@ -281,14 +283,14 @@ def test_pair_covered_by_an_earlier_buy_asks_no_path_value(monkeypatch):
     terminals = (5, 7, 9, 12)
     pairs = terminal_pairs(terminals)
     start = set(build_clustering(g, len(terminals)).cluster_subgraph)
-    assert [pairs[i] for i, _ in g.paths.leaving(pairs, start)] == [
+    assert [pairs[i] for i in g.paths.leaving(pairs, start)] == [
         (5, 7), (5, 12), (7, 12), (9, 12)]
     valued = []
     real = subsetwise.path_value
 
-    def counting(g, pair, path_edges, x, clustering, h_adj):
+    def counting(g, pair, x, clustering, h_adj):
         valued.append(pair)
-        return real(g, pair, path_edges, x, clustering, h_adj)
+        return real(g, pair, x, clustering, h_adj)
 
     monkeypatch.setattr(subsetwise, "path_value", counting)
     state = subsetwise_2w_run(g, terminals)
