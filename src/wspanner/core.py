@@ -263,17 +263,17 @@ class PathTable:
     of the shortest-path tree rooted at s (the tie-break is applied as edges
     are relaxed), both from one search (``shortest_path_row``), computed the
     first time any method asks for s.  ``path`` builds the row's
-    canonical-path edge tuples, each vertex's once, as its parent's tuple
-    plus one edge; rows and tuples are cached.  W(u, v), the largest edge
-    weight on the canonical path, is read off that path's cached edges.  The
-    canonical path of an unordered pair {u, v} is the path from min(u, v) in
-    the tree rooted there, as (min, max) edge keys.  The per-pair methods
-    read the row of min(u, v); row(s) hands out the row of s whole.
-    ``leaving`` indexes each distinct pair list once, from the rows' parent
-    arrays, keeps the index with the rows and hands out positions, never
-    paths.  Answers do not depend on the order of queries.  Each row and
-    index is a pure function of the graph and its input, so concurrent
-    first reads can at worst compute one twice.
+    canonical-path edge tuples, each vertex's once, as its parent's tuple plus
+    one edge; rows and tuples are cached.  W(u, v), the largest edge weight on
+    the canonical path, is read off that path's cached edges.  The canonical
+    path of an unordered pair {u, v} is the path from min(u, v) in the tree
+    rooted there, as (min, max) edge keys.  The per-pair methods read the row
+    of min(u, v) and reject a vertex outside 0..n-1, one check in ``_row``;
+    row(s) hands out the row of s whole.  ``leaving`` indexes each distinct
+    pair list once, from the rows' parent arrays, keeps the index with the
+    rows and hands out positions, never paths.  Answers do not depend on the
+    order of queries.  Each row and index is a pure function of the graph and
+    its input, so concurrent first reads can at worst compute one twice.
 
     The table keeps the graph's adjacency, weight map and vertex count, not
     the graph itself, so a graph that caches its table forms no reference
@@ -287,25 +287,26 @@ class PathTable:
         self._rows: dict[int, tuple[list, list[int], list]] = {}
         self._indexes: dict[tuple, dict[Edge, list[int]]] = {}
 
-    def _row(self, s: int) -> tuple[list, list[int], list]:
-        """shortest_path_row's (dist, parent) for s, plus the canonical path
-        edge tuples from s, each None until ``path`` builds it."""
+    def _row(self, u: int, v: int) -> tuple[int, tuple[list, list[int], list]]:
+        """max(u, v) and the row of s = min(u, v): shortest_path_row's (dist,
+        parent) for s, plus the canonical path edge tuples from s, each None
+        until ``path`` builds it; a vertex outside 0..n-1 is a ValueError."""
+        s, t = (u, v) if u < v else (v, u)
+        if s < 0 or t >= self._n:
+            raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
         row = self._rows.get(s)
         if row is None:
             edges: list = [None] * self._n
             edges[s] = ()
             row = self._rows[s] = (*shortest_path_row(self._adj, self._n, s), edges)
-        return row
+        return t, row
 
     def path(self, u: int, v: int) -> tuple[Edge, ...] | None:
         """Canonical path edges of {u, v} from the row of min(u, v), None
         when unreachable; a vertex outside 0..n-1 is a ValueError.  Each
         vertex's tuple is its parent's plus one edge, built once, the first
         time a path through the vertex is asked for."""
-        s, t = (u, v) if u < v else (v, u)
-        if s < 0 or t >= self._n:
-            raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
-        dist, parent, edges = self._rows.get(s) or self._row(s)
+        t, (dist, parent, edges) = self._row(u, v)
         if edges[t] is None and dist[t] != UNREACHABLE:
             climb = [t]
             while edges[parent[climb[-1]]] is None:
@@ -316,7 +317,8 @@ class PathTable:
         return edges[t]
 
     def dist(self, u: int, v: int):
-        return self._row(u)[0][v] if u < v else self._row(v)[0][u]
+        t, (dist, _, _) = self._row(u, v)
+        return dist[t]
 
     def max_weight(self, u: int, v: int) -> int:
         """Largest edge weight on the canonical u-v path (0 when u == v or
@@ -324,8 +326,8 @@ class PathTable:
         return max(map(self._weight.__getitem__, self.path(u, v) or ()), default=0)
 
     def row(self, s: int) -> tuple[list, list[int]]:
-        """The cached (dist, parent) lists of source s, to read, not to change."""
-        return self._row(s)[:2]
+        """The cached (dist, parent) lists of source s in 0..n-1, to read only."""
+        return self._row(s, s)[1][:2]
 
     def leaving(self, pairs: Iterable[Edge], h: Collection[Edge]) -> list[int]:
         """Ascending positions of the pairs whose canonical path has an edge
@@ -340,11 +342,8 @@ class PathTable:
         if index is None:
             index = {}
             for i, (u, v) in enumerate(key):
-                s, y = (u, v) if u < v else (v, u)
-                if s < 0 or y >= self._n:
-                    raise ValueError(f"pair ({u},{v}) references a vertex outside 0..{self._n - 1}")
-                parent = self._row(s)[1]
-                while (p := parent[y]) >= 0:  # -1 at s and where s does not reach
+                y, (_, parent, _) = self._row(u, v)
+                while (p := parent[y]) >= 0:  # -1 at min(u, v) and where it does not reach
                     e = (p, y) if p < y else (y, p)
                     at = index.get(e)
                     if at is None:

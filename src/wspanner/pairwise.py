@@ -209,7 +209,7 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
     n, pt = g.n, g.paths
     if not g.is_connected:
         for u, v in pairs:
-            if pt.path(u, v) is None:
+            if pt.dist(u, v) == UNREACHABLE:
                 raise ValueError(f"pair ({u},{v}) is disconnected")
     for i in pt.leaving(pairs, h):
         missing = [e for e in pt.path(*pairs[i]) if e not in h]

@@ -85,13 +85,16 @@ def path_value(g: WeightedGraph, pair: Edge, x: int, clustering: Clustering, h_a
     searched no farther than the largest along-path distance.  Each prefix of
     the path is a shortest path from u, so the along-path distance to a path
     vertex y is dist_G(u, y) from u and dist_G(u, v) - dist_G(u, y) from v,
-    both read from row u; a cluster counts from its path member nearest x."""
+    both read from row u; a cluster counts from its path member nearest x.
+    An x that is not an end, or a pair with no path, is a ValueError."""
     u, v = pair
     if x not in pair:
         raise ValueError(f"{x} is not an endpoint of the path")
+    if (path := g.paths.path(u, v)) is None:
+        raise ValueError(f"pair ({u},{v}) has no path")
     dist_g = g.paths.row(u)[0]
     along: dict[int, int] = {}
-    for y in {y for e in g.paths.path(u, v) for y in e}:
+    for y in {y for e in path for y in e}:
         c = clustering.cluster_of.get(y)
         if c is not None:
             d = dist_g[y] if x == u else dist_g[v] - dist_g[y]

@@ -431,14 +431,23 @@ def test_global_check_builds_no_path_tuple():
 @pytest.mark.parametrize("pair", [(-1, 2), (2, -1), (0, 3), (3, 0), (-1, 3), (4, -2)])
 def test_path_outside_the_graph_is_a_one_line_value_error(pair):
     # Either orientation, negative ids included: -1 does not wrap to the
-    # last row.  max_weight reads through path, so it raises alike.
+    # last row.  max_weight reads through path and dist reads the same
+    # checked row, so they raise alike, and no row is cached.
     u, v = pair
     pt = WeightedGraph(TRIANGLE.n, TRIANGLE.edges).paths
     message = rf"^pair \({u},{v}\) references a vertex outside 0\.\.2$"
-    with pytest.raises(ValueError, match=message):
-        pt.path(u, v)
-    with pytest.raises(ValueError, match=message):
-        pt.max_weight(u, v)
+    for read in (pt.path, pt.max_weight, pt.dist):
+        with pytest.raises(ValueError, match=message):
+            read(u, v)
+    assert pt._rows == {}
+
+
+@pytest.mark.parametrize("s", [-1, 3])
+def test_row_outside_the_graph_is_a_value_error(s):
+    pt = WeightedGraph(TRIANGLE.n, TRIANGLE.edges).paths
+    with pytest.raises(ValueError, match=r"references a vertex outside 0\.\.2$"):
+        pt.row(s)
+    assert pt._rows == {}
 
 
 def test_max_weight_of_a_pathless_pair_is_zero():

@@ -152,6 +152,12 @@ class TestPathValue:
         with pytest.raises(ValueError):
             path_value(TRIANGLE, (0, 2), 1, c, TRIANGLE.adj)
 
+    def test_rejects_pair_with_no_path(self):
+        g = WeightedGraph(3, ((0, 1, 1),))
+        c = Clustering((frozenset({1}),), frozenset())
+        with pytest.raises(ValueError, match=r"^pair \(0,2\) has no path$"):
+            path_value(g, (0, 2), 0, c, g.adj)
+
 
 class TestSubsetwise2W:
     def test_triangle_output_valid_and_optimum_is_one_edge(self):
