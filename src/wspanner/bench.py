@@ -26,7 +26,6 @@ from .core import (
     Edge,
     ErrorBudget,
     WeightedGraph,
-    terminal_pairs,
     verify_spanner,
 )
 from .exact import SizeCapExceeded, SizeCaps, exact_optimum
@@ -55,7 +54,7 @@ def make_solver(algo: str, seed: int, sweep: bool = False) -> SingleLevelSolver:
     palgo = PairwiseAlgo(algo)
 
     def solve(g: WeightedGraph, terminals: frozenset, level: int) -> set:
-        pairs = terminal_pairs(terminals)
+        pairs = g.paths.terminal_pairs(terminals)
         level_seed = derive_seed(seed, ROLE_LEVEL, level)
         if sweep:
             return d_sweep(g, pairs, palgo, seed=level_seed)[0]
@@ -249,7 +248,7 @@ def _verify_levels(inst: MultiLevelInstance, spanner: MultiLevelSpanner) -> list
     problems = []
     for k, terminals in enumerate(inst.terminal_sets, start=1):
         violated = verify_spanner(inst.graph, spanner.level_edges[k - 1],
-                                  terminal_pairs(terminals), inst.budget)
+                                  inst.graph.paths.terminal_pairs(terminals), inst.budget)
         if violated:
             problems.append((k, violated))
     return problems

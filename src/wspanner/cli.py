@@ -15,6 +15,7 @@ from .bench import (
     GROUP_FIELDS,
     STRATEGIES,
     ExperimentPlan,
+    _verify_levels,
     make_solver,
     read_rows_csv,
     run_plan,
@@ -26,7 +27,6 @@ from .core import (
     BudgetMode,
     ErrorBudget,
     parse_graph_text,
-    terminal_pairs,
     verify_spanner,
     write_graph_text,
 )
@@ -72,7 +72,7 @@ def _cmd_spanner(args) -> int:
     if not 1 <= args.level <= len(sets):
         raise ValueError(f"level {args.level} out of range 1..{len(sets)}")
     terminals = sets[args.level - 1]
-    pairs, budget = terminal_pairs(terminals), ALGO_BUDGETS[args.algo]
+    pairs, budget = g.paths.terminal_pairs(terminals), ALGO_BUDGETS[args.algo]
     if args.algo == "sub2w":
         if args.d is not None:
             raise ValueError("--d sets the d-light parameter of p2w, p4w and p8w; sub2w has none")
@@ -108,6 +108,7 @@ def _cmd_multilevel(args) -> int:
         "levels": inst.levels,
         "level_sizes": [len(e) for e in spanner.level_edges],
         "sparsity": spanner.sparsity,
+        "valid": not _verify_levels(inst, spanner),
     }
     if args.out:
         for k, edges in enumerate(spanner.level_edges, start=1):
@@ -117,7 +118,7 @@ def _cmd_multilevel(args) -> int:
         print(f"wrote {inst.levels} level files and {args.out}.json (sparsity {spanner.sparsity})")
     else:
         print(json.dumps(summary, indent=2))
-    return 0
+    return 0 if summary["valid"] else 1
 
 
 def _cmd_exact(args) -> int:

@@ -10,13 +10,13 @@ vertices a distance bucket at a time, and caches each row and each path
 edge tuple it builds; every graph owns one, ``WeightedGraph.paths``, which
 the constructions, the validity check and the exact solver all read, each
 pair from the row of its smaller end, and ``PathTable.path`` is its one
-reader of canonical-path edges.  Per distinct pair list the table keeps an
-index from each canonical-path edge to the positions of the pairs using
-it, built from the rows' parent arrays, so the sweeps and the validity
-check find the pairs whose path leaves a subgraph by one set difference;
-only the sweeps then read those pairs' edge tuples.  The check passes every
-other pair without a search, so it trusts the table's paths as well as its
-distances; only the pairs left over cost a search of the subgraph.
+reader of canonical-path edges.  Per terminal set the table keeps one
+tuple of pairs (``PathTable.terminal_pairs``) and its index from each
+canonical-path edge to the positions of the pairs using it, built from the
+rows' parent arrays, so the sweeps and the check find the pairs whose path
+leaves a subgraph by one set difference; only the sweeps read those pairs'
+edge tuples.  The check passes every other pair without a search, trusting
+the table's paths and distances; only the pairs left over cost a search.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -269,11 +269,11 @@ class PathTable:
     path of an unordered pair {u, v} is the path from min(u, v) in the tree
     rooted there, as (min, max) edge keys.  The per-pair methods read the row
     of min(u, v) and reject a vertex outside 0..n-1, one check in ``_row``;
-    row(s) hands out the row of s whole.  ``leaving`` indexes each distinct
-    pair list once, from the rows' parent arrays, keeps the index with the
-    rows and hands out positions, never paths.  Answers do not depend on the
-    order of queries.  Each row and index is a pure function of the graph and
-    its input, so concurrent first reads can at worst compute one twice.
+    row(s) hands out the row of s whole.  ``leaving`` indexes each pair tuple
+    of ``terminal_pairs``, one per terminal set, once (any other sequence for
+    one call) and hands out positions, never paths.  Answers do not depend on
+    the order of queries.  Each row, tuple and index is a pure function of the
+    graph and its input, so concurrent first reads can at worst compute one twice.
 
     The table keeps the graph's adjacency, weight map and vertex count, not
     the graph itself, so a graph that caches its table forms no reference
@@ -285,7 +285,8 @@ class PathTable:
         self._weight = graph.weight_map
         self._n = graph.n
         self._rows: dict[int, tuple[list, list[int], list]] = {}
-        self._indexes: dict[tuple, dict[Edge, list[int]]] = {}
+        self._pairs: dict[frozenset, tuple[Edge, ...]] = {}
+        self._indexes: dict[int, dict[Edge, list[int]] | None] = {}
 
     def _row(self, u: int, v: int) -> tuple[int, tuple[list, list[int], list]]:
         """max(u, v) and the row of s = min(u, v): shortest_path_row's (dist,
@@ -329,19 +330,29 @@ class PathTable:
         """The cached (dist, parent) lists of source s in 0..n-1, to read only."""
         return self._row(s, s)[1][:2]
 
-    def leaving(self, pairs: Iterable[Edge], h: Collection[Edge]) -> list[int]:
+    def terminal_pairs(self, terminals: Iterable[int]) -> tuple[Edge, ...]:
+        """The table's tuple of ``terminal_pairs(terminals)``: one object per set,
+        even when first reads race (setdefault); ``leaving`` keeps the index of these alone."""
+        pairs = self._pairs.get(key := frozenset(terminals))
+        if pairs is None:
+            pairs = self._pairs.setdefault(key, tuple(terminal_pairs(key)))
+            self._indexes.setdefault(id(pairs), None)
+        return pairs
+
+    def leaving(self, pairs: Sequence[Edge], h: Collection[Edge]) -> list[int]:
         """Ascending positions of the pairs whose canonical path has an edge
         outside h, a set of (min, max) keys; a pair with u == v or no path
-        never leaves.  The first call on a pair list indexes each path edge
-        to the positions of the pairs using it, by walking each pair's
-        parent chain in the row of min(u, v) (a vertex outside 0..n-1 raises
-        and caches nothing), so a call on an equal list costs one set
-        difference and a merge of positions, and builds no edge tuple."""
-        key = tuple(pairs)
+        never leaves.  The index from each path edge to the positions of the
+        pairs using it walks each pair's parent chain in the row of min(u, v)
+        (a vertex outside 0..n-1 raises and caches nothing), and builds no
+        edge tuple.  It is kept, by id, only for a tuple from
+        ``terminal_pairs``, which the table holds alive and nobody can change;
+        any other sequence, such as a list changed in place, is indexed anew."""
+        key = id(pairs)
         index = self._indexes.get(key)
         if index is None:
             index = {}
-            for i, (u, v) in enumerate(key):
+            for i, (u, v) in enumerate(pairs):
                 y, (_, parent, _) = self._row(u, v)
                 while (p := parent[y]) >= 0:  # -1 at min(u, v) and where it does not reach
                     e = (p, y) if p < y else (y, p)
@@ -351,7 +362,8 @@ class PathTable:
                     else:
                         at.append(i)
                     y = p
-            self._indexes[key] = index
+            if key in self._indexes:
+                self._indexes[key] = index
         return sorted(set().union(*map(index.__getitem__, index.keys() - h)))
 
 
@@ -362,7 +374,7 @@ def build_path_table(g: WeightedGraph) -> PathTable:
     return PathTable(g)
 
 
-def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
+def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs: Sequence[Edge],
                    budget: ErrorBudget) -> list[tuple[int, int]]:
     """Pairs whose distance in the subgraph exceeds dist_G + allowance, in
     the order they are given.
@@ -374,15 +386,14 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs,
     canonical path lies in the subgraph has dist_H = dist_G and passes
     without a search; this trusts the table's canonical paths to be real
     paths of weight ``dist``.  The pairs left over come from the table's
-    index of the pair list (``PathTable.leaving``), which builds no edge
-    tuple, and only they cost a search of the subgraph, one Dijkstra per
-    source.
+    index of the pair sequence (``PathTable.leaving``, which keeps the index
+    of a ``g.paths.terminal_pairs`` tuple), which builds no edge tuple, and
+    only they cost a search of the subgraph, one Dijkstra per source.
     """
     hset = set(h_edges)
     extra = sorted(hset.difference(g.weight_map))[:3]
     if extra:
         raise ValueError(f"subgraph edges must be (min, max) keys of graph edges: {extra}")
-    pairs = tuple(pairs)
     left = g.paths.leaving(pairs, hset)
     if not left:
         return []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import UNREACHABLE, Edge, edge_key, terminal_pairs
+from .core import UNREACHABLE, Edge, edge_key
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
 
 
@@ -55,7 +55,7 @@ def build_ilp(inst: MultiLevelInstance) -> tuple[list[str], list[str], list[str]
     binaries = list(objective)
     constraints: list[str] = []
     for k, sfx in enumerate(suffixes):
-        for u, v in terminal_pairs(inst.terminal_sets[k]):
+        for u, v in pt.terminal_pairs(inst.terminal_sets[k]):
             if pt.dist(u, v) == UNREACHABLE:
                 raise ValueError(f"terminal pair ({u},{v}) is disconnected")
             pair = f"p{u}_{v}{sfx}"
@@ -162,14 +162,14 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     bits = {(u, v): 1 << i for i, (u, v, _) in enumerate(g.edges)}
     incidence = [[(y, w, bits[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
     masks: dict[Edge, list[tuple[int, int, int]]] = {}
-    for u, v in terminal_pairs(inst.terminal_sets[0]):
+    for u, v in pt.terminal_pairs(inst.terminal_sets[0]):
         if pt.dist(u, v) == UNREACHABLE:
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
         limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
         masks[(u, v)] = _minimal_path_masks(incidence, v, u, limit, pt.row(u)[0])
     flat = [(k, pair)
             for k in range(ell, 0, -1)
-            for pair in sorted(terminal_pairs(inst.terminal_sets[k - 1]),
+            for pair in sorted(pt.terminal_pairs(inst.terminal_sets[k - 1]),
                                key=lambda p: (len(masks[p]), p))]
     terminal_masks = [sum(1 << t for t in ts) for ts in inst.terminal_sets if len(ts) >= 2]
 

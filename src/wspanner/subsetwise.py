@@ -25,7 +25,6 @@ from .core import (
     dijkstra_distances,
     edge_key,
     subgraph_adjacency,
-    terminal_pairs,
 )
 
 
@@ -123,7 +122,7 @@ class PathBuyState:
     cost 0, value 0 ones for the other pairs, in pair order, on first read."""
 
     current_edges: set[Edge]
-    pairs: list[Edge]
+    pairs: tuple[Edge, ...]
     valued: dict[int, BuyRecord]
 
     @cached_property
@@ -145,7 +144,7 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     clustering = build_clustering(g, len(s))
     h: set[Edge] = set(clustering.cluster_subgraph)
     h_adj = None  # adjacency lists of h, built at the first pair that needs a value
-    pairs = terminal_pairs(s)
+    pairs = pt.terminal_pairs(s)
     valued: dict[int, BuyRecord] = {}
     # an h that is all of g (always so without clusters) holds every path
     for i in pt.leaving(pairs, h) if len(h) < len(g.edges) else ():

@@ -60,9 +60,11 @@ PAIRWISE = "src/wspanner/pairwise.py"
 SUBSETWISE = "src/wspanner/subsetwise.py"
 CORE = "src/wspanner/core.py"
 BENCH = "src/wspanner/bench.py"
+CLI = "src/wspanner/cli.py"
 REFERENCE = "tests/test_pairwise.py::test_run_matches_plain_reference_on_every_repair"
 SUB2W_REFERENCE = "tests/test_subsetwise.py::test_audit_replay_matches_run_where_clusters_form"
 PER_PAIR_SCAN = "tests/test_core.py::test_leaving_matches_the_per_pair_scan"
+ONE_INDEX = "tests/test_bench.py::test_instance_walks_each_terminal_pair_list_once"
 
 CONTROL = Mutant("no-op control", CORE, "    def leaving(", "    def leaving(", ())
 
@@ -124,15 +126,28 @@ REGISTER = (
            (PER_PAIR_SCAN,)),
     Mutant("pair index rebuilt on every call", CORE,
            "index = self._indexes.get(key)", "index = None",
-           ("tests/test_bench.py::test_instance_walks_each_terminal_pair_list_once",)),
+           (ONE_INDEX,)),
     Mutant("pair index stored before it is filled", CORE,
-           "            index = {}\n", "            index = self._indexes[key] = {}\n",
+           "            index = {}\n",
+           "            index = {}\n"
+           "            if key in self._indexes:\n"
+           "                self._indexes[key] = index\n",
            ("tests/test_core.py::TestVerifySpanner::"
             "test_pair_outside_the_graph_raises_on_every_call",)),
+    Mutant("table hands out a new pair tuple on every call", CORE,
+           "        pairs = self._pairs.get(key := frozenset(terminals))\n",
+           "        return tuple(terminal_pairs(frozenset(terminals)))\n",
+           (ONE_INDEX, "tests/test_core.py::test_table_hands_out_one_pair_tuple_per_terminal_set")),
+    Mutant("leaving keeps the index of any sequence", CORE,
+           "            if key in self._indexes:\n                self._indexes[key] = index\n",
+           "            self._indexes[key] = index\n",
+           ("tests/test_core.py::test_leaving_answers_a_list_changed_in_place_for_its_new_contents",
+            "tests/test_core.py::"
+            "test_leaving_keeps_no_index_for_a_sequence_the_table_did_not_hand_out")),
     Mutant("leaving builds the tuples of the pairs it returns", CORE,
            "        return sorted(set().union(*map(index.__getitem__, index.keys() - h)))\n",
            "        left = sorted(set().union(*map(index.__getitem__, index.keys() - h)))\n"
-           "        return [i for i in left if self.path(*key[i]) is not None]\n",
+           "        return [i for i in left if self.path(*pairs[i]) is not None]\n",
            ("tests/test_core.py::test_leaving_builds_path_tuples_only_for_pairs_it_returns",
             "tests/test_core.py::test_global_check_builds_no_path_tuple")),
     Mutant("row range check without its lower bound", CORE,
@@ -141,6 +156,9 @@ REGISTER = (
     Mutant("validity gate checks the first level only", BENCH,
            "enumerate(inst.terminal_sets, start=1):", "enumerate(inst.terminal_sets[:1], start=1):",
            ("tests/test_bench.py::TestRunPlan::test_validity_failure_on_an_upper_level_aborts",)),
+    Mutant("multilevel CLI without the validity gate", CLI,
+           '"valid": not _verify_levels(inst, spanner),', '"valid": True,',
+           ("tests/test_cli.py::test_multilevel_with_a_broken_upper_level_is_invalid_and_exits_1",)),
 )
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from wspanner import bench, core, pairwise
+from wspanner import bench, cli, core, exact, multilevel, pairwise, subsetwise
 from wspanner.bench import (
     ExperimentPlan,
     ResultRow,
@@ -20,7 +20,7 @@ from wspanner.bench import (
 )
 from wspanner.core import terminal_pairs, verify_spanner
 from wspanner.exact import SizeCaps
-from wspanner.generate import GeneratorSpec, Model, generate
+from wspanner.generate import GeneratorSpec, Model, generate, parse_terminals_text
 from wspanner.pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, default_d, pairwise_spanner
 
 
@@ -175,39 +175,84 @@ class TestRunPlan:
         assert swept.keys() == {(r.instance_id, r.algorithm) for r in baseline}
 
 
+def count_pair_list_work(monkeypatch) -> tuple[Counter, Counter, Counter]:
+    """Counters, by pair-list content, of the lists core.terminal_pairs
+    builds, the PathTable.leaving calls, and those of them that walk the
+    pairs to build an index (they read rows; a call with a kept index reads
+    none)."""
+    built, calls, indexed = Counter(), Counter(), Counter()
+    rows_read = [0]
+    real_pairs, real_leaving, real_row = (core.terminal_pairs, core.PathTable.leaving,
+                                          core.PathTable._row)
+
+    def pairs(terminals):
+        out = real_pairs(terminals)
+        built[tuple(out)] += 1
+        return out
+
+    def row(table, u, v):
+        rows_read[0] += 1
+        return real_row(table, u, v)
+
+    def leaving(table, pairs, h):
+        before = rows_read[0]
+        out = real_leaving(table, pairs, h)
+        calls[tuple(pairs)] += 1
+        indexed[tuple(pairs)] += rows_read[0] > before
+        return out
+
+    monkeypatch.setattr(core, "terminal_pairs", pairs)
+    monkeypatch.setattr(core.PathTable, "_row", row)
+    monkeypatch.setattr(core.PathTable, "leaving", leaving)
+    return built, calls, indexed
+
+
 def test_instance_walks_each_terminal_pair_list_once(monkeypatch):
-    # Every solve, d-sweep rung, check and validity gate of one instance
-    # reads its terminal pair lists through the table's index, so each list
-    # is walked once, when its index is built and cached.
+    # Every solve, d-sweep rung, check, validity gate and exact solve of one
+    # instance reads its terminal pairs from the table's one tuple per set,
+    # so each level's list is built once and indexed once, when leaving
+    # first meets it; no other list is built or indexed twice either.  At
+    # n=8 the exact solver runs; at n=60 its size caps refuse the instance.
     made = {}
-    real_init, real_gen, real_sets = (core.PathTable.__init__, bench.generate,
-                                      bench.generate_terminals)
-
-    class CountedIndexes(dict):
-        def __init__(self):
-            super().__init__()
-            self.builds = Counter()
-
-        def __setitem__(self, pairs, entry):
-            self.builds[pairs] += 1
-            super().__setitem__(pairs, entry)
-
-    def init(table, graph):
-        real_init(table, graph)
-        table._indexes = CountedIndexes()
-
-    monkeypatch.setattr(core.PathTable, "__init__", init)
+    real_gen, real_sets = bench.generate, bench.generate_terminals
     monkeypatch.setattr(bench, "generate", lambda spec: made.setdefault("g", real_gen(spec)))
     monkeypatch.setattr(bench, "generate_terminals",
                         lambda *a: made.setdefault("sets", real_sets(*a)))
-    plan = ExperimentPlan(models=("er",), sizes=(60,), levels=(2,), tsms=("exp",),
-                          algorithms=("sub2w", "p2w", "p4w", "p8w"), d_sweep=True)
-    rows = bench.run_instance(plan, ((0, "er"), 60, 2, (0, "exp"), 0))
-    assert len(rows) == 4
-    table = made["g"].paths
-    lists = {tuple(terminal_pairs(s)) for s in made["sets"]}
-    assert len(lists) == 2 and isinstance(table._indexes, CountedIndexes)
-    assert {pairs: table._indexes.builds[pairs] for pairs in lists} == dict.fromkeys(lists, 1)
+    built, calls, indexed = count_pair_list_work(monkeypatch)
+    for n, solved in ((60, False), (8, True)):
+        for counts in (made, built, calls, indexed):
+            counts.clear()
+        plan = ExperimentPlan(models=("er",), sizes=(n,), levels=(2,), tsms=("exp",),
+                              algorithms=("sub2w", "p2w", "p4w", "p8w"), d_sweep=True,
+                              exact=True)
+        rows = bench.run_instance(plan, ((0, "er"), n, 2, (0, "exp"), 0))
+        assert len(rows) == 4 and all((r.exact_sparsity is not None) == solved for r in rows)
+        levels = [made["g"].paths.terminal_pairs(s) for s in made["sets"]]
+        assert len(set(levels)) == 2 and all(calls[pairs] > 4 for pairs in levels)
+        assert ({pairs: (built[pairs], indexed[pairs]) for pairs in levels}
+                == dict.fromkeys(levels, (1, 1)))
+        assert max(built.values()) == 1 and max(indexed.values()) == 1
+    # the counts see every list built through core; no other module holds
+    # terminal_pairs under its own name
+    assert [m.__name__ for m in (bench, cli, exact, multilevel, pairwise, subsetwise)
+            if hasattr(m, "terminal_pairs")] == []
+
+
+@pytest.mark.parametrize("algo", ["sub2w", "p2w"])
+def test_cli_spanner_indexes_its_pair_list_once(algo, tmp_path, monkeypatch):
+    # The construction's sweep and the report's check read one pair tuple,
+    # so its index is built once.  Clusters form on this BA instance, so the
+    # sub2w sweep reads the index too.
+    prefix = tmp_path / "ba"
+    assert cli.main(["gen", "--model", "ba", "--n", "40", "--seed", "7", "--weight-hi", "1",
+                     "--out", str(prefix)]) == 0
+    built, calls, indexed = count_pair_list_work(monkeypatch)
+    assert cli.main(["spanner", "--algo", algo, "--graph", f"{prefix}.graph",
+                     "--terminals", f"{prefix}.terminals", "--out", str(tmp_path / "h")]) == 0
+    level1 = parse_terminals_text(prefix.with_suffix(".terminals").read_text())[0]
+    pairs = tuple(terminal_pairs(level1))
+    assert calls[pairs] == (2 if algo == "sub2w" else 3)
+    assert (built, indexed) == ({pairs: 1}, {pairs: 1})
 
 
 class TestCsv:

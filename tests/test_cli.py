@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from wspanner import cli
 from wspanner.bench import ResultRow, rows_to_csv
 from wspanner.cli import main
 from wspanner.core import parse_graph_text, terminal_pairs, write_graph_text
@@ -105,7 +106,7 @@ def test_multilevel_subcommand(instance_files, tmp_path, capsys):
     files = ["--graph", str(graph_path), "--terminals", str(terms_path)]
     assert main(["multilevel", "--algo", "sub2w", *files, "--out", str(out)]) == 0
     summary = json.loads(out.with_suffix(".json").read_text())
-    assert summary["levels"] == 2
+    assert summary["levels"] == 2 and summary["valid"] is True
     level1 = parse_graph_text((tmp_path / "ml.level1.graph").read_text())
     level2 = parse_graph_text((tmp_path / "ml.level2.graph").read_text())
     assert level2.weight_map.keys() <= level1.weight_map.keys()
@@ -114,6 +115,22 @@ def test_multilevel_subcommand(instance_files, tmp_path, capsys):
     capsys.readouterr()
     assert main(["multilevel", "--algo", "sub2w", *files]) == 0
     assert json.loads(capsys.readouterr().out) == summary
+
+
+def test_multilevel_with_a_broken_upper_level_is_invalid_and_exits_1(instance_files, monkeypatch,
+                                                                     capsys):
+    # Level 1 gets the whole graph and passes; level 2 gets nothing, so only
+    # a check of every level, as in run_instance's gate, catches it.
+    def upper_level_broken(algo, seed, **kwargs):
+        return lambda g, terminals, level: set(g.weight_map) if level == 1 else set()
+
+    monkeypatch.setattr(cli, "make_solver", upper_level_broken)
+    graph_path, terms_path = instance_files
+    capsys.readouterr()
+    assert main(["multilevel", "--algo", "p2w", "--graph", str(graph_path),
+                 "--terminals", str(terms_path)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["valid"] is False and summary["level_sizes"][1] == 0
 
 
 def test_exact_and_emit_ilp(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import concurrent.futures
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -381,10 +384,12 @@ def graphs_with_pair_lists(draw):
 @given(graphs_with_pair_lists(), st.data())
 @settings(max_examples=60)
 def test_leaving_matches_the_per_pair_scan(case, data):
-    # One table answers one list, and equal copies of it, for random
-    # subgraphs and for a growing one, from the index its first call built.
+    # One table answers a list and its copies, each indexed anew, and its own
+    # tuple of a drawn terminal set from the index its first call kept, for
+    # random subgraphs and for a growing one.
     g, pairs = case
     pt = g.paths
+    own = pt.terminal_pairs(data.draw(st.sets(st.integers(0, g.n - 1))))
     edges = sorted(g.weight_map.keys())
     subgraphs = st.sets(st.sampled_from(edges)) if edges else st.just(set())
     grown: set = set()
@@ -393,7 +398,84 @@ def test_leaving_matches_the_per_pair_scan(case, data):
         for h in (data.draw(subgraphs), set(grown)):
             for order in (pairs, list(pairs), tuple(pairs)):
                 assert pt.leaving(order, h) == scanned_leaving(pt, pairs, h)
+            assert pt.leaving(own, h) == scanned_leaving(pt, own, h)
     assert pt.leaving(pairs, g.weight_map.keys()) == []
+
+
+def test_table_hands_out_one_pair_tuple_per_terminal_set():
+    g = generate(GeneratorSpec(Model.ER, 30, 1))
+    pt = g.paths
+    first = pt.terminal_pairs([7, 2, 11, 2])
+    assert type(first) is tuple and first == tuple(terminal_pairs([2, 7, 11]))
+    for same in ([11, 7, 2], (2, 7, 11), {7, 11, 2}, frozenset({2, 7, 11}), iter([2, 11, 7])):
+        assert pt.terminal_pairs(same) is first
+    assert pt.terminal_pairs([2, 7]) == ((2, 7),)
+    assert WeightedGraph(g.n, g.edges).paths.terminal_pairs([2, 7, 11]) is not first
+
+
+def test_leaving_keeps_no_index_for_a_sequence_the_table_did_not_hand_out():
+    # Equal contents are not enough: only the table's own tuple keeps its
+    # index, so a caller's list costs one index per call and nothing after.
+    g = generate(GeneratorSpec(Model.ER, 40, 3))
+    pt = g.paths
+    pairs = terminal_pairs(range(0, 40, 3))
+    h = set(sorted(g.weight_map)[::2])
+    own = pt.terminal_pairs(range(0, 40, 3))
+    before = dict(pt._indexes)
+    for seq in (pairs, tuple(pairs), list(own)):
+        assert pt.leaving(seq, h) == scanned_leaving(pt, pairs, h)
+    assert pt._indexes == before
+    assert pt.leaving(own, h) == scanned_leaving(pt, pairs, h)
+    assert pt._indexes.keys() == before.keys() and pt._indexes[id(own)] is not None
+
+
+def test_threads_sharing_a_table_get_one_pair_tuple_per_set():
+    # Racing first reads of a terminal set hand every thread the one tuple
+    # the table keeps, and the table keeps indexes only under the ids of
+    # tuples it still holds, so no id can come back on another object.  A
+    # plain store in place of setdefault fails this on most of the sets.
+    g = generate(GeneratorSpec(Model.ER, 60, 3))
+    pt = g.paths
+    sets = [set(range(60)) - {s} for s in range(40)]
+    h = set(sorted(g.weight_map)[::2])
+    got: list[list] = [[] for _ in sets]
+    barrier = threading.Barrier(8)
+
+    def work():
+        for i, s in enumerate(sets):
+            barrier.wait(timeout=60)
+            pairs = pt.terminal_pairs(s)
+            got[i].append((pairs, pt.leaving(pairs, h)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            for future in [pool.submit(work) for _ in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for runs in got:
+        pairs = runs[0][0]
+        assert len(runs) == 8 and all(p is pairs for p, _ in runs)
+        assert all(left == scanned_leaving(pt, pairs, h) for _, left in runs)
+    assert pt._indexes.keys() == set(map(id, pt._pairs.values()))
+
+
+def test_leaving_answers_a_list_changed_in_place_for_its_new_contents():
+    # The same list object with new contents must not meet an index kept
+    # for its old ones, or the check would pass pairs it never searched.
+    g = generate(GeneratorSpec(Model.ER, 40, 3))
+    pairs = terminal_pairs(range(0, 40, 3))
+    h = {e for u, v in pairs[:20] for e in g.paths.path(u, v)}
+    b = budget("GLOBAL", 0)
+    old = g.paths.leaving(pairs, h)
+    flagged = verify_spanner(g, h, pairs, b)
+    pairs.reverse()
+    assert scanned_leaving(g.paths, pairs, h) != old
+    assert g.paths.leaving(pairs, h) == scanned_leaving(g.paths, pairs, h)
+    assert verify_spanner(g, h, pairs, b) == bellman_ford_violations(g, h, pairs, b)
+    assert sorted(flagged) == sorted(verify_spanner(g, h, pairs, b))
 
 
 def _built_path_tuples(pt) -> set:
@@ -497,11 +579,14 @@ class TestVerifySpanner:
     @pytest.mark.parametrize("pair", [(0, 5), (-1, 2)])
     def test_pair_outside_the_graph_raises_on_every_call(self, pair):
         # A failed index build keeps nothing, so every later call on the same
-        # list raises again, with the whole graph as the subgraph too.
+        # list, or on the table's own tuple of a set holding the vertex,
+        # raises again, with the whole graph as the subgraph too.
         g = WeightedGraph(TRIANGLE.n, TRIANGLE.edges)
-        for h in (g.weight_map.keys(), g.weight_map.keys(), set(), {(0, 1)}, g.weight_map.keys()):
-            with pytest.raises(ValueError, match=r"references a vertex outside 0\.\.2"):
-                verify_spanner(g, h, [(0, 2), pair], budget("GLOBAL", 2))
+        for pairs in ([(0, 2), pair], g.paths.terminal_pairs([0, 2, *pair])):
+            for h in (g.weight_map.keys(), g.weight_map.keys(), set(), {(0, 1)},
+                      g.weight_map.keys()):
+                with pytest.raises(ValueError, match=r"references a vertex outside 0\.\.2"):
+                    verify_spanner(g, h, pairs, budget("GLOBAL", 2))
 
 
 @st.composite

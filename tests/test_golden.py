@@ -11,15 +11,20 @@ it values a hundred paths above 0.  The row digests pin every
 source's path-table row, the shortest-path kernel's whole output, on one ER
 and one GE graph of the grid-paper benchmark.  The exact digests pin the
 exact optimum's level sets on a desk grid of small instances with the size
-caps lifted.  A change that alters outputs on purpose updates the digests and
-says so.
+caps lifted.  The battery digest pins ``tests/battery.py``, which sweeps
+every algorithm, strategy and d-sweep setting over 32 seeded graphs and runs
+the same in a plain interpreter on any supported Python.  A change that
+alters outputs on purpose updates the digests and says so.
 """
 
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -321,3 +326,15 @@ def test_exact_ba16_global_finishes_in_bounded_time():
     elapsed = time.perf_counter() - start
     assert digest == EXACT_DIGESTS["ba-16-l1-global"]
     assert elapsed < 30
+
+
+BATTERY_DIGEST = "8e6846690c08603417b936080ae36936e16d0c29a5f3148e9a14e695d1bfde5f"
+
+
+def test_battery_digest():
+    # In a fresh interpreter, as the battery runs by hand on other Pythons.
+    battery = Path(__file__).resolve().parent / "battery.py"
+    done = subprocess.run([sys.executable, str(battery)], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == BATTERY_DIGEST + "\n"
