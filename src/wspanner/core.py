@@ -4,25 +4,14 @@ All distances are exact integers; ``UNREACHABLE`` is the reserved value for
 disconnected pairs and never takes part in arithmetic.  Shortest-path ties
 are broken toward the smallest-id predecessor, per source, as edges are
 relaxed, so every derived artifact (paths, per-pair maximum edge weights,
-shortest-path trees) is a pure function of the graph.  ``PathTable``
-computes these artifacts on demand, one search per source row that settles
-vertices a distance bucket at a time, and caches each row and each path
-edge tuple it builds; every graph owns one, ``WeightedGraph.paths``, which
-the constructions, the validity check and the exact solver all read, each
-pair from the row of its smaller end, and ``PathTable.path`` is its one
-reader of canonical-path edges.  Per terminal set the table keeps one
-tuple of pairs (``PathTable.terminal_pairs``) and its index from each
-canonical-path edge to the positions of the pairs using it, built from the
-rows' parent arrays, so the sweeps and the check find the pairs whose path
-leaves a subgraph by one set difference; only the sweeps read those pairs'
-edge tuples.  The check passes every other pair without a search, trusting
-the table's paths and distances; only the pairs left over cost a search.
+shortest-path trees) is a pure function of the graph.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -244,10 +233,13 @@ def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int]]:
     return _settle(adj, n, source, UNREACHABLE)
 
 
-def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge]):
+def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge], adj=None):
     """Adjacency lists of g's subgraph on the given (min, max) edge keys, in
-    no particular order (its readers take distances, which do not depend on it)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    no particular order (its readers take distances, which do not depend on it).
+    Given adj, lists from an earlier call, the edges are appended to them and
+    adj is returned: the subgraph grown by those edges."""
+    if adj is None:
+        adj = [[] for _ in range(g.n)]
     for u, v in edges:
         w = g.weight_map[u, v]
         adj[u].append((v, w))
@@ -351,16 +343,11 @@ class PathTable:
         key = id(pairs)
         index = self._indexes.get(key)
         if index is None:
-            index = {}
+            index = defaultdict(list)
             for i, (u, v) in enumerate(pairs):
                 y, (_, parent, _) = self._row(u, v)
                 while (p := parent[y]) >= 0:  # -1 at min(u, v) and where it does not reach
-                    e = (p, y) if p < y else (y, p)
-                    at = index.get(e)
-                    if at is None:
-                        index[e] = [i]
-                    else:
-                        at.append(i)
+                    index[(p, y) if p < y else (y, p)].append(i)
                     y = p
             if key in self._indexes:
                 self._indexes[key] = index

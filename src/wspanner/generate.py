@@ -63,8 +63,10 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
             # The weight stream does not depend on the attempt, so the kept
             # draw is weighed as it would be had every draw been weighed.
             rng = stream(spec.seed, ROLE_WEIGHTS)
-            return WeightedGraph(spec.n, tuple((u, v, lo + int(rng.random() * (hi - lo + 1)))
-                                               for u, v in sorted(topology)))
+            g = WeightedGraph(spec.n, tuple((u, v, lo + int(rng.random() * (hi - lo + 1)))
+                                            for u, v in sorted(topology)))
+            object.__setattr__(g, "is_connected", True)  # the cached verdict of connects
+            return g
     raise RuntimeError(f"no connected topology in {MAX_CONNECTIVITY_ATTEMPTS} attempts for {spec}")
 
 

@@ -143,7 +143,7 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     pt = g.paths
     clustering = build_clustering(g, len(s))
     h: set[Edge] = set(clustering.cluster_subgraph)
-    h_adj = None  # adjacency lists of h, built at the first pair that needs a value
+    h_adj = None  # adjacency lists of h: built at the first valued pair, grown by each buy
     pairs = pt.terminal_pairs(s)
     valued: dict[int, BuyRecord] = {}
     # an h that is all of g (always so without clusters) holds every path
@@ -159,10 +159,7 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
         bought = len(new) <= (2 * g.weight_max + 1) * value
         if bought:
             h.update(new)
-            for a, b in new:
-                w = g.weight_map[a, b]
-                h_adj[a].append((b, w))
-                h_adj[b].append((a, w))
+            subgraph_adjacency(g, new, h_adj)
         valued[i] = BuyRecord((u, v), len(new), value, bought)
     return PathBuyState(h, pairs, valued)
 

@@ -31,7 +31,9 @@ kill them:
 - any pair order within a level of the exact search.
 
 A change that adds a fast path or an oracle adds its mutants here; a
-refactor that moves an anchor re-anchors its entry.
+refactor that moves an anchor re-anchors its entry.  Kill lists name
+deterministic tests where one kills the mutant: a hypothesis test that
+fails shrinks its example first, which can take minutes.
 """
 
 from __future__ import annotations
@@ -61,10 +63,16 @@ SUBSETWISE = "src/wspanner/subsetwise.py"
 CORE = "src/wspanner/core.py"
 BENCH = "src/wspanner/bench.py"
 CLI = "src/wspanner/cli.py"
+EXACT = "src/wspanner/exact.py"
+GENERATE = "src/wspanner/generate.py"
+SEEDING = "src/wspanner/seeding.py"
 REFERENCE = "tests/test_pairwise.py::test_run_matches_plain_reference_on_every_repair"
 SUB2W_REFERENCE = "tests/test_subsetwise.py::test_audit_replay_matches_run_where_clusters_form"
-PER_PAIR_SCAN = "tests/test_core.py::test_leaving_matches_the_per_pair_scan"
+OFF_CANONICAL = ("tests/test_core.py::"
+                 "test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path")
 ONE_INDEX = "tests/test_bench.py::test_instance_walks_each_terminal_pair_list_once"
+EXACT_TIE_BREAK = ("tests/test_exact.py::TestExactOptimum::test_triangle_two_levels",
+                   "tests/test_golden.py::test_exact_level_sets_digest[er-12-l1-global]")
 
 CONTROL = Mutant("no-op control", CORE, "    def leaving(", "    def leaving(", ())
 
@@ -113,23 +121,28 @@ REGISTER = (
            "out[v] = idx\n", "out[v] = idx - 1\n",
            ("tests/test_subsetwise.py::test_clustering_matches_rescan_oracle",
             SUB2W_REFERENCE)),
+    Mutant("sub2w does not grow H's adjacency after a buy", SUBSETWISE,
+           "            subgraph_adjacency(g, new, h_adj)\n", "",
+           (SUB2W_REFERENCE, "tests/test_subsetwise.py::"
+                             "test_one_subgraph_adjacency_per_run_and_none_without_clusters")),
     Mutant("path_value reads the path of the pair (u, x)", SUBSETWISE,
            "(path := g.paths.path(u, v))", "(path := g.paths.path(u, x))",
            ("tests/test_subsetwise.py::TestPathValue::test_counts_unreachable_cluster_member",
             SUB2W_REFERENCE)),
     Mutant("pair index keys reversed", CORE,
-           "                    e = (p, y) if p < y else (y, p)\n",
-           "                    e = (y, p) if p < y else (p, y)\n",
-           (PER_PAIR_SCAN,)),
+           "index[(p, y) if p < y else (y, p)].append(i)",
+           "index[(y, p) if p < y else (p, y)].append(i)",
+           (OFF_CANONICAL, "tests/test_core.py::test_leaving_builds_path_tuples_only_for_pairs_it_returns")),
     Mutant("pair index walk stops one edge early", CORE,
            "while (p := parent[y]) >= 0:", "while (p := parent[y]) >= 0 and parent[p] >= 0:",
-           (PER_PAIR_SCAN,)),
+           (OFF_CANONICAL,
+            "tests/test_core.py::TestVerifySpanner::test_tied_path_off_the_canonical_one_passes")),
     Mutant("pair index rebuilt on every call", CORE,
            "index = self._indexes.get(key)", "index = None",
            (ONE_INDEX,)),
     Mutant("pair index stored before it is filled", CORE,
-           "            index = {}\n",
-           "            index = {}\n"
+           "            index = defaultdict(list)\n",
+           "            index = defaultdict(list)\n"
            "            if key in self._indexes:\n"
            "                self._indexes[key] = index\n",
            ("tests/test_core.py::TestVerifySpanner::"
@@ -153,6 +166,42 @@ REGISTER = (
     Mutant("row range check without its lower bound", CORE,
            "        if s < 0 or t >= self._n:\n", "        if t >= self._n:\n",
            ("tests/test_core.py::test_path_outside_the_graph_is_a_one_line_value_error",)),
+    Mutant("generate records a disconnected verdict", GENERATE,
+           'object.__setattr__(g, "is_connected", True)',
+           'object.__setattr__(g, "is_connected", False)',
+           ("tests/test_generate.py::TestGenerate::"
+            "test_a_generated_graph_keeps_its_connectivity_verdict",
+            "tests/test_generate.py::TestGenerate::test_connected_simple_weighted")),
+    Mutant("pick draws through rng.sample", SEEDING,
+           "    pool = list(items)\n",
+           "    return rng.sample(list(items), k)\n    pool = list(items)\n",
+           ("tests/test_seeding.py::test_library_draws_only_random",)),
+    Mutant("pick is Sattolo's shuffle (j never equals i)", SEEDING,
+           "j = i + int(rng.random() * (len(pool) - i))",
+           "j = i + int(rng.random() * (len(pool) - i - 1))",
+           ("tests/test_seeding.py::test_pick_reaches_every_order",)),
+    Mutant("bounded-miss reconstruction scans neighbours in reverse", PAIRWISE,
+           "        for u, w in adj[x]:\n", "        for u, w in reversed(adj[x]):\n",
+           ("tests/test_pairwise.py::TestLimitedMissingPath::"
+            "test_reconstruction_prefers_the_smaller_predecessor_on_a_full_tie",)),
+    Mutant("exact bound test made >=", EXACT,
+           "if total + (untouched + 1) // 2 > best_sparsity:",
+           "if total + (untouched + 1) // 2 >= best_sparsity:",
+           EXACT_TIE_BREAK),
+    Mutant("exact tie-break reversed", EXACT,
+           "key < best_rates", "key > best_rates",
+           EXACT_TIE_BREAK),
+    Mutant("exact bound rounded up one more", EXACT,
+           "(untouched + 1) // 2", "(untouched + 2) // 2",
+           EXACT_TIE_BREAK),
+    Mutant("exact walk's distance test made strict", EXACT,
+           "weight + w + to_v[y] <= limit", "weight + w + to_v[y] < limit",
+           ("tests/test_golden.py::test_exact_level_sets_digest[ge-9-l1-local]",
+            "tests/test_golden.py::test_exact_level_sets_digest[ba-12-l1-local]")),
+    Mutant("exact walk reads the row of v", EXACT,
+           "pt.row(u)[0])", "pt.row(v)[0])",
+           ("tests/test_exact.py::TestExactOptimum::test_reads_only_the_rows_of_smaller_pair_ends",
+            "tests/test_exact.py::TestExactOptimum::test_triangle_local")),
     Mutant("validity gate checks the first level only", BENCH,
            "enumerate(inst.terminal_sets, start=1):", "enumerate(inst.terminal_sets[:1], start=1):",
            ("tests/test_bench.py::TestRunPlan::test_validity_failure_on_an_upper_level_aborts",)),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wspanner import core
 from wspanner.core import WeightedGraph, connects
 from wspanner.generate import (
     GeneratorSpec,
@@ -19,6 +20,7 @@ from wspanner.generate import (
 from wspanner.seeding import ROLE_TOPOLOGY, stream
 
 from helpers import hop_radius
+from test_golden import _first_disconnected_ge_seeds
 
 def spec(model, n, seed, **kw):
     return GeneratorSpec(Model(model), n, seed, **kw)
@@ -68,6 +70,17 @@ class TestGenerate:
                             lambda *a: built.append(WeightedGraph(*a)) or built[-1])
         g = generate(spec("ge", 22, 0))
         assert built == [g] and g.is_connected
+
+    @pytest.mark.parametrize("model,n,seed", [("er", 30, 1),
+                                              ("ge", 22, _first_disconnected_ge_seeds(2)[1])])
+    def test_a_generated_graph_keeps_its_connectivity_verdict(self, model, n, seed, monkeypatch):
+        # generate searched the kept topology (for GE after a disconnected
+        # first draw), so reading is_connected searches no more.
+        searches = []
+        monkeypatch.setattr(core, "connects", lambda *a: searches.append(a) or connects(*a))
+        g = generate(spec(model, n, seed))
+        assert g.is_connected and searches == []
+        assert connects(g.n, g.edges)
 
     @pytest.mark.parametrize("model", ["er", "ws", "ba", "ge"])
     def test_reproducible_bit_identical(self, model):

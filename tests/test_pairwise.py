@@ -335,6 +335,13 @@ class TestLimitedMissingPath:
         path = limited_missing_path(g, 0, 3, {(0, 2), (2, 3)}, 2)
         assert path == (0, 2, 3)
 
+    def test_reconstruction_prefers_the_smaller_predecessor_on_a_full_tie(self):
+        # 0-1-3, 0-2-3 and 0-4-3 tie in weight and misses; the walk back from
+        # 3 takes its smallest tight neighbour
+        g = WeightedGraph(5, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1), (0, 4, 1), (3, 4, 1)))
+        assert limited_missing_path(g, 0, 3, set(), 2) == (0, 1, 3)
+        assert limited_missing_path(g, 0, 3, {(0, 2), (2, 3), (0, 4), (3, 4)}, 0) == (0, 2, 3)
+
 
 @st.composite
 def bounded_miss_cases(draw):

@@ -235,21 +235,28 @@ def test_audit_replay_matches_run_where_clusters_form(model, n, seed, k):
 
 
 def test_one_subgraph_adjacency_per_run_and_none_without_clusters(monkeypatch):
-    calls = []
+    # One call builds lists (adj None); each buy grows those lists, and at
+    # the end they hold the adjacency of the returned edges.
+    built = []
     real = subsetwise.subgraph_adjacency
 
-    def counting(g, edges):
-        calls.append(len(edges))
-        return real(g, edges)
+    def counting(g, edges, adj=None):
+        out = real(g, edges, adj)
+        if adj is None:
+            built.append(out)
+        return out
 
     monkeypatch.setattr(subsetwise, "subgraph_adjacency", counting)
     g = generate(GeneratorSpec(Model.ER, 30, 2))
     state = subsetwise_2w_run(g, range(0, 30, 5))
-    assert sum(r.cost > 0 for r in state.records) > 1 and len(calls) == 1
-    calls.clear()
+    assert sum(r.cost > 0 for r in state.records) > 1 and len(built) == 1
+    assert any(r.cost > 0 and r.bought for r in state.records)
+    fresh = real(g, state.current_edges)
+    assert [sorted(entry) for entry in built[0]] == [sorted(entry) for entry in fresh]
+    built.clear()
     assert build_clustering(g, 30).clusters == ()  # threshold ceil(sqrt(30 * W))
     subsetwise_2w_run(g, range(30))
-    assert calls == []
+    assert built == []
 
 
 def test_zero_cluster_run_builds_its_buy_records_on_first_read(monkeypatch):
