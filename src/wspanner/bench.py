@@ -29,7 +29,7 @@ from .core import (
     verify_spanner,
 )
 from .exact import SizeCapExceeded, SizeCaps, exact_optimum
-from .generate import GeneratorSpec, Model, TerminalScheme, TerminalSelection, generate, generate_terminals
+from .generate import GeneratorSpec, TerminalSelection, generate, generate_terminals
 from .multilevel import MultiLevelInstance, MultiLevelSpanner, SingleLevelSolver, multilevel_naive, multilevel_roundup
 from .pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, default_d, pairwise_spanner
 from .seeding import ROLE_LEVEL, ROLE_PLAN, derive_seed
@@ -137,10 +137,10 @@ class ExperimentPlan:
                 raise ValueError(f"unknown algorithm {algo!r}")
             if algo in self.algorithms[:i]:
                 raise ValueError(f"algorithm {algo!r} is listed twice")
-        for model in self.models:
-            Model(model)
-        for tsm in self.tsms:
-            TerminalScheme(tsm)
+        for model, n in product(self.models, self.sizes):
+            GeneratorSpec(model, n, 0)
+        for tsm, levels in product(self.tsms, self.levels):
+            TerminalSelection(tsm, levels, 0)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.seeds_per_cell < 1:

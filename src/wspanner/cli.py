@@ -56,9 +56,9 @@ def _load_instance(args, budget: ErrorBudget) -> MultiLevelInstance:
 
 
 def _cmd_gen(args) -> int:
-    g = generate(GeneratorSpec(args.model, args.n, args.seed,
-                               weight_range=(args.weight_lo, args.weight_hi)))
-    sets = generate_terminals(args.n, TerminalSelection(args.tsm, args.levels, args.seed))
+    spec = GeneratorSpec(args.model, args.n, args.seed, (args.weight_lo, args.weight_hi))
+    selection = TerminalSelection(args.tsm, args.levels, args.seed)
+    g, sets = generate(spec), generate_terminals(args.n, selection)
     Path(f"{args.out}.graph").write_text(write_graph_text(g), encoding="utf-8")
     Path(f"{args.out}.terminals").write_text(write_terminals_text(sets), encoding="utf-8")
     print(f"wrote {args.out}.graph ({g.n} vertices, {len(g.edges)} edges) "
@@ -67,12 +67,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spanner(args) -> int:
-    g = parse_graph_text(_read(args.graph))
-    sets = parse_terminals_text(_read(args.terminals))
-    if not 1 <= args.level <= len(sets):
-        raise ValueError(f"level {args.level} out of range 1..{len(sets)}")
-    terminals = sets[args.level - 1]
-    pairs, budget = g.paths.terminal_pairs(terminals), ALGO_BUDGETS[args.algo]
+    inst = _load_instance(args, ALGO_BUDGETS[args.algo])
+    if not 1 <= args.level <= inst.levels:
+        raise ValueError(f"level {args.level} out of range 1..{inst.levels}")
+    g, terminals = inst.graph, inst.terminal_sets[args.level - 1]
+    pairs = g.paths.terminal_pairs(terminals)
     if args.algo == "sub2w":
         if args.d is not None:
             raise ValueError("--d sets the d-light parameter of p2w, p4w and p8w; sub2w has none")
@@ -85,7 +84,7 @@ def _cmd_spanner(args) -> int:
         params = PairwiseParams(args.algo, d_override=args.d, seed=args.seed)
         edges, run = pairwise_spanner_run(g, pairs, params)
         report = {"algorithm": args.algo} | dataclasses.asdict(run)
-    violated = verify_spanner(g, edges, pairs, budget)
+    violated = verify_spanner(g, edges, pairs, inst.budget)
     report["valid"] = not violated
     report["edges"] = len(edges)
     text = write_graph_text(g, edges)

@@ -42,21 +42,22 @@ class GeneratorSpec:
     weight_range: tuple[int, int] = (1, 10)
 
     def __post_init__(self) -> None:
+        """Every argument check of ``generate``, made when the spec is built."""
         object.__setattr__(self, "model", Model(self.model))
+        if self.n < 2:
+            raise ValueError("need n >= 2")
+        lo, hi = self.weight_range
+        if not (1 <= lo <= hi):
+            raise ValueError(f"bad weight range {self.weight_range}")
+        if self.model is Model.WS and self.n <= WS_K:
+            raise ValueError(f"WS needs n > K={WS_K}, got n={self.n}")
+        if self.model is Model.BA and self.n <= BA_M:
+            raise ValueError(f"BA needs n > m={BA_M}, got n={self.n}")
 
 
 def generate(spec: GeneratorSpec) -> WeightedGraph:
     """Connected weighted graph sampled from the requested model."""
-    if spec.n < 2:
-        raise ValueError("need n >= 2")
     lo, hi = spec.weight_range
-    if not (1 <= lo <= hi):
-        raise ValueError(f"bad weight range {spec.weight_range}")
-    if spec.model is Model.WS and spec.n <= WS_K:
-        raise ValueError(f"WS needs n > K={WS_K}, got n={spec.n}")
-    if spec.model is Model.BA and spec.n <= BA_M:
-        raise ValueError(f"BA needs n > m={BA_M}, got n={spec.n}")
-
     for attempt in range(MAX_CONNECTIVITY_ATTEMPTS):
         topology = _topology(spec, stream(spec.seed, ROLE_TOPOLOGY, attempt))
         if connects(spec.n, topology):
@@ -137,6 +138,8 @@ class TerminalSelection:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", TerminalScheme(self.method))
+        if self.levels < 1:
+            raise ValueError("levels must be >= 1")
 
 
 def _round_half_up(x: float) -> int:
@@ -151,8 +154,6 @@ def generate_terminals(n: int, sel: TerminalSelection) -> tuple[tuple[int, ...],
     EXPONENTIAL starts at round(n/2) and keeps ceil(half) per level.
     """
     ell = sel.levels
-    if ell < 1:
-        raise ValueError("levels must be >= 1")
     if n < ell + 1:
         raise ValueError(f"need n >= levels + 1, got n={n}, levels={ell}")
     rng = stream(sel.seed, ROLE_TERMINALS)

@@ -143,17 +143,17 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     pt = g.paths
     clustering = build_clustering(g, len(s))
     h: set[Edge] = set(clustering.cluster_subgraph)
-    h_adj = None  # adjacency lists of h: built at the first valued pair, grown by each buy
     pairs = pt.terminal_pairs(s)
     valued: dict[int, BuyRecord] = {}
-    # an h that is all of g (always so without clusters) holds every path
-    for i in pt.leaving(pairs, h) if len(h) < len(g.edges) else ():
+    # an h that is all of g (always so without clusters) holds every path; h grows
+    # only after a pair is valued, so left's first pair is valued and reads h_adj
+    left = pt.leaving(pairs, h) if len(h) < len(g.edges) else ()
+    h_adj = subgraph_adjacency(g, h) if left else None  # grown by each buy
+    for i in left:
         u, v = pairs[i]
         new = [e for e in pt.path(u, v) if e not in h]
         if not new:
             continue
-        if h_adj is None:
-            h_adj = subgraph_adjacency(g, h)
         value = (path_value(g, (u, v), u, clustering, h_adj)
                  + path_value(g, (u, v), v, clustering, h_adj))
         bought = len(new) <= (2 * g.weight_max + 1) * value

@@ -66,6 +66,7 @@ CLI = "src/wspanner/cli.py"
 EXACT = "src/wspanner/exact.py"
 GENERATE = "src/wspanner/generate.py"
 SEEDING = "src/wspanner/seeding.py"
+MULTILEVEL = "src/wspanner/multilevel.py"
 REFERENCE = "tests/test_pairwise.py::test_run_matches_plain_reference_on_every_repair"
 SUB2W_REFERENCE = "tests/test_subsetwise.py::test_audit_replay_matches_run_where_clusters_form"
 OFF_CANONICAL = ("tests/test_core.py::"
@@ -104,15 +105,19 @@ REGISTER = (
            "elif len(sample) >= 2 and g.is_connected:", "elif len(sample) >= 2:",
            (REFERENCE,)),
     Mutant("sub2w without its re-test", SUBSETWISE,
-           "    for i in pt.leaving(pairs, h) if len(h) < len(g.edges) else ():\n"
+           "    for i in left:\n"
            "        u, v = pairs[i]\n"
            "        new = [e for e in pt.path(u, v) if e not in h]\n",
            "    start = set(h)\n"
-           "    for i in pt.leaving(pairs, h) if len(h) < len(g.edges) else ():\n"
+           "    for i in left:\n"
            "        u, v = pairs[i]\n"
            "        new = [e for e in pt.path(u, v) if e not in start]\n",
            (SUB2W_REFERENCE,
             "tests/test_subsetwise.py::test_pair_covered_by_an_earlier_buy_asks_no_path_value")),
+    Mutant("path_value searches H only to the nearest cluster", SUBSETWISE,
+           "limit=max(along.values())", "limit=min(along.values())",
+           ("tests/test_subsetwise.py::TestPathValue::test_cluster_past_the_nearest_one_is_searched_for",
+            SUB2W_REFERENCE)),
     Mutant("cluster_of numbered from 1", SUBSETWISE,
            "enumerate(self.clusters):", "enumerate(self.clusters, start=1):",
            ("tests/test_subsetwise.py::test_clustering_matches_rescan_oracle",
@@ -163,6 +168,18 @@ REGISTER = (
            "        return [i for i in left if self.path(*pairs[i]) is not None]\n",
            ("tests/test_core.py::test_leaving_builds_path_tuples_only_for_pairs_it_returns",
             "tests/test_core.py::test_global_check_builds_no_path_tuple")),
+    Mutant("table never fetches a second row", CORE,
+           "        row = self._rows.get(s)\n",
+           "        row = next(iter(self._rows.values()), None)\n",
+           ("tests/test_golden.py::test_pairwise_output_digest",
+            "tests/test_core.py::test_path_table_computes_only_the_rows_it_is_asked_for")),
+    Mutant("row ties go to the largest-id parent", CORE,
+           "elif nd > dist[y] or x > parent[y]:", "elif nd > dist[y] or x < parent[y]:",
+           ("tests/test_core.py::TestPathTable::test_equal_weight_ties_take_smaller_predecessor",)),
+    Mutant("path tuples built without being stored", CORE,
+           "        t, (dist, parent, edges) = self._row(u, v)\n",
+           "        t, (dist, parent, edges) = self._row(u, v)\n        edges = list(edges)\n",
+           ("tests/test_core.py::test_each_canonical_edge_tuple_is_built_once",)),
     Mutant("row range check without its lower bound", CORE,
            "        if s < 0 or t >= self._n:\n", "        if t >= self._n:\n",
            ("tests/test_core.py::test_path_outside_the_graph_is_a_one_line_value_error",)),
@@ -172,6 +189,13 @@ REGISTER = (
            ("tests/test_generate.py::TestGenerate::"
             "test_a_generated_graph_keeps_its_connectivity_verdict",
             "tests/test_generate.py::TestGenerate::test_connected_simple_weighted")),
+    Mutant("GeneratorSpec's WS bound made strict", GENERATE,
+           "self.n <= WS_K", "self.n < WS_K",
+           ("tests/test_generate.py::TestGenerate::test_spec_rejects_bad_parameters_at_construction",
+            "tests/test_generate.py::TestGenerate::test_rejects_bad_parameters")),
+    Mutant("MultiLevelInstance without its nesting test", MULTILEVEL,
+           "if i > 1 and not s <= sets[i - 2]:", "if False:",
+           ("tests/test_cli.py::test_spanner_and_multilevel_reject_a_non_nested_sidecar_alike",)),
     Mutant("pick draws through rng.sample", SEEDING,
            "    pool = list(items)\n",
            "    return rng.sample(list(items), k)\n    pool = list(items)\n",
@@ -205,6 +229,14 @@ REGISTER = (
     Mutant("validity gate checks the first level only", BENCH,
            "enumerate(inst.terminal_sets, start=1):", "enumerate(inst.terminal_sets[:1], start=1):",
            ("tests/test_bench.py::TestRunPlan::test_validity_failure_on_an_upper_level_aborts",)),
+    Mutant("plan checks its model names only", BENCH,
+           "        for model, n in product(self.models, self.sizes):\n"
+           "            GeneratorSpec(model, n, 0)\n",
+           "        from .generate import Model\n"
+           "        for model in self.models:\n"
+           "            Model(model)\n",
+           ("tests/test_bench.py::TestPlanDict::test_impossible_cell_rejected_by_from_dict",
+            "tests/test_cli.py::test_run_rejects_an_impossible_last_cell_before_any_instance")),
     Mutant("multilevel CLI without the validity gate", CLI,
            '"valid": not _verify_levels(inst, spanner),', '"valid": True,',
            ("tests/test_cli.py::test_multilevel_with_a_broken_upper_level_is_invalid_and_exits_1",)),

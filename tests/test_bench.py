@@ -325,6 +325,17 @@ class TestPlanDict:
         with pytest.raises(ValueError, match="sizes"):
             ExperimentPlan.from_dict(data)
 
+    @pytest.mark.parametrize("cells,message", [
+        ({"models": ["er", "ws"], "sizes": [500, 6]}, "WS needs n > K=6, got n=6"),
+        ({"levels": [2, 0]}, "levels must be >= 1"),
+        ({"models": ["er", "bogus"]}, "'bogus' is not a valid Model"),
+        ({"tsms": ["exp", "bogus"]}, "'bogus' is not a valid TerminalScheme"),
+    ], ids=["ws-6", "levels-0", "unknown-model", "unknown-tsm"])
+    def test_impossible_cell_rejected_by_from_dict(self, cells, message):
+        with pytest.raises(ValueError) as exc:
+            ExperimentPlan.from_dict(MINIMAL_PLAN | cells)
+        assert str(exc.value) == message
+
 
 class TestSummarize:
     def test_single_row_min_equals_mean_equals_max(self):

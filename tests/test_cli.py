@@ -3,10 +3,11 @@ import re
 
 import pytest
 
-from wspanner import cli
+from wspanner import bench, cli
 from wspanner.bench import ResultRow, rows_to_csv
 from wspanner.cli import main
 from wspanner.core import parse_graph_text, terminal_pairs, write_graph_text
+from wspanner.exact import SizeCaps
 from wspanner.generate import (
     GeneratorSpec,
     Model,
@@ -159,6 +160,24 @@ def test_exact_refuses_oversized(instance_files, capsys):
     assert re.fullmatch(r"wspanner: error: \d+ edges exceeds the cap of 14 for 2 level\(s\)\n", err)
 
 
+def test_exact_cap_flag_admits_nothing_past_the_work_budget(tmp_path, capsys):
+    # The flags raise only the edge caps: (levels+1)**m <= max_work still has
+    # to hold, which no single-level m above 22 and no multi-level m above 14
+    # meets at the default budget.
+    caps = SizeCaps()
+    assert 2 ** 22 <= caps.max_work < 2 ** 23 and 3 ** 14 <= caps.max_work < 3 ** 15
+    prefix = tmp_path / "er40"
+    assert main(["gen", "--model", "er", "--n", "40", "--seed", "5", "--levels", "1",
+                 "--tsm", "exp", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    code = main(["exact", "--graph", str(prefix.with_suffix(".graph")),
+                 "--terminals", str(prefix.with_suffix(".terminals")), "--mode", "local",
+                 "--cap-single", "200"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "wspanner: error: search space (2**132) exceeds the work budget\n"
+
+
 def test_run_and_summarize(tmp_path, capsys):
     plan = {
         "models": ["er"], "sizes": [10], "levels": [1], "tsms": ["linear"],
@@ -256,6 +275,20 @@ def test_spanner_on_a_one_terminal_level_is_a_clean_error(algo, instance_files, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("wspanner: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo,message", [("sub2w", "need at least two terminals"),
+                                           ("p2w", "pairs must be nonempty")])
+def test_spanner_on_a_nested_one_terminal_level_is_a_clean_error(algo, message, instance_files,
+                                                                 tmp_path, capsys):
+    # The sidecar passes the instance's checks, so the construction refuses it.
+    graph_path, _ = instance_files
+    terms_path = tmp_path / "one.terminals"
+    terms_path.write_text("0 1 2\n1\n")
+    code = main(["spanner", "--algo", algo, "--graph", str(graph_path),
+                 "--terminals", str(terms_path), "--level", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == f"wspanner: error: {message}\n"
 
 
 def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):
@@ -396,3 +429,66 @@ def test_run_rejects_a_plan_it_cannot_run(plan, message, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == f"wspanner: error: {message}\n"
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("algo", ["p2w", "sub2w"])
+def test_spanner_and_multilevel_reject_a_non_nested_sidecar_alike(algo, instance_files, tmp_path,
+                                                                  capsys):
+    graph_path, _ = instance_files
+    terms_path = tmp_path / "loose.terminals"
+    terms_path.write_text("0 1 2\n3 4\n")
+    files = ["--algo", algo, "--graph", str(graph_path), "--terminals", str(terms_path)]
+    errors = []
+    for argv in (["spanner", *files, "--level", "2"], ["multilevel", *files]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        errors.append(err)
+    assert errors == ["wspanner: error: terminal set 2 is not contained in set 1\n"] * 2
+
+
+@pytest.mark.parametrize("vertex", [99, -1])
+def test_spanner_terminal_outside_the_graph_has_one_message_for_every_algorithm(
+        vertex, instance_files, tmp_path, capsys):
+    graph_path, _ = instance_files
+    terms_path = tmp_path / "outside.terminals"
+    terms_path.write_text(f"{vertex} 3 5\n")
+    errors = set()
+    for algo in ("sub2w", "p2w", "p4w", "p8w"):
+        assert main(["spanner", "--algo", algo, "--graph", str(graph_path),
+                     "--terminals", str(terms_path)]) == 2
+        errors.add(capsys.readouterr().err)
+    assert errors == {"wspanner: error: terminal set 1 references a vertex outside the graph\n"}
+
+
+def test_gen_checks_its_level_count_before_it_draws_a_graph(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("a graph was drawn"))
+    code = main(["gen", "--model", "er", "--n", "12", "--levels", "0",
+                 "--out", str(tmp_path / "inst")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "wspanner: error: levels must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cells,message", [
+    ({"models": ["er", "ws"], "sizes": [500, 6]}, "WS needs n > K=6, got n=6"),
+    ({"models": ["er", "ba"], "sizes": [40, 5]}, "BA needs n > m=5, got n=5"),
+    ({"sizes": [40, 1]}, "need n >= 2"),
+    ({"levels": [2, 0]}, "levels must be >= 1"),
+], ids=["ws-6", "ba-5", "n-1", "levels-0"])
+def test_run_rejects_an_impossible_last_cell_before_any_instance(cells, message, tmp_path, capsys,
+                                                                monkeypatch):
+    calls = []
+    run_instance = bench.run_instance
+    monkeypatch.setattr(bench, "run_instance",
+                        lambda plan, task: calls.append(task) or run_instance(plan, task))
+    plan = {"models": ["er"], "sizes": [40], "levels": [2], "tsms": ["exp"],
+            "algorithms": ["sub2w", "p2w", "p4w", "p8w"], "seeds_per_cell": 2} | cells
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    code = main(["run", "--plan", str(plan_path), "--out", str(tmp_path / "results")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"wspanner: error: {message}\n"
+    assert calls == [] and not (tmp_path / "results").exists()

@@ -110,6 +110,21 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(spec("er", 5, 0, weight_range=(0, 10)))
 
+    @pytest.mark.parametrize("model,n,weight_range,message", [
+        ("er", 1, (1, 10), "need n >= 2"),
+        ("ws", 6, (1, 10), "WS needs n > K=6, got n=6"),
+        ("ba", 5, (1, 10), "BA needs n > m=5, got n=5"),
+        ("er", 5, (0, 10), "bad weight range (0, 10)"),
+        ("er", 5, (4, 3), "bad weight range (4, 3)"),
+    ], ids=["er-1", "ws-6", "ba-5", "weight-0", "weight-reversed"])
+    def test_spec_rejects_bad_parameters_at_construction(self, model, n, weight_range, message):
+        with pytest.raises(ValueError) as exc:
+            GeneratorSpec(model, n, 0, weight_range)
+        assert str(exc.value) == message
+
+    def test_ws_smallest_legal_size_generates(self):
+        assert generate(GeneratorSpec("ws", 7, 0)).n == 7
+
     def test_model_value_acts_as_its_model_and_an_unknown_one_is_rejected(self):
         for model in Model:
             s = GeneratorSpec(model.value, 12, 3)
@@ -159,6 +174,11 @@ class TestTerminals:
     def test_rejects_zero_levels(self):
         with pytest.raises(ValueError, match="levels must be >= 1"):
             generate_terminals(8, TerminalSelection(TerminalScheme.LINEAR, 0, 0))
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_selection_rejects_fewer_than_one_level_at_construction(self, levels):
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            TerminalSelection("exp", levels, 0)
 
     def test_method_value_acts_as_its_scheme_and_an_unknown_one_is_rejected(self):
         # The two schemes give different sets here, so a value read as the

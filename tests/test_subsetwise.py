@@ -147,6 +147,20 @@ class TestPathValue:
             assert path_value(g, (0, 2), x, c, subgraph_adjacency(g, h)) == value
             assert rebuilt_path_value(g, (0, 1, 2), x, c.clusters, h) == value
 
+    def test_cluster_past_the_nearest_one_is_searched_for(self):
+        # Path 0-1-2-3 with weights 1, 2, 1 and clusters {1} and {2}.  From 0
+        # H, the weight-1 detour 0-4-5-2, ties the path at 2 (distance 3), so
+        # only {1} is beaten: the search has to run to the farther cluster's
+        # along-path distance, not stop at the nearer one's.  From 3, H
+        # reaches neither cluster.
+        g = WeightedGraph(6, ((0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 4, 1), (4, 5, 1), (2, 5, 1)))
+        c = Clustering((frozenset({1}), frozenset({2})), frozenset())
+        h = {(0, 4), (4, 5), (2, 5)}
+        assert g.paths.path(0, 3) == ((0, 1), (1, 2), (2, 3))
+        for x, value in ((0, 1), (3, 2)):
+            assert path_value(g, (0, 3), x, c, subgraph_adjacency(g, h)) == value
+            assert rebuilt_path_value(g, (0, 1, 2, 3), x, c.clusters, h) == value
+
     def test_rejects_non_endpoint(self):
         c = build_clustering(TRIANGLE, 3)
         with pytest.raises(ValueError):
