@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain, product
 from pathlib import Path
@@ -281,18 +281,17 @@ def run_instance(plan: ExperimentPlan, task) -> list[ResultRow]:
                 f"instance {instance_id}, algorithm {algo}: budget violations {problems}")
         produced.append((algo, inst, spanner, wall_ms))
     min_sparsity = min(sp.sparsity for _, _, sp, _ in produced)
+    exact_sp: dict[str, int] = {}
+    if plan.exact:  # widest budget first: its walks serve the narrower budgets' solves
+        for algo, inst, _, _ in sorted(produced, key=lambda p: p[1].budget.c, reverse=True):
+            with suppress(SizeCapExceeded):
+                exact_sp[algo] = exact_optimum(inst, plan.caps).sparsity
     for algo, inst, spanner, wall_ms in produced:
-        exact_sp: int | None = None
-        if plan.exact:
-            try:
-                exact_sp = exact_optimum(inst, plan.caps).sparsity
-            except SizeCapExceeded:
-                pass
         rows.append(ResultRow(
             instance_id=instance_id, generator=model, n=n, m=len(g.edges), levels=ell,
             tsm=tsm, algorithm=algo, budget_mode=inst.budget.mode.value,
-            sparsity=spanner.sparsity, exact_sparsity=exact_sp,
-            experimental_ratio=_ratio(spanner.sparsity, exact_sp),
+            sparsity=spanner.sparsity, exact_sparsity=exact_sp.get(algo),
+            experimental_ratio=_ratio(spanner.sparsity, exact_sp.get(algo)),
             relative_sparsity=_ratio(spanner.sparsity, min_sparsity),
             wall_time_ms=wall_ms, seed=seed, valid=True,
         ))

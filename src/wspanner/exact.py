@@ -15,9 +15,12 @@ ILP and hand it to an external MILP solver instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from .core import UNREACHABLE, Edge, edge_key
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
+
+_WALKS: WeakKeyDictionary = WeakKeyDictionary()  # path table -> {pair: (limit, paths)}
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,9 @@ def emit_lp(model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _minimal_path_masks(incidence, u: int, v: int, limit: int, to_v) -> list[tuple[int, int, int]]:
-    """(edge count, edge bitmask, vertex bitmask) of each simple u-v path of
-    weight <= limit, for u != v, walked over incidence, each vertex's
+def _minimal_path_masks(incidence, u: int, v: int, limit: int, to_v) -> list[tuple[int, int, int, int]]:
+    """(edge count, edge bitmask, vertex bitmask, weight) of each simple u-v
+    path of weight <= limit, for u != v, walked over incidence, each vertex's
     (neighbor, weight, edge bit) triples, and sorted by (edge count, edge
     mask) so that the search tries cheap paths first.  The walk is
     goal-directed: it skips the step to y when even a shortest y-v path, of
@@ -104,14 +107,14 @@ def _minimal_path_masks(incidence, u: int, v: int, limit: int, to_v) -> list[tup
     Each edge mask is inclusion-minimal: if a simple u-v path Q uses only
     edges of a simple u-v path P, then Q is a u-v path in the path graph P,
     so Q = P.  The masks are distinct and pairwise incomparable, so none
-    needs filtering."""
-    found: list[tuple[int, int, int]] = []
+    needs dropping."""
+    found: list[tuple[int, int, int, int]] = []
 
     def walk(x: int, visited: int, weight: int, mask: int) -> None:
         for y, w, bit in incidence[x]:
             if not visited >> y & 1 and weight + w + to_v[y] <= limit:
                 if y == v:
-                    found.append(((mask | bit).bit_count(), mask | bit, visited | 1 << y))
+                    found.append(((mask | bit).bit_count(), mask | bit, visited | 1 << y, weight + w))
                 else:
                     walk(y, visited | 1 << y, weight + w, mask | bit)
 
@@ -140,6 +143,10 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     exceeds the best found.  The test is strict, so every solution of the
     best sparsity still reaches the rate-vector tie-break.
 
+    Each S_1 pair is walked once per graph, at the largest limit yet asked
+    for (``_WALKS``).  The walk is monotone in the limit, so a narrower
+    budget takes that walk's paths of weight <= its limit, in their order.
+
     The pair order changes no output.  Let r* be the smallest rate vector
     among the minimum-sparsity solutions.  Under any order of the pairs
     within a level, r* is a reachable leaf: at each pair not yet satisfied,
@@ -161,12 +168,16 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     pt = g.paths
     bits = {(u, v): 1 << i for i, (u, v, _) in enumerate(g.edges)}
     incidence = [[(y, w, bits[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
-    masks: dict[Edge, list[tuple[int, int, int]]] = {}
+    walked = _WALKS.setdefault(pt, {})
+    masks: dict[Edge, list[tuple[int, int, int, int]]] = {}
     for u, v in pt.terminal_pairs(inst.terminal_sets[0]):
         if pt.dist(u, v) == UNREACHABLE:
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
         limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
-        masks[(u, v)] = _minimal_path_masks(incidence, v, u, limit, pt.row(u)[0])
+        top, paths = walked.get((u, v), (-1, ()))
+        if top < limit:
+            walked[(u, v)] = limit, (paths := _minimal_path_masks(incidence, v, u, limit, pt.row(u)[0]))
+        masks[(u, v)] = [p for p in paths if p[3] <= limit]
     flat = [(k, pair)
             for k in range(ell, 0, -1)
             for pair in sorted(pt.terminal_pairs(inst.terminal_sets[k - 1]),
@@ -186,13 +197,13 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
             return
         level, pair = flat[idx]
         options = masks[pair]
-        for _, mask, _ in options:
+        for _, mask, _, _ in options:
             if mask & covered == mask:
                 # Pair already satisfied at this level; adding anything else
                 # can only raise rates, so the branch is dominated.
                 search(idx + 1, covered, touched, sparsity)
                 return
-        for _, mask, verts in options:
+        for _, mask, verts, _ in options:
             new = mask & ~covered
             total = sparsity + level * new.bit_count()
             if total > best_sparsity:

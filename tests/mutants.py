@@ -72,6 +72,8 @@ SUB2W_REFERENCE = "tests/test_subsetwise.py::test_audit_replay_matches_run_where
 OFF_CANONICAL = ("tests/test_core.py::"
                  "test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path")
 ONE_INDEX = "tests/test_bench.py::test_instance_walks_each_terminal_pair_list_once"
+SHARED_WALKS = "tests/test_bench.py::test_exact_solves_of_an_instance_walk_each_pair_once"
+WIDEN = "tests/test_exact.py::TestExactOptimum::test_budgets_on_one_graph_walk_again_only_to_widen"
 EXACT_TIE_BREAK = ("tests/test_exact.py::TestExactOptimum::test_triangle_two_levels",
                    "tests/test_golden.py::test_exact_level_sets_digest[er-12-l1-global]")
 
@@ -226,6 +228,21 @@ REGISTER = (
            "pt.row(u)[0])", "pt.row(v)[0])",
            ("tests/test_exact.py::TestExactOptimum::test_reads_only_the_rows_of_smaller_pair_ends",
             "tests/test_exact.py::TestExactOptimum::test_triangle_local")),
+    Mutant("exact never walks a pair again at a larger limit", EXACT,
+           "if top < limit:", "if top < 0:",
+           (WIDEN,)),
+    Mutant("exact filter drops the paths on the limit", EXACT,
+           "if p[3] <= limit]", "if p[3] < limit]",
+           (WIDEN, "tests/test_golden.py::test_exact_level_sets_digest[ge-9-l1-local]")),
+    Mutant("exact keeps its walks in a strong store", EXACT,
+           "_WALKS: WeakKeyDictionary = WeakKeyDictionary()", "_WALKS: WeakKeyDictionary = {}",
+           ("tests/test_exact.py::TestExactOptimum::test_kept_walks_are_freed_with_the_graph",)),
+    Mutant("exact keeps no walk between calls", EXACT,
+           "walked = _WALKS.setdefault(pt, {})", "walked = {}",
+           (SHARED_WALKS,)),
+    Mutant("run_instance solves the narrowest budget first", BENCH,
+           "key=lambda p: p[1].budget.c, reverse=True)", "key=lambda p: p[1].budget.c)",
+           (SHARED_WALKS,)),
     Mutant("validity gate checks the first level only", BENCH,
            "enumerate(inst.terminal_sets, start=1):", "enumerate(inst.terminal_sets[:1], start=1):",
            ("tests/test_bench.py::TestRunPlan::test_validity_failure_on_an_upper_level_aborts",)),

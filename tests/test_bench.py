@@ -207,17 +207,24 @@ def count_pair_list_work(monkeypatch) -> tuple[Counter, Counter, Counter]:
     return built, calls, indexed
 
 
+def capture_instance(monkeypatch) -> dict:
+    """A dict that the next run_instance fills with its graph ("g") and
+    terminal sets ("sets"); clear it before each further run."""
+    made = {}
+    real_gen, real_sets = bench.generate, bench.generate_terminals
+    monkeypatch.setattr(bench, "generate", lambda spec: made.setdefault("g", real_gen(spec)))
+    monkeypatch.setattr(bench, "generate_terminals",
+                        lambda *a: made.setdefault("sets", real_sets(*a)))
+    return made
+
+
 def test_instance_walks_each_terminal_pair_list_once(monkeypatch):
     # Every solve, d-sweep rung, check, validity gate and exact solve of one
     # instance reads its terminal pairs from the table's one tuple per set,
     # so each level's list is built once and indexed once, when leaving
     # first meets it; no other list is built or indexed twice either.  At
     # n=8 the exact solver runs; at n=60 its size caps refuse the instance.
-    made = {}
-    real_gen, real_sets = bench.generate, bench.generate_terminals
-    monkeypatch.setattr(bench, "generate", lambda spec: made.setdefault("g", real_gen(spec)))
-    monkeypatch.setattr(bench, "generate_terminals",
-                        lambda *a: made.setdefault("sets", real_sets(*a)))
+    made = capture_instance(monkeypatch)
     built, calls, indexed = count_pair_list_work(monkeypatch)
     for n, solved in ((60, False), (8, True)):
         for counts in (made, built, calls, indexed):
@@ -236,6 +243,27 @@ def test_instance_walks_each_terminal_pair_list_once(monkeypatch):
     # terminal_pairs under its own name
     assert [m.__name__ for m in (bench, cli, exact, multilevel, pairwise, subsetwise)
             if hasattr(m, "terminal_pairs")] == []
+
+
+def test_exact_solves_of_an_instance_walk_each_pair_once(monkeypatch):
+    # run_instance solves the widest budget (p8w's +6 W_max) first, and the
+    # three narrower budgets filter its walks, so each pair of S_1 is walked
+    # once over the instance's four exact solves.
+    made = capture_instance(monkeypatch)
+    walks = Counter()
+    real_walk = exact._minimal_path_masks
+
+    def counting(incidence, u, v, limit, to_v):
+        walks[(v, u)] += 1  # exact_optimum walks from the larger end
+        return real_walk(incidence, u, v, limit, to_v)
+
+    monkeypatch.setattr(exact, "_minimal_path_masks", counting)
+    plan = ExperimentPlan(models=("er",), sizes=(9,), levels=(2,), tsms=("exp",),
+                          algorithms=("sub2w", "p2w", "p4w", "p8w"), exact=True)
+    rows = bench.run_instance(plan, ((0, "er"), 9, 2, (0, "exp"), 3))
+    assert len(rows) == 4 and all(r.exact_sparsity is not None for r in rows)
+    pairs = made["g"].paths.terminal_pairs(made["sets"][0])
+    assert len(pairs) > 1 and walks == Counter(pairs)
 
 
 @pytest.mark.parametrize("algo", ["sub2w", "p2w"])

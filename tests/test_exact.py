@@ -1,10 +1,12 @@
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wspanner import core
+from wspanner import core, exact
+from wspanner.bench import ALGO_BUDGETS
 from wspanner.core import (
     BudgetMode,
     ErrorBudget,
@@ -186,6 +188,25 @@ class TestExactOptimum:
         assert opt.sparsity == 0
         assert opt.level_edges == (frozenset(),)
 
+    def test_budgets_on_one_graph_walk_again_only_to_widen(self):
+        # For the pair (0, 2), dist 2 and W 1 on the path 0-1-2: local c=0,
+        # local c=1 and global c=2 give limits 2, 3 and 8, so the direct
+        # edge of weight 3 is out, on the limit, and inside it.  The second
+        # solve walks again; the last two filter its walk.
+        g = WeightedGraph(3, TRIANGLE.edges)
+        for budget, sparsity in ((ErrorBudget(BudgetMode.LOCAL, 0), 2), (GLOBAL2, 1),
+                                 (ErrorBudget(BudgetMode.LOCAL, 1), 1),
+                                 (ErrorBudget(BudgetMode.LOCAL, 0), 2)):
+            assert exact_optimum(inst(g, {0, 2}, budget=budget)).sparsity == sparsity
+
+    def test_kept_walks_are_freed_with_the_graph(self):
+        g = WeightedGraph(3, TRIANGLE.edges)
+        exact_optimum(inst(g, {0, 2}))
+        table = weakref.ref(g.paths)
+        assert table() in exact._WALKS
+        del g
+        assert table() is None
+
     @pytest.mark.parametrize("budget", [GLOBAL2, LOCAL2])
     def test_reads_only_the_rows_of_smaller_pair_ends(self, budget, monkeypatch):
         # Each pair's distance, allowance and walk all come from the row of
@@ -217,10 +238,32 @@ def test_path_masks_match_filtered_enumeration(mode, g, c):
         limit = brute_force_distance(g, u, v) + budget.allowance(g, u, v)
         to_v = [brute_force_distance(g, y, v) for y in range(g.n)]
         found = _minimal_path_masks(incidence, u, v, limit, to_v)
-        assert [mask for _, mask, _ in found] == minimal_path_masks(g, u, v, limit, eindex)
-        for count, mask, verts in found:
+        assert [mask for _, mask, _, _ in found] == minimal_path_masks(g, u, v, limit, eindex)
+        for count, mask, verts, weight in found:
             ends = {x for a, b, _ in g.edges if mask >> eindex[a, b] & 1 for x in (a, b)}
             assert count == len(ends) - 1 and verts == sum(1 << x for x in ends)
+            assert weight == sum(w for a, b, w in g.edges if mask >> eindex[a, b] & 1)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_solves_sharing_a_graph_match_solves_on_a_fresh_graph(data):
+    # The solves of one graph share each pair's walk: a narrower budget
+    # filters a wider walk, and a wider budget walks again.  In any order,
+    # each of the four advertised budgets gives what it gives on a fresh
+    # equal graph, which walks at that budget alone.
+    levels = data.draw(st.integers(1, 3))
+    g, terminals = data.draw(graphs_with_terminals(max_n=6, max_w=3))
+    if len(g.edges) > (10, 8, 6)[levels - 1]:
+        return
+    sets = [terminals]
+    for _ in range(levels - 1):
+        keep = data.draw(st.integers(1, len(sets[-1])))
+        sets.append(tuple(sorted(data.draw(st.permutations(sets[-1]))[:keep])))
+    for budget in data.draw(st.permutations(list(ALGO_BUDGETS.values()))):
+        fresh = WeightedGraph(g.n, g.edges)
+        assert (exact_optimum(inst(g, *sets, budget=budget)).level_edges
+                == exact_optimum(inst(fresh, *sets, budget=budget)).level_edges)
 
 
 def _matches_plain_enumeration(data, levels, max_n, max_edges):
