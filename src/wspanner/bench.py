@@ -48,17 +48,19 @@ class ValidityError(RuntimeError):
 
 
 def make_solver(algo: str, seed: int, sweep: bool = False) -> SingleLevelSolver:
-    """Single-level solver handle; pairwise solvers mix the level into the seed."""
+    """Single-level solver handle.  Pairwise solvers mix the level into the seed
+    and start H from the free edges; sub2w ignores them, as its +2W argument
+    is not written for a larger starting H."""
     if algo == "sub2w":
-        return lambda g, terminals, level: subsetwise_2w(g, terminals)
+        return lambda g, terminals, level, free: subsetwise_2w(g, terminals)
     palgo = PairwiseAlgo(algo)
 
-    def solve(g: WeightedGraph, terminals: frozenset, level: int) -> set:
+    def solve(g: WeightedGraph, terminals: frozenset, level: int, free: frozenset) -> set:
         pairs = g.paths.terminal_pairs(terminals)
         level_seed = derive_seed(seed, ROLE_LEVEL, level)
         if sweep:
-            return d_sweep(g, pairs, palgo, seed=level_seed)[0]
-        return pairwise_spanner(g, pairs, PairwiseParams(palgo, seed=level_seed))
+            return d_sweep(g, pairs, palgo, seed=level_seed, free=free)[0]
+        return pairwise_spanner(g, pairs, PairwiseParams(palgo, seed=level_seed), free)
 
     return solve
 
@@ -70,14 +72,16 @@ def run_strategy(strategy: str, inst: MultiLevelInstance,
     return (multilevel_roundup if strategy == "roundup" else multilevel_naive)(inst, solver)
 
 
-def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo,
-            seed: int = 0) -> tuple[set[Edge], list[tuple[int, int]]]:
-    """Rerun the construction for d = default_d, ceil(d/2), ..., 1 (same seed)
-    and keep the first sparsest output.  Returns (best edge set, [(d, size)] ladder)."""
+def d_sweep(g: WeightedGraph, pairs, algo: PairwiseAlgo, seed: int = 0,
+            free=()) -> tuple[set[Edge], list[tuple[int, int]]]:
+    """Rerun the construction for d = default_d, ceil(d/2), ..., 1 (same seed
+    and free edges) and keep the first sparsest output.  Returns (best edge
+    set, [(d, size)] ladder); each size counts the free edges."""
     rungs = [default_d(algo, len(pairs))]
     while rungs[-1] > 1:
         rungs.append((rungs[-1] + 1) // 2)
-    outs = [pairwise_spanner(g, pairs, PairwiseParams(algo, d_override=d, seed=seed)) for d in rungs]
+    outs = [pairwise_spanner(g, pairs, PairwiseParams(algo, d_override=d, seed=seed), free)
+            for d in rungs]
     return min(outs, key=len), [(d, len(h)) for d, h in zip(rungs, outs)]
 
 
@@ -139,8 +143,8 @@ class ExperimentPlan:
                 raise ValueError(f"algorithm {algo!r} is listed twice")
         for model, n in product(self.models, self.sizes):
             GeneratorSpec(model, n, 0)
-        for tsm, levels in product(self.tsms, self.levels):
-            TerminalSelection(tsm, levels, 0)
+        for tsm, levels, n in product(self.tsms, self.levels, self.sizes):
+            TerminalSelection(tsm, levels, 0).check_size(n)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.seeds_per_cell < 1:

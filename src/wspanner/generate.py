@@ -141,6 +141,11 @@ class TerminalSelection:
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
 
+    def check_size(self, n: int) -> None:
+        """Raise ValueError unless n vertices can hold the levels' nested sets."""
+        if n < self.levels + 1:
+            raise ValueError(f"need n >= levels + 1, got n={n}, levels={self.levels}")
+
 
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
@@ -153,9 +158,8 @@ def generate_terminals(n: int, sel: TerminalSelection) -> tuple[tuple[int, ...],
     round(n / (levels+1)) random vertices per level (never below one);
     EXPONENTIAL starts at round(n/2) and keeps ceil(half) per level.
     """
+    sel.check_size(n)
     ell = sel.levels
-    if n < ell + 1:
-        raise ValueError(f"need n >= levels + 1, got n={n}, levels={ell}")
     rng = stream(sel.seed, ROLE_TERMINALS)
     if sel.method is TerminalScheme.LINEAR:
         first = max(1, _round_half_up(n * (1.0 - 1.0 / (ell + 1))))

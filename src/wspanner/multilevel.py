@@ -4,6 +4,9 @@ Both strategies run a single-level subsetwise solver on tagged terminal sets
 and assemble one union per level: level k is the union of the edge sets
 solved with a tag of at least k, so each edge reaches exactly the levels up
 to its highest tag, which preserves nesting and per-level validity.  The
+tags are solved top-down: each solve gets the edges the higher tags already
+returned as free edges, which a solver may start from instead of buying
+them again (the top-down heuristic of multi-level Steiner trees).  The
 naive strategy solves every level k over S_k with tag k.
 
 The rounding-up strategy rounds each vertex's priority (the highest level
@@ -23,9 +26,10 @@ from typing import Callable, Iterable
 
 from .core import Edge, ErrorBudget, WeightedGraph
 
-# (graph, terminals, level_tag) -> spanner edge set; the level tag lets
-# randomized solvers split their seed per level.
-SingleLevelSolver = Callable[[WeightedGraph, frozenset, int], set]
+# (graph, terminals, level_tag, free) -> spanner edge set; the level tag lets
+# randomized solvers split their seed per level, and free holds the edges the
+# higher tags' solves returned, which the solver may keep at no cost.
+SingleLevelSolver = Callable[[WeightedGraph, frozenset, int, frozenset], set]
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,17 @@ class MultiLevelSpanner:
 
 def _assemble(inst: MultiLevelInstance, subroutine: SingleLevelSolver,
               tagged_sets: Iterable[tuple[int, frozenset]]) -> MultiLevelSpanner:
-    """Solve each (tag, terminals) with at least 2 terminals, in ascending tag
-    order; level k is the union of the edge sets with a tag of at least k."""
-    solved = [(tag, subroutine(inst.graph, terminals, tag))
-              for tag, terminals in tagged_sets if len(terminals) >= 2]
-    return MultiLevelSpanner(tuple(
-        frozenset().union(*(edges for tag, edges in solved if tag >= k))
-        for k in range(1, inst.levels + 1)))
+    """Solve each (tag, terminals) with at least 2 terminals, from the highest
+    tag down, each with the union of the higher tags' edge sets as its free
+    edges; level k is the union of the edge sets with a tag of at least k.
+    tagged_sets lists its tags in ascending order."""
+    held, union_from = frozenset(), {}
+    for tag, terminals in reversed(list(tagged_sets)):
+        if len(terminals) >= 2:
+            held = held.union(subroutine(inst.graph, terminals, tag, held))
+        union_from[tag] = held
+    return MultiLevelSpanner(tuple(union_from[min(t for t in union_from if t >= k)]
+                                   for k in range(1, inst.levels + 1)))
 
 
 def multilevel_roundup(inst: MultiLevelInstance, subroutine: SingleLevelSolver) -> MultiLevelSpanner:

@@ -1,10 +1,11 @@
 """Pairwise spanner constructions built on a d-light initialization.
 
 Three variants share the same skeleton: start from the d lightest edges per
-vertex, then sweep the input pairs, adding a pair's canonical shortest path
-outright when few of its edges are missing and otherwise falling back to
-randomized repairs (shortest-path trees from sampled roots, bounded-miss
-paths between sampled pairs, or a subsetwise spanner over a sample).  One
+vertex and the caller's free edges, then sweep the input pairs, adding a
+pair's canonical shortest path outright when few of its edges are missing
+and otherwise falling back to randomized repairs (shortest-path trees from
+sampled roots, bounded-miss paths between sampled pairs, or a subsetwise
+spanner over a sample).  One
 sweep serves all three; only the repair differs.  A run is one sweep, one
 check and one patch, and the sweep and the check visit only the pairs whose
 canonical path leaves H (``PathTable.leaving``); the pairs still over budget
@@ -22,7 +23,7 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .core import (
     UNREACHABLE,
@@ -238,16 +239,18 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
             h.update(shortest_path_tree(g, r))
 
 
-def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
-                         params: PairwiseParams) -> tuple[set[Edge], PairwiseReport]:
-    """The d-light init, one sweep, one check of every pair and a patch of
-    the missing canonical-path edges of the pairs it flags; the check
-    searches only for the pairs whose canonical path leaves H."""
+def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]], params: PairwiseParams,
+                         free: Collection[Edge] = ()) -> tuple[set[Edge], PairwiseReport]:
+    """The d-light init plus the free edges (edges of g the caller already
+    holds, kept in the output), one sweep, one check of every pair and a
+    patch of the missing canonical-path edges of the pairs it flags; the
+    check searches only for the pairs whose canonical path leaves H."""
     if not pairs:
         raise ValueError("pairs must be nonempty")
     d = params.d_override or default_d(params.algo, len(pairs))
     ell = default_ell(params.algo, g.n, len(pairs))
     h = d_light_init(g, d)
+    h.update(free)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
     _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
     violators = verify_spanner(g, h, pairs, BUDGETS[params.algo])
@@ -258,7 +261,7 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
     return h, report
 
 
-def pairwise_spanner(g: WeightedGraph, pairs: Sequence[tuple[int, int]],
-                     params: PairwiseParams) -> set[Edge]:
-    """Edge set meeting the advertised budget for every input pair."""
-    return pairwise_spanner_run(g, pairs, params)[0]
+def pairwise_spanner(g: WeightedGraph, pairs: Sequence[tuple[int, int]], params: PairwiseParams,
+                     free: Collection[Edge] = ()) -> set[Edge]:
+    """Edge set holding free and meeting the advertised budget for every pair."""
+    return pairwise_spanner_run(g, pairs, params, free)[0]

@@ -16,7 +16,8 @@ edge tuples.  ``scanned_leaving`` is the per-pair scan that
 ``PathTable.leaving`` replaces, one subset test per pair.
 ``reference_subsetwise_run`` is the whole subsetwise construction built
 from these oracles: every pair visited, none skipped through the index;
-``reference_pairwise_run`` is the pairwise one, likewise.
+``reference_pairwise_run`` is the pairwise one, likewise, from the d-light
+init plus any free edges.
 ``canonical_edges`` is no oracle: it reads one pair's canonical path edges
 through ``PathTable.path``.  ``caterpillar_edges`` is the one test
 instance shared by the pairwise and golden tests.  ``exact_single_level`` is
@@ -330,9 +331,9 @@ def reference_subsetwise_run(g, terminals) -> tuple[set, list]:
     return h, records
 
 
-def reference_pairwise_run(g, pairs, params) -> tuple[set, PairwiseReport]:
+def reference_pairwise_run(g, pairs, params, free=()) -> tuple[set, PairwiseReport]:
     """(edges, report) of the pairwise construction read plainly: the d-light
-    init, then every pair in input order, its missing edges recounted at its
+    init plus the free edges, then every pair in input order, its missing edges recounted at its
     turn from its canonical path (tree_path from the row of its smaller end),
     bought when at most ell are missing and else repaired with every p4w
     sample pair searched and p8w's subsetwise spanner from
@@ -342,7 +343,7 @@ def reference_pairwise_run(g, pairs, params) -> tuple[set, PairwiseReport]:
     algo, n = params.algo, g.n
     d = params.d_override or default_d(algo, len(pairs))
     ell = default_ell(algo, n, len(pairs))
-    h, report = d_light_init(g, d), PairwiseReport(algo.value, d, ell)
+    h, report = d_light_init(g, d) | set(free), PairwiseReport(algo.value, d, ell)
     rng = stream(params.seed, ROLE_PAIRWISE, 0)
     connected = INF not in bellman_ford(n, g.edges, 0)
 
@@ -411,12 +412,12 @@ def roundup_solves(terminal_sets) -> list:
 
 def highest_tag_levels(levels: int, solved) -> tuple:
     """The multi-level assembly from its per-edge definition: walk the
-    (tag, edges) solves in order, let each edge keep the last (highest) tag
+    (tag, edges) solves, in any order, let each edge keep the highest tag
     that used it, and give level k the edges whose tag is at least k."""
     tag_of = {}
     for tag, edges in solved:
         for e in edges:
-            tag_of[e] = tag
+            tag_of[e] = max(tag, tag_of.get(e, tag))
     return tuple(frozenset(e for e, t in tag_of.items() if t >= k)
                  for k in range(1, levels + 1))
 

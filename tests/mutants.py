@@ -254,6 +254,30 @@ REGISTER = (
            "            Model(model)\n",
            ("tests/test_bench.py::TestPlanDict::test_impossible_cell_rejected_by_from_dict",
             "tests/test_cli.py::test_run_rejects_an_impossible_last_cell_before_any_instance")),
+    Mutant("plan skips the n >= levels + 1 check", BENCH,
+           "            TerminalSelection(tsm, levels, 0).check_size(n)\n",
+           "            TerminalSelection(tsm, levels, 0)\n",
+           ("tests/test_bench.py::TestPlanDict::test_impossible_cell_rejected_by_from_dict"
+            "[n-3-levels-3]",
+            "tests/test_cli.py::test_run_rejects_an_impossible_last_cell_before_any_instance"
+            "[n-3-levels-3]")),
+    Mutant("multilevel solves its tags in ascending order", MULTILEVEL,
+           "reversed(list(tagged_sets))", "list(tagged_sets)",
+           ("tests/test_multilevel.py::TestRoundup::test_three_levels_use_powers_one_two_four",
+            "tests/test_multilevel.py::"
+            "test_tags_solve_highest_first_each_with_the_higher_outputs_free")),
+    Mutant("pairwise init without the free edges", PAIRWISE,
+           "    h.update(free)\n", "",
+           ("tests/test_pairwise.py::test_free_edges_start_h_as_in_the_plain_reference",
+            "tests/test_bench.py::TestDSweep::test_every_rung_starts_from_the_free_edges")),
+    Mutant("d_sweep does not forward the free edges", BENCH,
+           "PairwiseParams(algo, d_override=d, seed=seed), free)",
+           "PairwiseParams(algo, d_override=d, seed=seed))",
+           ("tests/test_bench.py::TestDSweep::test_every_rung_starts_from_the_free_edges",)),
+    Mutant("pairwise solver handle does not forward the free edges", BENCH,
+           "PairwiseParams(palgo, seed=level_seed), free)", "PairwiseParams(palgo, seed=level_seed))",
+           ("tests/test_bench.py::TestRunPlan::"
+            "test_solver_handle_starts_pairwise_h_from_the_free_edges",)),
     Mutant("multilevel CLI without the validity gate", CLI,
            '"valid": not _verify_levels(inst, spanner),', '"valid": True,',
            ("tests/test_cli.py::test_multilevel_with_a_broken_upper_level_is_invalid_and_exits_1",)),

@@ -120,7 +120,7 @@ def test_criterion_3_roundup_within_4x_of_optimum():
     """Rounding-up with an exact subroutine stays within 4x the optimum."""
     start = time.perf_counter()
 
-    def exact_subroutine(g, terminals, level):
+    def exact_subroutine(g, terminals, level, free):
         return exact_single_level(g, terminals, GLOBAL2)
 
     checked = 0

@@ -5,6 +5,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspanner import bench, cli, core, exact, multilevel, pairwise, subsetwise
 from wspanner.bench import (
@@ -18,10 +20,13 @@ from wspanner.bench import (
     summarize,
     summary_to_csv,
 )
-from wspanner.core import terminal_pairs, verify_spanner
+from wspanner.core import WeightedGraph, terminal_pairs, verify_spanner
 from wspanner.exact import SizeCaps
 from wspanner.generate import GeneratorSpec, Model, generate, parse_terminals_text
 from wspanner.pairwise import BUDGETS, PairwiseAlgo, PairwiseParams, default_d, pairwise_spanner
+
+from helpers import caterpillar_edges
+from strategies import graphs_with_pairs
 
 
 def small_plan(**overrides):
@@ -141,7 +146,7 @@ class TestRunPlan:
 
     def test_validity_failure_aborts(self, monkeypatch):
         def broken_solver(algo, seed, **kwargs):
-            return lambda g, terminals, level: set()
+            return lambda g, terminals, level, free: set()
 
         monkeypatch.setattr(bench, "make_solver", broken_solver)
         with pytest.raises(ValidityError):
@@ -151,7 +156,7 @@ class TestRunPlan:
         # Level 1 gets the whole graph and passes; level 2 gets nothing, so
         # only a gate that checks every level of the instance catches it.
         def upper_level_broken(algo, seed, **kwargs):
-            return lambda g, terminals, level: set(g.weight_map) if level == 1 else set()
+            return lambda g, terminals, level, free: set(g.weight_map) if level == 1 else set()
 
         monkeypatch.setattr(bench, "make_solver", upper_level_broken)
         with pytest.raises(ValidityError, match=r"budget violations \[\(2, \["):
@@ -162,7 +167,22 @@ class TestRunPlan:
     def test_solver_handle_rejects_fewer_than_two_terminals(self, algo, sweep):
         solve = bench.make_solver(algo, 0, sweep=sweep)
         with pytest.raises(ValueError):
-            solve(generate(GeneratorSpec(Model.ER, 10, 0)), frozenset({3}), 1)
+            solve(generate(GeneratorSpec(Model.ER, 10, 0)), frozenset({3}), 1, frozenset())
+
+    @pytest.mark.parametrize("algo", ["sub2w", "p2w", "p4w", "p8w"])
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_solver_handle_starts_pairwise_h_from_the_free_edges(self, algo, sweep):
+        # One pair gives d=1, and the heavy chord lies on no shortest path and
+        # is no vertex's lightest edge, so only the free edges put it in a
+        # pairwise H; sub2w ignores them.
+        g = WeightedGraph(30, caterpillar_edges(10) + ((10, 29, 40),))
+        terminals, free = frozenset({0, 9}), frozenset({(10, 29)})
+        h = bench.make_solver(algo, 0, sweep=sweep)(g, terminals, 1, free)
+        if algo == "sub2w":
+            assert h == subsetwise.subsetwise_2w(g, terminals)
+        else:
+            assert free <= h
+            assert free.isdisjoint(bench.make_solver(algo, 0, sweep=sweep)(g, terminals, 1, ()))
 
     def test_plan_level_d_sweep_stays_valid(self):
         plan = small_plan(sizes=(20,), algorithms=("p2w", "p4w"), seeds_per_cell=2,
@@ -358,11 +378,29 @@ class TestPlanDict:
         ({"levels": [2, 0]}, "levels must be >= 1"),
         ({"models": ["er", "bogus"]}, "'bogus' is not a valid Model"),
         ({"tsms": ["exp", "bogus"]}, "'bogus' is not a valid TerminalScheme"),
-    ], ids=["ws-6", "levels-0", "unknown-model", "unknown-tsm"])
+        ({"sizes": [40, 3], "levels": [2, 3]}, "need n >= levels + 1, got n=3, levels=3"),
+    ], ids=["ws-6", "levels-0", "unknown-model", "unknown-tsm", "n-3-levels-3"])
     def test_impossible_cell_rejected_by_from_dict(self, cells, message):
         with pytest.raises(ValueError) as exc:
             ExperimentPlan.from_dict(MINIMAL_PLAN | cells)
         assert str(exc.value) == message
+
+
+@given(case=graphs_with_pairs(max_n=8, max_pairs=10), algo=st.sampled_from(list(PairwiseAlgo)),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_d_sweep_rung_holds_its_free_edges_and_meets_its_budget(case, algo, data):
+    g, pairs = case
+    free = data.draw(st.frozensets(st.sampled_from([(u, v) for u, v, _ in g.edges])))
+    outs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "pairwise_spanner",
+                   lambda *args: outs.append(pairwise_spanner(*args)) or outs[-1])
+        best, ladder = d_sweep(g, pairs, algo, seed=3, free=free)
+    assert [len(h) for h in outs] == [size for _, size in ladder] and best in outs
+    for h in outs:
+        assert free <= h
+        assert verify_spanner(g, h, pairs, BUDGETS[algo]) == []
 
 
 class TestSummarize:
@@ -440,7 +478,7 @@ class TestDSweep:
         # 20 terminals give 190 pairs and the rungs 6, 3, 2, 1; d=3 and d=2
         # tie at the least size, and the first of them in rung order wins.
         sizes = {6: 9, 3: 5, 2: 5, 1: 7}
-        monkeypatch.setattr(bench, "pairwise_spanner", lambda g, pairs, params: {
+        monkeypatch.setattr(bench, "pairwise_spanner", lambda g, pairs, params, free: {
             (params.d_override, i) for i in range(sizes[params.d_override])})
         best, ladder = d_sweep(None, terminal_pairs(range(20)), PairwiseAlgo.P2W, seed=5)
         assert ladder == [(6, 9), (3, 5), (2, 5), (1, 7)]
@@ -472,6 +510,20 @@ class TestDSweep:
             h = pairwise_spanner(g, pairs, PairwiseParams(PairwiseAlgo.P4W, d_override=d, seed=8))
             assert len(h) == size
             assert verify_spanner(g, h, pairs, params_budget) == []
+
+    @pytest.mark.parametrize("algo", list(PairwiseAlgo))
+    def test_every_rung_starts_from_the_free_edges(self, algo):
+        # The heavy chord lies on no shortest path and is no vertex's lightest
+        # edge, so below the top rung only the free edges put it in H.
+        g = WeightedGraph(30, caterpillar_edges(10) + ((10, 29, 40),))
+        pairs = terminal_pairs([0, 9, *range(10, 29)])
+        free = frozenset([(10, 29), (3, 4)])
+        best, ladder = d_sweep(g, pairs, algo, seed=4, free=free)
+        assert free <= best and len(ladder) > 1
+        for d, size in ladder:
+            h = pairwise_spanner(g, pairs, PairwiseParams(algo, d_override=d, seed=4), free)
+            assert len(h) == size and free <= h
+            assert verify_spanner(g, h, pairs, BUDGETS[algo]) == []
 
     def test_p4w_sweep_with_small_d_finishes_in_bounded_time(self, monkeypatch):
         # d <= 2 sends every heavy pair into the bounded-miss repair; this sweep

@@ -123,7 +123,7 @@ def test_multilevel_with_a_broken_upper_level_is_invalid_and_exits_1(instance_fi
     # Level 1 gets the whole graph and passes; level 2 gets nothing, so only
     # a check of every level, as in run_instance's gate, catches it.
     def upper_level_broken(algo, seed, **kwargs):
-        return lambda g, terminals, level: set(g.weight_map) if level == 1 else set()
+        return lambda g, terminals, level, free: set(g.weight_map) if level == 1 else set()
 
     monkeypatch.setattr(cli, "make_solver", upper_level_broken)
     graph_path, terms_path = instance_files
@@ -476,7 +476,8 @@ def test_gen_checks_its_level_count_before_it_draws_a_graph(tmp_path, capsys, mo
     ({"models": ["er", "ba"], "sizes": [40, 5]}, "BA needs n > m=5, got n=5"),
     ({"sizes": [40, 1]}, "need n >= 2"),
     ({"levels": [2, 0]}, "levels must be >= 1"),
-], ids=["ws-6", "ba-5", "n-1", "levels-0"])
+    ({"sizes": [40, 3], "levels": [2, 3]}, "need n >= levels + 1, got n=3, levels=3"),
+], ids=["ws-6", "ba-5", "n-1", "levels-0", "n-3-levels-3"])
 def test_run_rejects_an_impossible_last_cell_before_any_instance(cells, message, tmp_path, capsys,
                                                                 monkeypatch):
     calls = []

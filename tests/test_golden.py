@@ -328,7 +328,7 @@ def test_exact_ba16_global_finishes_in_bounded_time():
     assert elapsed < 30
 
 
-BATTERY_DIGEST = "8e6846690c08603417b936080ae36936e16d0c29a5f3148e9a14e695d1bfde5f"
+BATTERY_DIGEST = "559b7dfc1d637d0997127aab35f6dc69a04f81d1d07af0447089e6e624e096fd"
 
 
 def test_battery_digest():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -26,12 +27,12 @@ from strategies import connected_graphs
 GLOBAL2 = ErrorBudget(BudgetMode.GLOBAL, 2)
 
 
-def sub2w_solver(g, terminals, level):
+def sub2w_solver(g, terminals, level, free):
     return subsetwise_2w(g, terminals)
 
 
 def exact_solver(budget, caps=None):
-    def solve(g, terminals, level):
+    def solve(g, terminals, level, free):
         return exact_single_level(g, terminals, budget, caps)
     return solve
 
@@ -87,25 +88,26 @@ class TestRoundup:
     def test_three_levels_use_powers_one_two_four(self):
         calls = []
 
-        def recording_solver(g, terminals, level):
+        def recording_solver(g, terminals, level, free):
             calls.append((level, terminals))
-            return sub2w_solver(g, terminals, level)
+            return sub2w_solver(g, terminals, level, free)
 
         g = generate(GeneratorSpec(Model.ER, 12, 1))
         sets = generate_terminals(g.n, TerminalSelection(TerminalScheme.LINEAR, 3, 5))
         inst = instance(g, *sets)
         multilevel_roundup(inst, recording_solver)
         levels = [lvl for lvl, _ in calls]
-        assert levels == [1, 2, 4]
+        assert levels == [4, 2, 1]
         # rounded priority >= 4 means original priority 3
-        assert calls[2][1] == frozenset(sets[2])
+        assert calls[0][1] == frozenset(sets[2])
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_roundup_solves_match_paper_definition(data):
-    """The (tag, terminals) calls and the level sets of multilevel_roundup
-    against the priority / round-up definition, on random nested sets."""
+    """The (tag, terminals) calls, highest tag first, and the level sets of
+    multilevel_roundup against the priority / round-up definition, on random
+    nested sets."""
     n = data.draw(st.integers(1, 9))
     ell = data.draw(st.integers(1, 5))
     order = data.draw(st.permutations(range(n)))
@@ -114,7 +116,7 @@ def test_roundup_solves_match_paper_definition(data):
     sets = [frozenset(order[:size]) for size in sizes]
     calls = []
 
-    def recording_solver(g, terminals, tag):
+    def recording_solver(g, terminals, tag, free):
         calls.append((tag, terminals))
         # stand-in edges shared across tags, so each must keep its highest tag
         return {(0, v) for v in terminals}
@@ -122,7 +124,7 @@ def test_roundup_solves_match_paper_definition(data):
     path = WeightedGraph(n, tuple((v, v + 1, 1) for v in range(n - 1)))
     ml = multilevel_roundup(instance(path, *sets), recording_solver)
     expected = [(tag, s) for tag, s in roundup_solves(sets) if len(s) >= 2]
-    assert calls == expected
+    assert calls == expected[::-1]
     for k, edges in enumerate(ml.level_edges, start=1):
         assert edges == {(0, v) for tag, s in expected if tag >= round_up_pow2(k) for v in s}
 
@@ -144,7 +146,7 @@ def test_union_assembly_matches_highest_tag_oracle(data):
     for strategy in (multilevel_roundup, multilevel_naive):
         solved = []
 
-        def stub_solver(g, terminals, tag):
+        def stub_solver(g, terminals, tag, free):
             edges = data.draw(st.sets(st.sampled_from(universe)))
             solved.append((tag, edges))
             return set(edges)
@@ -153,6 +155,30 @@ def test_union_assembly_matches_highest_tag_oracle(data):
         assert ml.level_edges == highest_tag_levels(ell, solved)
         for k in range(1, ell):
             assert ml.level_edges[k] <= ml.level_edges[k - 1]
+
+
+@pytest.mark.parametrize("strategy", [multilevel_roundup, multilevel_naive])
+def test_tags_solve_highest_first_each_with_the_higher_outputs_free(strategy):
+    """Each solve, highest tag first, gets exactly the union of the edge sets
+    the higher tags returned; a solver that ignores them still gets the
+    levels as unions."""
+    calls = []
+    rng = random.Random(5)
+    universe = list(combinations(range(8), 2))
+
+    def recording_solver(g, terminals, tag, free):
+        edges = set(rng.sample(universe, 6))
+        calls.append((tag, frozenset(free), edges))
+        return edges
+
+    path = WeightedGraph(8, tuple((v, v + 1, 1) for v in range(7)))
+    sets = [range(8), range(7), range(5), range(4), range(2)]
+    ml = strategy(instance(path, *sets), recording_solver)
+    tags = [tag for tag, _, _ in calls]
+    assert tags == sorted(tags, reverse=True) and len(tags) == len(set(tags)) >= 3
+    for i, (_, free, _) in enumerate(calls):
+        assert free == frozenset().union(*(edges for _, _, edges in calls[:i]))
+    assert ml.level_edges == highest_tag_levels(len(sets), [(t, e) for t, _, e in calls])
 
 
 class TestNaive:

@@ -263,7 +263,37 @@ def pairwise_cases(draw, algo):
 @settings(max_examples=100, deadline=None)
 def test_run_matches_plain_reference(algo, data):
     g, pairs, params = data.draw(pairwise_cases(algo))
-    assert pairwise_spanner_run(g, pairs, params) == reference_pairwise_run(g, pairs, params)
+    free = data.draw(st.frozensets(st.sampled_from([(u, v) for u, v, _ in g.edges]))
+                     if g.edges else st.just(frozenset()))
+    assert (pairwise_spanner_run(g, pairs, params, free)
+            == reference_pairwise_run(g, pairs, params, free))
+
+
+@pytest.mark.parametrize("d", [None, 1, 2])
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_free_edges_start_h_as_in_the_plain_reference(algo, d):
+    # Free spine edges cover part of the pairs' paths, which a 1- or 2-light
+    # init misses, so the sweep meets fewer misses; free leaf edges are in
+    # every init already.
+    g = WeightedGraph(30, caterpillar_edges(10))
+    pairs = terminal_pairs([0, 9, *range(10, 30)])
+    free = frozenset([(0, 1), (3, 4), (4, 5), (7, 8), (2, 15), (9, 29)])
+    params = PairwiseParams(algo, d_override=d, seed=7)
+    h, report = pairwise_spanner_run(g, pairs, params, free)
+    assert (h, report) == reference_pairwise_run(g, pairs, params, free)
+    assert free <= h and verify_spanner(g, h, pairs, BUDGETS[algo]) == []
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+@given(case=graphs_with_pairs(max_n=8, max_pairs=10), d=st.sampled_from([None, 1, 2]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_output_holds_its_free_edges_and_meets_its_budget(algo, case, d, data):
+    g, pairs = case
+    free = data.draw(st.frozensets(st.sampled_from([(u, v) for u, v, _ in g.edges])))
+    h = pairwise_spanner(g, pairs, PairwiseParams(algo, d_override=d, seed=3), free)
+    assert free <= h
+    assert verify_spanner(g, h, pairs, BUDGETS[algo]) == []
 
 
 @pytest.mark.parametrize("detached", [False, True])
