@@ -1,15 +1,9 @@
 """Exact optimum for desk-scale instances plus an LP-format model emitter.
 
-The optimizer exploits the fact that any minimum spanner is a union of one
-within-budget path per terminal pair: it enumerates, per pair, the
-inclusion-minimal edge sets of simple paths within the budget and runs a
-branch-and-bound over per-pair path choices, cut by a lower bound from the
-terminals that no chosen edge touches yet (see ``exact_optimum``).  This
-returns exactly the minimum-sparsity solution (ties broken by the
-lexicographically smallest per-edge rate vector) that plain subset
-enumeration in (cardinality, rate-vector) order would find, at a fraction
-of the cost.  Larger instances are refused with SizeCapExceeded; emit the
-ILP and hand it to an external MILP solver instead.
+Any minimum spanner is a union of one within-budget path per terminal pair,
+so ``exact_optimum`` runs a branch-and-bound over per-pair path choices.
+Larger instances are refused with SizeCapExceeded; emit the ILP and hand it
+to an external MILP solver instead.
 """
 
 from __future__ import annotations
@@ -21,6 +15,7 @@ from .core import UNREACHABLE, Edge, edge_key
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
 
 _WALKS: WeakKeyDictionary = WeakKeyDictionary()  # path table -> {pair: (limit, paths)}
+_ANSWERS: WeakKeyDictionary = WeakKeyDictionary()  # path table -> {sets: [(limits, level masks, answer)]}
 
 
 @dataclass(frozen=True)
@@ -98,16 +93,12 @@ def emit_lp(model) -> str:
 
 def _minimal_path_masks(incidence, u: int, v: int, limit: int, to_v) -> list[tuple[int, int, int, int]]:
     """(edge count, edge bitmask, vertex bitmask, weight) of each simple u-v
-    path of weight <= limit, for u != v, walked over incidence, each vertex's
-    (neighbor, weight, edge bit) triples, and sorted by (edge count, edge
-    mask) so that the search tries cheap paths first.  The walk is
-    goal-directed: it skips the step to y when even a shortest y-v path, of
-    weight to_v[y] = dist_G(y, v), would take the weight over limit.  Every
-    path the walk completes passes that test, so it finds the same paths.
-    Each edge mask is inclusion-minimal: if a simple u-v path Q uses only
-    edges of a simple u-v path P, then Q is a u-v path in the path graph P,
-    so Q = P.  The masks are distinct and pairwise incomparable, so none
-    needs dropping."""
+    path of weight <= limit, for u != v, over incidence (each vertex's
+    (neighbor, weight, edge bit) triples), sorted by (edge count, edge mask)
+    so that the search tries cheap paths first.  The walk skips the step to y
+    when even a shortest y-v path, of weight to_v[y], would take the weight
+    over limit, a test every path it completes passes.  Each mask is
+    inclusion-minimal: a simple u-v path inside a simple u-v path P is P."""
     found: list[tuple[int, int, int, int]] = []
 
     def walk(x: int, visited: int, weight: int, mask: int) -> None:
@@ -119,42 +110,36 @@ def _minimal_path_masks(incidence, u: int, v: int, limit: int, to_v) -> list[tup
                     walk(y, visited | 1 << y, weight + w, mask | bit)
 
     walk(u, 1 << u, 0, 0)
+    del walk  # the closure holds its own cell: drop it so reference counting frees both
     found.sort()
     return found
 
 
 def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> MultiLevelSpanner:
-    """Globally minimum-sparsity multi-level spanner for the instance.
+    """Globally minimum-sparsity multi-level spanner for the instance, ties
+    broken toward the lexicographically smallest per-edge rate vector (edges
+    in canonical order); SizeCapExceeded when over the caps or work budget.
 
-    Ties are broken toward the lexicographically smallest per-edge rate
-    vector (edges in canonical sorted order).  Raises SizeCapExceeded when
-    the instance is over the edge caps or the enumeration work budget.
+    The search takes the levels top-down, so a covered edge's rate is at
+    least every level still to come, and within a level the pairs with the
+    fewest path options first.  A terminal of a level with two or more
+    terminals that no covered edge touches still needs a new edge of at
+    least that level's rate, and a new edge of rate r serves at most two
+    terminals at each of r levels; so ceil(sum_k popcount(T_k & ~touched) / 2)
+    more sparsity is to come, with T_k the terminal mask of level k.  An
+    option is cut when that takes it strictly over the best found, so every
+    solution of the best sparsity still reaches the tie-break.  No pair order
+    changes the output: with r* the answer, taking at each pair not yet
+    satisfied an option inside r*'s level set reaches a leaf whose rates are
+    pointwise at most r*'s and so equal it, and nothing cuts that way.
 
-    The search takes the levels top-down and, within a level, the pairs with
-    the fewest path options first (ties by pair).  It keeps the edge mask
-    ``covered`` and the vertex mask ``touched`` of its end points.  Levels
-    go top-down, so a covered edge's rate is at least every level still to
-    come.  A terminal of a level with two or more terminals that no covered
-    edge touches therefore still needs a new incident edge of at least that
-    level's rate, and a new edge of rate r serves at most two terminals at
-    each of r levels; so ceil(sum_k popcount(T_k & ~touched) / 2) more
-    sparsity is still to come, with T_k the terminal mask of level k.  An
-    option is cut when the sparsity so far plus its cost plus that bound
-    exceeds the best found.  The test is strict, so every solution of the
-    best sparsity still reaches the rate-vector tie-break.
-
-    Each S_1 pair is walked once per graph, at the largest limit yet asked
-    for (``_WALKS``).  The walk is monotone in the limit, so a narrower
-    budget takes that walk's paths of weight <= its limit, in their order.
-
-    The pair order changes no output.  Let r* be the smallest rate vector
-    among the minimum-sparsity solutions.  Under any order of the pairs
-    within a level, r* is a reachable leaf: at each pair not yet satisfied,
-    take an option inside r*'s level-k edge set.  That leaf's rates are
-    pointwise at most r*'s, and their sum is no larger, so they equal r*.
-    The way to it takes the satisfied-pair shortcut wherever that applies,
-    and the bound cuts only branches whose every leaf is above the best
-    sparsity, so nothing cuts it.
+    Per graph, while its path table lives, each S_1 pair is walked once, at
+    the largest limit yet asked for (``_WALKS``), a narrower limit taking the
+    paths within it, and each answer searched for is kept (``_ANSWERS``).  A
+    solve of the same terminal sets with no limit above a kept answer's
+    returns it when, at every level, each pair has a walked path within its
+    limit inside the answer's level set: the kept optimum then lies in this
+    solve's feasible set, a subset of the kept one's, so it is optimal here.
     """
     caps = caps or SizeCaps()
     g = inst.graph
@@ -166,14 +151,22 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     if (ell + 1) ** m > caps.max_work:
         raise SizeCapExceeded(f"search space ({ell + 1}**{m}) exceeds the work budget")
     pt = g.paths
-    bits = {(u, v): 1 << i for i, (u, v, _) in enumerate(g.edges)}
-    incidence = [[(y, w, bits[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
-    walked = _WALKS.setdefault(pt, {})
-    masks: dict[Edge, list[tuple[int, int, int, int]]] = {}
+    limits: dict[Edge, int] = {}
     for u, v in pt.terminal_pairs(inst.terminal_sets[0]):
         if pt.dist(u, v) == UNREACHABLE:
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
-        limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
+        limits[u, v] = pt.dist(u, v) + inst.budget.allowance(g, u, v)
+    walked = _WALKS.setdefault(pt, {})
+    kept = _ANSWERS.setdefault(pt, {}).setdefault(inst.terminal_sets, [])
+    for wider, level_masks, answer in kept:
+        if all(wider[p] >= limit for p, limit in limits.items()) and all(
+                any(w <= limits[p] and mask & level == mask for _, mask, _, w in walked[p][1])
+                for level, ts in zip(level_masks, inst.terminal_sets) for p in pt.terminal_pairs(ts)):
+            return answer
+    bits = {(u, v): 1 << i for i, (u, v, _) in enumerate(g.edges)}
+    incidence = [[(y, w, bits[edge_key(x, y)]) for y, w in g.adj[x]] for x in range(g.n)]
+    masks: dict[Edge, list[tuple[int, int, int, int]]] = {}
+    for (u, v), limit in limits.items():
         top, paths = walked.get((u, v), (-1, ()))
         if top < limit:
             walked[(u, v)] = limit, (paths := _minimal_path_masks(incidence, v, u, limit, pt.row(u)[0]))
@@ -223,6 +216,9 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
                 rates[b] = 0
 
     search(0, 0, 0, 0)
-    return MultiLevelSpanner(tuple(
-        frozenset((u, v) for i, (u, v, _) in enumerate(g.edges) if best_rates[i] >= k)
-        for k in range(1, ell + 1)))
+    del search  # as in _minimal_path_masks: no cycle left for the collector
+    level_masks = [sum(1 << i for i, r in enumerate(best_rates) if r >= k) for k in range(1, ell + 1)]
+    answer = MultiLevelSpanner(tuple(
+        frozenset(g.edges[i][:2] for i in range(m) if mask >> i & 1) for mask in level_masks))
+    kept.append((limits, level_masks, answer))
+    return answer

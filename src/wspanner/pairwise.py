@@ -231,9 +231,9 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
                         if path is not None:
                             h.update(edge_key(a, b) for a, b in zip(path, path[1:]))
             elif len(sample) >= 2 and g.is_connected:
-                # the subsetwise subroutine needs a connected graph; without
-                # it the final patch still guarantees the advertised budget
-                h.update(subsetwise_2w(g, frozenset(sample)))
+                # the subsetwise subroutine needs a connected graph (else the final patch
+                # keeps the budget); the path table keeps no pair tuple of a one-off sample
+                h.update(subsetwise_2w(g, sample, one_off=True))
     if algo is PairwiseAlgo.P2W:
         for r in _sample(rng, n, 1.0 / (ell * d), report):
             h.update(shortest_path_tree(g, r))

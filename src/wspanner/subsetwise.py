@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     Edge,
@@ -122,7 +122,7 @@ class PathBuyState:
     cost 0, value 0 ones for the other pairs, in pair order, on first read."""
 
     current_edges: set[Edge]
-    pairs: tuple[Edge, ...]
+    pairs: Sequence[Edge]
     valued: dict[int, BuyRecord]
 
     @cached_property
@@ -131,7 +131,7 @@ class PathBuyState:
                 for i, pair in enumerate(self.pairs)]
 
 
-def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyState:
+def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int], one_off: bool = False) -> PathBuyState:
     if not g.is_connected:
         raise ValueError("subsetwise construction needs a connected graph")
     s = sorted(set(terminals))
@@ -143,7 +143,7 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     pt = g.paths
     clustering = build_clustering(g, len(s))
     h: set[Edge] = set(clustering.cluster_subgraph)
-    pairs = pt.terminal_pairs(s)
+    pairs = pt.terminal_pairs(s, one_off)
     valued: dict[int, BuyRecord] = {}
     # an h that is all of g (always so without clusters) holds every path; h grows
     # only after a pair is valued, so left's first pair is valued and reads h_adj
@@ -164,6 +164,6 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int]) -> PathBuyStat
     return PathBuyState(h, pairs, valued)
 
 
-def subsetwise_2w(g: WeightedGraph, terminals: Iterable[int]) -> set[Edge]:
+def subsetwise_2w(g: WeightedGraph, terminals: Iterable[int], one_off: bool = False) -> set[Edge]:
     """Edge set guaranteeing dist_H(u, v) <= dist_G(u, v) + 2*W_max on S x S."""
-    return subsetwise_2w_run(g, terminals).current_edges
+    return subsetwise_2w_run(g, terminals, one_off).current_edges

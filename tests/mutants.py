@@ -2,20 +2,23 @@
 
 Run from the root of a checkout (it needs pytest and the test extras):
 
-    python tests/mutants.py    # the no-op control, then every mutant
+    python tests/mutants.py              # the no-op control, then every mutant
+    python tests/mutants.py --workers 1  # the same, one entry at a time
 
 Each entry names a file under ``src/``, an anchor text that occurs exactly
 once in it, the text that replaces it, and the test ids that must fail with
 the mutant in place (a parametrized test counts as failing when one of its
 cases fails).  The runner copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory, applies one mutant at a time to the copy, runs the
-entry's tests there in a fresh interpreter that writes no bytecode, and
-restores the file.  Before the register it runs a no-op control, an anchor
-replaced by itself, against every test id of the register: it must survive,
-which shows that those tests pass on the unchanged tree and that a
-replacement that changes nothing is reported.  The runner exits non-zero
-when a mutant survives, when the control is killed, when an anchor is
-missing or occurs more than once, or when pytest cannot run an entry's tests.
+to one temporary directory per worker (two by default), and each worker
+takes the next entry, applies its mutant to its own copy, runs the entry's
+tests there in a fresh interpreter that writes no bytecode, and restores the
+file.  Verdicts are printed in register order, whichever worker finishes
+first.  First comes a no-op control, an anchor replaced by itself, run
+against every test id of the register: it must survive, which shows that
+those tests pass on the unchanged tree and that a replacement that changes
+nothing is reported.  The runner exits non-zero when a mutant survives,
+when the control is killed, when an anchor is missing or occurs more than
+once, or when pytest cannot run an entry's tests.
 
 Known equivalent mutants, kept out of the register because no test can
 kill them:
@@ -38,12 +41,15 @@ fails shrinks its example first, which can take minutes.
 
 from __future__ import annotations
 
+import argparse
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,6 +80,7 @@ OFF_CANONICAL = ("tests/test_core.py::"
 ONE_INDEX = "tests/test_bench.py::test_instance_walks_each_terminal_pair_list_once"
 SHARED_WALKS = "tests/test_bench.py::test_exact_solves_of_an_instance_walk_each_pair_once"
 WIDEN = "tests/test_exact.py::TestExactOptimum::test_budgets_on_one_graph_walk_again_only_to_widen"
+KEPT = "tests/test_exact.py::TestKeptAnswers::"
 EXACT_TIE_BREAK = ("tests/test_exact.py::TestExactOptimum::test_triangle_two_levels",
                    "tests/test_golden.py::test_exact_level_sets_digest[er-12-l1-global]")
 
@@ -240,6 +247,37 @@ REGISTER = (
     Mutant("exact keeps no walk between calls", EXACT,
            "walked = _WALKS.setdefault(pt, {})", "walked = {}",
            (SHARED_WALKS,)),
+    Mutant("exact serves a kept answer without the containment test", EXACT,
+           "all(wider[p] >= limit for p, limit in limits.items())", "True",
+           (KEPT + "test_narrower_answer_never_serves_a_wider_budget",)),
+    Mutant("exact serves a kept answer without the fit test", EXACT,
+           "any(w <= limits[p] and mask & level == mask for _, mask, _, w in walked[p][1])", "True",
+           (KEPT + "test_wider_answer_missing_the_narrower_budget_leads_to_a_search",)),
+    Mutant("exact tests a kept answer's fit on level 1 only", EXACT,
+           "zip(level_masks, inst.terminal_sets)", "zip(level_masks[:1], inst.terminal_sets)",
+           (KEPT + "test_two_level_answer_fitting_level_1_only_leads_to_a_search",)),
+    Mutant("exact fit test drops the paths on the limit", EXACT,
+           "any(w <= limits[p]", "any(w < limits[p]",
+           (KEPT + "test_fitting_wider_answer_is_returned_as_the_same_object",)),
+    Mutant("exact keys its kept answers without the terminal sets", EXACT,
+           ".setdefault(inst.terminal_sets, [])", ".setdefault((), [])",
+           (KEPT + "test_instances_of_other_terminal_sets_never_serve_each_other",)),
+    Mutant("exact keeps no answer", EXACT,
+           "kept.append((limits, level_masks, answer))", "pass",
+           (KEPT + "test_fitting_wider_answer_is_returned_as_the_same_object",)),
+    Mutant("exact keeps its answers in a strong store", EXACT,
+           "_ANSWERS: WeakKeyDictionary = WeakKeyDictionary()", "_ANSWERS: WeakKeyDictionary = {}",
+           (KEPT + "test_kept_answers_are_freed_with_the_graph",)),
+    Mutant("exact search closure left in its cycle", EXACT,
+           "    del search  #", "    #",
+           (KEPT + "test_a_solve_leaves_nothing_for_the_collector",)),
+    Mutant("exact walk closure left in its cycle", EXACT,
+           "    del walk  #", "    #",
+           (KEPT + "test_a_solve_leaves_nothing_for_the_collector",)),
+    Mutant("p8w repairs keep their sample's pair tuple in the path table", PAIRWISE,
+           "subsetwise_2w(g, sample, one_off=True)", "subsetwise_2w(g, sample)",
+           ("tests/test_bench.py::"
+            "test_p8w_sweep_repairs_leave_only_the_level_pair_tuples_in_the_table",)),
     Mutant("run_instance solves the narrowest budget first", BENCH,
            "key=lambda p: p[1].budget.c, reverse=True)", "key=lambda p: p[1].budget.c)",
            (SHARED_WALKS,)),
@@ -335,23 +373,37 @@ def _run(tree: Path, mutant: Mutant, kills: tuple[str, ...]) -> tuple[str, str]:
     return "killed", f"{len(failed)} failed"
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Check that the tests kill every registered mutant.")
+    parser.add_argument("--workers", type=int, default=2, choices=range(1, 9), metavar="1..8",
+                        help="entries run at once, each in its own copy of the tree (default 2)")
+    workers = parser.parse_args(argv).workers
     every_test = tuple(dict.fromkeys(t for m in REGISTER for t in m.kills))
+    entries = [(CONTROL, every_test, "survived")] + [(m, m.kills, "killed") for m in REGISTER]
     problems = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="wspanner-mutants-") as tmp:
-        tree = Path(tmp)
-        _copy_tree(tree)
-        for mutant, kills, wanted in [(CONTROL, every_test, "survived")] + [
-                (m, m.kills, "killed") for m in REGISTER]:
-            verdict, detail = _run(tree, mutant, kills)
-            ok = verdict == wanted
-            problems += not ok
-            print(f"{'ok  ' if ok else 'FAIL'} {verdict:8} {mutant.name} ({detail})", flush=True)
-    print(f"{len(REGISTER)} mutants and the control in {time.perf_counter() - start:.1f} s; "
-          f"{problems} problem(s)")
+        trees: queue.SimpleQueue = queue.SimpleQueue()  # the copies no worker is using
+        for i in range(workers):
+            _copy_tree(Path(tmp) / str(i))
+            trees.put(Path(tmp) / str(i))
+
+        def run(entry):
+            tree = trees.get()
+            try:
+                return _run(tree, entry[0], entry[1])
+            finally:
+                trees.put(tree)
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for (mutant, _, wanted), (verdict, detail) in zip(entries, pool.map(run, entries)):
+                ok = verdict == wanted
+                problems += not ok
+                print(f"{'ok  ' if ok else 'FAIL'} {verdict:8} {mutant.name} ({detail})", flush=True)
+    print(f"{len(REGISTER)} mutants and the control in {time.perf_counter() - start:.1f} s "
+          f"with {workers} worker(s); {problems} problem(s)")
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

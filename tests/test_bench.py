@@ -265,6 +265,22 @@ def test_instance_walks_each_terminal_pair_list_once(monkeypatch):
             if hasattr(m, "terminal_pairs")] == []
 
 
+def test_p8w_sweep_repairs_leave_only_the_level_pair_tuples_in_the_table(monkeypatch):
+    # Each p8w subsetwise repair runs on a one-off vertex sample; its pair
+    # list is the repair's own, so the table keeps the level sets' alone.
+    made = capture_instance(monkeypatch)
+    repairs = []
+    real = pairwise.subsetwise_2w
+    monkeypatch.setattr(pairwise, "subsetwise_2w",
+                        lambda *a, **kw: repairs.append(a[1]) or real(*a, **kw))
+    plan = ExperimentPlan(models=("er",), sizes=(40,), levels=(2,), tsms=("exp",),
+                          algorithms=("p8w",), d_sweep=True)
+    bench.run_instance(plan, ((0, "er"), 40, 2, (0, "exp"), 0))
+    levels = set(map(frozenset, made["sets"]))
+    assert set(map(frozenset, repairs)) - levels
+    assert set(made["g"].paths._pairs) == levels
+
+
 def test_exact_solves_of_an_instance_walk_each_pair_once(monkeypatch):
     # run_instance solves the widest budget (p8w's +6 W_max) first, and the
     # three narrower budgets filter its walks, so each pair of S_1 is walked

@@ -1,3 +1,4 @@
+import gc
 import weakref
 from pathlib import Path
 
@@ -223,6 +224,102 @@ class TestExactOptimum:
         terminals = {0, 4, 9}
         exact_optimum(inst(g, terminals, budget=budget))
         assert sources and set(sources) <= {u for u, _ in terminal_pairs(terminals)}
+
+
+class TestKeptAnswers:
+    """Each solve keeps its answer on the graph; a later solve of the same
+    terminal sets is served that answer when its budget is no wider at any
+    pair and the answer meets it at every level, and searches otherwise."""
+
+    def test_fitting_wider_answer_is_returned_as_the_same_object(self):
+        # global c=2 keeps the direct edge (0, 2) of weight 3, which local
+        # c=1's limit of 2 + 1 still holds
+        g = WeightedGraph(3, TRIANGLE.edges)
+        wider = exact_optimum(inst(g, {0, 2}))
+        assert exact_optimum(inst(g, {0, 2}, budget=ErrorBudget(BudgetMode.LOCAL, 1))) is wider
+
+    def test_wider_answer_missing_the_narrower_budget_leads_to_a_search(self):
+        # local c=0 allows only the shortest path 0-1-2, not the kept edge (0, 2)
+        g = WeightedGraph(3, TRIANGLE.edges)
+        assert exact_optimum(inst(g, {0, 2})).level_edges == (frozenset({(0, 2)}),)
+        narrower = exact_optimum(inst(g, {0, 2}, budget=ErrorBudget(BudgetMode.LOCAL, 0)))
+        assert narrower.level_edges == (frozenset({(0, 1), (1, 2)}),)
+
+    def test_narrower_answer_never_serves_a_wider_budget(self):
+        # the local c=0 answer 0-1-2 meets global c=2 too, but is not its optimum
+        g = WeightedGraph(3, TRIANGLE.edges)
+        exact_optimum(inst(g, {0, 2}, budget=ErrorBudget(BudgetMode.LOCAL, 0)))
+        assert exact_optimum(inst(g, {0, 2})).level_edges == (frozenset({(0, 2)}),)
+
+    @pytest.mark.parametrize("first,second", [({0, 1, 2}, {0, 2}), ({0, 2}, {0, 1, 2})])
+    def test_instances_of_other_terminal_sets_never_serve_each_other(self, first, second):
+        # the answer for {0, 1, 2} holds a path for (0, 2) within budget, but
+        # {0, 2} alone needs one edge
+        g = WeightedGraph(3, TRIANGLE.edges)
+        exact_optimum(inst(g, first))
+        assert (exact_optimum(inst(g, second)).level_edges
+                == exact_optimum(inst(WeightedGraph(3, TRIANGLE.edges), second)).level_edges)
+
+    def test_two_level_answer_fitting_level_1_only_leads_to_a_search(self):
+        # Local c=2 forces (0, 1) and (1, 2) into level 1 and keeps the edge
+        # (0, 2) for level 2 on the rate-vector tie-break.  Under local c=0
+        # that level 1 still holds every pair's shortest path, but level 2's
+        # edge (0, 2), of weight 3, is over the pair's limit of 2.
+        g = WeightedGraph(3, TRIANGLE.edges)
+        sets = ({0, 1, 2}, {0, 2})
+        wider = exact_optimum(inst(g, *sets, budget=ErrorBudget(BudgetMode.LOCAL, 2)))
+        assert wider.level_edges == (frozenset(TRIANGLE.weight_map), frozenset({(0, 2)}))
+        narrower = exact_optimum(inst(g, *sets, budget=ErrorBudget(BudgetMode.LOCAL, 0)))
+        assert narrower.level_edges == (frozenset({(0, 1), (1, 2)}),) * 2
+
+    def test_kept_answers_are_freed_with_the_graph(self):
+        g = WeightedGraph(3, TRIANGLE.edges)
+        exact_optimum(inst(g, {0, 2}))
+        table = weakref.ref(g.paths)
+        assert table() in exact._ANSWERS
+        del g
+        assert table() is None
+
+    def test_a_solve_leaves_nothing_for_the_collector(self):
+        # the walk and the search are recursive closures; each call drops its
+        # own, so reference counting frees every object the call made
+        instance = inst(generate(GeneratorSpec(Model.ER, 8, 2)), {0, 1, 2, 5}, {0, 5})
+        gc.collect()
+        gc.disable()
+        try:
+            exact_optimum(instance)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+BUDGET_ORDERS = {
+    "widest first": ("p8w", "p4w", "sub2w", "p2w"),
+    "narrowest first": ("p2w", "sub2w", "p4w", "p8w"),
+    "mixed": ("p2w", "p8w", "sub2w", "p4w"),
+}
+
+
+@given(model=st.sampled_from(list(Model)), n=st.integers(8, 12), levels=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kept_answers_match_fresh_solves_in_any_budget_order(model, n, levels, seed):
+    # Oracle: each of the four budgets solved on an equal but distinct graph,
+    # which holds no kept walk or answer.  On one shared graph, in each
+    # order, every solve gives the same level sets (or the same refusal).
+    g = generate(GeneratorSpec(model, n, seed))
+    sets = generate_terminals(n, TerminalSelection(TerminalScheme.EXPONENTIAL, levels, seed))
+
+    def solve(graph, algo):
+        try:
+            return exact_optimum(inst(graph, *sets, budget=ALGO_BUDGETS[algo])).level_edges
+        except SizeCapExceeded:
+            return None
+
+    fresh = {algo: solve(WeightedGraph(g.n, g.edges), algo) for algo in ALGO_BUDGETS}
+    for order in BUDGET_ORDERS.values():
+        shared = WeightedGraph(g.n, g.edges)
+        assert {algo: solve(shared, algo) for algo in order} == fresh
 
 
 @pytest.mark.parametrize("mode", list(BudgetMode))
