@@ -322,12 +322,9 @@ class PathTable:
         """The cached (dist, parent) lists of source s in 0..n-1, to read only."""
         return self._row(s, s)[1][:2]
 
-    def terminal_pairs(self, terminals: Iterable[int], one_off: bool = False) -> Sequence[Edge]:
+    def terminal_pairs(self, terminals: Iterable[int]) -> tuple[Edge, ...]:
         """The table's tuple of ``terminal_pairs(terminals)``: one object per set,
-        even when first reads race (setdefault); ``leaving`` keeps the index of these alone.
-        A one_off set gets a new list instead, which the table neither keeps nor indexes."""
-        if one_off:
-            return terminal_pairs(terminals)
+        even when first reads race (setdefault); ``leaving`` keeps the index of these alone."""
         pairs = self._pairs.get(key := frozenset(terminals))
         if pairs is None:
             pairs = self._pairs.setdefault(key, tuple(terminal_pairs(key)))

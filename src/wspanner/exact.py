@@ -14,8 +14,8 @@ from weakref import WeakKeyDictionary
 from .core import UNREACHABLE, Edge, edge_key
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
 
-_WALKS: WeakKeyDictionary = WeakKeyDictionary()  # path table -> {pair: (limit, paths)}
-_ANSWERS: WeakKeyDictionary = WeakKeyDictionary()  # path table -> {sets: [(limits, level masks, answer)]}
+# path table -> ({pair: (limit, paths)}, {terminal sets: [(limits, level masks, answer)]})
+_KEPT: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     pointwise at most r*'s and so equal it, and nothing cuts that way.
 
     Per graph, while its path table lives, each S_1 pair is walked once, at
-    the largest limit yet asked for (``_WALKS``), a narrower limit taking the
-    paths within it, and each answer searched for is kept (``_ANSWERS``).  A
+    the largest limit yet asked for, a narrower limit taking the paths within
+    it, and each answer searched for is kept beside the walks (``_KEPT``).  A
     solve of the same terminal sets with no limit above a kept answer's
     returns it when, at every level, each pair has a walked path within its
     limit inside the answer's level set: the kept optimum then lies in this
@@ -156,8 +156,8 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
         if pt.dist(u, v) == UNREACHABLE:
             raise ValueError(f"terminal pair ({u},{v}) is disconnected")
         limits[u, v] = pt.dist(u, v) + inst.budget.allowance(g, u, v)
-    walked = _WALKS.setdefault(pt, {})
-    kept = _ANSWERS.setdefault(pt, {}).setdefault(inst.terminal_sets, [])
+    walked, answers = _KEPT.setdefault(pt, ({}, {}))
+    kept = answers.setdefault(inst.terminal_sets, [])
     for wider, level_masks, answer in kept:
         if all(wider[p] >= limit for p, limit in limits.items()) and all(
                 any(w <= limits[p] and mask & level == mask for _, mask, _, w in walked[p][1])

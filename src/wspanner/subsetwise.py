@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from . import core
 from .core import (
     Edge,
     WeightedGraph,
@@ -143,7 +144,8 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int], one_off: bool 
     pt = g.paths
     clustering = build_clustering(g, len(s))
     h: set[Edge] = set(clustering.cluster_subgraph)
-    pairs = pt.terminal_pairs(s, one_off)
+    # a one-off set (p8w's repair sample) gets its own list, which the table neither keeps nor indexes
+    pairs = core.terminal_pairs(s) if one_off else pt.terminal_pairs(s)
     valued: dict[int, BuyRecord] = {}
     # an h that is all of g (always so without clusters) holds every path; h grows
     # only after a pair is valued, so left's first pair is valued and reads h_adj

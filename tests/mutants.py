@@ -2,14 +2,13 @@
 
 Run from the root of a checkout (it needs pytest and the test extras):
 
-    python tests/mutants.py              # the no-op control, then every mutant
-    python tests/mutants.py --workers 1  # the same, one entry at a time
+    python tests/mutants.py    # the no-op control, then every mutant
 
 Each entry names a file under ``src/``, an anchor text that occurs exactly
 once in it, the text that replaces it, and the test ids that must fail with
 the mutant in place (a parametrized test counts as failing when one of its
 cases fails).  The runner copies ``src/``, ``tests/`` and ``pyproject.toml``
-to one temporary directory per worker (two by default), and each worker
+to one temporary directory per worker (two of them), and each worker
 takes the next entry, applies its mutant to its own copy, runs the entry's
 tests there in a fresh interpreter that writes no bytecode, and restores the
 file.  Verdicts are printed in register order, whichever worker finishes
@@ -41,7 +40,6 @@ fails shrinks its example first, which can take minutes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import queue
 import shutil
@@ -54,6 +52,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2  # entries run at once, each in its own copy of the tree
 
 
 class Mutant(NamedTuple):
@@ -241,11 +240,11 @@ REGISTER = (
     Mutant("exact filter drops the paths on the limit", EXACT,
            "if p[3] <= limit]", "if p[3] < limit]",
            (WIDEN, "tests/test_golden.py::test_exact_level_sets_digest[ge-9-l1-local]")),
-    Mutant("exact keeps its walks in a strong store", EXACT,
-           "_WALKS: WeakKeyDictionary = WeakKeyDictionary()", "_WALKS: WeakKeyDictionary = {}",
+    Mutant("exact keeps its walks and answers in a strong store", EXACT,
+           "_KEPT: WeakKeyDictionary = WeakKeyDictionary()", "_KEPT: WeakKeyDictionary = {}",
            ("tests/test_exact.py::TestExactOptimum::test_kept_walks_are_freed_with_the_graph",)),
-    Mutant("exact keeps no walk between calls", EXACT,
-           "walked = _WALKS.setdefault(pt, {})", "walked = {}",
+    Mutant("exact keeps no walk or answer between calls", EXACT,
+           "walked, answers = _KEPT.setdefault(pt, ({}, {}))", "walked, answers = {}, {}",
            (SHARED_WALKS,)),
     Mutant("exact serves a kept answer without the containment test", EXACT,
            "all(wider[p] >= limit for p, limit in limits.items())", "True",
@@ -265,9 +264,6 @@ REGISTER = (
     Mutant("exact keeps no answer", EXACT,
            "kept.append((limits, level_masks, answer))", "pass",
            (KEPT + "test_fitting_wider_answer_is_returned_as_the_same_object",)),
-    Mutant("exact keeps its answers in a strong store", EXACT,
-           "_ANSWERS: WeakKeyDictionary = WeakKeyDictionary()", "_ANSWERS: WeakKeyDictionary = {}",
-           (KEPT + "test_kept_answers_are_freed_with_the_graph",)),
     Mutant("exact search closure left in its cycle", EXACT,
            "    del search  #", "    #",
            (KEPT + "test_a_solve_leaves_nothing_for_the_collector",)),
@@ -373,18 +369,14 @@ def _run(tree: Path, mutant: Mutant, kills: tuple[str, ...]) -> tuple[str, str]:
     return "killed", f"{len(failed)} failed"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Check that the tests kill every registered mutant.")
-    parser.add_argument("--workers", type=int, default=2, choices=range(1, 9), metavar="1..8",
-                        help="entries run at once, each in its own copy of the tree (default 2)")
-    workers = parser.parse_args(argv).workers
+def main() -> int:
     every_test = tuple(dict.fromkeys(t for m in REGISTER for t in m.kills))
     entries = [(CONTROL, every_test, "survived")] + [(m, m.kills, "killed") for m in REGISTER]
     problems = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="wspanner-mutants-") as tmp:
         trees: queue.SimpleQueue = queue.SimpleQueue()  # the copies no worker is using
-        for i in range(workers):
+        for i in range(WORKERS):
             _copy_tree(Path(tmp) / str(i))
             trees.put(Path(tmp) / str(i))
 
@@ -395,15 +387,15 @@ def main(argv=None) -> int:
             finally:
                 trees.put(tree)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             for (mutant, _, wanted), (verdict, detail) in zip(entries, pool.map(run, entries)):
                 ok = verdict == wanted
                 problems += not ok
                 print(f"{'ok  ' if ok else 'FAIL'} {verdict:8} {mutant.name} ({detail})", flush=True)
     print(f"{len(REGISTER)} mutants and the control in {time.perf_counter() - start:.1f} s "
-          f"with {workers} worker(s); {problems} problem(s)")
+          f"with {WORKERS} workers; {problems} problem(s)")
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -204,8 +204,9 @@ class TestExactOptimum:
         g = WeightedGraph(3, TRIANGLE.edges)
         exact_optimum(inst(g, {0, 2}))
         table = weakref.ref(g.paths)
-        assert table() in exact._WALKS
-        del g
+        walks, answers = exact._KEPT[table()]
+        assert walks and answers
+        del g, walks, answers
         assert table() is None
 
     @pytest.mark.parametrize("budget", [GLOBAL2, LOCAL2])
@@ -271,14 +272,6 @@ class TestKeptAnswers:
         assert wider.level_edges == (frozenset(TRIANGLE.weight_map), frozenset({(0, 2)}))
         narrower = exact_optimum(inst(g, *sets, budget=ErrorBudget(BudgetMode.LOCAL, 0)))
         assert narrower.level_edges == (frozenset({(0, 1), (1, 2)}),) * 2
-
-    def test_kept_answers_are_freed_with_the_graph(self):
-        g = WeightedGraph(3, TRIANGLE.edges)
-        exact_optimum(inst(g, {0, 2}))
-        table = weakref.ref(g.paths)
-        assert table() in exact._ANSWERS
-        del g
-        assert table() is None
 
     def test_a_solve_leaves_nothing_for_the_collector(self):
         # the walk and the search are recursive closures; each call drops its
