@@ -187,14 +187,14 @@ class PairwiseReport:
 
 def _sample(rng, n: int, prob: float, report: PairwiseReport) -> list[int]:
     """Each vertex independently with probability prob (all of them when
-    prob >= 1); the sample size is appended to the report."""
+    prob >= 1), drawn from rng; the sample size is appended to the report."""
     sample = [v for v in range(n) if rng.random() < prob]
     report.sample_counts.append(len(sample))
     return sample
 
 
 def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]],
-          h: set[Edge], d: int, ell: int, rng, report: PairwiseReport) -> None:
+          h: set[Edge], d: int, ell: int, seed: int, report: PairwiseReport) -> None:
     """One sweep, in input order, over the pairs whose canonical path leaves
     h when it starts (their positions from ``PathTable.leaving``, each path
     from ``PathTable.path``): h only grows, so every other pair's path stays
@@ -204,10 +204,11 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
     else repaired: p4w with trees or with bounded-miss paths for the sample
     pairs whose canonical path leaves h (one in h weighs dist_G with no
     miss, so the search would return a path in h), p8w with a subsetwise
-    spanner on a sample, p2w after the sweep with trees.  The first bad pair
-    in input order raises before any repair: a disconnected one, which only
-    a disconnected graph has, or one outside the graph."""
-    n, pt = g.n, g.paths
+    spanner on a sample, p2w after the sweep with trees.  The samples share
+    one stream, seeded at the first.  The first bad pair in input order
+    raises before any repair: a disconnected one, which only a disconnected
+    graph has, or one outside the graph."""
+    n, pt, rng = g.n, g.paths, None
     if not g.is_connected:
         for u, v in pairs:
             if pt.dist(u, v) == UNREACHABLE:
@@ -218,12 +219,12 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
             h.update(missing)
             continue
         if algo is PairwiseAlgo.P4W and len(missing) * d * d >= n:
-            for r in _sample(rng, n, d * d / n, report):
+            for r in _sample(rng := rng or stream(seed, ROLE_PAIRWISE, 0), n, d * d / n, report):
                 h.update(shortest_path_tree(g, r))
         elif algo is not PairwiseAlgo.P2W:
             h.update(missing[:ell])
             h.update(missing[-ell:])
-            sample = _sample(rng, n, 1.0 / (ell * d), report)
+            sample = _sample(rng := rng or stream(seed, ROLE_PAIRWISE, 0), n, 1.0 / (ell * d), report)
             if algo is PairwiseAlgo.P4W:
                 for r, r_prime in combinations(sample, 2):
                     if not h.issuperset(pt.path(r, r_prime) or ()):
@@ -235,7 +236,7 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
                 # keeps the budget); the path table keeps no pair tuple of a one-off sample
                 h.update(subsetwise_2w(g, sample, one_off=True))
     if algo is PairwiseAlgo.P2W:
-        for r in _sample(rng, n, 1.0 / (ell * d), report):
+        for r in _sample(rng := rng or stream(seed, ROLE_PAIRWISE, 0), n, 1.0 / (ell * d), report):
             h.update(shortest_path_tree(g, r))
 
 
@@ -252,7 +253,7 @@ def pairwise_spanner_run(g: WeightedGraph, pairs: Sequence[tuple[int, int]], par
     h = d_light_init(g, d)
     h.update(free)
     report = PairwiseReport(algo=params.algo.value, d=d, ell=ell)
-    _pass(params.algo, g, pairs, h, d, ell, stream(params.seed, ROLE_PAIRWISE, 0), report)
+    _pass(params.algo, g, pairs, h, d, ell, params.seed, report)
     violators = verify_spanner(g, h, pairs, BUDGETS[params.algo])
     missing = {e for u, v in violators for e in g.paths.path(u, v) if e not in h}
     h.update(missing)

@@ -102,6 +102,17 @@ REGISTER = (
            "    if algo is PairwiseAlgo.P2W:\n        for r in _sample(",
            "    if False:\n        for r in _sample(",
            (REFERENCE,)),
+    Mutant("pairwise pass seeds its stream before its first sample", PAIRWISE,
+           "n, pt, rng = g.n, g.paths, None", "n, pt, rng = g.n, g.paths, stream(seed, ROLE_PAIRWISE, 0)",
+           ("tests/test_pairwise.py::test_a_pass_seeds_its_stream_only_when_it_samples",)),
+    Mutant("pairwise sweep repair seeds a fresh stream for every sample", PAIRWISE,
+           "sample = _sample(rng := rng or stream(", "sample = _sample(rng := stream(",
+           ("tests/test_pairwise.py::test_every_sample_of_a_pass_draws_from_its_one_stream",)),
+    Mutant("pairwise stream kept across runs", PAIRWISE,
+           "n, pt, rng = g.n, g.paths, None",
+           'n, pt, rng = g.n, g.paths, vars(_pass).setdefault("rng", stream(seed, ROLE_PAIRWISE, 0))',
+           ("tests/test_pairwise.py::TestPairwiseSpanner::test_deterministic_given_seed",
+            "tests/test_golden.py::test_pairwise_output_digest")),
     Mutant("p4w search skip inverted", PAIRWISE,
            "if not h.issuperset(pt.path(r, r_prime) or ()):",
            "if h.issuperset(pt.path(r, r_prime) or ()):",

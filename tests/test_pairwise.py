@@ -33,6 +33,7 @@ from wspanner.pairwise import (
     pairwise_spanner_run,
     shortest_path_tree,
 )
+from wspanner.seeding import ROLE_PAIRWISE
 
 from helpers import (
     INF,
@@ -313,6 +314,48 @@ def test_run_matches_plain_reference_on_every_repair(algo, d, detached):
         for run in (pairwise_spanner_run, reference_pairwise_run):
             with pytest.raises(ValueError, match=r"pair \(9,30\) is disconnected"):
                 run(g, pairs + [(9, 30)], params)
+
+
+def _seeded_streams(monkeypatch) -> list:
+    """The tags of every stream the pairwise module seeds from now on."""
+    seeded = []
+
+    def counting(*tags, real=pairwise.stream):
+        seeded.append(tags)
+        return real(*tags)
+
+    monkeypatch.setattr(pairwise, "stream", counting)
+    return seeded
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_a_pass_seeds_its_stream_only_when_it_samples(algo, monkeypatch):
+    # With d = n the init holds every canonical path, so p4w and p8w sample
+    # nothing and seed no stream; p2w still samples its trees after the
+    # sweep.  At d = 1 every construction samples once and seeds once.
+    g = WeightedGraph(30, caterpillar_edges(10))
+    pairs = terminal_pairs([0, 9, *range(10, 30)])
+    seeded = _seeded_streams(monkeypatch)
+    for d in (g.n, 1):
+        seeded.clear()
+        report = pairwise_spanner_run(g, pairs, PairwiseParams(algo, d_override=d, seed=7))[1]
+        samples = 1 if d == 1 or algo is PairwiseAlgo.P2W else 0
+        assert len(report.sample_counts) == samples
+        assert seeded == [(7, ROLE_PAIRWISE, 0)] * samples
+
+
+@pytest.mark.parametrize("algo", [PairwiseAlgo.P4W, PairwiseAlgo.P8W])
+def test_every_sample_of_a_pass_draws_from_its_one_stream(algo, monkeypatch):
+    # The sweep repairs twice, and its first sample, one vertex, repairs
+    # nothing; a stream seeded again for the second sample would draw the
+    # first one's values and sample that one vertex again.
+    g = WeightedGraph(30, caterpillar_edges(10))
+    pairs = terminal_pairs(range(0, 30, 4))
+    params = PairwiseParams(algo, d_override=2, seed=4)
+    seeded = _seeded_streams(monkeypatch)
+    h, report = pairwise_spanner_run(g, pairs, params)
+    assert len(report.sample_counts) >= 2 and len(seeded) == 1
+    assert (h, report) == reference_pairwise_run(g, pairs, params)
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
