@@ -233,39 +233,48 @@ def shortest_path_row(adj, n: int, source: int) -> tuple[list, list[int]]:
     return _settle(adj, n, source, UNREACHABLE)
 
 
-def subgraph_adjacency(g: WeightedGraph, edges: Iterable[Edge], adj=None):
-    """Adjacency lists of g's subgraph on the given (min, max) edge keys, in
-    no particular order (its readers take distances, which do not depend on it).
-    Given adj, lists from an earlier call, the edges are appended to them and
-    adj is returned: the subgraph grown by those edges."""
-    if adj is None:
-        adj = [[] for _ in range(g.n)]
-    for u, v in edges:
-        w = g.weight_map[u, v]
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
+class Subgraph:
+    """A subgraph of g that only grows: ``edges``, a set of (min, max) keys of
+    g's edges, and adjacency lists (in no particular order; distances do not
+    depend on it) built at the first ``dist`` and grown by every later
+    ``add``, so a subgraph that is never searched builds none."""
+
+    def __init__(self, g: WeightedGraph, edges: Iterable[Edge]):
+        self.g, self.edges, self._adj = g, set(edges), None
+
+    def add(self, edges: Iterable[Edge]) -> None:
+        new = [e for e in edges if e not in self.edges]
+        self.edges.update(new)
+        if self._adj is not None:
+            self._link(new)
+
+    def _link(self, edges: Iterable[Edge]) -> None:
+        weight, adj = self.g.weight_map, self._adj
+        for u, v in edges:
+            adj[u].append((v, weight[u, v]))
+            adj[v].append((u, weight[u, v]))
+
+    def dist(self, source: int, limit=UNREACHABLE) -> list:
+        """``dijkstra_distances`` from source over the subgraph."""
+        if self._adj is None:
+            self._adj = [[] for _ in range(self.g.n)]
+            self._link(self.edges)
+        return dijkstra_distances(self._adj, self.g.n, source, limit)
 
 
 class PathTable:
     """Distances, canonical paths, and per-pair maximum edge weight, computed
     on demand one source row at a time.
 
-    A row for source s holds the distances from s and the smallest-id parents
-    of the shortest-path tree rooted at s (the tie-break is applied as edges
-    are relaxed), both from one search (``shortest_path_row``), computed the
-    first time any method asks for s.  ``path`` builds the row's
-    canonical-path edge tuples, each vertex's once, as its parent's tuple plus
-    one edge; rows and tuples are cached.  W(u, v), the largest edge weight on
-    the canonical path, is read off that path's cached edges.  The canonical
-    path of an unordered pair {u, v} is the path from min(u, v) in the tree
-    rooted there, as (min, max) edge keys.  The per-pair methods read the row
-    of min(u, v) and reject a vertex outside 0..n-1, one check in ``_row``;
-    row(s) hands out the row of s whole.  ``leaving`` indexes each pair tuple
-    of ``terminal_pairs``, one per terminal set, once (any other sequence for
-    one call) and hands out positions, never paths.  Answers do not depend on
-    the order of queries.  Each row, tuple and index is a pure function of the
-    graph and its input, so concurrent first reads can at worst compute one twice.
+    The row of source s, the distances and smallest-id parents of the
+    shortest-path tree rooted at s from one search (``shortest_path_row``),
+    is computed the first time any method asks for s and cached with the
+    canonical-path edge tuples ``path`` builds.  The canonical path of an
+    unordered pair {u, v} is the path from min(u, v) in the tree rooted
+    there, as (min, max) edge keys; the per-pair methods read the row of
+    min(u, v).  Answers do not depend on the order of queries.  Each row,
+    tuple and index is a pure function of the graph and its input, so
+    concurrent first reads can at worst compute one twice.
 
     The table keeps the graph's adjacency, weight map and vertex count, not
     the graph itself, so a graph that caches its table forms no reference
@@ -364,32 +373,25 @@ def build_path_table(g: WeightedGraph) -> PathTable:
 def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs: Sequence[Edge],
                    budget: ErrorBudget) -> list[tuple[int, int]]:
     """Pairs whose distance in the subgraph exceeds dist_G + allowance, in
-    the order they are given.
+    the order they are given; none means h_edges is a valid spanner for them.
 
-    The subgraph's edges h_edges are (min, max) keys of edges of g, as in
-    ``g.weight_map``; anything else, a reversed key included, is a ValueError.
-    An empty result means h_edges is a valid spanner for the given pairs.
-    Pairs disconnected in g itself are never reported.  A pair whose
-    canonical path lies in the subgraph has dist_H = dist_G and passes
-    without a search; this trusts the table's canonical paths to be real
-    paths of weight ``dist``.  The pairs left over come from the table's
-    index of the pair sequence (``PathTable.leaving``, which keeps the index
-    of a ``g.paths.terminal_pairs`` tuple), which builds no edge tuple, and
-    only they cost a search of the subgraph, one Dijkstra per source.
+    h_edges are (min, max) keys of edges of g, as in ``g.weight_map``;
+    anything else, a reversed key included, is a ValueError.  Pairs
+    disconnected in g are never reported.  A pair whose canonical path lies
+    in the subgraph has dist_H = dist_G and passes without a search (this
+    trusts the canonical paths to be real paths of weight ``dist``); the
+    pairs ``PathTable.leaving`` returns cost one search per source.
     """
     hset = set(h_edges)
     extra = sorted(hset.difference(g.weight_map))[:3]
     if extra:
         raise ValueError(f"subgraph edges must be (min, max) keys of graph edges: {extra}")
-    left = g.paths.leaving(pairs, hset)
-    if not left:
+    if not (left := g.paths.leaving(pairs, hset)):
         return []
-    n, h_adj = g.n, subgraph_adjacency(g, hset)
-    rows: dict[int, list] = {}
-    violated = []
+    h, rows, violated = Subgraph(g, hset), {}, []
     for u, v in (pairs[i] for i in left):
         if u not in rows:
-            rows[u] = dijkstra_distances(h_adj, n, u)
+            rows[u] = h.dist(u)
         dh = rows[u][v]
         if dh == UNREACHABLE or dh > g.paths.dist(u, v) + budget.allowance(g, u, v):
             violated.append((u, v))

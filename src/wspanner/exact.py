@@ -8,10 +8,10 @@ to an external MILP solver instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from weakref import WeakKeyDictionary
 
-from .core import UNREACHABLE, Edge, edge_key
+from .core import UNREACHABLE, Edge, _is_int, edge_key
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
 
 # path table -> ({pair: (limit, paths)}, {terminal sets: [(limits, level masks, answer)]})
@@ -23,6 +23,11 @@ class SizeCaps:
     max_edges_single: int = 20
     max_edges_multi: int = 14
     max_work: int = 5_000_000
+
+    def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self)):
+            if not _is_int(value := getattr(self, name)) or value < 0:
+                raise ValueError(f"size cap {name} must be an integer >= 0, got {value!r}")
 
 
 class SizeCapExceeded(RuntimeError):

@@ -20,13 +20,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import core
-from .core import (
-    Edge,
-    WeightedGraph,
-    dijkstra_distances,
-    edge_key,
-    subgraph_adjacency,
-)
+from .core import Edge, Subgraph, WeightedGraph, edge_key
 
 
 def cluster_threshold(s_size: int, w_max: int) -> int:
@@ -78,15 +72,14 @@ def build_clustering(g: WeightedGraph, s_size: int) -> Clustering:
     return Clustering(tuple(clusters), frozenset(gc))
 
 
-def path_value(g: WeightedGraph, pair: Edge, x: int, clustering: Clustering, h_adj) -> int:
-    """Clusters touched by the canonical path of pair (u, v), u < v, from
-    ``g.paths.path``, whose along-path distance from the end x beats the
-    distance from x in H (adjacency lists h_adj; unreachable is infinite),
-    searched no farther than the largest along-path distance.  Each prefix of
-    the path is a shortest path from u, so the along-path distance to a path
-    vertex y is dist_G(u, y) from u and dist_G(u, v) - dist_G(u, y) from v,
-    both read from row u; a cluster counts from its path member nearest x.
-    An x that is not an end, or a pair with no path, is a ValueError."""
+def path_value(g: WeightedGraph, pair: Edge, x: int, clustering: Clustering, h: Subgraph) -> int:
+    """Clusters touched by the canonical path of pair (u, v), u < v, whose
+    along-path distance from the end x beats dist_H from x, searched no
+    farther than the largest along-path distance.  Each prefix of the path
+    is a shortest path from u, so the along-path distance to a path vertex y
+    is dist_G(u, y) from u and dist_G(u, v) - dist_G(u, y) from v, both read
+    from row u; a cluster counts from its path member nearest x.  An x that
+    is not an end, or a pair with no path, is a ValueError."""
     u, v = pair
     if x not in pair:
         raise ValueError(f"{x} is not an endpoint of the path")
@@ -103,7 +96,7 @@ def path_value(g: WeightedGraph, pair: Edge, x: int, clustering: Clustering, h_a
         return 0
     # Entries past the limit are only known to lie beyond it, which is at
     # least d_path, so the comparison decides as with exact distances.
-    dist = dijkstra_distances(h_adj, g.n, x, limit=max(along.values()))
+    dist = h.dist(x, limit=max(along.values()))
     return sum(d_path < min(dist[w] for w in clustering.clusters[c])
                for c, d_path in along.items())
 
@@ -143,27 +136,24 @@ def subsetwise_2w_run(g: WeightedGraph, terminals: Iterable[int], one_off: bool 
         raise ValueError("need at least two terminals")
     pt = g.paths
     clustering = build_clustering(g, len(s))
-    h: set[Edge] = set(clustering.cluster_subgraph)
+    h = Subgraph(g, clustering.cluster_subgraph)
     # a one-off set (p8w's repair sample) gets its own list, which the table neither keeps nor indexes
     pairs = core.terminal_pairs(s) if one_off else pt.terminal_pairs(s)
     valued: dict[int, BuyRecord] = {}
-    # an h that is all of g (always so without clusters) holds every path; h grows
-    # only after a pair is valued, so left's first pair is valued and reads h_adj
-    left = pt.leaving(pairs, h) if len(h) < len(g.edges) else ()
-    h_adj = subgraph_adjacency(g, h) if left else None  # grown by each buy
+    # an h that is all of g (always so without clusters) holds every path
+    left = pt.leaving(pairs, h.edges) if len(h.edges) < len(g.edges) else ()
     for i in left:
         u, v = pairs[i]
-        new = [e for e in pt.path(u, v) if e not in h]
+        new = [e for e in pt.path(u, v) if e not in h.edges]
         if not new:
             continue
-        value = (path_value(g, (u, v), u, clustering, h_adj)
-                 + path_value(g, (u, v), v, clustering, h_adj))
+        value = (path_value(g, (u, v), u, clustering, h)
+                 + path_value(g, (u, v), v, clustering, h))
         bought = len(new) <= (2 * g.weight_max + 1) * value
         if bought:
-            h.update(new)
-            subgraph_adjacency(g, new, h_adj)
+            h.add(new)
         valued[i] = BuyRecord((u, v), len(new), value, bought)
-    return PathBuyState(h, pairs, valued)
+    return PathBuyState(h.edges, pairs, valued)
 
 
 def subsetwise_2w(g: WeightedGraph, terminals: Iterable[int], one_off: bool = False) -> set[Edge]:

@@ -22,7 +22,8 @@ init plus any free edges.
 through ``PathTable.path``.  ``caterpillar_edges`` is the one test
 instance shared by the pairwise and golden tests.  ``exact_single_level`` is
 no oracle: it is the library's exact optimum read as one level's edge set,
-for the tests that compare against it.
+for the tests that compare against it.  ``made_subgraphs`` is no oracle
+either: it records every ``core.Subgraph`` made while a test runs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from wspanner.core import Subgraph
 from wspanner.exact import exact_optimum
 from wspanner.multilevel import MultiLevelInstance
 from wspanner.pairwise import (
@@ -205,6 +207,15 @@ def bellman_ford(n: int, weighted_edges, source: int) -> list[float]:
         if not changed:
             break
     return dist
+
+
+def made_subgraphs(monkeypatch) -> list:
+    """Every ``core.Subgraph`` made while the patch holds, in order of making;
+    one whose ``_adj`` is not None has built its adjacency lists."""
+    made = []
+    real = Subgraph.__init__
+    monkeypatch.setattr(Subgraph, "__init__", lambda self, *args: made.append(self) or real(self, *args))
+    return made
 
 
 def bellman_ford_violations(g, h_edges, pairs, budget) -> list:

@@ -76,6 +76,8 @@ REFERENCE = "tests/test_pairwise.py::test_run_matches_plain_reference_on_every_r
 SUB2W_REFERENCE = "tests/test_subsetwise.py::test_audit_replay_matches_run_where_clusters_form"
 OFF_CANONICAL = ("tests/test_core.py::"
                  "test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path")
+ONE_H = "tests/test_subsetwise.py::test_one_subgraph_adjacency_per_run_and_none_without_clusters"
+GROWS = "tests/test_core.py::test_subgraph_builds_its_lists_at_its_first_search_and_grows_them_after"
 ONE_INDEX = "tests/test_bench.py::test_instance_walks_each_terminal_pair_list_once"
 SHARED_WALKS = "tests/test_bench.py::test_exact_solves_of_an_instance_walk_each_pair_once"
 WIDEN = "tests/test_exact.py::TestExactOptimum::test_budgets_on_one_graph_walk_again_only_to_widen"
@@ -126,8 +128,8 @@ REGISTER = (
     Mutant("sub2w without its re-test", SUBSETWISE,
            "    for i in left:\n"
            "        u, v = pairs[i]\n"
-           "        new = [e for e in pt.path(u, v) if e not in h]\n",
-           "    start = set(h)\n"
+           "        new = [e for e in pt.path(u, v) if e not in h.edges]\n",
+           "    start = set(h.edges)\n"
            "    for i in left:\n"
            "        u, v = pairs[i]\n"
            "        new = [e for e in pt.path(u, v) if e not in start]\n",
@@ -146,13 +148,23 @@ REGISTER = (
            ("tests/test_subsetwise.py::test_clustering_matches_rescan_oracle",
             SUB2W_REFERENCE)),
     Mutant("sub2w does not grow H's adjacency after a buy", SUBSETWISE,
-           "            subgraph_adjacency(g, new, h_adj)\n", "",
-           (SUB2W_REFERENCE, "tests/test_subsetwise.py::"
-                             "test_one_subgraph_adjacency_per_run_and_none_without_clusters")),
+           "            h.add(new)\n", "            h.edges.update(new)\n",
+           (SUB2W_REFERENCE, ONE_H)),
     Mutant("path_value reads the path of the pair (u, x)", SUBSETWISE,
            "(path := g.paths.path(u, v))", "(path := g.paths.path(u, x))",
            ("tests/test_subsetwise.py::TestPathValue::test_counts_unreachable_cluster_member",
             SUB2W_REFERENCE)),
+    Mutant("Subgraph.add updates only the set", CORE,
+           "        if self._adj is not None:\n            self._link(new)\n", "",
+           (GROWS, ONE_H)),
+    Mutant("Subgraph builds its lists at construction", CORE,
+           "self.g, self.edges, self._adj = g, set(edges), None\n",
+           "self.g, self.edges, self._adj = g, set(edges), [[] for _ in range(g.n)]\n"
+           "        self._link(self.edges)\n",
+           (GROWS, ONE_H)),
+    Mutant("Subgraph.add links an edge it already holds", CORE,
+           "new = [e for e in edges if e not in self.edges]", "new = list(edges)",
+           (GROWS,)),
     Mutant("pair index keys reversed", CORE,
            "index[(p, y) if p < y else (y, p)].append(i)",
            "index[(y, p) if p < y else (p, y)].append(i)",
@@ -227,6 +239,15 @@ REGISTER = (
            "        for u, w in adj[x]:\n", "        for u, w in reversed(adj[x]):\n",
            ("tests/test_pairwise.py::TestLimitedMissingPath::"
             "test_reconstruction_prefers_the_smaller_predecessor_on_a_full_tie",)),
+    Mutant("SizeCaps accepts a negative cap", EXACT,
+           " or value < 0:", ":",
+           ("tests/test_bench.py::TestPlanDict::test_negative_cap_rejected",
+            "tests/test_cli.py::test_run_rejects_a_negative_cap_before_any_instance",
+            "tests/test_cli.py::test_exact_rejects_a_negative_cap_flag")),
+    Mutant("SizeCaps checks its first field only", EXACT,
+           "for f in fields(self))", "for f in fields(self)[:1])",
+           ("tests/test_bench.py::TestPlanDict::test_negative_cap_rejected[max_work]",
+            "tests/test_cli.py::test_run_rejects_a_negative_cap_before_any_instance")),
     Mutant("exact bound test made >=", EXACT,
            "if total + (untouched + 1) // 2 > best_sparsity:",
            "if total + (untouched + 1) // 2 >= best_sparsity:",

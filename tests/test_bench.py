@@ -383,6 +383,20 @@ class TestPlanDict:
         with pytest.raises(ValueError, match=name):
             ExperimentPlan.from_dict(MINIMAL_PLAN | extra)
 
+    @pytest.mark.parametrize("name", ["max_edges_single", "max_edges_multi", "max_work"])
+    def test_negative_cap_rejected(self, name):
+        # A negative cap would refuse every exact solve and leave each row
+        # without its optimum, so the plan is refused instead.
+        with pytest.raises(ValueError) as exc:
+            ExperimentPlan.from_dict(MINIMAL_PLAN | {"exact": True, "caps": {name: -5}})
+        assert str(exc.value) == f"size cap {name} must be an integer >= 0, got -5"
+
+    def test_size_caps_take_integers_from_zero_up(self):
+        assert SizeCaps(0, 0, 0) == SizeCaps(max_edges_single=0, max_edges_multi=0, max_work=0)
+        for bad in (1.5, True, "3"):
+            with pytest.raises(ValueError, match=r"^size cap max_work must be an integer >= 0, got "):
+                SizeCaps(max_work=bad)
+
     def test_absent_required_key_rejected(self):
         data = dict(MINIMAL_PLAN)
         del data["sizes"]

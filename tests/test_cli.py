@@ -178,6 +178,33 @@ def test_exact_cap_flag_admits_nothing_past_the_work_budget(tmp_path, capsys):
     assert err == "wspanner: error: search space (2**132) exceeds the work budget\n"
 
 
+def test_exact_rejects_a_negative_cap_flag(instance_files, capsys):
+    graph_path, terms_path = instance_files
+    code = main(["exact", "--graph", str(graph_path), "--terminals", str(terms_path),
+                 "--cap-single", "-3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "wspanner: error: size cap max_edges_single must be an integer >= 0, got -3\n"
+
+
+def test_run_rejects_a_negative_cap_before_any_instance(tmp_path, capsys, monkeypatch):
+    # Before the check such a plan ran, exited 0 and left every row's
+    # exact_sparsity empty.
+    calls = []
+    run_instance = bench.run_instance
+    monkeypatch.setattr(bench, "run_instance",
+                        lambda plan, task: calls.append(task) or run_instance(plan, task))
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"models": ["er"], "sizes": [8], "levels": [2], "tsms": ["exp"],
+                                     "algorithms": ["sub2w", "p2w"], "seeds_per_cell": 1,
+                                     "exact": True, "caps": {"max_work": -5}}))
+    code = main(["run", "--plan", str(plan_path), "--out", str(tmp_path / "results")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "wspanner: error: size cap max_work must be an integer >= 0, got -5\n"
+    assert calls == [] and not (tmp_path / "results").exists()
+
+
 def test_run_and_summarize(tmp_path, capsys):
     plan = {
         "models": ["er"], "sizes": [10], "levels": [1], "tsms": ["linear"],

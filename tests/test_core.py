@@ -34,6 +34,7 @@ from helpers import (
     brute_force_distance,
     canonical_edges,
     hop_radius,
+    made_subgraphs,
     path_edge_keys,
     reordered_pairs,
     scanned_leaving,
@@ -247,15 +248,15 @@ def test_tree_paths_are_prefix_consistent_per_source(g):
 @settings(max_examples=150)
 def test_dijkstra_limit_keeps_every_entry_up_to_it_exact(g, data):
     kept = [(u, v, w) for u, v, w in g.edges if data.draw(st.booleans())]
-    adj = core.subgraph_adjacency(g, [(u, v) for u, v, _ in kept])
+    h = core.Subgraph(g, [(u, v) for u, v, _ in kept])
     s = data.draw(st.integers(0, g.n - 1))
     exact = bellman_ford(g.n, kept, s)
-    assert core.dijkstra_distances(adj, g.n, s) == exact
-    assert core.dijkstra_distances(adj, g.n, s, limit=UNREACHABLE) == exact
+    assert h.dist(s) == exact
+    assert h.dist(s, limit=UNREACHABLE) == exact
     finite = sorted({d for d in exact if d != UNREACHABLE})
     limit = data.draw(st.one_of(st.integers(0, 5 * g.n), st.sampled_from(finite).flatmap(
         lambda d: st.sampled_from([d - 1, d, d + 1]))))
-    bounded = core.dijkstra_distances(adj, g.n, s, limit=limit)
+    bounded = h.dist(s, limit=limit)
     for got, want in zip(bounded, exact):
         assert got == want if want <= limit else got > limit
 
@@ -644,25 +645,59 @@ def test_check_does_not_depend_on_pair_order(case, rnd):
 
 
 def test_check_searches_the_subgraph_only_for_pairs_off_their_canonical_path(monkeypatch):
+    # A check makes a subgraph to search only when a pair leaves it, and
+    # then searches each source once.
     g = generate(GeneratorSpec(Model.ER, 40, 3))
     pairs = terminal_pairs(range(0, g.n, 5))
     h = {e for u, v in pairs for e in g.paths.path(u, v)}
-    calls = dict.fromkeys(("dijkstra_distances", "subgraph_adjacency"), 0)
-    for name in calls:
-        def counting(*args, name=name, real=getattr(core, name)):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(core, name, counting)
+    sources = []
+    real = core.dijkstra_distances
+    monkeypatch.setattr(core, "dijkstra_distances", lambda *a: sources.append(a[2]) or real(*a))
+    made = made_subgraphs(monkeypatch)
     for mode in ("GLOBAL", "LOCAL"):
         assert verify_spanner(g, h, pairs, budget(mode, 0)) == []
-    assert calls == {"dijkstra_distances": 0, "subgraph_adjacency": 0}
+    assert sources == [] and made == []
     cut = h - {canonical_edges(g.paths, *pairs[0])[0]}
     for mode in ("GLOBAL", "LOCAL"):
-        calls.update(dijkstra_distances=0, subgraph_adjacency=0)
+        made.clear()
+        sources.clear()
         b = budget(mode, 0)
         assert verify_spanner(g, cut, pairs, b) == bellman_ford_violations(g, cut, pairs, b)
-        assert calls["subgraph_adjacency"] == 1 and calls["dijkstra_distances"] >= 1
+        assert len(made) == 1 and made[0]._adj is not None
+        assert sources and len(sources) == len(set(sources))
+
+
+@given(st.one_of(connected_graphs(), any_graphs()), st.data())
+@settings(max_examples=100)
+def test_subgraph_distances_match_bellman_ford_after_any_adds(g, data):
+    # Batches of g's edge keys, repeats allowed, grow one subgraph, searched
+    # from a drawn source between some batches and after the last one, so
+    # the adds come both before and after its lists exist.
+    keys = st.lists(st.sampled_from(sorted(g.weight_map)), max_size=6) if g.edges else st.just([])
+    batches = data.draw(st.lists(keys, min_size=1, max_size=4))
+
+    def check(h):
+        s = data.draw(st.integers(0, g.n - 1))
+        assert h.dist(s) == bellman_ford(g.n, [e for e in g.edges if e[:2] in h.edges], s)
+
+    h = core.Subgraph(g, batches[0])
+    for batch in batches[1:]:
+        if data.draw(st.booleans()):
+            check(h)
+        h.add(batch)
+    check(h)
+    assert h.edges == set().union(*map(set, batches))
+
+
+def test_subgraph_builds_its_lists_at_its_first_search_and_grows_them_after():
+    h = core.Subgraph(TRIANGLE, [(0, 2)])
+    h.add([(0, 1)])
+    assert h._adj is None and h.edges == {(0, 1), (0, 2)}
+    assert h.dist(2) == [3, 4, 0]
+    h.add([(1, 2), (0, 1)])
+    assert h.dist(2) == [2, 1, 0] and h.edges == TRIANGLE.weight_map.keys()
+    # each edge once in its ends' lists, as in the whole graph's adjacency
+    assert [sorted(entry) for entry in h._adj] == [list(entry) for entry in TRIANGLE.adj]
 
 
 @given(connected_graphs())

@@ -40,6 +40,7 @@ from helpers import (
     bellman_ford,
     canonical_edges,
     caterpillar_edges,
+    made_subgraphs,
     path_edge_keys,
     path_weight,
     reference_pairwise_run,
@@ -497,22 +498,19 @@ class TestPairwiseSpanner:
 
     def test_canonical_path_inside_init_needs_no_retries(self, monkeypatch):
         # With d = n the init is all of g: every canonical path lies in H,
-        # so the check makes no search of the subgraph.
+        # so the check makes no subgraph and no search.
         g = generate(GeneratorSpec(Model.ER, 20, 8))
         pairs = terminal_pairs(range(0, g.n, 3))
-        calls = dict.fromkeys(("dijkstra_distances", "subgraph_adjacency"), 0)
-        for name in calls:
-            def counting(*args, name=name, real=getattr(core, name)):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(core, name, counting)
+        searches = []
+        real = core.dijkstra_distances
+        monkeypatch.setattr(core, "dijkstra_distances", lambda *a: searches.append(a) or real(*a))
+        made = made_subgraphs(monkeypatch)
         for algo in ALL_ALGOS:
             params = PairwiseParams(algo, d_override=g.n, seed=0)
             h, report = pairwise_spanner_run(g, pairs, params)
             assert report.passes == 1 and report.patched == 0
             assert h == d_light_init(g, g.n) == g.weight_map.keys()
-        assert calls == {"dijkstra_distances": 0, "subgraph_adjacency": 0}
+        assert searches == [] and made == []
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_patch_completes_a_sweepless_init(self, algo, monkeypatch):

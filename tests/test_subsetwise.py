@@ -6,9 +6,9 @@ from wspanner import subsetwise
 from wspanner.core import (
     BudgetMode,
     ErrorBudget,
+    Subgraph,
     WeightedGraph,
     edge_key,
-    subgraph_adjacency,
     terminal_pairs,
     verify_spanner,
 )
@@ -25,6 +25,7 @@ from wspanner.subsetwise import (
 
 from helpers import (
     brute_min_spanner_size,
+    made_subgraphs,
     path_weight,
     rebuilt_path_value,
     reference_subsetwise_run,
@@ -102,14 +103,15 @@ PATH_012 = ((0, 1), (1, 2))
 class TestPathValue:
     def test_zero_when_current_edges_are_whole_graph(self):
         clustering = build_clustering(TRIANGLE, 2)
+        h = Subgraph(TRIANGLE, TRIANGLE.weight_map)
         assert TRIANGLE.paths.path(0, 2) == PATH_012
         for x in (0, 2):
-            assert path_value(TRIANGLE, (0, 2), x, clustering, TRIANGLE.adj) == 0
+            assert path_value(TRIANGLE, (0, 2), x, clustering, h) == 0
 
     def test_zero_with_no_clusters(self):
         c = build_clustering(TRIANGLE, 3)
         assert c.clusters == ()
-        assert path_value(TRIANGLE, (0, 2), 0, c, TRIANGLE.adj) == 0
+        assert path_value(TRIANGLE, (0, 2), 0, c, Subgraph(TRIANGLE, ())) == 0
 
     def test_counts_unreachable_cluster_member(self):
         # path 0-1-2, single cluster {1}; with no current edges the cluster is
@@ -117,8 +119,8 @@ class TestPathValue:
         g = WeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
         c = Clustering((frozenset({1}),), frozenset({(0, 1)}))
         assert g.paths.path(0, 2) == PATH_012
-        assert path_value(g, (0, 2), 0, c, subgraph_adjacency(g, ())) == 1
-        assert path_value(g, (0, 2), 2, c, subgraph_adjacency(g, ())) == 1
+        assert path_value(g, (0, 2), 0, c, Subgraph(g, ())) == 1
+        assert path_value(g, (0, 2), 2, c, Subgraph(g, ())) == 1
 
     def test_cluster_counts_from_its_path_member_nearest_the_end(self):
         # Path 0-1-2-3 with weights 1, 3, 1 and one cluster {1, 2}.  H, the
@@ -132,7 +134,7 @@ class TestPathValue:
         assert g.paths.path(0, 3) == ((0, 1), (1, 2), (2, 3))
         h = {(0, 4), (1, 4), (3, 5), (2, 5)}
         for x in (0, 3):
-            assert path_value(g, (0, 3), x, c, subgraph_adjacency(g, h)) == 1
+            assert path_value(g, (0, 3), x, c, Subgraph(g, h)) == 1
             assert rebuilt_path_value(g, (0, 1, 2, 3), x, c.clusters, h) == 1
 
     def test_cluster_beyond_the_search_limit_is_beaten(self):
@@ -144,7 +146,7 @@ class TestPathValue:
         h = {(0, 3), (2, 3), (1, 2)}
         assert g.paths.path(0, 2) == PATH_012
         for x, value in ((0, 1), (2, 0)):
-            assert path_value(g, (0, 2), x, c, subgraph_adjacency(g, h)) == value
+            assert path_value(g, (0, 2), x, c, Subgraph(g, h)) == value
             assert rebuilt_path_value(g, (0, 1, 2), x, c.clusters, h) == value
 
     def test_cluster_past_the_nearest_one_is_searched_for(self):
@@ -158,19 +160,19 @@ class TestPathValue:
         h = {(0, 4), (4, 5), (2, 5)}
         assert g.paths.path(0, 3) == ((0, 1), (1, 2), (2, 3))
         for x, value in ((0, 1), (3, 2)):
-            assert path_value(g, (0, 3), x, c, subgraph_adjacency(g, h)) == value
+            assert path_value(g, (0, 3), x, c, Subgraph(g, h)) == value
             assert rebuilt_path_value(g, (0, 1, 2, 3), x, c.clusters, h) == value
 
     def test_rejects_non_endpoint(self):
         c = build_clustering(TRIANGLE, 3)
         with pytest.raises(ValueError):
-            path_value(TRIANGLE, (0, 2), 1, c, TRIANGLE.adj)
+            path_value(TRIANGLE, (0, 2), 1, c, Subgraph(TRIANGLE, ()))
 
     def test_rejects_pair_with_no_path(self):
         g = WeightedGraph(3, ((0, 1, 1),))
         c = Clustering((frozenset({1}),), frozenset())
         with pytest.raises(ValueError, match=r"^pair \(0,2\) has no path$"):
-            path_value(g, (0, 2), 0, c, g.adj)
+            path_value(g, (0, 2), 0, c, Subgraph(g, ()))
 
 
 class TestSubsetwise2W:
@@ -249,28 +251,23 @@ def test_audit_replay_matches_run_where_clusters_form(model, n, seed, k):
 
 
 def test_one_subgraph_adjacency_per_run_and_none_without_clusters(monkeypatch):
-    # One call builds lists (adj None); each buy grows those lists, and at
-    # the end they hold the adjacency of the returned edges.
-    built = []
-    real = subsetwise.subgraph_adjacency
-
-    def counting(g, edges, adj=None):
-        out = real(g, edges, adj)
-        if adj is None:
-            built.append(out)
-        return out
-
-    monkeypatch.setattr(subsetwise, "subgraph_adjacency", counting)
+    # A run makes one subgraph, H, whose lists are built at its first search;
+    # each buy grows them, and at the end they hold the adjacency of the
+    # returned edges.  Without clusters H is all of g and is never searched.
+    made = made_subgraphs(monkeypatch)
     g = generate(GeneratorSpec(Model.ER, 30, 2))
     state = subsetwise_2w_run(g, range(0, 30, 5))
-    assert sum(r.cost > 0 for r in state.records) > 1 and len(built) == 1
+    assert sum(r.cost > 0 for r in state.records) > 1
     assert any(r.cost > 0 and r.bought for r in state.records)
-    fresh = real(g, state.current_edges)
-    assert [sorted(entry) for entry in built[0]] == [sorted(entry) for entry in fresh]
-    built.clear()
+    (h,) = made
+    assert h.edges is state.current_edges and h._adj is not None
+    fresh = Subgraph(g, state.current_edges)
+    fresh.dist(0)
+    assert [sorted(entry) for entry in h._adj] == [sorted(entry) for entry in fresh._adj]
+    made.clear()
     assert build_clustering(g, 30).clusters == ()  # threshold ceil(sqrt(30 * W))
     subsetwise_2w_run(g, range(30))
-    assert built == []
+    assert [h._adj for h in made] == [None]
 
 
 def test_zero_cluster_run_builds_its_buy_records_on_first_read(monkeypatch):
@@ -315,9 +312,9 @@ def test_pair_covered_by_an_earlier_buy_asks_no_path_value(monkeypatch):
     valued = []
     real = subsetwise.path_value
 
-    def counting(g, pair, x, clustering, h_adj):
+    def counting(g, pair, x, clustering, h):
         valued.append(pair)
-        return real(g, pair, x, clustering, h_adj)
+        return real(g, pair, x, clustering, h)
 
     monkeypatch.setattr(subsetwise, "path_value", counting)
     state = subsetwise_2w_run(g, terminals)
