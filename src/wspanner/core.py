@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -55,39 +56,39 @@ class WeightedGraph:
     def __post_init__(self) -> None:
         if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"vertex count {self.n!r} is not an integer >= 1")
-        seen: set[Edge] = set()
-        norm = []
-        for u, v, w in self.edges:
-            if not (_is_int(u) and _is_int(v)):
+        n, seen, norm = self.n, set(), []
+        for u, v, w in self.edges:  # an exact int skips the _is_int call
+            if not ((type(u) is int or _is_int(u)) and (type(v) is int or _is_int(v))):
                 raise ValueError(f"edge ({u!r},{v!r}) has a vertex id that is not an integer")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) references a vertex outside 0..{self.n - 1}")
-            if not _is_int(w) or w < 1:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) references a vertex outside 0..{n - 1}")
+            if not (type(w) is int or _is_int(w)) or w < 1:
                 raise ValueError(f"edge ({u},{v}) weight {w!r} is not an integer >= 1")
-            key = edge_key(u, v)
-            if key in seen:
+            if (key := (u, v) if u < v else (v, u)) in seen:
                 raise ValueError(f"parallel edge {key}")
             seen.add(key)
-            norm.append((key[0], key[1], w))
-        norm.sort()
-        object.__setattr__(self, "edges", tuple(norm))
+            norm.append(key + (w,))
+        object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @cached_property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex (neighbor, weight) pairs sorted by neighbor id."""
+        """Per-vertex (neighbor, weight) pairs by neighbor id, as the sorted edges fill them."""
         lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:
             lists[u].append((v, w))
             lists[v].append((u, w))
-        return tuple(tuple(sorted(entry)) for entry in lists)
+        return tuple(map(tuple, lists))
 
     @cached_property
     def light_first(self) -> tuple[tuple[Edge, ...], ...]:
-        """Per-vertex incident edge keys by (weight, neighbor id), lightest first."""
-        return tuple(tuple(edge_key(v, u) for _, u in sorted((w, u) for u, w in entry))
-                     for v, entry in enumerate(self.adj))
+        """Per-vertex incident edge keys by (weight, neighbor id): a stable weight sort keeps adj's id order."""
+        lists: list[list[Edge]] = [[] for _ in range(self.n)]
+        for u, v, _ in sorted(self.edges, key=itemgetter(2)):
+            lists[u].append((u, v))
+            lists[v].append((u, v))
+        return tuple(map(tuple, lists))
 
     @cached_property
     def weight_max(self) -> int:
@@ -145,18 +146,16 @@ def parse_graph_text(text: str) -> WeightedGraph:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty graph text")
-    head = lines[0].split()
+    head, *rows = [line.split() for line in lines]
     if len(head) != 2:
         raise ValueError(f"expected header 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
-    if len(lines) != m + 1:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
+    if len(rows) != m:
+        raise ValueError(f"expected {m} edge lines, got {len(rows)}")
+    ok = next((i for i, parts in enumerate(rows) if len(parts) != 3), m)  # rows above it fail first
+    edges = [(int(u), int(v), int(w)) for u, v, w in rows[:ok]]
+    if ok < m:
+        raise ValueError(f"bad edge line {lines[ok + 1]!r}")
     return WeightedGraph(n, tuple(edges))
 
 

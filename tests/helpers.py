@@ -14,6 +14,9 @@ vertex path whose edge weights it adds up step by step.  ``tree_path`` walks
 a canonical path back through a row's parents, without the table's cached
 edge tuples.  ``scanned_leaving`` is the per-pair scan that
 ``PathTable.leaving`` replaces, one subset test per pair.
+``light_first_reference`` gathers each vertex's incident edges from the edge
+tuples and sorts each list whole by (weight, neighbor id), as
+``WeightedGraph.light_first`` is defined.
 ``reference_subsetwise_run`` is the whole subsetwise construction built
 from these oracles: every pair visited, none skipped through the index;
 ``reference_pairwise_run`` is the pairwise one, likewise, from the d-light
@@ -180,6 +183,17 @@ def caterpillar_edges(k: int) -> tuple:
     for i in range(k):
         edges += [(i, k + 2 * i, 1), (i, k + 2 * i + 1, 1)]
     return tuple(edges)
+
+
+def light_first_reference(g) -> tuple:
+    """Per-vertex incident (min, max) edge keys, each list sorted whole by
+    (weight, neighbor id)."""
+    incident = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        incident[u].append((w, v))
+        incident[v].append((w, u))
+    return tuple(tuple((min(x, y), max(x, y)) for _, y in sorted(entry))
+                 for x, entry in enumerate(incident))
 
 
 def path_weight(g, path) -> int:

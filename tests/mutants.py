@@ -82,6 +82,7 @@ ONE_INDEX = "tests/test_bench.py::test_instance_walks_each_terminal_pair_list_on
 SHARED_WALKS = "tests/test_bench.py::test_exact_solves_of_an_instance_walk_each_pair_once"
 WIDEN = "tests/test_exact.py::TestExactOptimum::test_budgets_on_one_graph_walk_again_only_to_widen"
 KEPT = "tests/test_exact.py::TestKeptAnswers::"
+GRAPH = "tests/test_core.py::TestWeightedGraph::"
 EXACT_TIE_BREAK = ("tests/test_exact.py::TestExactOptimum::test_triangle_two_levels",
                    "tests/test_golden.py::test_exact_level_sets_digest[er-12-l1-global]")
 
@@ -214,6 +215,24 @@ REGISTER = (
     Mutant("row range check without its lower bound", CORE,
            "        if s < 0 or t >= self._n:\n", "        if t >= self._n:\n",
            ("tests/test_core.py::test_path_outside_the_graph_is_a_one_line_value_error",)),
+    Mutant("light_first without its weight key (by neighbor id)", CORE,
+           "sorted(self.edges, key=itemgetter(2))", "self.edges",
+           (GRAPH + "test_light_first_orders_by_weight_then_neighbor_id",
+            "tests/test_golden.py::test_pairwise_output_digest")),
+    Mutant("adj filled in reverse edge order", CORE,
+           "for u, v, w in self.edges:\n            lists[u].append((v, w))",
+           "for u, v, w in reversed(self.edges):\n            lists[u].append((v, w))",
+           (GRAPH + "test_adjacency_sorted_by_neighbor",
+            GRAPH + "test_adjacency_of_a_middle_vertex_takes_its_lower_neighbors_first")),
+    Mutant("edge check accepts a bool weight", CORE,
+           "if not (type(w) is int or _is_int(w)) or w < 1:",
+           "if not (type(w) is int or isinstance(w, int)) or w < 1:",
+           (GRAPH + "test_rejects_bool_weight",
+            GRAPH + "test_edge_check_message_and_precedence[bool-weight]")),
+    Mutant("parse without its three-token line check", CORE,
+           "ok = next((i for i, parts in enumerate(rows) if len(parts) != 3), m)", "ok = m",
+           ("tests/test_core.py::TestGraphText::test_parse_names_the_first_malformed_edge_line",
+            "tests/test_cli.py::test_spanner_rejects_malformed_text_files[bad-edge-line]")),
     Mutant("generate records a disconnected verdict", GENERATE,
            'object.__setattr__(g, "is_connected", True)',
            'object.__setattr__(g, "is_connected", False)',

@@ -1,6 +1,8 @@
 import concurrent.futures
+import enum
 import gc
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -25,7 +27,7 @@ from wspanner.core import (
 )
 
 from wspanner.generate import GeneratorSpec, Model, generate
-from wspanner.pairwise import PairwiseAlgo, PairwiseParams, pairwise_spanner
+from wspanner.pairwise import PairwiseAlgo, PairwiseParams, d_light_init, pairwise_spanner
 from wspanner.subsetwise import subsetwise_2w
 
 from helpers import (
@@ -34,6 +36,7 @@ from helpers import (
     brute_force_distance,
     canonical_edges,
     hop_radius,
+    light_first_reference,
     made_subgraphs,
     path_edge_keys,
     reordered_pairs,
@@ -87,6 +90,49 @@ class TestWeightedGraph:
         g = WeightedGraph(4, ((0, 3, 1), (0, 1, 2), (0, 2, 5)))
         assert g.adj[0] == ((1, 2), (2, 5), (3, 1))
 
+    def test_adjacency_of_a_middle_vertex_takes_its_lower_neighbors_first(self):
+        g = WeightedGraph(5, ((2, 4, 1), (3, 2, 2), (1, 2, 3), (2, 0, 4)))
+        assert g.adj[2] == ((0, 4), (1, 3), (3, 2), (4, 1))
+
+    def test_light_first_orders_by_weight_then_neighbor_id(self):
+        g = WeightedGraph(5, ((2, 4, 1), (3, 2, 2), (1, 2, 1), (2, 0, 2), (0, 1, 1)))
+        assert g.light_first == (((0, 1), (0, 2)), ((0, 1), (1, 2)),
+                                 ((1, 2), (2, 4), (0, 2), (2, 3)), ((2, 3),), ((2, 4),))
+
+    @pytest.mark.parametrize("edges,message", [
+        (((True, 2, 1),), "edge (True,2) has a vertex id that is not an integer"),
+        (((0, 1.0, 1),), "edge (0,1.0) has a vertex id that is not an integer"),
+        ((("0", 1, 1),), "edge ('0',1) has a vertex id that is not an integer"),
+        (((1, 1, 1),), "self-loop at vertex 1"),
+        (((-1, 1, 1),), "edge (-1,1) references a vertex outside 0..2"),
+        (((0, 3, 1),), "edge (0,3) references a vertex outside 0..2"),
+        (((0, 1, 0),), "edge (0,1) weight 0 is not an integer >= 1"),
+        (((0, 1, -2),), "edge (0,1) weight -2 is not an integer >= 1"),
+        (((0, 1, True),), "edge (0,1) weight True is not an integer >= 1"),
+        (((0, 1, 1.0),), "edge (0,1) weight 1.0 is not an integer >= 1"),
+        (((0, 1, 1), (1, 0, 2)), "parallel edge (0, 1)"),
+        # the first bad edge in input order wins
+        (((0, 1, 1), (2, 2, 1), (0, 5, 1), (1, 0, 1)), "self-loop at vertex 2"),
+        (((0, 1, 1), (1, 0, 1), (True, 2, 1)), "parallel edge (0, 1)"),
+        # within one edge: id type, self-loop, range, weight, parallel
+        (((1.0, 1.0, 0),), "edge (1.0,1.0) has a vertex id that is not an integer"),
+        (((5, 5, 0),), "self-loop at vertex 5"),
+        (((0, 5, 0),), "edge (0,5) references a vertex outside 0..2"),
+        (((0, 1, 1), (1, 0, 0)), "edge (1,0) weight 0 is not an integer >= 1"),
+    ], ids=["bool-id", "float-id", "str-id", "self-loop", "negative-id", "id-at-n", "zero-weight",
+            "negative-weight", "bool-weight", "float-weight", "reversed-duplicate",
+            "first-edge-wins", "parallel-before-later-type", "type-before-self-loop",
+            "self-loop-before-range", "range-before-weight", "weight-before-parallel"])
+    def test_edge_check_message_and_precedence(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeightedGraph(3, edges)
+
+    def test_accepts_an_int_subclass_other_than_bool_as_is_int_does(self):
+        # the inline check tests exactly what core._is_int tests
+        Vertex = enum.IntEnum("Vertex", "ONE TWO")
+        g = WeightedGraph(3, ((Vertex.TWO, Vertex.ONE, Vertex.TWO),))
+        assert g.edges == ((1, 2, 2),) and g.light_first[2] == ((1, 2),)
+
     def test_weight_max(self):
         assert TRIANGLE.weight_max == 3
         assert WeightedGraph(1, ()).weight_max == 0
@@ -107,6 +153,34 @@ class TestGraphText:
         text = write_graph_text(TRIANGLE)
         assert parse_graph_text(text + "\n") == TRIANGLE
         assert parse_graph_text("\n" + text.replace("\n", "\n \n")) == TRIANGLE
+
+    @pytest.mark.parametrize("text,message", [
+        ("3 2\n0 1 1\n1 2\n", "bad edge line '1 2'"),
+        ("3 2\n0 1 1 1\n1 2 1\n", "bad edge line '0 1 1 1'"),
+        ("3 2\n 0\t1 \n1 2 1\n", "bad edge line ' 0\\t1 '"),
+        # an unparseable integer above the first malformed line is reported first
+        ("3 2\n0 x 1\n1 2\n", "invalid literal for int() with base 10: 'x'"),
+        ("3 2\n0 1\n1 x 1\n", "bad edge line '0 1'"),
+    ], ids=["two-tokens", "four-tokens", "original-text", "int-error-first", "line-error-first"])
+    def test_parse_names_the_first_malformed_edge_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_graph_text(text)
+
+
+@given(connected_graphs(max_n=9, max_w=2), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_derived_lists_do_not_depend_on_the_edge_order_and_match_their_reference(g, rnd):
+    """Weights in {1, 2}, so weight ties are common."""
+    fed = [(v, u, w) if rnd.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
+    rnd.shuffle(fed)
+    shuffled, plain = WeightedGraph(g.n, tuple(fed)), WeightedGraph(g.n, tuple(sorted(g.edges)))
+    for attr in ("edges", "adj", "light_first", "weight_map"):
+        assert getattr(shuffled, attr) == getattr(plain, attr)
+    assert all(a[0] < b[0] for entry in shuffled.adj for a, b in zip(entry, entry[1:]))
+    reference = light_first_reference(shuffled)
+    assert shuffled.light_first == reference
+    for d in range(1, max(map(len, reference)) + 1):
+        assert d_light_init(shuffled, d) == {e for entry in reference for e in entry[:d]}
 
 
 @given(connected_graphs(), st.data())
