@@ -181,6 +181,12 @@ class ErrorBudget:
             return self.c * g.weight_max
         return self.c * g.paths.max_weight(u, v)
 
+    def limit(self, g: WeightedGraph, u: int, v: int) -> int:
+        """dist_G(u, v) + allowance; a pair g does not connect is a ValueError."""
+        if (d := g.paths.dist(u, v)) == UNREACHABLE:
+            raise ValueError(f"terminal pair ({u},{v}) is disconnected")
+        return d + self.allowance(g, u, v)
+
 
 def _settle(adj, n: int, source: int, limit) -> tuple[list, list[int]]:
     """The search behind dijkstra_distances and shortest_path_row: distances
@@ -371,8 +377,8 @@ def build_path_table(g: WeightedGraph) -> PathTable:
 
 def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs: Sequence[Edge],
                    budget: ErrorBudget) -> list[tuple[int, int]]:
-    """Pairs whose distance in the subgraph exceeds dist_G + allowance, in
-    the order they are given; none means h_edges is a valid spanner for them.
+    """Pairs whose distance in the subgraph exceeds ``budget.limit``, in the
+    order they are given; none means h_edges is a valid spanner for them.
 
     h_edges are (min, max) keys of edges of g, as in ``g.weight_map``;
     anything else, a reversed key included, is a ValueError.  Pairs
@@ -392,6 +398,6 @@ def verify_spanner(g: WeightedGraph, h_edges: Iterable[Edge], pairs: Sequence[Ed
         if u not in rows:
             rows[u] = h.dist(u)
         dh = rows[u][v]
-        if dh == UNREACHABLE or dh > g.paths.dist(u, v) + budget.allowance(g, u, v):
+        if dh > budget.limit(g, u, v):
             violated.append((u, v))
     return violated

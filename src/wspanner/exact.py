@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from weakref import WeakKeyDictionary
 
-from .core import UNREACHABLE, Edge, _is_int, edge_key
+from .core import Edge, _is_int, edge_key
 from .multilevel import MultiLevelInstance, MultiLevelSpanner
 
 # path table -> ({pair: (limit, paths)}, {terminal sets: [(limits, level masks, answer)]})
@@ -38,7 +38,7 @@ def build_ilp(inst: MultiLevelInstance) -> tuple[list[str], list[str], list[str]
     """(objective, constraints, binaries), lists of LP text: minimize the sum
     of the objective variables in a path-based flow model, one flow system
     per unordered terminal pair per level, in this row order: path length
-    bounded by dist + allowance, flow conservation and out-degree at most one
+    bounded by ``budget.limit``, flow conservation and out-degree at most one
     per vertex, arcs coupled to edge variables, and (multi-level) each
     level's edges contained in the level below.  Variable names carry a
     level suffix _l{k} only when there is more than one level.  Each row is
@@ -59,12 +59,10 @@ def build_ilp(inst: MultiLevelInstance) -> tuple[list[str], list[str], list[str]
     constraints: list[str] = []
     for k, sfx in enumerate(suffixes):
         for u, v in pt.terminal_pairs(inst.terminal_sets[k]):
-            if pt.dist(u, v) == UNREACHABLE:
-                raise ValueError(f"terminal pair ({u},{v}) is disconnected")
             pair = f"p{u}_{v}{sfx}"
             f = [stem + pair for stem in stems]
             binaries.extend(f)
-            limit = pt.dist(u, v) + inst.budget.allowance(g, u, v)
+            limit = inst.budget.limit(g, u, v)
             length = " + ".join(map(str.__add__, coefs, f))
             constraints.append(f"len_{pair}: {length} <= {limit}")
             for i, out in enumerate(around):
@@ -156,11 +154,7 @@ def exact_optimum(inst: MultiLevelInstance, caps: SizeCaps | None = None) -> Mul
     if (ell + 1) ** m > caps.max_work:
         raise SizeCapExceeded(f"search space ({ell + 1}**{m}) exceeds the work budget")
     pt = g.paths
-    limits: dict[Edge, int] = {}
-    for u, v in pt.terminal_pairs(inst.terminal_sets[0]):
-        if pt.dist(u, v) == UNREACHABLE:
-            raise ValueError(f"terminal pair ({u},{v}) is disconnected")
-        limits[u, v] = pt.dist(u, v) + inst.budget.allowance(g, u, v)
+    limits = {(u, v): inst.budget.limit(g, u, v) for u, v in pt.terminal_pairs(inst.terminal_sets[0])}
     walked, answers = _KEPT.setdefault(pt, ({}, {}))
     kept = answers.setdefault(inst.terminal_sets, [])
     for wider, level_masks, answer in kept:

@@ -233,6 +233,20 @@ REGISTER = (
            "ok = next((i for i, parts in enumerate(rows) if len(parts) != 3), m)", "ok = m",
            ("tests/test_core.py::TestGraphText::test_parse_names_the_first_malformed_edge_line",
             "tests/test_cli.py::test_spanner_rejects_malformed_text_files[bad-edge-line]")),
+    Mutant("limit without its disconnected check", CORE,
+           "        if (d := g.paths.dist(u, v)) == UNREACHABLE:\n"
+           "            raise ValueError(f\"terminal pair ({u},{v}) is disconnected\")\n",
+           "        d = g.paths.dist(u, v)\n",
+           ("tests/test_core.py::"
+            "test_limit_of_a_pair_the_graph_does_not_connect_is_a_one_line_value_error",
+            "tests/test_exact.py::TestBuildIlp::test_disconnected_pair_raises",
+            "tests/test_exact.py::TestExactOptimum::test_disconnected_pair_raises",
+            "tests/test_cli.py::test_exact_rejects_a_disconnected_terminal_pair",
+            "tests/test_cli.py::test_emit_ilp_rejects_a_disconnected_terminal_pair_and_writes_no_file")),
+    Mutant("limit drops the allowance", CORE,
+           "return d + self.allowance(g, u, v)", "return d",
+           ("tests/test_exact.py::TestBuildIlp::test_local_mode_tightens_rhs",
+            "tests/test_core.py::TestVerifySpanner::test_local_budget_uses_pair_max_weight")),
     Mutant("generate records a disconnected verdict", GENERATE,
            'object.__setattr__(g, "is_connected", True)',
            'object.__setattr__(g, "is_connected", False)',

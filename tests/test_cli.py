@@ -437,6 +437,16 @@ def test_exact_rejects_a_disconnected_terminal_pair(tmp_path, capsys):
     assert err == "wspanner: error: terminal pair (0,2) is disconnected\n"
 
 
+def test_emit_ilp_rejects_a_disconnected_terminal_pair_and_writes_no_file(tmp_path, capsys):
+    (tmp_path / "g.graph").write_text("4 2\n0 1 1\n2 3 1\n")
+    (tmp_path / "g.terminals").write_text("0 2\n")
+    code = main(["emit-ilp", "--graph", str(tmp_path / "g.graph"),
+                 "--terminals", str(tmp_path / "g.terminals"), "--out", str(tmp_path / "g.lp")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not (tmp_path / "g.lp").exists()
+    assert err == "wspanner: error: terminal pair (0,2) is disconnected\n"
+
+
 @pytest.mark.parametrize("plan,message", [
     ([], "plan must be a JSON object"),
     *[({axis: []}, "plan needs at least one model, size, level count, and tsm")

@@ -826,6 +826,24 @@ def test_error_budget_mode_value_acts_as_its_mode_and_an_unknown_one_is_rejected
         ErrorBudget("bogus", 1)
 
 
+@pytest.mark.parametrize("c", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["GLOBAL", "LOCAL"])
+@given(g=connected_graphs())
+@settings(max_examples=30)
+def test_limit_is_the_bellman_ford_distance_plus_the_allowance(mode, c, g):
+    b = budget(mode, c)
+    for u in range(g.n):
+        dist = bellman_ford(g.n, g.edges, u)
+        for v in range(g.n):
+            assert b.limit(g, u, v) == dist[v] + b.allowance(g, u, v)
+
+
+def test_limit_of_a_pair_the_graph_does_not_connect_is_a_one_line_value_error():
+    g = WeightedGraph(4, ((0, 1, 1), (2, 3, 1)))
+    with pytest.raises(ValueError, match=r"^terminal pair \(3,1\) is disconnected$"):
+        budget("GLOBAL", 2).limit(g, 3, 1)
+
+
 def test_edge_key_and_terminal_pairs():
     assert edge_key(5, 2) == (2, 5)
     assert terminal_pairs([3, 1, 2]) == [(1, 2), (1, 3), (2, 3)]

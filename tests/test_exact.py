@@ -103,7 +103,7 @@ class TestBuildIlp:
 
     def test_disconnected_pair_raises(self):
         g = WeightedGraph(4, ((0, 1, 1), (2, 3, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^terminal pair \(0,3\) is disconnected$"):
             build_ilp(inst(g, {0, 3}))
 
 
@@ -183,6 +183,12 @@ class TestExactOptimum:
         caps = SizeCaps(max_work=100)
         with pytest.raises(SizeCapExceeded):
             exact_optimum(inst(g, {0, 1}, {0, 1}), caps=caps)
+
+    def test_disconnected_pair_raises(self):
+        # (0, 1) is connected; (0, 2) is the first pair, in pair order, that is not
+        g = WeightedGraph(4, ((0, 1, 1), (2, 3, 1)))
+        with pytest.raises(ValueError, match=r"^terminal pair \(0,2\) is disconnected$"):
+            exact_optimum(inst(g, {0, 1, 2}, budget=LOCAL2))
 
     def test_empty_pair_set_gives_empty_spanner(self):
         opt = exact_optimum(inst(TRIANGLE, {0}))
