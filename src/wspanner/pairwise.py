@@ -206,13 +206,12 @@ def _pass(algo: PairwiseAlgo, g: WeightedGraph, pairs: Sequence[tuple[int, int]]
     miss, so the search would return a path in h), p8w with a subsetwise
     spanner on a sample, p2w after the sweep with trees.  The samples share
     one stream, seeded at the first.  The first bad pair in input order
-    raises before any repair: a disconnected one, which only a disconnected
-    graph has, or one outside the graph."""
+    raises before any repair: one outside the graph, or one that g does not
+    connect (only a disconnected g has one), with ``ErrorBudget.limit``'s message."""
     n, pt, rng = g.n, g.paths, None
     if not g.is_connected:
         for u, v in pairs:
-            if pt.dist(u, v) == UNREACHABLE:
-                raise ValueError(f"pair ({u},{v}) is disconnected")
+            BUDGETS[PairwiseAlgo.P8W].limit(g, u, v)  # a global limit reads no path
     for i in pt.leaving(pairs, h):
         missing = [e for e in pt.path(*pairs[i]) if e not in h]
         if len(missing) <= ell:

@@ -380,7 +380,7 @@ def reference_pairwise_run(g, pairs, params, free=()) -> tuple[set, PairwiseRepo
     def canonical(u, v):
         path = tree_path(g.paths, min(u, v), max(u, v))
         if path is None:
-            raise ValueError(f"pair ({u},{v}) is disconnected")
+            raise ValueError(f"terminal pair ({u},{v}) is disconnected")
         return path_edge_keys(path)
 
     for u, v in pairs:

@@ -126,6 +126,14 @@ REGISTER = (
     Mutant("p8w repair without its connectivity test", PAIRWISE,
            "elif len(sample) >= 2 and g.is_connected:", "elif len(sample) >= 2:",
            (REFERENCE,)),
+    Mutant("pairwise pre-scan skipped on a disconnected graph", PAIRWISE,
+           "if not g.is_connected:", "if False:",
+           ("tests/test_pairwise.py::TestPairwiseSpanner::"
+            "test_first_disconnected_pair_after_connected_ones_is_named",
+            "tests/test_cli.py::test_exact_rejects_a_disconnected_terminal_pair[spanner-p2w]",
+            "tests/test_cli.py::test_exact_rejects_a_disconnected_terminal_pair[spanner-p4w]",
+            "tests/test_cli.py::test_exact_rejects_a_disconnected_terminal_pair[spanner-p8w]",
+            "tests/test_cli.py::test_exact_rejects_a_disconnected_terminal_pair[multilevel-p2w]")),
     Mutant("sub2w without its re-test", SUBSETWISE,
            "    for i in left:\n"
            "        u, v = pairs[i]\n"

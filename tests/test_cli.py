@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -68,26 +69,35 @@ def test_spanner_d_override(instance_files, tmp_path):
 
 
 def test_spanner_sub2w_buy_audit_is_the_record_list(tmp_path):
-    """One audit entry per terminal pair, in terminal_pairs order, with exactly
-    the record's fields; on ER n=30 with every vertex a terminal no cluster
-    forms, so H is all of g and every pair is bought at cost 0 and value 0."""
+    """One audit entry per terminal pair of the level spanner runs by default
+    (S_1), in terminal_pairs order, with exactly the record's fields.  On ER
+    n=30 with every vertex a terminal no cluster forms, so H is all of g and
+    every pair is bought at cost 0 and value 0; on BA n=40 with unit weights
+    clusters form, so the sweep values some path above 0."""
     g = generate(GeneratorSpec(Model.ER, 30, 2))
-    terminals = range(30)
     assert build_clustering(g, 30).clusters == ()
     (tmp_path / "er30.graph").write_text(write_graph_text(g))
-    (tmp_path / "er30.terminals").write_text(write_terminals_text([terminals]))
-    out = tmp_path / "audit"
-    assert main(["spanner", "--algo", "sub2w", "--graph", str(tmp_path / "er30.graph"),
-                 "--terminals", str(tmp_path / "er30.terminals"), "--out", str(out)]) == 0
-    audit = json.loads(out.with_suffix(".json").read_text())["buy_audit"]
-    assert [tuple(entry["pair"]) for entry in audit] == terminal_pairs(terminals)
-    assert all(entry.keys() == {"pair", "cost", "value", "bought"} for entry in audit)
-    records = subsetwise_2w_run(g, terminals).records
-    assert audit == [{"pair": list(r.pair), "cost": r.cost, "value": r.value,
-                      "bought": r.bought} for r in records]
+    (tmp_path / "er30.terminals").write_text(write_terminals_text([range(30)]))
+    assert main(["gen", "--model", "ba", "--n", "40", "--seed", "7", "--weight-hi", "1",
+                 "--out", str(tmp_path / "ba40")]) == 0
+    audits = {}
+    for name in ("er30", "ba40"):
+        prefix, out = tmp_path / name, tmp_path / f"audit_{name}"
+        assert main(["spanner", "--algo", "sub2w", "--graph", str(prefix.with_suffix(".graph")),
+                     "--terminals", str(prefix.with_suffix(".terminals")),
+                     "--out", str(out)]) == 0
+        audit = audits[name] = json.loads(out.with_suffix(".json").read_text())["buy_audit"]
+        g = parse_graph_text(prefix.with_suffix(".graph").read_text())
+        terminals = parse_terminals_text(prefix.with_suffix(".terminals").read_text())[0]
+        assert [tuple(entry["pair"]) for entry in audit] == terminal_pairs(terminals)
+        assert all(entry.keys() == {"pair", "cost", "value", "bought"} for entry in audit)
+        records = subsetwise_2w_run(g, terminals).records
+        assert audit == [{"pair": list(r.pair), "cost": r.cost, "value": r.value,
+                          "bought": r.bought} for r in records]
     assert all(entry["cost"] == 0 and entry["value"] == 0 and entry["bought"] is True
-               for entry in audit)
-    assert len(audit) == 30 * 29 // 2
+               for entry in audits["er30"])
+    assert len(audits["er30"]) == 30 * 29 // 2
+    assert any(entry["value"] > 0 for entry in audits["ba40"])
 
 
 def test_spanner_sub2w_rejects_a_d_override(instance_files, tmp_path, capsys):
@@ -111,7 +121,8 @@ def test_multilevel_subcommand(instance_files, tmp_path, capsys):
     level1 = parse_graph_text((tmp_path / "ml.level1.graph").read_text())
     level2 = parse_graph_text((tmp_path / "ml.level2.graph").read_text())
     assert level2.weight_map.keys() <= level1.weight_map.keys()
-    assert summary["sparsity"] == len(level1.edges) + len(level2.edges)
+    assert summary["level_sizes"] == [len(level1.edges), len(level2.edges)]
+    assert summary["sparsity"] == sum(summary["level_sizes"])
     # without --out the same summary goes to stdout
     capsys.readouterr()
     assert main(["multilevel", "--algo", "sub2w", *files]) == 0
@@ -136,14 +147,14 @@ def test_multilevel_with_a_broken_upper_level_is_invalid_and_exits_1(instance_fi
 
 def test_exact_and_emit_ilp(tmp_path, capsys):
     prefix = tmp_path / "tiny"
-    main(["gen", "--model", "er", "--n", "7", "--seed", "2", "--levels", "1",
-          "--tsm", "exp", "--out", str(prefix)])
-    code = main(["exact", "--graph", str(prefix.with_suffix('.graph')),
-                 "--terminals", str(prefix.with_suffix('.terminals')),
-                 "--mode", "global", "--c", "2"])
-    out = capsys.readouterr().out
-    if code == 0:
-        assert "sparsity" in out
+    assert main(["gen", "--model", "er", "--n", "7", "--seed", "2", "--levels", "1",
+                 "--tsm", "exp", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    for mode in ("global", "local"):
+        assert main(["exact", "--graph", str(prefix.with_suffix('.graph')),
+                     "--terminals", str(prefix.with_suffix('.terminals')),
+                     "--mode", mode, "--c", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["sparsity"] >= 1
     lp_path = tmp_path / "model.lp"
     assert main(["emit-ilp", "--graph", str(prefix.with_suffix('.graph')),
                  "--terminals", str(prefix.with_suffix('.terminals')),
@@ -209,19 +220,25 @@ def test_run_and_summarize(tmp_path, capsys):
     plan = {
         "models": ["er"], "sizes": [10], "levels": [1], "tsms": ["linear"],
         "algorithms": ["sub2w", "p2w"], "seeds_per_cell": 2, "base_seed": 5,
-        "exact": True,
+        "exact": True, "caps": {"max_edges_single": 22},  # admits both draws' 21 and 22 edges
     }
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
     out_dir = tmp_path / "results"
     assert main(["run", "--plan", str(plan_path), "--out", str(out_dir)]) == 0
-    assert (out_dir / "rows.csv").exists()
+    with open(out_dir / "rows.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    # every row has an exact optimum, and it is no larger than the row's output
+    assert len(rows) == 4
+    assert all(r["exact_sparsity"] and int(r["exact_sparsity"]) <= int(r["sparsity"])
+               for r in rows)
     summary_path = tmp_path / "summary.csv"
     assert main(["summarize", "--in", str(out_dir / "rows.csv"), "--group", "n",
                  "--out", str(summary_path)]) == 0
     lines = summary_path.read_text().splitlines()
     assert lines[0] == "group,value,algorithm,metric,count,min,mean,max"
-    assert len(lines) == 3  # header + (n=10) x {p2w, sub2w}
+    # header + (n=10) x {p2w, sub2w} x {experimental_ratio, relative_sparsity}
+    assert len(lines) == 5
     # without --out the same text goes to stdout
     capsys.readouterr()
     assert main(["summarize", "--in", str(out_dir / "rows.csv"), "--group", "n"]) == 0
@@ -399,15 +416,21 @@ def test_gen_requires_out(capsys):
 
 
 def test_spanner_reads_a_graph_file_with_a_trailing_blank_line(instance_files, tmp_path):
+    # So does a copy with the same edges, endpoints swapped and in reverse
+    # order, under the same header: both give the plain file's output bytes.
     graph_path, terms_path = instance_files
-    padded = tmp_path / "padded.graph"
-    padded.write_text(graph_path.read_text() + "\n")
-    for name, path in (("plain", graph_path), ("padded", padded)):
+    header, *lines = graph_path.read_text().splitlines()
+    swapped = [f"{v} {u} {w}" for u, v, w in map(str.split, reversed(lines))]
+    (tmp_path / "padded.graph").write_text(graph_path.read_text() + "\n")
+    (tmp_path / "swapped.graph").write_text("\n".join([header, *swapped]) + "\n")
+    for name in ("plain", "padded", "swapped"):
+        path = graph_path if name == "plain" else tmp_path / f"{name}.graph"
         assert main(["spanner", "--algo", "p2w", "--graph", str(path), "--terminals",
                      str(terms_path), "--out", str(tmp_path / name)]) == 0
-    for suffix in (".graph", ".json"):
-        assert ((tmp_path / "padded").with_suffix(suffix).read_text()
-                == (tmp_path / "plain").with_suffix(suffix).read_text())
+    for name in ("padded", "swapped"):
+        for suffix in (".graph", ".json"):
+            assert ((tmp_path / name).with_suffix(suffix).read_bytes()
+                    == (tmp_path / "plain").with_suffix(suffix).read_bytes())
 
 
 @pytest.mark.parametrize("graph,terminals,message", [
@@ -416,7 +439,9 @@ def test_spanner_reads_a_graph_file_with_a_trailing_blank_line(instance_files, t
     ("3\n0 1 1\n", "0 1\n", "expected header 'n m', got '3'"),
     ("2 1\n0 1\n", "0 1\n", "bad edge line '0 1'"),
     ("2 1\n0 1 1\n", "\n", "empty terminals text"),
-], ids=["empty-graph", "blank-graph", "bad-header", "bad-edge-line", "empty-terminals"])
+    ("2 2\n0 1 1\n1 0 2\n", "0 1\n", "parallel edge (0, 1)"),
+], ids=["empty-graph", "blank-graph", "bad-header", "bad-edge-line", "empty-terminals",
+        "parallel-edge"])
 def test_spanner_rejects_malformed_text_files(graph, terminals, message, tmp_path, capsys):
     (tmp_path / "g.graph").write_text(graph)
     (tmp_path / "g.terminals").write_text(terminals)
@@ -427,11 +452,18 @@ def test_spanner_rejects_malformed_text_files(graph, terminals, message, tmp_pat
     assert err == f"wspanner: error: {message}\n"
 
 
-def test_exact_rejects_a_disconnected_terminal_pair(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["exact"], ["emit-ilp", "--out", "g.lp"],
+    *[["spanner", "--algo", algo] for algo in ("p2w", "p4w", "p8w")],
+    ["multilevel", "--algo", "p2w"],
+], ids=["exact", "emit-ilp", "spanner-p2w", "spanner-p4w", "spanner-p8w", "multilevel-p2w"])
+def test_exact_rejects_a_disconnected_terminal_pair(argv, tmp_path, capsys, monkeypatch):
+    # The exact optimum, the ILP and the pairwise constructions all refuse
+    # the pair with ErrorBudget.limit's message.
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "g.graph").write_text("4 2\n0 1 1\n2 3 1\n")
     (tmp_path / "g.terminals").write_text("0 2\n")
-    code = main(["exact", "--graph", str(tmp_path / "g.graph"),
-                 "--terminals", str(tmp_path / "g.terminals")])
+    code = main([*argv, "--graph", "g.graph", "--terminals", "g.terminals"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "wspanner: error: terminal pair (0,2) is disconnected\n"
@@ -453,8 +485,9 @@ def test_emit_ilp_rejects_a_disconnected_terminal_pair_and_writes_no_file(tmp_pa
       for axis in ("models", "sizes", "levels", "tsms")],
     ({"strategy": "greedy"}, "unknown strategy 'greedy'"),
     ({"seeds_per_cell": 0}, "seeds_per_cell must be >= 1"),
+    ({"algorithms": ["qspanner"]}, "unknown algorithm 'qspanner'"),
 ], ids=["not-an-object", "no-models", "no-sizes", "no-levels", "no-tsms", "unknown-strategy",
-        "zero-seeds"])
+        "zero-seeds", "unknown-algorithm"])
 def test_run_rejects_a_plan_it_cannot_run(plan, message, tmp_path, capsys):
     if isinstance(plan, dict):
         plan = {"models": ["er"], "sizes": [10], "levels": [1], "tsms": ["linear"],
